@@ -27,11 +27,12 @@ from . import exact as ex
 from . import lanczos as lz
 from . import models
 from . import mpo as mp
-from .sweeping import SweepOptions, multiply_and_optimize
+from .sweeping import multiply_and_optimize
 
 logger = logging.getLogger("mpotrace.cli")
 
-CSV_COLUMNS = ("k", "alpha", "beta", "ritz_min", "ritz_max", "estimate", "wall_ms")
+CSV_COLUMNS = ("k", "alpha", "beta", "ritz_min", "ritz_max", "estimate", "wall_ms",
+               "mult_residual", "add_residual")
 
 
 def _configure_logging() -> None:
@@ -62,7 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--bond-dim", type=int, default=20, dest="bond_dim",
                    help="bond cap during the evolution (default 20)")
     b.add_argument("--dtau", type=float, default=0.01, help="Trotter step (default 0.01)")
-    b.add_argument("--seed", type=int, default=0, help="recorded in metadata")
     b.add_argument("--state", choices=("half", "full"), default="half",
                    help="half: exp(-beta/2 H); full: trace-normalized Gibbs state")
     b.add_argument("--trunc-warn", type=float, default=1e-6, dest="trunc_warn",
@@ -79,7 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--eps", type=float, default=1e-10, help="convergence threshold")
     e.add_argument("--window", type=int, default=3, help="outlier detection window")
     e.add_argument("--spectrum-floor", type=float, default=None, dest="spectrum_floor")
-    e.add_argument("--seed", type=int, default=7, help="seed for randomized sweep inits")
     e.add_argument("--out", default=None, help="result JSON path (default: stdout)")
     e.add_argument("--iterations-csv", default=None, dest="iterations_csv",
                    help="write the per-iteration table to this CSV path")
@@ -129,8 +128,7 @@ def cmd_build_thermal(args) -> int:
             l["step"], l["layer"], l["discarded"], args.trunc_warn,
         )
     if args.state == "full":
-        fit = multiply_and_optimize(m, mp.adjoint(m), args.bond_dim,
-                                    SweepOptions(seed=args.seed))
+        fit = multiply_and_optimize(m, mp.adjoint(m), args.bond_dim)
         rho = fit.mpo
         tr = mp.mpo_trace(rho)
         if not tr.real > 0:
@@ -142,7 +140,6 @@ def cmd_build_thermal(args) -> int:
         state=args.state,
         params={"L": params.L, "J": params.J, "g": params.g, "h": params.h,
                 "beta": params.beta},
-        seed=args.seed,
         alarm_threshold=args.trunc_warn,
         alarmed_layers=len(alarmed),
         wall_s=time.perf_counter() - t0,
@@ -181,7 +178,8 @@ def _write_iterations_csv(records, path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for rec in records:
-            writer.writerow([rec.k] + [f"{getattr(rec, c):.17g}" for c in CSV_COLUMNS[1:]])
+            row = _record_dict(rec)
+            writer.writerow([rec.k] + [f"{row[c]:.17g}" for c in CSV_COLUMNS[1:]])
 
 
 def cmd_estimate(args) -> int:
@@ -197,11 +195,7 @@ def cmd_estimate(args) -> int:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
     m = mp.load_json(args.input)
-    if not isinstance(m, mp.Mpo):
-        print(f"error: {args.input} does not hold an operator", file=sys.stderr)
-        return 1
     dmax = args.dmax if args.dmax > 0 else None
-    sweep = SweepOptions(seed=args.seed)
     t0 = time.perf_counter()
 
     def progress(rec):
@@ -212,17 +206,15 @@ def cmd_estimate(args) -> int:
         stop = lz.StoppingConfig(
             eps_conv=args.eps, window=args.window,
             spectrum_floor=0.0 if args.spectrum_floor is None else args.spectrum_floor,
-            bound_direction="lower",
         )
         mant, logv = mp.inner_product_scaled(m, m)
         ln_z2 = math.log(mant.real) + logv if mant.real > 0 else None
         estimate, run = lz.entropy_from_half_state(
-            m, kmax=args.kmax, dmax=dmax, stop=stop, sweep=sweep, progress=progress,
+            m, kmax=args.kmax, dmax=dmax, stop=stop, progress=progress,
         )
     elif fspec == "trace":
         run = lz.global_lanczos(
-            m, kmax=1, dmax=None, f=lz.identity_function(),
-            sweep=sweep, progress=progress,
+            m, kmax=1, dmax=None, f=lz.identity_function(), progress=progress,
         )
         estimate = run.estimate
     else:
@@ -231,8 +223,7 @@ def cmd_estimate(args) -> int:
             spectrum_floor=args.spectrum_floor,
         )
         run = lz.global_lanczos(
-            m, kmax=args.kmax, dmax=dmax, f=fspec,
-            stop=stop, sweep=sweep, progress=progress,
+            m, kmax=args.kmax, dmax=dmax, f=fspec, stop=stop, progress=progress,
         )
         estimate = run.estimate
 
@@ -242,7 +233,7 @@ def cmd_estimate(args) -> int:
         "settings": {
             "kmax": args.kmax if fspec != "trace" else 1,
             "dmax": dmax, "eps": args.eps, "window": args.window,
-            "spectrum_floor": args.spectrum_floor, "seed": args.seed,
+            "spectrum_floor": args.spectrum_floor,
         },
         "estimate": estimate,
         "stop_reason": run.stop_reason,

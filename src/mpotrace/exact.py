@@ -1,8 +1,8 @@
 """Independent reference solutions: dense exact diagonalization at small
-L, a free-fermion solution of the transverse-field chain for large L, a
-dense mirror of the global Lanczos recurrence, and a dense thermal
-half-state builder.  These are the oracles the tensor-network pipeline is
-checked against, so they deliberately share no code with it."""
+L, a free-fermion solution of the transverse-field chain for large L, and
+a dense mirror of the global Lanczos recurrence.  These are the oracles
+the tensor-network pipeline is checked against, so they deliberately
+share no code with it."""
 from __future__ import annotations
 
 import math
@@ -14,7 +14,6 @@ from scipy.special import logsumexp
 from .errors import CapacityError, HermiticityError
 from .lanczos import TridiagonalMatrix
 from .models import IsingParams
-from . import mpo as mp
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -132,15 +131,3 @@ def dense_global_lanczos(a: np.ndarray, kmax: int):
         v_scale = max(w_norm, abs(al), b)
     return beta1, TridiagonalMatrix(tuple(alphas), tuple(betas))
 
-
-def dense_half_state_mpo(p: IsingParams, dbond: int | None = None):
-    """exp(-(beta/2) H) computed densely and refactored into an MPO,
-    optionally truncated to bond dbond.  Small-L testing helper."""
-    if p.L > 12:
-        raise CapacityError(f"dense half-state capped at L=12, got {p.L}")
-    w, u = np.linalg.eigh(ising_dense(p))
-    m = (u * np.exp(-0.5 * p.beta * w)) @ u.conj().T
-    out = mp.mpo_from_dense(m, p.L, d=2)
-    if dbond is not None:
-        out, _ = mp.truncate_svd(out, dmax=dbond)
-    return out

@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -99,34 +99,20 @@ def polynomial_function(coeffs) -> SpectralFunction:
     return SpectralFunction("poly:" + ",".join(repr(c) for c in cs), fn, 0)
 
 
-def _xx_log_xx(lam: float) -> float:
-    """lam^2 ln lam^2, continuously extended by 0 at lam = 0."""
-    a = abs(lam)
-    if a < 1e-300:
-        return 0.0
-    return 2.0 * a * a * math.log(a)
-
-
 def entropy_integrand() -> SpectralFunction:
-    """f(lam) = lam^2 ln lam^2.  Even derivatives of -f are positive on
-    lam > 0, so the quadrature of f approaches tr f(A) from above."""
+    """f(lam) = -lam^2 ln lam^2, continuously extended by 0 at lam = 0.
+    Its order-2K derivatives, 4(2K-3)!/lam^(2K-2) for K > 1, are positive
+    on lam > 0, so the quadrature of f approaches tr f(A) from below."""
 
     def fn(lam):
         if lam < 0:
             logger.warning("entropy integrand evaluated at negative node %g", lam)
-        return _xx_log_xx(lam)
+        a = abs(lam)
+        if a < 1e-300:
+            return 0.0
+        return -2.0 * a * a * math.log(a)
 
-    return SpectralFunction("xx-log-xx", fn, -1)
-
-
-def entropy_derivative_sign(K: int) -> int:
-    """Sign of the order-2K derivative of -lam^2 ln lam^2 on lam > 0,
-    which is 4*(2K-3)!/lam^(2K-2) > 0 for every K > 1.  The positive sign
-    makes the entropy estimates a nondecreasing sequence of lower bounds.
-    """
-    if K <= 1:
-        raise ValueError("derivative sign classification needs K > 1")
-    return 1
+    return SpectralFunction("neg-xx-log-xx", fn, 1)
 
 
 @dataclass(frozen=True)
@@ -136,15 +122,12 @@ class StoppingConfig:
     sigma_mult: float = 3.0
     spectrum_floor: float | None = None
     spectrum_ceiling: float | None = None
-    bound_direction: str = "none"  # lower | upper | none
 
     def __post_init__(self):
         if self.eps_conv <= 0:
             raise ValueError("eps_conv must be > 0")
         if self.window < 2:
             raise ValueError("window must be >= 2")
-        if self.bound_direction not in ("lower", "upper", "none"):
-            raise ValueError(f"unknown bound_direction {self.bound_direction!r}")
 
 
 @dataclass
@@ -194,11 +177,12 @@ def gauss_quadrature(t: TridiagonalMatrix, beta1: float, f: SpectralFunction):
     return estimate, [float(x) for x in theta], [float(w) for w in weights]
 
 
-def check_stop(run: QuadratureRun, stop: StoppingConfig):
+def check_stop(run: QuadratureRun, stop: StoppingConfig, f: SpectralFunction):
     """First satisfied criterion wins, in the fixed order: convergence of
     successive estimates, Ritz values escaping the declared spectral
-    interval, violated bound monotonicity, 3-sigma outlier against the
-    trailing window."""
+    interval, violated bound monotonicity (in the direction
+    f.bound_direction() gives), 3-sigma outlier against the trailing
+    window."""
     ests = run.estimates()
     if not ests:
         return False, None
@@ -211,9 +195,10 @@ def check_stop(run: QuadratureRun, stop: StoppingConfig):
     if stop.spectrum_ceiling is not None and rec.ritz_max > stop.spectrum_ceiling:
         return True, STOP_RITZ
     if len(ests) >= 2:
-        if stop.bound_direction == "lower" and cur < ests[-2]:
+        direction = f.bound_direction()
+        if direction == "lower" and cur < ests[-2]:
             return True, STOP_BOUND
-        if stop.bound_direction == "upper" and cur > ests[-2]:
+        if direction == "upper" and cur > ests[-2]:
             return True, STOP_BOUND
     w = stop.window
     if len(ests) >= w + 1:
@@ -237,7 +222,6 @@ def global_lanczos(
     f: SpectralFunction | None = None,
     stop: StoppingConfig | None = None,
     sweep: SweepOptions | None = None,
-    estimate_map: Callable | None = None,
     keep_basis: bool = False,
     progress: Callable | None = None,
 ) -> QuadratureRun:
@@ -249,10 +233,6 @@ def global_lanczos(
     Gauss rule on the accumulated tridiagonal matrix.  The bond cap grows
     as min(dmax, D*D_a) on the multiply and min(dmax, D + D_block) on each
     subtraction, exactly following the recurrence's cost schedule.
-
-    estimate_map, when given, converts the raw quadrature value into the
-    recorded estimate; it is called as estimate_map(gf, beta1, ritz,
-    weights).  Stopping criteria act on the recorded estimates.
     """
     if u0 is None:
         u0 = mp.identity_mpo(a.L, a.d)
@@ -264,6 +244,9 @@ def global_lanczos(
     f = f or identity_function()
     stop = stop or StoppingConfig()
     sweep = sweep or SweepOptions()
+    # every step's product fit rescales a by its norm, and the first step
+    # normalizes u0: measure both norms once
+    a, u0 = (replace(x, ln_norm=mp.log_norm(x)) for x in (a, u0))
 
     d_a = a.max_bond()
     run = QuadratureRun(basis=[] if keep_basis else None)
@@ -323,8 +306,7 @@ def global_lanczos(
         add_residual += s_fit.residual
 
         tri = TridiagonalMatrix(tuple(alphas), tuple(betas))
-        gf, ritz, weights = gauss_quadrature(tri, beta1, f)
-        est = estimate_map(gf, beta1, ritz, weights) if estimate_map else gf
+        est, ritz, _ = gauss_quadrature(tri, beta1, f)
         rec = IterationRecord(
             k=k,
             alpha=alpha,
@@ -346,7 +328,7 @@ def global_lanczos(
         # and (from step 2 on) beta U_{k-1}; beta_1 is the start norm and
         # never enters the subtraction
         v_scale = max(w_norm, abs(alpha), beta if k > 1 else 0.0)
-        halt, reason = check_stop(run, stop)
+        halt, reason = check_stop(run, stop, f)
         if halt:
             run.stop_reason = reason
             break
@@ -355,24 +337,6 @@ def global_lanczos(
     if run.records:
         run.estimate = run.records[-1].estimate
     return run
-
-
-def trace_of_positive(m: mp.Mpo, sweep: SweepOptions | None = None) -> float:
-    """tr m from a single Lanczos step: beta_1^2 * alpha_1.
-
-    The one-step Gauss rule integrates linear functions exactly, so with
-    an uncapped multiply this is the exact trace of a Hermitian m; for a
-    positive m it equals the trace norm.
-    """
-    run = global_lanczos(
-        m,
-        kmax=1,
-        dmax=None,
-        f=identity_function(),
-        stop=StoppingConfig(),
-        sweep=sweep,
-    )
-    return float(run.estimate)
 
 
 def entropy_from_half_state(
@@ -386,11 +350,11 @@ def entropy_from_half_state(
 ):
     """Von Neumann entropy of rho = m^H m / tr(m^H m) for Hermitian psd m.
 
-    Runs the Lanczos quadrature for f(lam) = lam^2 ln lam^2 on m rescaled
+    Runs the Lanczos quadrature for f(lam) = -lam^2 ln lam^2 on m rescaled
     to unit Frobenius norm, which folds the normalization S = ln Z2 -
-    G f / Z2 (Z2 = tr(m^2) = <m, m>) into a plain sign flip: the rescaled
-    squared eigenvalues sum to one, so -sum lam^2 ln lam^2 over them IS
-    the entropy.  The per-iteration estimates are entropy values: a
+    tr(m^2 ln m^2) / Z2 (Z2 = tr(m^2) = <m, m>) away: the rescaled squared
+    eigenvalues sum to one, so -sum lam^2 ln lam^2 over them IS the
+    entropy.  The per-iteration estimates are entropy values: a
     nondecreasing sequence of lower bounds while the iteration stays
     clean and the normalized spectrum sits in the small-eigenvalue
     regime.
@@ -401,12 +365,10 @@ def entropy_from_half_state(
     if mant.real <= 0:
         raise NumericError("tr(m^H m) must be positive")
     ln_z2 = math.log(mant.real) + logv
-    m_unit = mp.shift_log_scale(m, -0.5 * ln_z2)
+    # unit norm by construction: ln||m_unit|| = 0.5 ln Z2 - 0.5 ln Z2
+    m_unit = mp.Mpo(m.sites, m.log_scale - 0.5 * ln_z2, 0.0)
     if stop is None:
-        stop = StoppingConfig(spectrum_floor=0.0, bound_direction="lower")
-
-    def to_entropy(gf, beta1, ritz, weights):
-        return -gf
+        stop = StoppingConfig(spectrum_floor=0.0)
 
     run = global_lanczos(
         m_unit,
@@ -415,7 +377,6 @@ def entropy_from_half_state(
         f=entropy_integrand(),
         stop=stop,
         sweep=sweep,
-        estimate_map=to_entropy,
         keep_basis=keep_basis,
         progress=progress,
     )

@@ -1,7 +1,7 @@
-"""Benchmark input construction: transverse/longitudinal-field Ising
-Hamiltonian as an MPO and its thermal half-state exp(-beta/2 H) built by
-second-order Trotter evolution of the identity, plus a reproducible
-random Hermitian MPO generator for tests."""
+"""Benchmark input construction: the thermal half-state exp(-beta/2 H) of
+the transverse/longitudinal-field Ising chain, built by second-order
+Trotter evolution of the identity, plus a reproducible random Hermitian
+MPO generator for tests."""
 from __future__ import annotations
 
 import logging
@@ -44,34 +44,6 @@ class IsingParams:
         for name in ("J", "g", "h", "beta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-
-
-def ising_mpo(p: IsingParams) -> Mpo:
-    """Bond-dimension-3 MPO of the open-chain Ising Hamiltonian.
-
-    The site tensor is the standard lower-triangular automaton
-        [[I, X, gZ + hX],
-         [0, 0, J X    ],
-         [0, 0, I      ]]
-    read as W[left, right]; the first site keeps only the top row and the
-    last site only the right column.
-    """
-    eye = np.eye(2)
-    field = p.g * PAULI_Z + p.h * PAULI_X
-    w = np.zeros((3, 3, 2, 2))
-    w[0, 0] = eye
-    w[0, 1] = PAULI_X
-    w[0, 2] = field
-    w[1, 2] = p.J * PAULI_X
-    w[2, 2] = eye
-    # (left, right, out, in) -> (out, in, left, right)
-    w = w.transpose(2, 3, 0, 1)
-    first = w[:, :, 0:1, :]
-    last = w[:, :, :, 2:3]
-    if p.L == 2:
-        return Mpo(sites=(first, last))
-    middle = [w.copy() for _ in range(p.L - 2)]
-    return Mpo(sites=(first, *middle, last))
 
 
 def _bond_gate(p: IsingParams, i: int, tau: float) -> np.ndarray:

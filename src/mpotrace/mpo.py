@@ -1,21 +1,22 @@
-"""Matrix product operators and states on an open chain.
+"""Matrix product operators on an open chain.
 
-Site tensors follow a fixed index order:
+Site tensors have the index order (phys out, phys in, left bond, right
+bond), and boundary bonds have extent 1.  Every operator carries a real
+`log_scale`: the value represented is exp(log_scale) times the
+contraction of the site tensors.  Keeping the prefactor in log form lets
+norms like 2**(L/2) and thermal partition functions stay representable
+while the site data remain O(1).
 
-    Mps site:  (phys, left bond, right bond)
-    Mpo site:  (phys out, phys in, left bond, right bond)
-
-Boundary bonds have extent 1.  Every network carries a real `log_scale`:
-the value represented is exp(log_scale) times the contraction of the site
-tensors.  Keeping the prefactor in log form lets norms like 2**(L/2) and
-thermal partition functions stay representable while the site data remain
-O(1).
+An operator may also carry `ln_norm`, its ln Frobenius norm, when the
+code that made it knows that norm (a canonical form, a truncation, a fit,
+a pure rescale, or a norm contracted once and kept).  `log_norm` reads it
+instead of contracting, and never sets it.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,51 +26,25 @@ from . import tensors
 DENSE_MAX_DIM = 2 ** 14
 
 
-def _as_site(arr, rank: int, pos: int):
+def _as_site(arr, pos: int):
     a = np.ascontiguousarray(arr, dtype=complex)
-    if a.ndim != rank:
-        raise DimensionError(f"site {pos}: expected rank-{rank} tensor, got rank {a.ndim}")
+    if a.ndim != 4:
+        raise DimensionError(f"site {pos}: expected rank-4 tensor, got rank {a.ndim}")
     return a
 
 
-def _check_chain(sites, rank: int) -> None:
+def _check_chain(sites) -> None:
     if not sites:
         raise DimensionError("a chain needs at least one site")
     d0 = sites[0].shape[0]
     for i, s in enumerate(sites):
-        if s.shape[0] != d0 or (rank == 4 and s.shape[1] != d0):
+        if s.shape[0] != d0 or s.shape[1] != d0:
             raise DimensionError(f"site {i}: physical extent differs from site 0")
-    if sites[0].shape[rank - 2] != 1 or sites[-1].shape[rank - 1] != 1:
+    if sites[0].shape[2] != 1 or sites[-1].shape[3] != 1:
         raise DimensionError("boundary bonds must have extent 1")
     for i in range(len(sites) - 1):
-        if sites[i].shape[rank - 1] != sites[i + 1].shape[rank - 2]:
+        if sites[i].shape[3] != sites[i + 1].shape[2]:
             raise DimensionError(f"bond mismatch between sites {i} and {i + 1}")
-
-
-@dataclass(frozen=True)
-class Mps:
-    """Matrix product state; treated as immutable."""
-
-    sites: tuple
-    log_scale: float = 0.0
-
-    def __post_init__(self):
-        sites = tuple(_as_site(s, 3, i) for i, s in enumerate(self.sites))
-        _check_chain(sites, 3)
-        object.__setattr__(self, "sites", sites)
-        object.__setattr__(self, "log_scale", float(self.log_scale))
-
-    @property
-    def L(self) -> int:
-        return len(self.sites)
-
-    @property
-    def d(self) -> int:
-        return self.sites[0].shape[0]
-
-    def bond_dims(self) -> list[int]:
-        """Interior bond extents, left to right (length L-1)."""
-        return [s.shape[2] for s in self.sites[:-1]]
 
 
 @dataclass(frozen=True)
@@ -78,10 +53,12 @@ class Mpo:
 
     sites: tuple
     log_scale: float = 0.0
+    # ln of the Frobenius norm, set only by code that knows it (module docstring)
+    ln_norm: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        sites = tuple(_as_site(s, 4, i) for i, s in enumerate(self.sites))
-        _check_chain(sites, 4)
+        sites = tuple(_as_site(s, i) for i, s in enumerate(self.sites))
+        _check_chain(sites)
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "log_scale", float(self.log_scale))
 
@@ -113,21 +90,11 @@ def zero_mpo(L: int, d: int = 2) -> Mpo:
     return Mpo(tuple(site.copy() for _ in range(L)))
 
 
-def _seed_log_norm(a, ln: float):
-    """Record a known ln||a|| on the (immutable) network so log_norm can
-    skip the transfer contraction.  Callers must only seed exact values."""
-    object.__setattr__(a, "_ln_memo", ln)
-    return a
-
-
-def shift_log_scale(a, delta: float):
+def shift_log_scale(a: Mpo, delta: float) -> Mpo:
     """Multiply by exp(delta) without touching site data."""
-    cls = type(a)
-    out = cls(a.sites, a.log_scale + float(delta))
-    ln = getattr(a, "_ln_memo", None)
-    if ln is not None:
-        _seed_log_norm(out, ln if ln == -math.inf else ln + float(delta))
-    return out
+    delta = float(delta)
+    ln = None if a.ln_norm is None else a.ln_norm + delta
+    return Mpo(a.sites, a.log_scale + delta, ln)
 
 
 def scalar_multiply(c: complex, a: Mpo) -> Mpo:
@@ -197,25 +164,15 @@ def exact_multiply(a: Mpo, b: Mpo) -> Mpo:
     return Mpo(tuple(sites), a.log_scale + b.log_scale)
 
 
-def vectorize(m: Mpo) -> Mps:
-    """Reinterpret an operator as a state by fusing (out, in) row-major
-    into a single physical leg of extent d*d."""
-    sites = tuple(s.reshape(s.shape[0] * s.shape[1], s.shape[2], s.shape[3]) for s in m.sites)
-    return Mps(sites, m.log_scale)
-
-
-def _transfer_scaled(a, b) -> tuple[complex, float]:
+def _transfer_scaled(a: Mpo, b: Mpo) -> tuple[complex, float]:
     """Left-to-right transfer contraction of <a, b>, with running
     magnitude extraction.  Returns (mantissa, log) so the inner product is
     mantissa * exp(log)."""
     env = np.ones((1, 1), dtype=complex)
     logacc = a.log_scale + b.log_scale
     for sa, sb in zip(a.sites, b.sites):
-        if sa.ndim == 4:
-            ca = sa.conj().reshape(sa.shape[0] * sa.shape[1], sa.shape[2], sa.shape[3])
-            cb = sb.reshape(sb.shape[0] * sb.shape[1], sb.shape[2], sb.shape[3])
-        else:
-            ca, cb = sa.conj(), sb
+        ca = sa.conj().reshape(sa.shape[0] * sa.shape[1], sa.shape[2], sa.shape[3])
+        cb = sb.reshape(sb.shape[0] * sb.shape[1], sb.shape[2], sb.shape[3])
         p, lb, rb = cb.shape
         la, ra = ca.shape[1], ca.shape[2]
         # env: (la, lb); cb as (lb, p*rb) -> (la, p, rb), matmul form
@@ -230,49 +187,33 @@ def _transfer_scaled(a, b) -> tuple[complex, float]:
     return complex(env[0, 0]), logacc
 
 
-def inner_product(a, b) -> complex:
-    """Frobenius inner product <a, b> = tr(a^H b), or the vector inner
-    product for states.  Contracted as a transfer matrix, never densified.
-    """
-    if type(a) is not type(b):
-        raise DimensionError("operands must both be Mpo or both Mps")
+def inner_product(a: Mpo, b: Mpo) -> complex:
+    """Frobenius inner product <a, b> = tr(a^H b), contracted as a
+    transfer matrix, never densified."""
     _check_compatible(a, b)
     mant, logv = _transfer_scaled(a, b)
     return mant * math.exp(logv) if mant != 0 else 0.0 + 0.0j
 
 
-def inner_product_scaled(a, b) -> tuple[complex, float]:
+def inner_product_scaled(a: Mpo, b: Mpo) -> tuple[complex, float]:
     """Inner product as (mantissa, log): value = mantissa * exp(log)."""
-    if type(a) is not type(b):
-        raise DimensionError("operands must both be Mpo or both Mps")
     _check_compatible(a, b)
     return _transfer_scaled(a, b)
 
 
-def log_norm(a) -> float:
-    """ln of the Frobenius norm; -inf for the zero operator."""
-    memo = getattr(a, "_ln_memo", None)
-    if memo is not None:
-        return memo
+def log_norm(a: Mpo) -> float:
+    """ln of the Frobenius norm; -inf for the zero operator.  Reads
+    a.ln_norm when it is set, contracts otherwise."""
+    if a.ln_norm is not None:
+        return a.ln_norm
     mant, logv = _transfer_scaled(a, a)
     # mant.real can round to <= 0 only when the norm is lost in roundoff
-    ln = 0.5 * (math.log(mant.real) + logv) if mant.real > 0 else -math.inf
-    _seed_log_norm(a, ln)
-    return ln
+    return 0.5 * (math.log(mant.real) + logv) if mant.real > 0 else -math.inf
 
 
-def frobenius_norm(a) -> float:
+def frobenius_norm(a: Mpo) -> float:
     ln = log_norm(a)
     return 0.0 if ln == -math.inf else math.exp(ln)
-
-
-def normalized(a):
-    """Rescale to unit Frobenius norm (log_scale becomes exactly what is
-    needed to cancel the norm)."""
-    ln = log_norm(a)
-    if ln == -math.inf:
-        raise NumericError("cannot normalize the zero operator")
-    return shift_log_scale(a, -ln)
 
 
 def mpo_trace(a: Mpo) -> complex:
@@ -291,31 +232,21 @@ def mpo_trace(a: Mpo) -> complex:
     return complex(env[0, 0]) * math.exp(logacc)
 
 
-def dense(a) -> np.ndarray:
-    """Full matrix (Mpo) or vector (Mps).  Guarded: refuses when the dense
-    physical dimension exceeds 2**14."""
-    if isinstance(a, Mpo):
-        dim = a.d ** a.L
-        if dim > DENSE_MAX_DIM:
-            raise CapacityError(f"dense matrix would be {dim}x{dim}; limit is {DENSE_MAX_DIM}")
-        acc = np.ones((1,), dtype=complex)  # trailing index: right bond
-        for s in a.sites:
-            acc = np.tensordot(acc, s, axes=([acc.ndim - 1], [2]))
-        acc = acc.reshape(acc.shape[:-1])  # drop the trailing unit boundary
-        # axes are (o1, i1, o2, i2, ...); bring all outs before all ins
-        L = a.L
-        perm = list(range(0, 2 * L, 2)) + list(range(1, 2 * L, 2))
-        mat = acc.transpose(perm).reshape(dim, dim)
-        return mat * math.exp(a.log_scale)
-    if isinstance(a, Mps):
-        dim = a.d ** a.L
-        if dim > DENSE_MAX_DIM:
-            raise CapacityError(f"dense vector would have {dim} entries; limit is {DENSE_MAX_DIM}")
-        acc = np.ones((1,), dtype=complex)
-        for s in a.sites:
-            acc = np.tensordot(acc, s, axes=([acc.ndim - 1], [1]))
-        return acc.reshape(dim) * math.exp(a.log_scale)
-    raise TypeError(f"expected Mpo or Mps, got {type(a).__name__}")
+def dense(a: Mpo) -> np.ndarray:
+    """Full matrix.  Guarded: refuses when the dense physical dimension
+    exceeds 2**14."""
+    dim = a.d ** a.L
+    if dim > DENSE_MAX_DIM:
+        raise CapacityError(f"dense matrix would be {dim}x{dim}; limit is {DENSE_MAX_DIM}")
+    acc = np.ones((1,), dtype=complex)  # trailing index: right bond
+    for s in a.sites:
+        acc = np.tensordot(acc, s, axes=([acc.ndim - 1], [2]))
+    acc = acc.reshape(acc.shape[:-1])  # drop the trailing unit boundary
+    # axes are (o1, i1, o2, i2, ...); bring all outs before all ins
+    L = a.L
+    perm = list(range(0, 2 * L, 2)) + list(range(1, 2 * L, 2))
+    mat = acc.transpose(perm).reshape(dim, dim)
+    return mat * math.exp(a.log_scale)
 
 
 def _split_left(site: np.ndarray):
@@ -363,8 +294,8 @@ def canonicalize(a: Mpo, center: int = 0) -> Mpo:
         sites[center] = sites[center] / nrm
         ls += math.log(nrm)
         # unit center surrounded by isometries: the norm is exp(ls) exactly
-        return _seed_log_norm(Mpo(tuple(sites), ls), ls)
-    return _seed_log_norm(Mpo(tuple(sites), ls), -math.inf)
+        return Mpo(tuple(sites), ls, ls)
+    return Mpo(tuple(sites), ls, -math.inf)
 
 
 def truncate_svd(a: Mpo, dmax: int | None = None, eps: float = 1e-14) -> tuple[Mpo, float]:
@@ -406,11 +337,10 @@ def truncate_svd(a: Mpo, dmax: int | None = None, eps: float = 1e-14) -> tuple[M
         # carry: (keep, dl1) absorbed into the left bond of the neighbor
         s1 = (carry @ s1.transpose(2, 0, 1, 3).reshape(dl1, o * j * dr1)).reshape(keep, o, j, dr1)
         sites[i + 1] = s1.transpose(1, 2, 0, 3)
-    out = Mpo(tuple(sites), w.log_scale)
     # left-isometries everywhere except the last site, which carries the
     # remaining weight: the norm reduces to that site's Frobenius norm
     tail = float(np.linalg.norm(sites[L - 1]))
-    _seed_log_norm(out, w.log_scale + math.log(tail) if tail > 0 else -math.inf)
+    out = Mpo(tuple(sites), w.log_scale, w.log_scale + math.log(tail) if tail > 0 else -math.inf)
     return out, math.sqrt(max(disc2, 0.0))
 
 
@@ -419,44 +349,12 @@ def hermitian_part(a: Mpo) -> Mpo:
     return scalar_multiply(0.5, exact_add(a, adjoint(a)))
 
 
-def mpo_from_dense(mat: np.ndarray, L: int, d: int = 2) -> Mpo:
-    """Exact MPO of a dense matrix by successive SVD splitting.  Keeps all
-    singular values above 1e-14 relative, so dense() round-trips to within
-    numerical precision."""
-    mat = np.asarray(mat, dtype=complex)
-    dim = d ** L
-    if mat.shape != (dim, dim):
-        raise DimensionError(f"expected a {dim}x{dim} matrix for L={L}, d={d}")
-    if dim > DENSE_MAX_DIM:
-        raise CapacityError(f"matrix dimension {dim} exceeds {DENSE_MAX_DIM}")
-    ten = mat.reshape((d,) * (2 * L))
-    perm = [ax for i in range(L) for ax in (i, L + i)]  # interleave (o_k, i_k)
-    ten = ten.transpose(perm).reshape(1, -1)
-    sites = []
-    dl = 1
-    for i in range(L - 1):
-        m = ten.reshape(dl * d * d, -1)
-        u, s, vh = tensors.svd(m)
-        keep = max(1, int(np.sum(s > 1e-14 * (s[0] if s.size else 0.0))))
-        sites.append(u[:, :keep].reshape(dl, d, d, keep).transpose(1, 2, 0, 3))
-        ten = s[:keep, None] * vh[:keep]
-        dl = keep
-    sites.append(ten.reshape(dl, d, d, 1).transpose(1, 2, 0, 3))
-    return Mpo(tuple(sites))
-
-
-def save_json(a, path: str, metadata: dict | None = None) -> None:
-    """Write an Mpo or Mps to a JSON file.  Complex entries are stored as
+def save_json(a: Mpo, path: str, metadata: dict | None = None) -> None:
+    """Write an Mpo to a JSON file.  Complex entries are stored as
     innermost [re, im] pairs.  An optional metadata dict is stored next to
     the tensors and ignored on load."""
-    if isinstance(a, Mpo):
-        kind = "mpo"
-    elif isinstance(a, Mps):
-        kind = "mps"
-    else:
-        raise TypeError(f"expected Mpo or Mps, got {type(a).__name__}")
     doc = {
-        "kind": kind,
+        "kind": "mpo",
         "L": a.L,
         "d": a.d,
         "log_scale": a.log_scale,
@@ -468,8 +366,8 @@ def save_json(a, path: str, metadata: dict | None = None) -> None:
         json.dump(doc, fh)
 
 
-def load_json(path: str):
-    """Read an Mpo or Mps written by save_json."""
+def load_json(path: str) -> Mpo:
+    """Read an Mpo written by save_json."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -483,7 +381,7 @@ def load_json(path: str):
         raw = doc["sites"]
     except (KeyError, TypeError, ValueError) as exc:
         raise NumericError(f"{path}: missing or malformed field ({exc})") from exc
-    if kind not in ("mpo", "mps"):
+    if kind != "mpo":
         raise NumericError(f"{path}: unknown kind {kind!r}")
     if len(raw) != L:
         raise NumericError(f"{path}: L={L} but {len(raw)} site tensors")
@@ -499,7 +397,7 @@ def load_json(path: str):
     if not math.isfinite(ls):
         raise NumericError(f"{path}: log_scale is not finite")
     try:
-        obj = Mpo(tuple(sites), ls) if kind == "mpo" else Mps(tuple(sites), ls)
+        obj = Mpo(tuple(sites), ls)
     except DimensionError as exc:
         raise NumericError(f"{path}: inconsistent site shapes ({exc})") from exc
     if obj.d != d:

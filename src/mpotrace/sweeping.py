@@ -26,48 +26,41 @@ class SweepOptions:
 
     max_sweeps: int = 8
     rel_tol: float = 1e-9
-    init: str = "truncated-exact"  # or "random"
-    debug: bool = False
-    seed: int = 7
 
     def __post_init__(self):
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be > 0")
-        if self.init not in ("truncated-exact", "random"):
-            raise ValueError(f"unknown init policy {self.init!r}")
 
 
 @dataclass
 class SweepResult:
     """Outcome of a variational fit.
 
-    Iterating yields (mpo, residual) so the result unpacks like a pair.
-    `objectives` is the squared-distance objective after every site update;
-    `debug_checks` holds (incremental, from-scratch) objective pairs per
-    sweep when debug is enabled.
+    `objectives` is the squared-distance objective after every site update.
     """
 
     mpo: mp.Mpo
     residual: float
     converged: bool
     objectives: list = field(default_factory=list)
-    debug_checks: list = field(default_factory=list)
-
-    def __iter__(self):
-        yield self.mpo
-        yield self.residual
 
 
-def _fold_scale(a: mp.Mpo) -> list:
-    """Site tensors with any log_scale folded in, spread uniformly over the
-    chain so no single site overflows for large |log_scale|."""
-    sites = [s.copy() for s in a.sites]
-    if a.log_scale != 0.0:
-        f = math.exp(a.log_scale / len(sites))
-        sites = [s * f for s in sites]
-    return sites
+def _warm_start(x0: mp.Mpo) -> list:
+    """Sites of x0 in right-canonical gauge (center 0), the form
+    _run_sweeps starts from.
+
+    The sweeps never read site 0, so x0's scale does not matter.  Its
+    log_scale is still spread evenly over the sites before the gauge:
+    that changes only rounding, but the recurrence's last bits decide
+    whether acceptance criterion 10 (dmax = 80 series) stops on an exact
+    tie of two successive estimates, so the rounding is kept as it was."""
+    sites = x0.sites
+    if x0.log_scale != 0.0:
+        f = math.exp(x0.log_scale / x0.L)
+        sites = tuple(s * f for s in sites)
+    return list(mp.canonicalize(mp.Mpo(sites), center=0).sites)
 
 
 def _unit_sites(a: mp.Mpo):
@@ -87,15 +80,6 @@ def _unit_sites(a: mp.Mpo):
     return [s * f for s in a.sites], ln_full
 
 
-def _seed_center_norm(x: mp.Mpo, x_sites, ls: float) -> mp.Mpo:
-    """Record ln||x|| on a sweep output.  The sweeps leave site 0 as the
-    orthogonality center (every other site isometric), so the network norm
-    is the center's Frobenius norm times exp(log_scale)."""
-    nsq = float(np.vdot(x_sites[0], x_sites[0]).real)
-    mp._seed_log_norm(x, ls + 0.5 * math.log(nsq) if nsq > 0 else -math.inf)
-    return x
-
-
 def _scaled(v: float, log_factor: float) -> float:
     """v * exp(log_factor), saturating to inf instead of raising."""
     if v == 0.0 or log_factor == 0.0:
@@ -104,42 +88,6 @@ def _scaled(v: float, log_factor: float) -> float:
         return v * math.exp(log_factor)
     except OverflowError:
         return math.inf if v > 0 else -math.inf
-
-
-def _random_sites(L: int, d: int, dnew: int, seed: int) -> list:
-    rng = np.random.default_rng(seed)
-    # bond profile capped by dnew and by the intrinsic operator rank
-    right = [1] * L
-    b = 1
-    for i in range(L - 1):
-        b = min(dnew, b * d * d)
-        right[i] = b
-    b = 1
-    for i in range(L - 1, 0, -1):
-        b = min(dnew, b * d * d)
-        right[i - 1] = min(right[i - 1], b)
-    sites = []
-    dl = 1
-    for i in range(L):
-        dr = right[i] if i < L - 1 else 1
-        shape = (d, d, dl, dr)
-        sites.append((rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(dl * dr))
-        dl = dr
-    return sites
-
-
-def _gauge_right(sites: list) -> list:
-    """Right-canonicalize (center at site 0) without changing the value.
-
-    The norm goes into site 0 so the rest of the chain stays isometric,
-    which makes the first sweep's local solves exact optima."""
-    g = mp.canonicalize(mp.Mpo(tuple(sites)), center=0)
-    out = [s.copy() for s in g.sites]
-    try:
-        out[0] = out[0] * math.exp(g.log_scale)
-    except OverflowError:
-        return _fold_scale(g)
-    return out
 
 
 class _MultiplyTarget:
@@ -216,14 +164,6 @@ class _MultiplyTarget:
         t = t.transpose(0, 2, 4, 1, 3).reshape(o * j * rx, la * lu)
         return (xc @ t).reshape(xq.shape[2], la, lu)
 
-    def overlap(self, sites) -> float:
-        """From-scratch Re<x, a@u> for debug checks."""
-        E = self.boundary_left()
-        for i in range(len(sites)):
-            E = self.env_left(i, E, sites[i])
-            self._tmp = None
-        return float(E.reshape(()).real)
-
 
 class _SumTarget:
     """Environments of <x, sum_k g_k t_k> for the linear-combination fit.
@@ -288,32 +228,15 @@ class _SumTarget:
             out.append(xc @ tmp.transpose(0, 1, 3, 2).reshape(o * j * rx, -1))
         return out
 
-    def overlap(self, sites) -> float:
-        E = self.boundary_left()
-        for i in range(len(sites)):
-            E = self.env_left(i, E, sites[i])
-            self._tmp = None
-        return float(sum(c * e.reshape(()) for c, e in zip(self.coeffs, E)).real)
-
-
-def _split_left(t):
-    d1, d2, dl, dr = t.shape
-    q, _ = tensors.qr(t.reshape(d1 * d2 * dl, dr))
-    return q.reshape(d1, d2, dl, -1)
-
-
-def _split_right(t):
-    d1, d2, dl, dr = t.shape
-    _, q = tensors.lq(t.transpose(2, 0, 1, 3).reshape(dl, d1 * d2 * dr))
-    return q.reshape(-1, d1, d2, dr).transpose(1, 2, 0, 3)
-
 
 def _run_sweeps(x_sites, target, opts: SweepOptions):
     """Alternate local solves over the chain; x_sites is modified in place.
 
-    Returns (objectives, converged, debug_checks).  The objective after a
-    site update is norm_sq(target) - |center|^2, which is exact given exact
-    environments because the local optimum equals the environment tensor.
+    x_sites must be right-canonical from site 1 on; site 0 is never read,
+    because the first local solve overwrites it.  Returns (objectives,
+    converged).  The objective after a site update is norm_sq(target) -
+    |center|^2, which is exact given exact environments because the local
+    optimum equals the environment tensor.
     """
     L = len(x_sites)
     C = target.norm_sq
@@ -325,30 +248,25 @@ def _run_sweeps(x_sites, target, opts: SweepOptions):
     lenvs = [None] * (L + 1)
     lenvs[0] = target.boundary_left()
     objectives = []
-    debug_checks = []
     converged = False
     prev = None
     for _ in range(opts.max_sweeps):
         for i in range(L - 1):
             t = target.local(i, lenvs[i], renvs[i + 1])
             objectives.append(C - float(np.vdot(t, t).real))
-            q = _split_left(t)
+            q, _ = mp._split_left(t)
             x_sites[i] = q
             lenvs[i + 1] = target.env_left(i, lenvs[i], q)
         for i in range(L - 1, 0, -1):
             t = target.local(i, lenvs[i], renvs[i + 1])
             objectives.append(C - float(np.vdot(t, t).real))
-            q = _split_right(t)
+            _, q = mp._split_right(t)
             x_sites[i] = q
             renvs[i] = target.env_right(i, renvs[i + 1], q)
         t = target.local(0, lenvs[0], renvs[1])
         x_sites[0] = t
         obj = C - float(np.vdot(t, t).real)
         objectives.append(obj)
-        if opts.debug:
-            xsq = float(mp.inner_product(mp.Mpo(tuple(x_sites)), mp.Mpo(tuple(x_sites))).real)
-            scratch = C - 2.0 * target.overlap(x_sites) + xsq
-            debug_checks.append((obj, scratch))
         if obj <= 1e-28 * scale:
             converged = True
             break
@@ -356,7 +274,21 @@ def _run_sweeps(x_sites, target, opts: SweepOptions):
             converged = True
             break
         prev = obj
-    return objectives, converged, debug_checks
+    return objectives, converged
+
+
+def _fit_result(x_sites, ls: float, objectives, converged: bool) -> SweepResult:
+    """Package the swept sites with the output scale exp(ls).  The sweeps
+    end with site 0 as the orthogonality center and every other site
+    isometric, so ln||x|| is ls plus ln of the center's Frobenius norm."""
+    nsq = float(np.vdot(x_sites[0], x_sites[0]).real)
+    x = mp.Mpo(tuple(x_sites), ls, ls + 0.5 * math.log(nsq) if nsq > 0 else -math.inf)
+    return SweepResult(
+        mpo=x,
+        residual=_scaled(max(objectives[-1], 0.0), 2.0 * ls),
+        converged=converged,
+        objectives=[_scaled(o, 2.0 * ls) for o in objectives],
+    )
 
 
 def _zipup_product(a_sites, u_sites, dnew: int):
@@ -416,9 +348,9 @@ def _product_norm_sq(a_sites, u_sites) -> float:
 def multiply_and_optimize(a: mp.Mpo, u: mp.Mpo, dnew: int | None, opts: SweepOptions | None = None) -> SweepResult:
     """Best bond-dnew approximation of the operator product a @ u.
 
-    Returns a SweepResult (unpacks as (mpo, residual)); the residual is the
-    final squared Frobenius distance.  With dnew at least the exact product
-    bond the fit reproduces exact_multiply to numerical precision.
+    Returns a SweepResult whose residual is the final squared Frobenius
+    distance.  With dnew at least the exact product bond the fit
+    reproduces exact_multiply to numerical precision.
     """
     opts = opts or SweepOptions()
     mp._check_compatible(a, u)
@@ -435,50 +367,26 @@ def multiply_and_optimize(a: mp.Mpo, u: mp.Mpo, dnew: int | None, opts: SweepOpt
             residual=0.0,
             converged=True,
             objectives=[0.0],
-            debug_checks=[],
         )
     ls_tot = log_a + log_u
     exact_bond = max((sa.shape[3] * su.shape[3] for sa, su in zip(a_sites[:-1], u_sites[:-1])), default=1)
     cap = exact_bond if dnew is None else min(dnew, exact_bond)
 
-    small = exact_bond <= max(4 * cap, 64)
-    disc2 = 0.0
-    zip_nsq = None
-    if opts.init == "random":
-        x_sites = _random_sites(L, d, cap, opts.seed)
-        x_sites = _gauge_right(x_sites)
-    else:
-        if small:
-            prod = mp.exact_multiply(mp.Mpo(tuple(a_sites)), mp.Mpo(tuple(u_sites)))
-            x0, _ = mp.truncate_svd(prod, dmax=cap)
-            x_sites = _fold_scale(x0)
-            x_sites = _gauge_right(x_sites)
-        else:
-            x_sites, disc2 = _zipup_product(a_sites, u_sites, cap)
-            # zip-up leaves the chain left-isometric with all the weight on
-            # the last site, so the warm start's norm is a local reduction
-            zip_nsq = float(np.vdot(x_sites[-1], x_sites[-1]).real)
-            x_sites = _gauge_right(x_sites)
-
-    if small:
+    if exact_bond <= max(4 * cap, 64):
+        prod = mp.exact_multiply(mp.Mpo(tuple(a_sites)), mp.Mpo(tuple(u_sites)))
+        x0, _ = mp.truncate_svd(prod, dmax=cap)
         norm_sq = _product_norm_sq(a_sites, u_sites)
-    elif zip_nsq is not None:
-        norm_sq = zip_nsq + disc2
     else:
-        # ||a@u||_F <= ||a||_F ||u||_F = 1 for unit operands; a loose but
-        # safe reporting scale
-        norm_sq = 1.0
+        zip_sites, disc2 = _zipup_product(a_sites, u_sites, cap)
+        x0 = mp.Mpo(tuple(zip_sites))
+        # zip-up leaves the chain left-isometric with all the weight on
+        # the last site, so the warm start's norm is a local reduction
+        norm_sq = float(np.vdot(zip_sites[-1], zip_sites[-1]).real) + disc2
+    x_sites = _warm_start(x0)
 
     target = _MultiplyTarget(a_sites, u_sites, norm_sq)
-    objectives, converged, checks = _run_sweeps(x_sites, target, opts)
-    res = max(objectives[-1], 0.0)
-    return SweepResult(
-        mpo=_seed_center_norm(mp.Mpo(tuple(x_sites), ls_tot), x_sites, ls_tot),
-        residual=_scaled(res, 2.0 * ls_tot),
-        converged=converged,
-        objectives=[_scaled(o, 2.0 * ls_tot) for o in objectives],
-        debug_checks=checks,
-    )
+    objectives, converged = _run_sweeps(x_sites, target, opts)
+    return _fit_result(x_sites, ls_tot, objectives, converged)
 
 
 def sum_and_optimize(u: mp.Mpo, terms, dnew: int | None, opts: SweepOptions | None = None) -> SweepResult:
@@ -531,7 +439,6 @@ def sum_and_optimize(u: mp.Mpo, terms, dnew: int | None, opts: SweepOptions | No
             residual=_scaled(max(norm_sq, 0.0), 2.0 * ls_out),
             converged=True,
             objectives=[max(norm_sq, 0.0)],
-            debug_checks=[],
         )
 
     exact_bond = 1
@@ -539,22 +446,12 @@ def sum_and_optimize(u: mp.Mpo, terms, dnew: int | None, opts: SweepOptions | No
         exact_bond = max(sum(s[i].shape[3] for s in term_sites) for i in range(L - 1))
     cap = exact_bond if dnew is None else min(dnew, exact_bond)
 
-    if opts.init == "random":
-        x_sites = _gauge_right(_random_sites(L, d, cap, opts.seed))
-    else:
-        acc = mp.scalar_multiply(coeffs[0], stripped[0])
-        for k in range(1, len(ops)):
-            acc = mp.exact_add(acc, stripped[k], coeffs[k])
-        x0, _ = mp.truncate_svd(acc, dmax=cap)
-        x_sites = _gauge_right(_fold_scale(x0))
+    acc = mp.scalar_multiply(coeffs[0], stripped[0])
+    for k in range(1, len(ops)):
+        acc = mp.exact_add(acc, stripped[k], coeffs[k])
+    x0, _ = mp.truncate_svd(acc, dmax=cap)
+    x_sites = _warm_start(x0)
 
     target = _SumTarget(term_sites, coeffs, norm_sq)
-    objectives, converged, checks = _run_sweeps(x_sites, target, opts)
-    res = max(objectives[-1], 0.0)
-    return SweepResult(
-        mpo=_seed_center_norm(mp.Mpo(tuple(x_sites), ls_out), x_sites, ls_out),
-        residual=_scaled(res, 2.0 * ls_out),
-        converged=converged,
-        objectives=[_scaled(o, 2.0 * ls_out) for o in objectives],
-        debug_checks=checks,
-    )
+    objectives, converged = _run_sweeps(x_sites, target, opts)
+    return _fit_result(x_sites, ls_out, objectives, converged)

@@ -2,8 +2,8 @@
 
 A tensor is simply a complex numpy ndarray in row-major (C) order; the
 functions here are thin, checked wrappers around numpy/scipy so the rest
-of the package has one place for contraction, factorization and the
-tridiagonal eigensolver.
+of the package has one place for factorization and the tridiagonal
+eigensolver.
 """
 from __future__ import annotations
 
@@ -22,51 +22,16 @@ def _check_finite(a: np.ndarray, what: str) -> None:
         raise NumericError(f"{what} contains non-finite entries")
 
 
-def contract_pair(a: Tensor, b: Tensor, axes_a: Sequence[int], axes_b: Sequence[int]) -> Tensor:
-    """Contract tensor a with tensor b over the given axis pairs.
+def svd(a: Tensor) -> tuple[Tensor, np.ndarray, Tensor]:
+    """Thin singular value decomposition of a matrix, a = U @ diag(S) @ V.
 
-    The result carries the uncontracted indices of a (in order) followed by
-    the uncontracted indices of b.  Axis lists must have equal length and
-    matching extents.
+    U has orthonormal columns, V orthonormal rows, S is real and sorted
+    descending.
     """
     a = np.asarray(a)
-    b = np.asarray(b)
-    axes_a = list(axes_a)
-    axes_b = list(axes_b)
-    if len(axes_a) != len(axes_b):
-        raise DimensionError(f"axis lists differ in length: {len(axes_a)} vs {len(axes_b)}")
-    for ia, ib in zip(axes_a, axes_b):
-        if a.shape[ia] != b.shape[ib]:
-            raise DimensionError(
-                f"contracted extents differ: a.shape[{ia}]={a.shape[ia]}, b.shape[{ib}]={b.shape[ib]}"
-            )
-    return np.tensordot(a, b, axes=(axes_a, axes_b))
-
-
-def _matricize(a: Tensor, left_axes: Sequence[int]) -> tuple[np.ndarray, tuple, tuple]:
-    """Reshape a into a matrix with `left_axes` grouped as rows."""
-    left = list(left_axes)
-    right = [ax for ax in range(a.ndim) if ax not in left]
-    perm = left + right
-    lshape = tuple(a.shape[ax] for ax in left)
-    rshape = tuple(a.shape[ax] for ax in right)
-    mat = a.transpose(perm).reshape(int(np.prod(lshape, dtype=np.int64)), -1)
-    return mat, lshape, rshape
-
-
-def svd(a: Tensor, left_axes: Sequence[int] | None = None) -> tuple[Tensor, np.ndarray, Tensor]:
-    """Thin singular value decomposition a = U @ diag(S) @ V.
-
-    If `left_axes` is given, a is first matricized with those indices as
-    rows.  U has orthonormal columns, V orthonormal rows, S is real and
-    sorted descending.
-    """
-    a = np.asarray(a)
+    if a.ndim != 2:
+        raise DimensionError("svd expects a matrix")
     _check_finite(a, "svd input")
-    if left_axes is not None:
-        a, _, _ = _matricize(a, left_axes)
-    elif a.ndim != 2:
-        raise DimensionError("svd needs a matrix or an explicit index bipartition")
     try:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError:

@@ -10,6 +10,7 @@ import pytest
 
 import mpotrace as mt
 from mpotrace import cli
+from mpotrace import lanczos as lz
 from mpotrace import mpo as mp
 
 
@@ -126,12 +127,20 @@ def test_estimate_iterations_csv_header(tmp_path, half_state_file):
     assert ks == list(range(1, len(ks) + 1))
 
 
-def test_estimate_deterministic_given_seed(tmp_path, half_state_file):
+def test_iterations_csv_columns_match_record_dict():
+    # the CSV and the result JSON records carry the same fields, in order
+    rec = lz.IterationRecord(k=1, alpha=0.5, beta=1.0, ritz_min=0.5, ritz_max=0.5,
+                             estimate=2.0, wall_ms=3.0, mult_residual=1e-9,
+                             add_residual=2e-9)
+    assert cli.CSV_COLUMNS == tuple(cli._record_dict(rec))
+
+
+def test_estimate_deterministic(tmp_path, half_state_file):
     outs = []
     for name in ("a.json", "b.json"):
         out = str(tmp_path / name)
         assert run_cli("estimate", "--input", half_state_file, "--function", "entropy",
-                       "--kmax", "6", "--dmax", "40", "--seed", "5", "--out", out) == 0
+                       "--kmax", "6", "--dmax", "40", "--out", out) == 0
         outs.append(read_json(out))
     assert outs[0]["estimate"] == outs[1]["estimate"]
     assert outs[0]["alphas"] == outs[1]["alphas"]

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import mpotrace as mt
-from mpotrace import mpo as mp
 from mpotrace.errors import CapacityError
 
 from test_models import dense_ising
@@ -109,10 +108,3 @@ def test_dense_lanczos_validation():
     with pytest.raises(HermiticityError):
         mt.dense_global_lanczos(skew, kmax=2)
 
-
-def test_dense_half_state_mpo_matches_expm():
-    p = mt.IsingParams(L=5, beta=0.6)
-    m = mt.dense_half_state_mpo(p)
-    w, v = np.linalg.eigh(mt.ising_dense(p))
-    ref = (v * np.exp(-p.beta / 2.0 * w)) @ v.conj().T
-    assert np.max(np.abs(mp.dense(m) - ref)) < 1e-10 * np.max(np.abs(ref))

@@ -36,10 +36,16 @@ def test_tridiagonal_validation():
         lz.TridiagonalMatrix((1.0, math.nan), (0.5,))
 
 
+LOWER = lz.SpectralFunction("lower", lambda x: x, 1)
+UPPER = lz.SpectralFunction("upper", lambda x: x, -1)
+NONE = lz.identity_function()
+
+
 def test_spectral_function_bounds():
-    assert lz.identity_function().bound_direction() == "none"
-    assert lz.entropy_integrand().bound_direction() == "upper"
-    assert lz.SpectralFunction("x", lambda x: x, 1).bound_direction() == "lower"
+    assert NONE.bound_direction() == "none"
+    assert lz.entropy_integrand().bound_direction() == "lower"
+    assert LOWER.bound_direction() == "lower"
+    assert UPPER.bound_direction() == "upper"
 
 
 def test_polynomial_function_matches_polyval():
@@ -55,14 +61,7 @@ def test_entropy_integrand_values():
     f = lz.entropy_integrand()
     assert f.fn(0.0) == 0.0
     for lam in (0.1, 0.5, 2.0):
-        assert abs(f.fn(lam) - lam * lam * math.log(lam * lam)) < 1e-14
-
-
-def test_entropy_derivative_sign():
-    with pytest.raises(ValueError):
-        lz.entropy_derivative_sign(1)
-    for K in (2, 3, 5, 10):
-        assert lz.entropy_derivative_sign(K) == 1
+        assert abs(f.fn(lam) + lam * lam * math.log(lam * lam)) < 1e-14
 
 
 def test_stopping_config_validation():
@@ -70,8 +69,6 @@ def test_stopping_config_validation():
         lz.StoppingConfig(eps_conv=0.0)
     with pytest.raises(ValueError):
         lz.StoppingConfig(window=1)
-    with pytest.raises(ValueError):
-        lz.StoppingConfig(bound_direction="sideways")
 
 
 def test_gauss_quadrature_single_node():
@@ -133,51 +130,51 @@ def test_gauss_quadrature_rejects_bad_inputs():
 
 def test_check_stop_converged():
     run = make_run([1.0, 1.0 + 1e-12])
-    halt, reason = lz.check_stop(run, lz.StoppingConfig(eps_conv=1e-10))
+    halt, reason = lz.check_stop(run, lz.StoppingConfig(eps_conv=1e-10), NONE)
     assert halt and reason == lz.STOP_CONVERGED
 
 
 def test_check_stop_needs_two_estimates():
-    halt, reason = lz.check_stop(make_run([]), lz.StoppingConfig())
+    halt, reason = lz.check_stop(make_run([]), lz.StoppingConfig(), LOWER)
     assert not halt and reason is None
-    halt, reason = lz.check_stop(make_run([1.0]), lz.StoppingConfig())
+    halt, reason = lz.check_stop(make_run([1.0]), lz.StoppingConfig(), LOWER)
     assert not halt
 
 
 def test_check_stop_lower_bound_violation():
     run = make_run([1.0, 0.9])
-    halt, reason = lz.check_stop(run, lz.StoppingConfig(bound_direction="lower"))
+    halt, reason = lz.check_stop(run, lz.StoppingConfig(), LOWER)
     assert halt and reason == lz.STOP_BOUND
+    assert lz.check_stop(run, lz.StoppingConfig(), lz.entropy_integrand()) == (True, lz.STOP_BOUND)
+    assert lz.check_stop(run, lz.StoppingConfig(), UPPER) == (False, None)
+    assert lz.check_stop(run, lz.StoppingConfig(), NONE) == (False, None)
 
 
 def test_check_stop_upper_bound_violation():
     run = make_run([1.0, 1.1])
-    halt, reason = lz.check_stop(run, lz.StoppingConfig(bound_direction="upper"))
+    halt, reason = lz.check_stop(run, lz.StoppingConfig(), UPPER)
     assert halt and reason == lz.STOP_BOUND
+    assert lz.check_stop(run, lz.StoppingConfig(), LOWER) == (False, None)
 
 
 def test_check_stop_ritz_floor_and_ceiling():
     run = make_run([1.0, 2.0], ritz_min=-1e-3)
-    halt, reason = lz.check_stop(run, lz.StoppingConfig(spectrum_floor=0.0))
+    halt, reason = lz.check_stop(run, lz.StoppingConfig(spectrum_floor=0.0), NONE)
     assert halt and reason == lz.STOP_RITZ
     run = make_run([1.0, 2.0], ritz_max=5.0)
-    halt, reason = lz.check_stop(run, lz.StoppingConfig(spectrum_ceiling=4.0))
+    halt, reason = lz.check_stop(run, lz.StoppingConfig(spectrum_ceiling=4.0), NONE)
     assert halt and reason == lz.STOP_RITZ
 
 
 def test_check_stop_ritz_precedes_bound():
     run = make_run([1.0, 0.9], ritz_min=-1.0)
-    halt, reason = lz.check_stop(
-        run, lz.StoppingConfig(spectrum_floor=0.0, bound_direction="lower")
-    )
+    halt, reason = lz.check_stop(run, lz.StoppingConfig(spectrum_floor=0.0), LOWER)
     assert halt and reason == lz.STOP_RITZ
 
 
 def test_check_stop_convergence_precedes_everything():
     run = make_run([1.0, 1.0 + 1e-12], ritz_min=-1.0)
-    halt, reason = lz.check_stop(
-        run, lz.StoppingConfig(spectrum_floor=0.0, bound_direction="upper")
-    )
+    halt, reason = lz.check_stop(run, lz.StoppingConfig(spectrum_floor=0.0), UPPER)
     assert halt and reason == lz.STOP_CONVERGED
 
 
@@ -185,15 +182,15 @@ def test_check_stop_sigma_outlier():
     cfg = lz.StoppingConfig(window=3, sigma_mult=3.0)
     base = [1.0, 1.001, 1.002]
     run = make_run(base + [1.5])
-    halt, reason = lz.check_stop(run, cfg)
+    halt, reason = lz.check_stop(run, cfg, NONE)
     assert halt and reason == lz.STOP_SIGMA
     # identical window (sd = 0) never fires
     run = make_run([1.0, 1.0, 1.0, 2.0])
-    halt, reason = lz.check_stop(run, cfg)
+    halt, reason = lz.check_stop(run, cfg, NONE)
     assert not halt
     # short history never fires
     run = make_run([1.0, 1.5])
-    halt, reason = lz.check_stop(run, lz.StoppingConfig(window=3, eps_conv=1e-16))
+    halt, reason = lz.check_stop(run, lz.StoppingConfig(window=3, eps_conv=1e-16), NONE)
     assert not halt
 
 
@@ -219,13 +216,17 @@ def test_scaled_identity_breaks_down_exactly():
 
 
 def test_trace_of_positive_examples():
+    # one uncapped step: beta_1^2 alpha_1 is the exact trace
+    def trace(m):
+        return lz.global_lanczos(m, kmax=1, dmax=None).estimate
+
     a = mp.scalar_multiply(3.0, mp.identity_mpo(5))
-    assert abs(lz.trace_of_positive(a) - 96.0) < 1e-10
+    assert abs(trace(a) - 96.0) < 1e-10
     for seed in range(3):
         r = random_mpo(6, 3, seed)
         m = mp.hermitian_part(mp.exact_multiply(mp.adjoint(r), r))
         ref = float(np.trace(mp.dense(m)).real)
-        assert abs(lz.trace_of_positive(m) - ref) < 1e-10 * max(abs(ref), 1.0), seed
+        assert abs(trace(m) - ref) < 1e-10 * max(abs(ref), 1.0), seed
 
 
 def test_driver_matches_dense_recurrence():

@@ -52,31 +52,6 @@ def test_params_validation():
         mt.IsingParams(L=4, J=math.inf)
 
 
-def test_ising_mpo_two_site_pure_coupling():
-    p = mt.IsingParams(L=2, J=1.0, g=0.0, h=0.0)
-    assert np.allclose(mp.dense(mt.ising_mpo(p)), np.kron(X, X), atol=1e-14)
-
-
-def test_ising_mpo_two_site_pure_field():
-    p = mt.IsingParams(L=2, J=0.0, g=1.0, h=0.0)
-    ref = np.kron(Z, np.eye(2)) + np.kron(np.eye(2), Z)
-    assert np.allclose(mp.dense(mt.ising_mpo(p)), ref, atol=1e-14)
-
-
-def test_ising_mpo_matches_kronecker_sum():
-    p = mt.IsingParams(L=8, J=1.0, g=1.0, h=0.3)
-    assert np.max(np.abs(mp.dense(mt.ising_mpo(p)) - dense_ising(p))) < 1e-12
-
-
-def test_ising_mpo_parameter_grid():
-    for L in (2, 3, 5):
-        for (J, g, h) in ((1.0, 0.5, 0.0), (0.3, 1.2, 0.7), (-1.0, 1.0, 0.1)):
-            p = mt.IsingParams(L=L, J=J, g=g, h=h)
-            m = mt.ising_mpo(p)
-            assert m.max_bond() <= 3
-            assert np.max(np.abs(mp.dense(m) - dense_ising(p))) < 1e-12, (L, J, g, h)
-
-
 def test_thermal_state_unit_norm_and_bonds():
     p = mt.IsingParams(L=8, beta=0.5)
     m, meta = mt.thermal_half_state_report(p, dbond=10, dtau=0.01)

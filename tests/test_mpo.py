@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mpotrace import mpo as mp
+from mpotrace.sweeping import multiply_and_optimize, sum_and_optimize
 from mpotrace.errors import CapacityError, DimensionError, NumericError
 
 from conftest import random_mpo
@@ -19,32 +20,6 @@ def test_identity_dense_small():
 def test_identity_frobenius_norm():
     # ||I_N||_F = sqrt(N) = 2^(L/2)
     assert abs(mp.frobenius_norm(mp.identity_mpo(10)) - 32.0) < 1e-12
-
-
-def _vec_ref(mat, L, d=2):
-    """Documented vectorization: per-site (out, in) fused row-major."""
-    t = mat.reshape([d] * (2 * L))  # (o1..oL, i1..iL)
-    perm = []
-    for i in range(L):
-        perm += [i, L + i]
-    return t.transpose(perm).reshape(-1)
-
-
-def test_vectorize_identity():
-    v = mp.vectorize(mp.identity_mpo(2))
-    assert v.d == 4
-    assert np.allclose(mp.dense(v), _vec_ref(np.eye(4), 2))
-
-
-def test_vectorize_matches_dense_reshape():
-    for seed in range(4):
-        m = random_mpo(4, 3, seed)
-        assert np.allclose(mp.dense(mp.vectorize(m)), _vec_ref(mp.dense(m), 4), atol=1e-12)
-
-
-def test_vectorize_preserves_bonds():
-    m = random_mpo(4, 3, 0)
-    assert mp.vectorize(m).bond_dims() == m.bond_dims()
 
 
 def test_inner_product_identity():
@@ -220,6 +195,37 @@ def test_log_scale_semantics_huge_prefactor():
     assert abs((np.log(mant.real) + logv) - 2 * mp.log_norm(big)) < 1e-10
 
 
+def test_log_norm_reads_ln_norm_and_never_writes():
+    m = random_mpo(5, 4, 13)
+    before = [s.copy() for s in m.sites]
+    ln = mp.log_norm(m)
+    assert m.ln_norm is None
+    assert m.log_scale == 0.0
+    assert all(np.array_equal(s, b) for s, b in zip(m.sites, before))
+    assert abs(ln - np.log(np.linalg.norm(mp.dense(m)))) < 1e-12
+    # a set ln_norm is read as is
+    tagged = mp.Mpo(m.sites, m.log_scale, ln_norm=1.25)
+    assert mp.log_norm(tagged) == 1.25
+    assert tagged.ln_norm == 1.25
+
+
+def test_ln_norm_matches_contraction_where_set():
+    m = mp.shift_log_scale(random_mpo(5, 6, 21), 3.0)
+    a, u = random_mpo(5, 3, 22), random_mpo(5, 3, 23)
+    made = {
+        "canonicalize": mp.canonicalize(m, center=2),
+        "truncate_svd": mp.truncate_svd(m, dmax=3)[0],
+        "shift_log_scale": mp.shift_log_scale(mp.canonicalize(m, 0), -7.5),
+        "multiply_and_optimize": multiply_and_optimize(a, u, 4).mpo,
+        "sum_and_optimize": sum_and_optimize(a, [(-0.5, u)], 4).mpo,
+    }
+    for name, x in made.items():
+        assert x.ln_norm is not None, name
+        contracted = mp.log_norm(mp.Mpo(x.sites, x.log_scale))
+        assert abs(x.ln_norm - contracted) < 1e-12, (name, x.ln_norm, contracted)
+    assert mp.shift_log_scale(m, 1.0).ln_norm is None
+
+
 def test_dense_includes_log_scale():
     m = random_mpo(3, 2, 3)
     shifted = mp.shift_log_scale(m, 2.0)
@@ -229,13 +235,6 @@ def test_dense_includes_log_scale():
 def test_dense_capacity_guard():
     with pytest.raises(CapacityError):
         mp.dense(mp.identity_mpo(20))
-
-
-def test_mpo_from_dense_roundtrip():
-    rng = np.random.default_rng(5)
-    mat = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    m = mp.mpo_from_dense(mat, L=4)
-    assert np.allclose(mp.dense(m), mat, atol=1e-10)
 
 
 def test_chain_validation():
@@ -258,16 +257,6 @@ def test_save_load_roundtrip(tmp_path):
     assert back.log_scale == m.log_scale
     assert back.L == m.L and back.d == m.d
     for s_out, s_in in zip(back.sites, m.sites):
-        assert np.array_equal(s_out, s_in)
-
-
-def test_save_load_mps_roundtrip(tmp_path):
-    v = mp.vectorize(random_mpo(3, 2, 1))
-    path = os.path.join(tmp_path, "v.json")
-    mp.save_json(v, path)
-    back = mp.load_json(path)
-    assert isinstance(back, mp.Mps)
-    for s_out, s_in in zip(back.sites, v.sites):
         assert np.array_equal(s_out, s_in)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 import mpotrace as mt
 from mpotrace import mpo as mp
-from mpotrace.sweeping import SweepOptions, SweepResult, multiply_and_optimize, sum_and_optimize
+from mpotrace.sweeping import SweepOptions, multiply_and_optimize, sum_and_optimize
 from mpotrace.errors import DimensionError
 
 from conftest import random_mpo
@@ -17,17 +17,14 @@ def test_options_validation():
         SweepOptions(max_sweeps=0)
     with pytest.raises(ValueError):
         SweepOptions(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        SweepOptions(init="warmest")
     with pytest.raises(DimensionError):
         multiply_and_optimize(mp.identity_mpo(3), mp.identity_mpo(3), 0)
 
 
-def test_result_unpacks_as_pair():
-    fit = multiply_and_optimize(mp.identity_mpo(3), mp.identity_mpo(3), 2)
-    m, res = fit
-    assert isinstance(m, mp.Mpo)
-    assert isinstance(res, float)
+def _scale_into_sites(a, e):
+    """a with every site tensor scaled by exp(e) and log_scale compensating,
+    so the value is unchanged but the magnitude sits in the tensors."""
+    return mp.Mpo(tuple(s * math.exp(e) for s in a.sites), a.log_scale - e * a.L)
 
 
 def test_multiply_identity_operand():
@@ -71,21 +68,15 @@ def test_multiply_objectives_monotone():
 
 
 def test_multiply_debug_incremental_matches_scratch():
+    # the incrementally tracked objective equals the squared distance to
+    # the exact product, recomputed from scratch, at a capped bond
     a = random_mpo(4, 3, 2)
     u = random_mpo(4, 3, 9)
-    fit = multiply_and_optimize(a, u, 4, SweepOptions(debug=True))
-    assert fit.debug_checks
-    for inc, scratch in fit.debug_checks:
-        assert abs(inc - scratch) < 1e-8 * max(abs(scratch), 1.0)
-
-
-def test_multiply_random_init_deterministic():
-    a = random_mpo(4, 3, 5)
-    u = random_mpo(4, 3, 6)
-    f1 = multiply_and_optimize(a, u, 3, SweepOptions(init="random", seed=11))
-    f2 = multiply_and_optimize(a, u, 3, SweepOptions(init="random", seed=11))
-    for s1, s2 in zip(f1.mpo.sites, f2.mpo.sites):
-        assert np.array_equal(s1, s2)
+    fit = multiply_and_optimize(a, u, 4)
+    assert fit.mpo.max_bond() == 4
+    dist2 = np.linalg.norm(mp.dense(fit.mpo) - mp.dense(a) @ mp.dense(u)) ** 2
+    assert dist2 > 1e-6
+    assert abs(fit.residual - dist2) < 1e-8 * max(dist2, 1.0)
 
 
 def test_multiply_zipup_warm_start_path():
@@ -110,6 +101,12 @@ def test_multiply_huge_log_scale_is_stable():
     tiny = mp.shift_log_scale(a, -420.0)
     fit2 = multiply_and_optimize(tiny, tiny, None)
     assert abs(mp.log_norm(fit2.mpo) - (-840.0 + math.log(np.linalg.norm(ref)))) < 1e-8
+    # the same value with its magnitude in the site tensors instead of in
+    # log_scale gives the same fit
+    for e in (20.0, -20.0):
+        heavy = _scale_into_sites(a, e)
+        fit3 = multiply_and_optimize(heavy, heavy, None)
+        assert np.linalg.norm(mp.dense(fit3.mpo) - ref) < 1e-10 * np.linalg.norm(ref), e
 
 
 def test_multiply_zero_operand():
@@ -161,6 +158,9 @@ def test_sum_mixed_log_scales():
     fit = sum_and_optimize(u, [(math.exp(-3.0), shifted)], None)
     ref = mp.dense(u) + mp.dense(t)
     assert np.linalg.norm(mp.dense(fit.mpo) - ref) < 1e-10
+    for e in (20.0, -20.0):
+        fit = sum_and_optimize(_scale_into_sites(u, e), [(1.0, _scale_into_sites(t, -e))], None)
+        assert np.linalg.norm(mp.dense(fit.mpo) - ref) < 1e-10, e
 
 
 def test_sum_discards_negligible_term():

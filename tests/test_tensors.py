@@ -1,44 +1,9 @@
-"""Dense primitive checks: contraction, SVD, QR/LQ, tridiagonal eig."""
+"""Dense primitive checks: SVD, QR/LQ, tridiagonal eig."""
 import numpy as np
 import pytest
 
 from mpotrace import tensors
 from mpotrace.errors import DimensionError, NumericError
-
-
-def test_contract_identity_passthrough():
-    rng = np.random.default_rng(0)
-    for k in (1, 3, 7):
-        b = rng.standard_normal((2, k))
-        out = tensors.contract_pair(np.eye(2), b, [1], [0])
-        assert np.allclose(out, b)
-
-
-def test_contract_hand_computed():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[1.0], [1.0]])
-    out = tensors.contract_pair(a, b, [1], [0])
-    assert np.allclose(out, [[3.0], [7.0]])
-
-
-def test_contract_matches_loop_reference():
-    rng = np.random.default_rng(42)
-    a = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
-    b = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
-    out = tensors.contract_pair(a, b, [2, 1], [0, 1])
-    ref = np.zeros(3, dtype=complex)
-    for i in range(3):
-        for j in range(4):
-            for k in range(5):
-                ref[i] += a[i, j, k] * b[k, j]
-    assert np.allclose(out, ref, atol=1e-12)
-
-
-def test_contract_axis_mismatch():
-    with pytest.raises(DimensionError):
-        tensors.contract_pair(np.eye(2), np.eye(3), [1], [0])
-    with pytest.raises(DimensionError):
-        tensors.contract_pair(np.eye(2), np.eye(2), [0, 1], [0])
 
 
 def test_svd_identity():
@@ -62,14 +27,6 @@ def test_svd_reconstruction_and_isometry():
         u, s, vh = tensors.svd(a)
         assert np.linalg.norm(u @ np.diag(s) @ vh - a) < 1e-12
         assert np.linalg.norm(u.conj().T @ u - np.eye(u.shape[1])) < 1e-12
-
-
-def test_svd_with_axis_bipartition():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((2, 3, 4))
-    u, s, vh = tensors.svd(a, left_axes=[0, 2])
-    mat = a.transpose(0, 2, 1).reshape(8, 3)
-    assert np.linalg.norm(u @ np.diag(s) @ vh - mat) < 1e-12
 
 
 def test_svd_rejects_non_finite():
