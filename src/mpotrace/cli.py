@@ -32,7 +32,7 @@ from .sweeping import multiply_and_optimize
 logger = logging.getLogger("mpotrace.cli")
 
 CSV_COLUMNS = ("k", "alpha", "beta", "ritz_min", "ritz_max", "estimate", "wall_ms",
-               "mult_residual", "add_residual")
+               "mult_residual", "add_residual", "sweeps", "converged")
 
 
 def _configure_logging() -> None:
@@ -170,6 +170,7 @@ def _record_dict(rec: lz.IterationRecord) -> dict:
         "ritz_min": rec.ritz_min, "ritz_max": rec.ritz_max,
         "estimate": rec.estimate, "wall_ms": rec.wall_ms,
         "mult_residual": rec.mult_residual, "add_residual": rec.add_residual,
+        "sweeps": rec.sweeps, "converged": rec.converged,
     }
 
 
@@ -230,6 +231,7 @@ def cmd_estimate(args) -> int:
     payload = {
         "function": args.function,
         "input": args.input,
+        "dtype": m.dtype.name,
         "settings": {
             "kmax": args.kmax if fspec != "trace" else 1,
             "dmax": dmax, "eps": args.eps, "window": args.window,

@@ -132,6 +132,9 @@ class StoppingConfig:
 
 @dataclass
 class IterationRecord:
+    """One Lanczos step.  `sweeps` sums the ALS sweeps of the step's fits;
+    `converged` is true when every one of them met its rel_tol."""
+
     k: int
     alpha: float
     beta: float
@@ -141,6 +144,8 @@ class IterationRecord:
     wall_ms: float
     mult_residual: float = 0.0
     add_residual: float = 0.0
+    sweeps: int = 0
+    converged: bool = True
 
 
 @dataclass
@@ -232,7 +237,8 @@ def global_lanczos(
     preceding blocks with capped-bond variational sums, and evaluates the
     Gauss rule on the accumulated tridiagonal matrix.  The bond cap grows
     as min(dmax, D*D_a) on the multiply and min(dmax, D + D_block) on each
-    subtraction, exactly following the recurrence's cost schedule.
+    subtraction, exactly following the recurrence's cost schedule.  The
+    blocks are float64 when a and u0 are both real, complex128 otherwise.
     """
     if u0 is None:
         u0 = mp.identity_mpo(a.L, a.d)
@@ -282,6 +288,7 @@ def global_lanczos(
         v = w_fit.mpo
         mult_residual = w_fit.residual
         w_norm = mp.frobenius_norm(v)
+        fits = [w_fit]
 
         add_residual = 0.0
         if u_prev is not None:
@@ -289,6 +296,7 @@ def global_lanczos(
             s_fit = sum_and_optimize(v, [(-beta, u_prev)], d_ledger, sweep)
             v = s_fit.mpo
             add_residual += s_fit.residual
+            fits.append(s_fit)
 
         alpha_c = mp.inner_product(u, v)
         herm_scale = max(abs(alpha_c), w_norm, 1e-300)
@@ -304,6 +312,7 @@ def global_lanczos(
         s_fit = sum_and_optimize(v, [(-alpha, u)], d_ledger, sweep)
         v = s_fit.mpo
         add_residual += s_fit.residual
+        fits.append(s_fit)
 
         tri = TridiagonalMatrix(tuple(alphas), tuple(betas))
         est, ritz, _ = gauss_quadrature(tri, beta1, f)
@@ -317,6 +326,8 @@ def global_lanczos(
             wall_ms=(time.perf_counter() - t0) * 1e3,
             mult_residual=mult_residual,
             add_residual=add_residual,
+            sweeps=sum(fit.sweeps for fit in fits),
+            converged=all(fit.converged for fit in fits),
         )
         run.records.append(rec)
         run.tridiag = tri

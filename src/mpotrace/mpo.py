@@ -7,6 +7,12 @@ contraction of the site tensors.  Keeping the prefactor in log form lets
 norms like 2**(L/2) and thermal partition functions stay representable
 while the site data remain O(1).
 
+Every operator has one dtype, fixed when it is built: float64 unless
+some site is complex, and then complex128 for every site.  The kernels
+take their dtype from their operands by numpy's promotion, so an
+operator built from real data is contracted and factorized in real
+arithmetic throughout.
+
 An operator may also carry `ln_norm`, its ln Frobenius norm, when the
 code that made it knows that norm (a canonical form, a truncation, a fit,
 a pure rescale, or a norm contracted once and kept).  `log_norm` reads it
@@ -27,7 +33,10 @@ DENSE_MAX_DIM = 2 ** 14
 
 
 def _as_site(arr, pos: int):
-    a = np.ascontiguousarray(arr, dtype=complex)
+    a = np.asarray(arr)
+    # real input (integer and bool included) becomes float64, complex
+    # input complex128
+    a = np.ascontiguousarray(a, dtype=np.result_type(a, np.float64))
     if a.ndim != 4:
         raise DimensionError(f"site {pos}: expected rank-4 tensor, got rank {a.ndim}")
     return a
@@ -59,6 +68,8 @@ class Mpo:
     def __post_init__(self):
         sites = tuple(_as_site(s, i) for i, s in enumerate(self.sites))
         _check_chain(sites)
+        dt = np.result_type(*sites)
+        sites = tuple(s.astype(dt, copy=False) for s in sites)
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "log_scale", float(self.log_scale))
 
@@ -69,6 +80,11 @@ class Mpo:
     @property
     def d(self) -> int:
         return self.sites[0].shape[0]
+
+    @property
+    def dtype(self) -> np.dtype:
+        """float64 or complex128, shared by every site."""
+        return self.sites[0].dtype
 
     def bond_dims(self) -> list[int]:
         return [s.shape[3] for s in self.sites[:-1]]
@@ -81,12 +97,12 @@ def identity_mpo(L: int, d: int = 2) -> Mpo:
     """Identity operator on L sites of local dimension d, all bonds 1."""
     if L < 1 or d < 1:
         raise DimensionError("need L >= 1 and d >= 1")
-    site = np.eye(d, dtype=complex).reshape(d, d, 1, 1)
+    site = np.eye(d).reshape(d, d, 1, 1)
     return Mpo(tuple(site.copy() for _ in range(L)))
 
 
 def zero_mpo(L: int, d: int = 2) -> Mpo:
-    site = np.zeros((d, d, 1, 1), dtype=complex)
+    site = np.zeros((d, d, 1, 1))
     return Mpo(tuple(site.copy() for _ in range(L)))
 
 
@@ -145,7 +161,7 @@ def exact_add(a: Mpo, b: Mpo, coeff: complex = 1.0) -> Mpo:
         else:
             dla, dra = sa.shape[2], sa.shape[3]
             dlb, drb = sb.shape[2], sb.shape[3]
-            blk = np.zeros((d, d, dla + dlb, dra + drb), dtype=complex)
+            blk = np.zeros((d, d, dla + dlb, dra + drb), dtype=np.result_type(sa, sb, coeff))
             blk[:, :, :dla, :dra] = sa
             blk[:, :, dla:, dra:] = sb
         sites.append(blk)
@@ -167,8 +183,9 @@ def exact_multiply(a: Mpo, b: Mpo) -> Mpo:
 def _transfer_scaled(a: Mpo, b: Mpo) -> tuple[complex, float]:
     """Left-to-right transfer contraction of <a, b>, with running
     magnitude extraction.  Returns (mantissa, log) so the inner product is
-    mantissa * exp(log)."""
-    env = np.ones((1, 1), dtype=complex)
+    mantissa * exp(log); the mantissa is a float when both operators are
+    real."""
+    env = np.ones((1, 1))
     logacc = a.log_scale + b.log_scale
     for sa, sb in zip(a.sites, b.sites):
         ca = sa.conj().reshape(sa.shape[0] * sa.shape[1], sa.shape[2], sa.shape[3])
@@ -181,18 +198,18 @@ def _transfer_scaled(a: Mpo, b: Mpo) -> tuple[complex, float]:
         env = ca.reshape(p * la, ra).T @ tmp.transpose(1, 0, 2).reshape(p * la, rb)
         mag = np.max(np.abs(env)) if env.size else 0.0
         if mag == 0.0:
-            return 0.0 + 0.0j, 0.0
+            return 0.0, 0.0
         env = env / mag
         logacc += math.log(mag)
-    return complex(env[0, 0]), logacc
+    return env[0, 0].item(), logacc
 
 
 def inner_product(a: Mpo, b: Mpo) -> complex:
     """Frobenius inner product <a, b> = tr(a^H b), contracted as a
-    transfer matrix, never densified."""
+    transfer matrix, never densified.  A float when both are real."""
     _check_compatible(a, b)
     mant, logv = _transfer_scaled(a, b)
-    return mant * math.exp(logv) if mant != 0 else 0.0 + 0.0j
+    return mant * math.exp(logv) if mant != 0 else 0.0
 
 
 def inner_product_scaled(a: Mpo, b: Mpo) -> tuple[complex, float]:
@@ -218,18 +235,18 @@ def frobenius_norm(a: Mpo) -> float:
 
 def mpo_trace(a: Mpo) -> complex:
     """Exact trace: contract the physical legs pairwise, multiply the bond
-    matrices left to right."""
-    env = np.ones((1, 1), dtype=complex)
+    matrices left to right.  A float when a is real."""
+    env = np.ones((1, 1))
     logacc = a.log_scale
     for s in a.sites:
         t = np.trace(s, axis1=0, axis2=1)  # (Dl, Dr)
         env = env @ t
         mag = np.max(np.abs(env)) if env.size else 0.0
         if mag == 0.0:
-            return 0.0 + 0.0j
+            return 0.0
         env = env / mag
         logacc += math.log(mag)
-    return complex(env[0, 0]) * math.exp(logacc)
+    return env[0, 0].item() * math.exp(logacc)
 
 
 def dense(a: Mpo) -> np.ndarray:
@@ -238,7 +255,7 @@ def dense(a: Mpo) -> np.ndarray:
     dim = a.d ** a.L
     if dim > DENSE_MAX_DIM:
         raise CapacityError(f"dense matrix would be {dim}x{dim}; limit is {DENSE_MAX_DIM}")
-    acc = np.ones((1,), dtype=complex)  # trailing index: right bond
+    acc = np.ones((1,))  # trailing index: right bond
     for s in a.sites:
         acc = np.tensordot(acc, s, axes=([acc.ndim - 1], [2]))
     acc = acc.reshape(acc.shape[:-1])  # drop the trailing unit boundary
@@ -350,9 +367,10 @@ def hermitian_part(a: Mpo) -> Mpo:
 
 
 def save_json(a: Mpo, path: str, metadata: dict | None = None) -> None:
-    """Write an Mpo to a JSON file.  Complex entries are stored as
-    innermost [re, im] pairs.  An optional metadata dict is stored next to
-    the tensors and ignored on load."""
+    """Write an Mpo to a JSON file.  Every entry is stored as an innermost
+    [re, im] pair, the imaginary parts of a real operator as 0.  An
+    optional metadata dict is stored next to the tensors and ignored on
+    load."""
     doc = {
         "kind": "mpo",
         "L": a.L,
@@ -367,7 +385,8 @@ def save_json(a: Mpo, path: str, metadata: dict | None = None) -> None:
 
 
 def load_json(path: str) -> Mpo:
-    """Read an Mpo written by save_json."""
+    """Read an Mpo written by save_json.  It is float64 when every
+    imaginary part in the file is exactly 0, complex128 otherwise."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -390,10 +409,12 @@ def load_json(path: str) -> Mpo:
         arr = np.asarray(entry, dtype=float)
         if arr.ndim == 0 or arr.shape[-1] != 2:
             raise NumericError(f"{path}: site {i} entries must be [re, im] pairs")
-        data = arr[..., 0] + 1j * arr[..., 1]
-        if not np.all(np.isfinite(data)):
+        if not np.all(np.isfinite(arr)):
             raise NumericError(f"{path}: site {i} contains non-finite entries")
-        sites.append(data)
+        # a real site stays real; Mpo promotes every site to complex128
+        # when any other site is complex
+        re, im = arr[..., 0], arr[..., 1]
+        sites.append(re + 1j * im if np.any(im) else re)
     if not math.isfinite(ls):
         raise NumericError(f"{path}: log_scale is not finite")
     try:

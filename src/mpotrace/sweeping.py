@@ -38,29 +38,23 @@ class SweepOptions:
 class SweepResult:
     """Outcome of a variational fit.
 
-    `objectives` is the squared-distance objective after every site update.
+    `converged` is true when the sweeps met `rel_tol` (or the fit needed
+    none), `sweeps` counts the ALS sweeps run, and `objectives` is the
+    squared-distance objective after every site update.
     """
 
     mpo: mp.Mpo
     residual: float
     converged: bool
+    sweeps: int = 0
     objectives: list = field(default_factory=list)
 
 
 def _warm_start(x0: mp.Mpo) -> list:
     """Sites of x0 in right-canonical gauge (center 0), the form
-    _run_sweeps starts from.
-
-    The sweeps never read site 0, so x0's scale does not matter.  Its
-    log_scale is still spread evenly over the sites before the gauge:
-    that changes only rounding, but the recurrence's last bits decide
-    whether acceptance criterion 10 (dmax = 80 series) stops on an exact
-    tie of two successive estimates, so the rounding is kept as it was."""
-    sites = x0.sites
-    if x0.log_scale != 0.0:
-        f = math.exp(x0.log_scale / x0.L)
-        sites = tuple(s * f for s in sites)
-    return list(mp.canonicalize(mp.Mpo(sites), center=0).sites)
+    _run_sweeps starts from.  The sweeps never read site 0, so x0's
+    scale does not matter."""
+    return list(mp.canonicalize(x0, center=0).sites)
 
 
 def _unit_sites(a: mp.Mpo):
@@ -114,7 +108,7 @@ class _MultiplyTarget:
         self._tmp = None  # (site, E, half-contracted target) reuse
 
     def boundary_left(self):
-        return np.ones((1, 1, 1), dtype=complex)
+        return np.ones((1, 1, 1))
 
     boundary_right = boundary_left
 
@@ -182,7 +176,7 @@ class _SumTarget:
         self._tmp = None  # (site, E, per-term absorbed targets) reuse
 
     def boundary_left(self):
-        return [np.ones((1, 1), dtype=complex) for _ in self.terms]
+        return [np.ones((1, 1)) for _ in self.terms]
 
     boundary_right = boundary_left
 
@@ -234,9 +228,12 @@ def _run_sweeps(x_sites, target, opts: SweepOptions):
 
     x_sites must be right-canonical from site 1 on; site 0 is never read,
     because the first local solve overwrites it.  Returns (objectives,
-    converged).  The objective after a site update is norm_sq(target) -
-    |center|^2, which is exact given exact environments because the local
-    optimum equals the environment tensor.
+    converged, sweeps run).  The objective after a site update is
+    norm_sq(target) - |center|^2, which is exact given exact environments
+    because the local optimum equals the environment tensor.  It is a
+    difference of nearly equal numbers, so for an exact fit it rounds to
+    either sign; convergence is therefore judged only by the change
+    between two sweeps, never by the objective's own size.
     """
     L = len(x_sites)
     C = target.norm_sq
@@ -250,7 +247,7 @@ def _run_sweeps(x_sites, target, opts: SweepOptions):
     objectives = []
     converged = False
     prev = None
-    for _ in range(opts.max_sweeps):
+    for sweeps in range(1, opts.max_sweeps + 1):
         for i in range(L - 1):
             t = target.local(i, lenvs[i], renvs[i + 1])
             objectives.append(C - float(np.vdot(t, t).real))
@@ -267,17 +264,14 @@ def _run_sweeps(x_sites, target, opts: SweepOptions):
         x_sites[0] = t
         obj = C - float(np.vdot(t, t).real)
         objectives.append(obj)
-        if obj <= 1e-28 * scale:
-            converged = True
-            break
         if prev is not None and prev - obj <= opts.rel_tol * scale:
             converged = True
             break
         prev = obj
-    return objectives, converged
+    return objectives, converged, sweeps
 
 
-def _fit_result(x_sites, ls: float, objectives, converged: bool) -> SweepResult:
+def _fit_result(x_sites, ls: float, objectives, converged: bool, sweeps: int) -> SweepResult:
     """Package the swept sites with the output scale exp(ls).  The sweeps
     end with site 0 as the orthogonality center and every other site
     isometric, so ln||x|| is ls plus ln of the center's Frobenius norm."""
@@ -287,6 +281,7 @@ def _fit_result(x_sites, ls: float, objectives, converged: bool) -> SweepResult:
         mpo=x,
         residual=_scaled(max(objectives[-1], 0.0), 2.0 * ls),
         converged=converged,
+        sweeps=sweeps,
         objectives=[_scaled(o, 2.0 * ls) for o in objectives],
     )
 
@@ -297,7 +292,7 @@ def _zipup_product(a_sites, u_sites, dnew: int):
     is too large to materialize.  Also returns the accumulated discarded
     weight, which bounds the distance to the exact product."""
     L = len(a_sites)
-    carry = np.ones((1, 1, 1), dtype=complex)  # (x, la, lu)
+    carry = np.ones((1, 1, 1))  # (x, la, lu)
     sites = [None] * L
     disc2 = 0.0
     for i in range(L):
@@ -328,7 +323,7 @@ def _zipup_product(a_sites, u_sites, dnew: int):
 def _product_norm_sq(a_sites, u_sites) -> float:
     """Exact ||a@u||_F^2 via a transfer contraction over the merged
     product sites (bond D_a*D_u, so only used when that is small)."""
-    env = np.ones((1, 1), dtype=complex)  # (conj-side bond, ket-side bond)
+    env = np.ones((1, 1))  # (conj-side bond, ket-side bond)
     logacc = 0.0
     for sa, su in zip(a_sites, u_sites):
         d = sa.shape[0]
@@ -385,8 +380,7 @@ def multiply_and_optimize(a: mp.Mpo, u: mp.Mpo, dnew: int | None, opts: SweepOpt
     x_sites = _warm_start(x0)
 
     target = _MultiplyTarget(a_sites, u_sites, norm_sq)
-    objectives, converged = _run_sweeps(x_sites, target, opts)
-    return _fit_result(x_sites, ls_tot, objectives, converged)
+    return _fit_result(x_sites, ls_tot, *_run_sweeps(x_sites, target, opts))
 
 
 def sum_and_optimize(u: mp.Mpo, terms, dnew: int | None, opts: SweepOptions | None = None) -> SweepResult:
@@ -423,7 +417,7 @@ def sum_and_optimize(u: mp.Mpo, terms, dnew: int | None, opts: SweepOptions | No
     # exact ||target||^2 from pairwise inner products of the stripped terms;
     # the diagonal is 1 by the unit-norm construction above
     stripped = [mp.Mpo(tuple(s)) for s in term_sites]
-    gram = np.eye(len(ops), dtype=complex)
+    gram = np.eye(len(ops), dtype=np.result_type(*(s[0] for s in term_sites)))
     for j in range(len(ops)):
         for k in range(j + 1, len(ops)):
             gram[j, k] = mp.inner_product(stripped[j], stripped[k])
@@ -453,5 +447,4 @@ def sum_and_optimize(u: mp.Mpo, terms, dnew: int | None, opts: SweepOptions | No
     x_sites = _warm_start(x0)
 
     target = _SumTarget(term_sites, coeffs, norm_sq)
-    objectives, converged = _run_sweeps(x_sites, target, opts)
-    return _fit_result(x_sites, ls_out, objectives, converged)
+    return _fit_result(x_sites, ls_out, *_run_sweeps(x_sites, target, opts))

@@ -1,6 +1,7 @@
 """Dense tensor primitives.
 
-A tensor is simply a complex numpy ndarray in row-major (C) order; the
+A tensor is simply a numpy ndarray in row-major (C) order, float64 or
+complex128; the factorizations return the dtype they are given.  The
 functions here are thin, checked wrappers around numpy/scipy so the rest
 of the package has one place for factorization and the tridiagonal
 eigensolver.

@@ -52,3 +52,8 @@ def random_mpo(L, dbond, seed, d=2):
         sites.append(t / np.sqrt(d * dl))
         dl = dr
     return mp.Mpo(tuple(sites))
+
+
+def real_part(m):
+    """The operator whose site tensors are the real parts of m's."""
+    return mp.Mpo(tuple(s.real for s in m.sites), m.log_scale)

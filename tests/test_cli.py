@@ -122,16 +122,22 @@ def test_estimate_iterations_csv_header(tmp_path, half_state_file):
     with open(table, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     assert tuple(rows[0]) == cli.CSV_COLUMNS
-    assert len(rows) == 1 + read_json(out)["iterations"]
+    records = read_json(out)["records"]
+    assert len(rows) == 1 + len(records)
     ks = [int(r[0]) for r in rows[1:]]
     assert ks == list(range(1, len(ks) + 1))
+    # the flag is written as 1 or 0
+    fit_cols = [cli.CSV_COLUMNS.index(c) for c in ("sweeps", "converged")]
+    assert [[int(r[c]) for c in fit_cols] for r in rows[1:]] == \
+        [[rec["sweeps"], int(rec["converged"])] for rec in records]
+    assert all(rec["sweeps"] >= 2 for rec in records)
 
 
 def test_iterations_csv_columns_match_record_dict():
     # the CSV and the result JSON records carry the same fields, in order
     rec = lz.IterationRecord(k=1, alpha=0.5, beta=1.0, ritz_min=0.5, ritz_max=0.5,
                              estimate=2.0, wall_ms=3.0, mult_residual=1e-9,
-                             add_residual=2e-9)
+                             add_residual=2e-9, sweeps=5, converged=False)
     assert cli.CSV_COLUMNS == tuple(cli._record_dict(rec))
 
 
@@ -233,3 +239,20 @@ def test_sweep_isolates_failing_cell(tmp_path):
 
 def test_usage_error_on_unknown_command():
     assert run_cli("frobnicate") == 2
+
+
+def test_estimate_reports_dtype(tmp_path, half_state_file):
+    out = str(tmp_path / "real.json")
+    assert run_cli("estimate", "--input", half_state_file, "--function", "trace",
+                   "--out", out) == 0
+    assert read_json(out)["dtype"] == "float64"
+    # one nonzero imaginary entry in the file makes the arithmetic complex
+    doc = read_json(half_state_file)
+    doc["sites"][1][0][0][0][0][1] = 1e-14
+    src = str(tmp_path / "one_imag.json")
+    with open(src, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    out = str(tmp_path / "complex.json")
+    assert run_cli("estimate", "--input", src, "--function", "trace", "--out", out) == 0
+    assert read_json(out)["dtype"] == "complex128"
+

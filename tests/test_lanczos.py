@@ -305,3 +305,45 @@ def test_entropy_thermal_l6_vs_dense(thermal_l6):
     for j in range(1, len(ests)):
         assert ests[j] >= ests[j - 1] - 1e-12
     assert all(e <= ref + 1e-6 * ref for e in ests)
+
+
+def test_basis_dtype_follows_inputs(thermal_l6):
+    assert thermal_l6.dtype == np.float64
+    # a degree-9 polynomial keeps the estimates moving, so the run goes on
+    # until the blocks sit at the cap
+    kw = dict(kmax=5, dmax=6, keep_basis=True, f=lz.polynomial_function([0.0] * 9 + [1.0]),
+              stop=lz.StoppingConfig(eps_conv=1e-300, sigma_mult=math.inf))
+    run = lz.global_lanczos(thermal_l6, **kw)
+    assert [u.max_bond() for u in run.basis].count(6) >= 2
+    assert all(s.dtype == np.float64 for u in run.basis for s in u.sites)
+    u0 = mp.Mpo(tuple(s.astype(complex) for s in mp.identity_mpo(6).sites))
+    run = lz.global_lanczos(thermal_l6, u0=u0, **kw)
+    assert [u.max_bond() for u in run.basis].count(6) >= 2
+    assert all(s.dtype == np.complex128 for u in run.basis for s in u.sites)
+
+
+def test_real_and_complex_arithmetic_agree(thermal_cache):
+    m = thermal_cache(8, 0.1)[0]
+    mc = mp.Mpo(tuple(s.astype(complex) for s in m.sites), m.log_scale)
+    assert m.dtype == np.float64 and mc.dtype == np.complex128
+    dmax = m.max_bond() // 2  # below the exact bond, so the fits truncate
+    S, run = lz.entropy_from_half_state(m, kmax=12, dmax=dmax)
+    Sc, runc = lz.entropy_from_half_state(mc, kmax=12, dmax=dmax)
+    assert len(run.records) == len(runc.records)
+    assert run.stop_reason == runc.stop_reason
+    assert abs(S - Sc) <= 1e-12 * abs(Sc)
+
+
+def test_records_count_sweeps(thermal_l6):
+    _, run = lz.entropy_from_half_state(thermal_l6, kmax=4, dmax=8)
+    # step 1 makes two fits, every later step three, each at least one sweep
+    assert run.records[0].sweeps >= 2
+    assert all(r.sweeps >= 3 for r in run.records[1:])
+    # one sweep per fit cannot meet rel_tol, and from step 2 on the fits
+    # truncate, so their objective stays well above 0
+    capped = lz.global_lanczos(thermal_l6, kmax=3, dmax=4,
+                               f=lz.polynomial_function([0.0] * 9 + [1.0]),
+                               stop=lz.StoppingConfig(eps_conv=1e-300, sigma_mult=math.inf),
+                               sweep=mt.SweepOptions(max_sweeps=1, rel_tol=1e-300))
+    assert [r.sweeps for r in capped.records] == [2, 3, 3]
+    assert not any(r.converged for r in capped.records[1:])

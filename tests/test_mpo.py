@@ -9,7 +9,7 @@ from mpotrace import mpo as mp
 from mpotrace.sweeping import multiply_and_optimize, sum_and_optimize
 from mpotrace.errors import CapacityError, DimensionError, NumericError
 
-from conftest import random_mpo
+from conftest import random_mpo, real_part
 
 
 def test_identity_dense_small():
@@ -274,3 +274,60 @@ def test_load_malformed_file_names_path(tmp_path):
     with pytest.raises(NumericError) as exc:
         mp.load_json(path2)
     assert "wrongkind.json" in str(exc.value)
+
+
+def test_dtype_rule_construction():
+    assert mp.identity_mpo(3).dtype == np.float64
+    assert mp.zero_mpo(3).dtype == np.float64
+    ints = mp.Mpo(tuple(np.eye(2, dtype=int).reshape(2, 2, 1, 1) for _ in range(2)))
+    bools = mp.Mpo(tuple(np.eye(2, dtype=bool).reshape(2, 2, 1, 1) for _ in range(2)))
+    assert ints.dtype == bools.dtype == np.float64
+    # one complex site makes every site complex128
+    sites = list(mp.identity_mpo(3).sites)
+    sites[1] = sites[1] * 1j
+    mixed = mp.Mpo(tuple(sites))
+    assert [s.dtype for s in mixed.sites] == [np.complex128] * 3
+
+
+def test_dtype_rule_real_stays_float64():
+    a, b = real_part(random_mpo(5, 3, 0)), real_part(random_mpo(5, 4, 1))
+    outs = [mp.exact_add(a, b, -0.5), mp.exact_multiply(a, b), mp.canonicalize(a, center=2),
+            mp.truncate_svd(mp.exact_multiply(a, b), dmax=5)[0], mp.adjoint(a),
+            mp.scalar_multiply(-2.0, a)]
+    for out in outs:
+        assert [s.dtype for s in out.sites] == [np.float64] * 5
+    # the transfer contractions of real operators give real numbers
+    assert isinstance(mp.inner_product(a, b), float)
+    assert isinstance(mp.mpo_trace(a), float)
+    assert mp.dense(a).dtype == np.float64
+
+
+def test_dtype_rule_complex_stays_complex128():
+    a, b = random_mpo(5, 3, 0), real_part(random_mpo(5, 4, 1))
+    outs = [mp.exact_add(a, b), mp.exact_add(b, b, 1j), mp.exact_multiply(a, b),
+            mp.exact_multiply(b, a), mp.canonicalize(a, center=2),
+            mp.truncate_svd(mp.exact_multiply(a, b), dmax=5)[0]]
+    for out in outs:
+        assert [s.dtype for s in out.sites] == [np.complex128] * 5
+
+
+def test_save_load_dtype(tmp_path):
+    real = real_part(random_mpo(4, 3, 12))
+    path = os.path.join(tmp_path, "real.json")
+    mp.save_json(real, path)
+    with open(path) as fh:
+        doc = json.load(fh)
+    # the file format keeps [re, im] pairs for real operators too
+    assert np.asarray(doc["sites"][1]).shape[-1] == 2
+    back = mp.load_json(path)
+    assert back.dtype == np.float64
+    for s_out, s_in in zip(back.sites, real.sites):
+        assert np.array_equal(s_out, s_in)
+    # one nonzero imaginary part anywhere makes every site complex128
+    doc["sites"][2][0][1][0][0][1] = 1e-300
+    path2 = os.path.join(tmp_path, "one_imag.json")
+    with open(path2, "w") as fh:
+        json.dump(doc, fh)
+    back2 = mp.load_json(path2)
+    assert [s.dtype for s in back2.sites] == [np.complex128] * 4
+    assert back2.sites[2][0, 1, 0, 0].imag == 1e-300

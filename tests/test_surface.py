@@ -1,6 +1,7 @@
 """Every exported name has a user: the pipeline, the CLI or the
 acceptance gate.  A name that only its own definition and unit tests
-mention is dead API."""
+mention is dead API.  And no array in the package is allocated complex
+by hand: an operator's dtype follows its inputs."""
 import io
 import keyword
 import tokenize
@@ -36,3 +37,27 @@ def test_every_export_is_used():
             used[name] = used.get(name, 0) + n
     unused = [name for name in mpotrace.__all__ if not used.get(name)]
     assert not unused, f"exported but used only by unit tests: {unused}"
+
+
+def _complex_dtype_args(path: Path) -> list:
+    """Lines where a `dtype=` keyword argument names a complex type
+    (`complex`, `np.complex128`, "complex64", ...), comments and other
+    strings left out."""
+    sig = [tok for tok in tokenize.generate_tokens(io.StringIO(path.read_text(encoding="utf-8")).readline)
+           if tok.type in (tokenize.NAME, tokenize.OP, tokenize.STRING, tokenize.NUMBER)]
+    hits = []
+    for i in range(len(sig) - 2):
+        if sig[i].string == "dtype" and sig[i + 1].string == "=":
+            j = i + 2
+            while j < len(sig) and sig[j].string not in (",", ")"):
+                if "complex" in sig[j].string:
+                    hits.append(f"{path.name}:{sig[i].start[0]}")
+                    break
+                j += 1
+    return hits
+
+
+def test_no_hand_allocated_complex_arrays():
+    hits = [hit for path in sorted((ROOT / "src" / "mpotrace").glob("*.py"))
+            for hit in _complex_dtype_args(path)]
+    assert not hits, f"dtype=complex allocations: {hits}"

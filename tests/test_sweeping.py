@@ -9,7 +9,7 @@ from mpotrace import mpo as mp
 from mpotrace.sweeping import SweepOptions, multiply_and_optimize, sum_and_optimize
 from mpotrace.errors import DimensionError
 
-from conftest import random_mpo
+from conftest import random_mpo, real_part
 
 
 def test_options_validation():
@@ -169,3 +169,31 @@ def test_sum_discards_negligible_term():
     t = mp.shift_log_scale(random_mpo(4, 3, 15), -1600.0)
     fit = sum_and_optimize(u, [(1.0, t)], None)
     assert np.linalg.norm(mp.dense(fit.mpo) - mp.dense(u)) < 1e-10
+
+
+def test_fits_follow_operand_dtype():
+    a, u = real_part(random_mpo(5, 3, 0)), real_part(random_mpo(5, 3, 1))
+    # the exact-product warm start (bond 9 <= 64) and the zip-up one (bond 144 > 4 * 20)
+    big = real_part(random_mpo(5, 12, 2))
+    fits = [multiply_and_optimize(a, u, 4), multiply_and_optimize(big, big, 20),
+            sum_and_optimize(u, [(-0.5, a)], 4)]
+    for fit in fits:
+        assert [s.dtype for s in fit.mpo.sites] == [np.float64] * 5
+    c = random_mpo(5, 3, 3)
+    fits = [multiply_and_optimize(a, c, 4), multiply_and_optimize(c, u, 4),
+            sum_and_optimize(u, [(-0.5, c)], 4), sum_and_optimize(c, [(2.0, u)], 4)]
+    for fit in fits:
+        assert [s.dtype for s in fit.mpo.sites] == [np.complex128] * 5
+
+
+def test_fit_reports_sweeps():
+    a, u = random_mpo(5, 3, 0), random_mpo(5, 3, 1)
+    fit = multiply_and_optimize(a, u, 4, SweepOptions(max_sweeps=3))
+    # one sweep makes 2L - 1 local updates
+    assert fit.sweeps == len(fit.objectives) // 9 and 1 <= fit.sweeps <= 3
+    # an exact fit still takes a second sweep to confirm convergence: its
+    # first objective is rounding noise of either sign
+    exact = multiply_and_optimize(a, u, None)
+    assert exact.converged and exact.sweeps == 2
+    zero = multiply_and_optimize(mp.zero_mpo(5), u, 4)
+    assert zero.converged and zero.sweeps == 0
