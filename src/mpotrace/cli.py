@@ -32,7 +32,7 @@ from .sweeping import multiply_and_optimize
 logger = logging.getLogger("mpotrace.cli")
 
 CSV_COLUMNS = ("k", "alpha", "beta", "ritz_min", "ritz_max", "estimate", "wall_ms",
-               "mult_residual", "add_residual", "sweeps", "converged")
+               "fit_residual", "sweeps", "converged", "warm_ms", "sweep_ms")
 
 
 def _configure_logging() -> None:
@@ -169,8 +169,8 @@ def _record_dict(rec: lz.IterationRecord) -> dict:
         "k": rec.k, "alpha": rec.alpha, "beta": rec.beta,
         "ritz_min": rec.ritz_min, "ritz_max": rec.ritz_max,
         "estimate": rec.estimate, "wall_ms": rec.wall_ms,
-        "mult_residual": rec.mult_residual, "add_residual": rec.add_residual,
-        "sweeps": rec.sweeps, "converged": rec.converged,
+        "fit_residual": rec.fit_residual, "sweeps": rec.sweeps,
+        "converged": rec.converged, "warm_ms": rec.warm_ms, "sweep_ms": rec.sweep_ms,
     }
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import EvaluationError, HermiticityError, NumericError
 from . import mpo as mp
 from . import tensors
-from .sweeping import SweepOptions, multiply_and_optimize, sum_and_optimize
+from .sweeping import SweepOptions, expectation, multiply_and_optimize
 
 logger = logging.getLogger("mpotrace.lanczos")
 
@@ -132,8 +132,12 @@ class StoppingConfig:
 
 @dataclass
 class IterationRecord:
-    """One Lanczos step.  `sweeps` sums the ALS sweeps of the step's fits;
-    `converged` is true when every one of them met its rel_tol."""
+    """One Lanczos step.  The step makes one fit; `fit_residual`,
+    `sweeps` and `converged` are that fit's squared residual (see
+    sweeping.SweepResult for when it is only an estimate), ALS sweep
+    count and whether its objective stopped moving before max_sweeps, and
+    `warm_ms` / `sweep_ms` split its wall time between the zip-up warm
+    start and the sweeps."""
 
     k: int
     alpha: float
@@ -142,10 +146,11 @@ class IterationRecord:
     ritz_max: float
     estimate: float
     wall_ms: float
-    mult_residual: float = 0.0
-    add_residual: float = 0.0
+    fit_residual: float = 0.0
     sweeps: int = 0
     converged: bool = True
+    warm_ms: float = 0.0
+    sweep_ms: float = 0.0
 
 
 @dataclass
@@ -192,7 +197,9 @@ def check_stop(run: QuadratureRun, stop: StoppingConfig, f: SpectralFunction):
     if not ests:
         return False, None
     cur = ests[-1]
-    if len(ests) >= 2 and abs(cur - ests[-2]) < stop.eps_conv:
+    # a change counts only down to one ulp of the estimate, so a
+    # bit-exact tie does not stop a run whose eps_conv is below that
+    if len(ests) >= 2 and abs(cur - ests[-2]) + np.spacing(abs(cur)) <= stop.eps_conv:
         return True, STOP_CONVERGED
     rec = run.records[-1]
     if stop.spectrum_floor is not None and rec.ritz_min < stop.spectrum_floor:
@@ -232,12 +239,13 @@ def global_lanczos(
 ) -> QuadratureRun:
     """Run the global Lanczos iteration on the Hermitian operator a.
 
-    Each step normalizes the previous residual block, applies a with a
-    capped-bond variational multiply, orthogonalizes against the two
-    preceding blocks with capped-bond variational sums, and evaluates the
-    Gauss rule on the accumulated tridiagonal matrix.  The bond cap grows
-    as min(dmax, D*D_a) on the multiply and min(dmax, D + D_block) on each
-    subtraction, exactly following the recurrence's cost schedule.  The
+    Each step normalizes the previous residual block U_k, computes alpha_k
+    = <U_k, A U_k> exactly (one transfer pass over a and U_k), makes one
+    capped-bond variational fit of the new residual A U_k - alpha_k U_k -
+    beta_k U_{k-1}, and evaluates the Gauss rule on the accumulated
+    tridiagonal matrix.  The fit's bond cap follows the recurrence's cost
+    schedule: a ledger D that starts at the start operator's bond and
+    becomes min(dmax, D * D_a + D_{U_{k-1}} + D_{U_k}) each step.  The
     blocks are float64 when a and u0 are both real, complex128 otherwise.
     """
     if u0 is None:
@@ -250,7 +258,7 @@ def global_lanczos(
     f = f or identity_function()
     stop = stop or StoppingConfig()
     sweep = sweep or SweepOptions()
-    # every step's product fit rescales a by its norm, and the first step
+    # every step's alpha and fit rescale a by its norm, and the first step
     # normalizes u0: measure both norms once
     a, u0 = (replace(x, ln_norm=mp.log_norm(x)) for x in (a, u0))
 
@@ -283,36 +291,23 @@ def global_lanczos(
         if keep_basis:
             run.basis.append(u)
 
-        d_ledger = _cap(dmax, d_ledger * d_a)
-        w_fit = multiply_and_optimize(a, u, d_ledger, sweep)
-        v = w_fit.mpo
-        mult_residual = w_fit.residual
-        w_norm = mp.frobenius_norm(v)
-        fits = [w_fit]
+        alpha_c = expectation(a, u)
+        alpha = float(alpha_c.real)
+        # beta_1 is the start norm and never enters the subtraction
+        terms = [(-alpha, u)] if u_prev is None else [(-alpha, u), (-beta, u_prev)]
+        d_ledger = _cap(dmax, d_ledger * d_a + sum(t.max_bond() for _, t in terms))
+        fit = multiply_and_optimize(a, u, d_ledger, sweep, terms)
+        v = fit.mpo
 
-        add_residual = 0.0
-        if u_prev is not None:
-            d_ledger = _cap(dmax, d_ledger + u_prev.max_bond())
-            s_fit = sum_and_optimize(v, [(-beta, u_prev)], d_ledger, sweep)
-            v = s_fit.mpo
-            add_residual += s_fit.residual
-            fits.append(s_fit)
-
-        alpha_c = mp.inner_product(u, v)
-        herm_scale = max(abs(alpha_c), w_norm, 1e-300)
-        if abs(alpha_c.imag) > 1e-8 * herm_scale:
+        # ||A U_k|| by the three-term relation: the scale of the terms that
+        # formed the new residual
+        v_scale = math.hypot(abs(alpha_c), beta if k > 1 else 0.0, mp.frobenius_norm(v))
+        if abs(alpha_c.imag) > 1e-8 * max(v_scale, 1e-300):
             raise HermiticityError(
-                f"step {k}: <U, V> = {alpha_c!r} has a relative imaginary part "
+                f"step {k}: <U, A U> = {alpha_c!r} has a relative imaginary part "
                 f"above 1e-8; the operator is not Hermitian to tolerance"
             )
-        alpha = float(alpha_c.real)
         alphas.append(alpha)
-
-        d_ledger = _cap(dmax, d_ledger + u.max_bond())
-        s_fit = sum_and_optimize(v, [(-alpha, u)], d_ledger, sweep)
-        v = s_fit.mpo
-        add_residual += s_fit.residual
-        fits.append(s_fit)
 
         tri = TridiagonalMatrix(tuple(alphas), tuple(betas))
         est, ritz, _ = gauss_quadrature(tri, beta1, f)
@@ -324,10 +319,11 @@ def global_lanczos(
             ritz_max=ritz[-1],
             estimate=est,
             wall_ms=(time.perf_counter() - t0) * 1e3,
-            mult_residual=mult_residual,
-            add_residual=add_residual,
-            sweeps=sum(fit.sweeps for fit in fits),
-            converged=all(fit.converged for fit in fits),
+            fit_residual=fit.residual,
+            sweeps=fit.sweeps,
+            converged=fit.converged,
+            warm_ms=fit.warm_ms,
+            sweep_ms=fit.sweep_ms,
         )
         run.records.append(rec)
         run.tridiag = tri
@@ -335,10 +331,6 @@ def global_lanczos(
         if progress is not None:
             progress(rec)
         u_prev = u
-        # scale of the terms that formed the new residual: A U_k, alpha U_k,
-        # and (from step 2 on) beta U_{k-1}; beta_1 is the start norm and
-        # never enters the subtraction
-        v_scale = max(w_norm, abs(alpha), beta if k > 1 else 0.0)
         halt, reason = check_stop(run, stop, f)
         if halt:
             run.stop_reason = reason

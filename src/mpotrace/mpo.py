@@ -204,16 +204,10 @@ def _transfer_scaled(a: Mpo, b: Mpo) -> tuple[complex, float]:
     return env[0, 0].item(), logacc
 
 
-def inner_product(a: Mpo, b: Mpo) -> complex:
-    """Frobenius inner product <a, b> = tr(a^H b), contracted as a
-    transfer matrix, never densified.  A float when both are real."""
-    _check_compatible(a, b)
-    mant, logv = _transfer_scaled(a, b)
-    return mant * math.exp(logv) if mant != 0 else 0.0
-
-
 def inner_product_scaled(a: Mpo, b: Mpo) -> tuple[complex, float]:
-    """Inner product as (mantissa, log): value = mantissa * exp(log)."""
+    """Frobenius inner product <a, b> = tr(a^H b), contracted as a
+    transfer matrix, never densified, as (mantissa, log): value =
+    mantissa * exp(log).  The mantissa is a float when both are real."""
     _check_compatible(a, b)
     return _transfer_scaled(a, b)
 

@@ -1,14 +1,31 @@
-"""Variational compression of MPO products and linear combinations.
+"""Variational compression of an MPO product plus a linear combination.
 
-Both operations fit an MPO with capped bonds to a target network (a@u or
-u + sum_k coeff_k*t_k) by alternating least squares: the trial operator is
-kept in mixed-canonical gauge, so each local problem is solved exactly by
-a plain environment contraction, and the squared Frobenius objective never
-increases from one site update to the next.
+`multiply_and_optimize` fits an MPO with capped bonds to the target
+a@u + sum_k c_k t_k.  A Lanczos step is one such fit: A U_k - alpha U_k
+- beta U_{k-1}.
+
+The warm start is one left-to-right zip-up of the block-embedded target:
+at each site the product part and the carried terms sit side by side on
+the right bond, and one SVD capped at the bond limit splits them.  It
+yields ||target||^2 as the norm of the last site plus the discarded
+weight: exact when the cap discards nothing, an estimate otherwise.  A
+truncating fit small enough that the exact contraction of ||target||^2
+costs no more than the zip-up contracts it instead.
+
+The sweeps are alternating least squares: the trial operator is kept in
+mixed-canonical gauge, so each local problem is solved exactly by a plain
+environment contraction, and the squared Frobenius objective never
+increases from one site update to the next.  They stop when the
+objective stops moving: when a sweep lowers it by no more than rel_tol of
+||target||^2, or by no more than a fixed share of what the first sweep
+lowered it by (the truncation plateau of a capped fit).  Differences of
+objectives do not depend on ||target||^2, so the plateau rule holds where
+that norm is only an estimate; the residual the fit reports does not.
 """
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +35,18 @@ from . import mpo as mp
 from . import tensors
 
 _TINY = 1e-300
+# a sweep that lowers the objective by at most this share of what the
+# first sweep lowered it by has reached the truncation plateau
+_PLATEAU = 1e-2
+# a truncating zip-up knows ||target||^2 only approximately (see _zipup).
+# The exact contraction costs about B^3 d^2 per site for a block bond B,
+# the zip-up about (d^2 cap)^2 B.  Timed on random chains (L = 20, d = 2,
+# bonds of a 2..20 and u 3..40, caps 4..80) on a 2-vCPU Xeon with one
+# OpenBLAS thread, the exact one is the cheaper of the two wherever
+# B <= max(d^2 cap, _EXACT_NORM_MIN) (0.33-0.80 of the zip-up's time) and
+# the dearer beyond (0.90-3.3 times, 9 times at B = 880, cap 60), so it
+# is used there.
+_EXACT_NORM_MIN = 64
 
 
 @dataclass
@@ -38,9 +67,15 @@ class SweepOptions:
 class SweepResult:
     """Outcome of a variational fit.
 
-    `converged` is true when the sweeps met `rel_tol` (or the fit needed
-    none), `sweeps` counts the ALS sweeps run, and `objectives` is the
-    squared-distance objective after every site update.
+    `converged` is true when the objective stopped moving before
+    `max_sweeps` (or the fit needed no sweeps), `sweeps` counts the ALS
+    sweeps run, and `objectives` is the squared-distance objective after
+    every site update.  `residual` is the squared distance to the target:
+    0 when the cap truncates nothing, else the last objective floored at
+    0, which rests on the zip-up's estimate of ||target||^2 when a large
+    truncating fit does not contract it exactly (see the module
+    docstring).  `warm_ms` and `sweep_ms` split the fit's wall time
+    between the warm start and the sweeps.
     """
 
     mpo: mp.Mpo
@@ -48,13 +83,8 @@ class SweepResult:
     converged: bool
     sweeps: int = 0
     objectives: list = field(default_factory=list)
-
-
-def _warm_start(x0: mp.Mpo) -> list:
-    """Sites of x0 in right-canonical gauge (center 0), the form
-    _run_sweeps starts from.  The sweeps never read site 0, so x0's
-    scale does not matter."""
-    return list(mp.canonicalize(x0, center=0).sites)
+    warm_ms: float = 0.0
+    sweep_ms: float = 0.0
 
 
 def _unit_sites(a: mp.Mpo):
@@ -92,10 +122,9 @@ class _MultiplyTarget:
     BLAS instead of paying per-call tensordot bookkeeping on the many
     small tensors a sweep touches."""
 
-    def __init__(self, a_sites, u_sites, norm_sq):
+    def __init__(self, a_sites, u_sites):
         self.a = a_sites
         self.u = u_sites
-        self.norm_sq = norm_sq
         # u_i: (c, j, lu, ru) -> (lu, c*j*ru) for the left-to-right pass
         self._ul = [s.transpose(2, 0, 1, 3).reshape(s.shape[2], -1) for s in u_sites]
         # and (c*j*lu, ru) for the right-to-left pass
@@ -160,15 +189,14 @@ class _MultiplyTarget:
 
 
 class _SumTarget:
-    """Environments of <x, sum_k g_k t_k> for the linear-combination fit.
+    """Environments of <x, sum_k t_k> for the carried terms of the fit
+    (their coefficients are folded into the sites).
 
     Same matmul-on-views scheme as the product target; the per-term site
     tensors are static, so their transposed layouts are built once."""
 
-    def __init__(self, term_sites, coeffs, norm_sq):
+    def __init__(self, term_sites):
         self.terms = term_sites
-        self.coeffs = coeffs
-        self.norm_sq = norm_sq
         # t_i: (o, j, lt, rt) -> (lt, o*j*rt) and (o*j*lt, rt)
         self._tl = [[s.transpose(2, 0, 1, 3).reshape(s.shape[2], -1) for s in tk]
                     for tk in term_sites]
@@ -199,7 +227,7 @@ class _SumTarget:
             o, j, _, rt = tk[i].shape
             lx, rx = E[k].shape[0], F[k].shape[0]
             # (lx*o*j, rt) @ (rt, rx) -> (lx, o, j, rx)
-            piece = self.coeffs[k] * (parts[k] @ F[k].T).reshape(lx, o, j, rx)
+            piece = (parts[k] @ F[k].T).reshape(lx, o, j, rx)
             out = piece if out is None else out + piece
         return out.transpose(1, 2, 0, 3)  # (o, j, lx, rx)
 
@@ -223,21 +251,47 @@ class _SumTarget:
         return out
 
 
-def _run_sweeps(x_sites, target, opts: SweepOptions):
+class _ResidualTarget:
+    """Environments of <x, a@u + sum_k t_k>: the product target and the
+    sum target side by side.  Local tensors add; environments are carried
+    as a (product, terms) pair."""
+
+    def __init__(self, prod: _MultiplyTarget, terms: _SumTarget):
+        self.prod = prod
+        self.terms = terms
+
+    def boundary_left(self):
+        return self.prod.boundary_left(), self.terms.boundary_left()
+
+    boundary_right = boundary_left
+
+    def local(self, i, E, F):
+        return self.prod.local(i, E[0], F[0]) + self.terms.local(i, E[1], F[1])
+
+    def env_left(self, i, E, xq):
+        return self.prod.env_left(i, E[0], xq), self.terms.env_left(i, E[1], xq)
+
+    def env_right(self, i, F, xq):
+        return self.prod.env_right(i, F[0], xq), self.terms.env_right(i, F[1], xq)
+
+
+def _run_sweeps(x_sites, target, norm_sq: float, opts: SweepOptions):
     """Alternate local solves over the chain; x_sites is modified in place.
 
     x_sites must be right-canonical from site 1 on; site 0 is never read,
     because the first local solve overwrites it.  Returns (objectives,
     converged, sweeps run).  The objective after a site update is
-    norm_sq(target) - |center|^2, which is exact given exact environments
-    because the local optimum equals the environment tensor.  It is a
-    difference of nearly equal numbers, so for an exact fit it rounds to
-    either sign; convergence is therefore judged only by the change
-    between two sweeps, never by the objective's own size.
+    norm_sq - |center|^2, which is exact given exact environments because
+    the local optimum equals the environment tensor.  It is a difference
+    of nearly equal numbers, so for an exact fit it rounds to either sign;
+    convergence is therefore judged only by the change between two
+    sweeps, never by the objective's own size: the sweeps stop when one
+    lowers the objective by at most rel_tol * norm_sq, or by at most
+    _PLATEAU of what the first sweep lowered it by (the fit sits on its
+    truncation plateau).  norm_sq cancels from both gains.
     """
     L = len(x_sites)
-    C = target.norm_sq
-    scale = max(C, _TINY)
+    tol = opts.rel_tol * max(norm_sq, _TINY)
     renvs = [None] * (L + 1)
     renvs[L] = target.boundary_right()
     for i in range(L - 1, 0, -1):
@@ -246,53 +300,50 @@ def _run_sweeps(x_sites, target, opts: SweepOptions):
     lenvs[0] = target.boundary_left()
     objectives = []
     converged = False
-    prev = None
+    prev = first_gain = None
     for sweeps in range(1, opts.max_sweeps + 1):
         for i in range(L - 1):
             t = target.local(i, lenvs[i], renvs[i + 1])
-            objectives.append(C - float(np.vdot(t, t).real))
+            objectives.append(norm_sq - float(np.vdot(t, t).real))
             q, _ = mp._split_left(t)
             x_sites[i] = q
             lenvs[i + 1] = target.env_left(i, lenvs[i], q)
         for i in range(L - 1, 0, -1):
             t = target.local(i, lenvs[i], renvs[i + 1])
-            objectives.append(C - float(np.vdot(t, t).real))
+            objectives.append(norm_sq - float(np.vdot(t, t).real))
             _, q = mp._split_right(t)
             x_sites[i] = q
             renvs[i] = target.env_right(i, renvs[i + 1], q)
         t = target.local(0, lenvs[0], renvs[1])
         x_sites[0] = t
-        obj = C - float(np.vdot(t, t).real)
+        obj = norm_sq - float(np.vdot(t, t).real)
         objectives.append(obj)
-        if prev is not None and prev - obj <= opts.rel_tol * scale:
+        if prev is None:
+            first_gain = objectives[0] - obj
+        elif prev - obj <= max(tol, _PLATEAU * first_gain):
             converged = True
             break
         prev = obj
     return objectives, converged, sweeps
 
 
-def _fit_result(x_sites, ls: float, objectives, converged: bool, sweeps: int) -> SweepResult:
-    """Package the swept sites with the output scale exp(ls).  The sweeps
-    end with site 0 as the orthogonality center and every other site
-    isometric, so ln||x|| is ls plus ln of the center's Frobenius norm."""
-    nsq = float(np.vdot(x_sites[0], x_sites[0]).real)
-    x = mp.Mpo(tuple(x_sites), ls, ls + 0.5 * math.log(nsq) if nsq > 0 else -math.inf)
-    return SweepResult(
-        mpo=x,
-        residual=_scaled(max(objectives[-1], 0.0), 2.0 * ls),
-        converged=converged,
-        sweeps=sweeps,
-        objectives=[_scaled(o, 2.0 * ls) for o in objectives],
-    )
+def _zipup(a_sites, u_sites, term_sites, cap: int):
+    """One left-to-right pass over the block-embedded target a@u + sum_k
+    t_k, split at every bond by one SVD capped at cap.
 
-
-def _zipup_product(a_sites, u_sites, dnew: int):
-    """One-pass truncated product: contract site by site, splitting with an
-    SVD capped at dnew.  Used as the warm start when the exact product bond
-    is too large to materialize.  Also returns the accumulated discarded
-    weight, which bounds the distance to the exact product."""
+    At each site the product part (right bond ra*ru) and the terms (right
+    bonds rt_k) are concatenated on the right bond, so the carried weights
+    of all parts meet in one factorization.  Returns (sites, norm_sq,
+    scale_sq): sites in right-canonical gauge (center 0), the form the
+    sweeps start from; norm_sq, the norm of the last site plus the
+    discarded weight, is ||target||^2, exact when nothing is discarded
+    and an estimate otherwise, because the discarded weights are measured
+    against a right side that is not isometric; scale_sq is the squared
+    sum of the parts' norms, against which a cancellation of the whole
+    target is judged."""
     L = len(a_sites)
-    carry = np.ones((1, 1, 1))  # (x, la, lu)
+    carry = np.ones((1, 1, 1))  # (x, la, lu) of the product part
+    carries = [np.ones((1, 1)) for _ in term_sites]  # (x, lt) per term
     sites = [None] * L
     disc2 = 0.0
     for i in range(L):
@@ -300,151 +351,147 @@ def _zipup_product(a_sites, u_sites, dnew: int):
         x, la, lu = carry.shape
         o, c, _, ra = sa.shape
         j, ru = su.shape[1], su.shape[3]
-        # carry (x*lu, la) @ sa (la, o*c*ra) -> (x, lu, o, c, ra)
+        # carry (x*lu, la) @ a_i (la, o*c*ra) -> (x, lu, o, c, ra)
         t = carry.transpose(0, 2, 1).reshape(x * lu, la) @ sa.transpose(2, 0, 1, 3).reshape(la, -1)
-        t = t.reshape(x, lu, o, c, ra)
-        # t (x*o*ra, c*lu) @ su (c*lu, j*ru) -> (x, o, ra, j, ru)
-        t = t.transpose(0, 2, 4, 3, 1).reshape(x * o * ra, c * lu) @ su.transpose(0, 2, 1, 3).reshape(c * lu, -1)
-        t = t.reshape(x, o, ra, j, ru).transpose(1, 3, 0, 2, 4)  # (o, j, x, ra, ru)
-        d1, d2, dl, ra, ru = t.shape
+        t = t.reshape(x, lu, o, c, ra).transpose(0, 2, 4, 3, 1).reshape(x * o * ra, c * lu)
+        # t (x*o*ra, c*lu) @ u_i (c*lu, j*ru) -> (x, o, ra, j, ru), columns (ra, ru)
+        t = (t @ su.transpose(0, 2, 1, 3).reshape(c * lu, -1)).reshape(x, o, ra, j, ru)
+        blocks = [t.transpose(1, 3, 0, 2, 4).reshape(o * j * x, ra * ru)]
+        for tk, ck in zip(term_sites, carries):
+            # carry (x, lt) @ t_i (lt, o*j*rt) -> (x, o, j, rt), columns rt
+            s = tk[i]
+            rt = s.shape[3]
+            blocks.append((ck @ s.transpose(2, 0, 1, 3).reshape(s.shape[2], -1))
+                          .reshape(x, o, j, rt).transpose(1, 2, 0, 3).reshape(o * j * x, rt))
         if i == L - 1:
-            sites[i] = t.reshape(d1, d2, dl, 1)
-            break
-        u, s, vh = tensors.svd(t.reshape(d1 * d2 * dl, ra * ru))
-        tot2 = float(s @ s)
-        keep = max(1, int(np.sum(s > 1e-14 * s[0]))) if s.size and s[0] > 0 else 1
-        keep = min(keep, dnew)
-        disc2 += float(np.sum(s[keep:] ** 2))
-        sites[i] = u[:, :keep].reshape(d1, d2, dl, keep)
-        carry = (s[:keep, None] * vh[:keep]).reshape(keep, ra, ru)
-    return sites, disc2
+            # every part's right boundary bond is 1: the site is their sum
+            parts = [blk.reshape(-1) for blk in blocks]
+            site = sum(parts[1:], parts[0])
+            sites[i] = site.reshape(o, j, x, 1)
+            norm_sq = float(np.vdot(site, site).real) + disc2
+            scale_sq = sum(math.sqrt(float(np.vdot(p, p).real)) for p in parts) ** 2
+            return list(mp.canonicalize(mp.Mpo(tuple(sites)), center=0).sites), norm_sq, scale_sq
+        mat = np.concatenate(blocks, axis=1)
+        # the parts are as large as mat: free them, and mat after the
+        # split, so that no two copies are held through the factorization
+        del t, blocks
+        uu, sv, vh = tensors.svd(mat)
+        del mat
+        keep = max(1, int(np.sum(sv > 1e-14 * sv[0]))) if sv.size and sv[0] > 0 else 1
+        keep = min(keep, cap)
+        disc2 += float(np.sum(sv[keep:] ** 2))
+        sites[i] = uu[:, :keep].reshape(o, j, x, keep)
+        right = sv[:keep, None] * vh[:keep]
+        carry = right[:, :ra * ru].reshape(keep, ra, ru)
+        off = ra * ru
+        for k, tk in enumerate(term_sites):
+            rt = tk[i].shape[3]
+            carries[k] = right[:, off:off + rt]
+            off += rt
 
 
-def _product_norm_sq(a_sites, u_sites) -> float:
-    """Exact ||a@u||_F^2 via a transfer contraction over the merged
-    product sites (bond D_a*D_u, so only used when that is small)."""
-    env = np.ones((1, 1))  # (conj-side bond, ket-side bond)
-    logacc = 0.0
-    for sa, su in zip(a_sites, u_sites):
-        d = sa.shape[0]
-        t = np.einsum("ocxy,cizw->oixzyw", sa, su).reshape(
-            d * d, sa.shape[2] * su.shape[2], sa.shape[3] * su.shape[3]
-        )
-        tmp = np.tensordot(env, t, axes=([1], [1]))  # (lc, p, r)
-        env = np.tensordot(t.conj(), tmp, axes=([0, 1], [1, 0]))  # (rc, r)
-        mag = np.max(np.abs(env))
-        if mag == 0.0:
-            return 0.0
-        env = env / mag
-        logacc += math.log(mag)
-    return float(env[0, 0].real) * math.exp(logacc)
+def _exact_norm_sq(a_sites, u_sites, term_sites) -> float:
+    """||a@u + sum_k t_k||^2 by one transfer contraction of the exact
+    block-embedded target."""
+    acc = mp.exact_multiply(mp.Mpo(tuple(a_sites)), mp.Mpo(tuple(u_sites)))
+    for tk in term_sites:
+        acc = mp.exact_add(acc, mp.Mpo(tuple(tk)))
+    mant, logv = mp.inner_product_scaled(acc, acc)
+    return float(np.real(mant)) * math.exp(logv)
 
 
-def multiply_and_optimize(a: mp.Mpo, u: mp.Mpo, dnew: int | None, opts: SweepOptions | None = None) -> SweepResult:
-    """Best bond-dnew approximation of the operator product a @ u.
+def _fit_result(x_sites, ls: float, truncated: bool, objectives, converged: bool, sweeps: int,
+                warm_ms: float, sweep_ms: float) -> SweepResult:
+    """Package the swept sites with the output scale exp(ls).  The sweeps
+    end with site 0 as the orthogonality center and every other site
+    isometric, so ln||x|| is ls plus ln of the center's Frobenius norm.
+    A fit whose cap truncates nothing reproduces its target, and its last
+    objective is rounding noise of either sign, so its residual reads 0."""
+    nsq = float(np.vdot(x_sites[0], x_sites[0]).real)
+    x = mp.Mpo(tuple(x_sites), ls, ls + 0.5 * math.log(nsq) if nsq > 0 else -math.inf)
+    return SweepResult(
+        mpo=x,
+        residual=_scaled(max(objectives[-1], 0.0), 2.0 * ls) if truncated else 0.0,
+        converged=converged,
+        sweeps=sweeps,
+        objectives=[_scaled(o, 2.0 * ls) for o in objectives],
+        warm_ms=warm_ms,
+        sweep_ms=sweep_ms,
+    )
 
-    Returns a SweepResult whose residual is the final squared Frobenius
-    distance.  With dnew at least the exact product bond the fit
-    reproduces exact_multiply to numerical precision.
-    """
-    opts = opts or SweepOptions()
+
+def _zero_result(L: int, d: int, residual: float = 0.0, warm_ms: float = 0.0) -> SweepResult:
+    return SweepResult(mpo=mp.zero_mpo(L, d), residual=residual, converged=True,
+                       objectives=[residual], warm_ms=warm_ms)
+
+
+def expectation(a: mp.Mpo, u: mp.Mpo) -> complex:
+    """<u, a@u> = tr(u^H a u), contracted by one left-to-right pass of the
+    product fit's environments with x = u.  A float when a and u are
+    real; real up to rounding for any u when a is Hermitian."""
     mp._check_compatible(a, u)
-    if dnew is not None and dnew < 1:
-        raise DimensionError("dnew must be >= 1")
-    L, d = a.L, a.d
-    # work with unit-norm operands; the product's true magnitude rides on
-    # the output log_scale, so nothing downstream sees compounded scales
     a_sites, log_a = _unit_sites(a)
     u_sites, log_u = _unit_sites(u)
     if log_a == -math.inf or log_u == -math.inf:
-        return SweepResult(
-            mpo=mp.zero_mpo(L, d),
-            residual=0.0,
-            converged=True,
-            objectives=[0.0],
-        )
-    ls_tot = log_a + log_u
-    exact_bond = max((sa.shape[3] * su.shape[3] for sa, su in zip(a_sites[:-1], u_sites[:-1])), default=1)
-    cap = exact_bond if dnew is None else min(dnew, exact_bond)
-
-    if exact_bond <= max(4 * cap, 64):
-        prod = mp.exact_multiply(mp.Mpo(tuple(a_sites)), mp.Mpo(tuple(u_sites)))
-        x0, _ = mp.truncate_svd(prod, dmax=cap)
-        norm_sq = _product_norm_sq(a_sites, u_sites)
-    else:
-        zip_sites, disc2 = _zipup_product(a_sites, u_sites, cap)
-        x0 = mp.Mpo(tuple(zip_sites))
-        # zip-up leaves the chain left-isometric with all the weight on
-        # the last site, so the warm start's norm is a local reduction
-        norm_sq = float(np.vdot(zip_sites[-1], zip_sites[-1]).real) + disc2
-    x_sites = _warm_start(x0)
-
-    target = _MultiplyTarget(a_sites, u_sites, norm_sq)
-    return _fit_result(x_sites, ls_tot, *_run_sweeps(x_sites, target, opts))
+        return 0.0
+    target = _MultiplyTarget(a_sites, u_sites)
+    env = target.boundary_left()
+    for i, s in enumerate(u_sites):
+        env = target.env_left(i, env, s)
+    return env.item() * math.exp(log_a + 2.0 * log_u)
 
 
-def sum_and_optimize(u: mp.Mpo, terms, dnew: int | None, opts: SweepOptions | None = None) -> SweepResult:
-    """Best bond-dnew approximation of u + sum_k coeff_k * t_k.
+def multiply_and_optimize(a: mp.Mpo, u: mp.Mpo, dnew: int | None, opts: SweepOptions | None = None,
+                          terms=()) -> SweepResult:
+    """Best bond-dnew approximation of a @ u + sum_k c_k * t_k.
 
-    `terms` is a list of (coeff, Mpo) pairs; an empty list makes this a
-    variational truncation of u alone.
+    `terms` is a sequence of (c_k, Mpo) pairs; the default () fits the
+    plain product.  Returns a SweepResult whose residual is the final
+    squared Frobenius distance.  With dnew at least the exact bond
+    (D_a * D_u plus the terms' bonds) the fit reproduces the exact
+    operator to numerical precision.
     """
     opts = opts or SweepOptions()
     terms = list(terms)
-    for _, t in terms:
-        mp._check_compatible(u, t)
+    for op in [u] + [t for _, t in terms]:
+        mp._check_compatible(a, op)
     if dnew is not None and dnew < 1:
         raise DimensionError("dnew must be >= 1")
-    L, d = u.L, u.d
-    ops = [u] + [t for _, t in terms]
-    raw_coeffs = [1.0] + [c for c, _ in terms]
-    # work with unit-norm terms; each coefficient absorbs its operand's true
-    # magnitude, rebased onto a common log_scale carried by the output
-    unit = [_unit_sites(op) for op in ops]
-    term_sites = [sites for sites, _ in unit]
-    log_mags = [
-        (ln + math.log(abs(c)) if c != 0 and ln != -math.inf else -math.inf)
-        for (_, ln), c in zip(unit, raw_coeffs)
-    ]
-    ls_out = max(log_mags)
-    if ls_out == -math.inf:
-        ls_out = 0.0
-    coeffs = [
-        (c / abs(c) * math.exp(lm - ls_out) if lm != -math.inf else 0.0)
-        for c, lm in zip(raw_coeffs, log_mags)
-    ]
+    L, d = a.L, a.d
+    t0 = time.perf_counter()
+    # work with unit-norm operands; every part's true magnitude, rebased
+    # onto the largest one, folds into its site 0, and that common scale
+    # rides on the output log_scale, so nothing downstream sees
+    # compounded scales
+    a_sites, log_a = _unit_sites(a)
+    u_sites, log_u = _unit_sites(u)
+    unit = [_unit_sites(t) for _, t in terms]
+    coeffs = [1.0] + [c for c, _ in terms]
+    log_mags = [log_a + log_u] + [
+        ln + math.log(abs(c)) if c != 0 else -math.inf for (c, _), (_, ln) in zip(terms, unit)]
+    ls = max(log_mags)
+    if ls == -math.inf:
+        return _zero_result(L, d)
+    weights = [c / abs(c) * math.exp(lm - ls) if lm != -math.inf else 0.0
+               for c, lm in zip(coeffs, log_mags)]
+    a_sites[0] = a_sites[0] * weights[0]
+    term_sites = [[ts[0] * w] + ts[1:] for (ts, _), w in zip(unit, weights[1:])]
 
-    # exact ||target||^2 from pairwise inner products of the stripped terms;
-    # the diagonal is 1 by the unit-norm construction above
-    stripped = [mp.Mpo(tuple(s)) for s in term_sites]
-    gram = np.eye(len(ops), dtype=np.result_type(*(s[0] for s in term_sites)))
-    for j in range(len(ops)):
-        for k in range(j + 1, len(ops)):
-            gram[j, k] = mp.inner_product(stripped[j], stripped[k])
-            gram[k, j] = np.conj(gram[j, k])
-    cvec = np.asarray(coeffs)
-    norm_sq = float((cvec.conj() @ gram @ cvec).real)
-    scale_sq = float(np.abs(cvec.conj()) @ np.abs(gram) @ np.abs(cvec))
-
-    if norm_sq <= 1e-28 * max(scale_sq, _TINY):
-        # complete cancellation: the zero operator is the exact optimum
-        return SweepResult(
-            mpo=mp.zero_mpo(L, d),
-            residual=_scaled(max(norm_sq, 0.0), 2.0 * ls_out),
-            converged=True,
-            objectives=[max(norm_sq, 0.0)],
-        )
-
-    exact_bond = 1
-    if L > 1:
-        exact_bond = max(sum(s[i].shape[3] for s in term_sites) for i in range(L - 1))
+    exact_bond = max((sa.shape[3] * su.shape[3] + sum(tk[i].shape[3] for tk in term_sites)
+                      for i, (sa, su) in enumerate(zip(a_sites[:-1], u_sites[:-1]))), default=1)
     cap = exact_bond if dnew is None else min(dnew, exact_bond)
+    x_sites, norm_sq, scale_sq = _zipup(a_sites, u_sites, term_sites, cap)
+    if cap < exact_bond <= max(d * d * cap, _EXACT_NORM_MIN):
+        norm_sq = _exact_norm_sq(a_sites, u_sites, term_sites)
+    if norm_sq <= 1e-28 * scale_sq:
+        # complete cancellation: the zero operator is the exact optimum
+        return _zero_result(L, d, _scaled(max(norm_sq, 0.0), 2.0 * ls),
+                            (time.perf_counter() - t0) * 1e3)
 
-    acc = mp.scalar_multiply(coeffs[0], stripped[0])
-    for k in range(1, len(ops)):
-        acc = mp.exact_add(acc, stripped[k], coeffs[k])
-    x0, _ = mp.truncate_svd(acc, dmax=cap)
-    x_sites = _warm_start(x0)
-
-    target = _SumTarget(term_sites, coeffs, norm_sq)
-    return _fit_result(x_sites, ls_out, *_run_sweeps(x_sites, target, opts))
+    target = _MultiplyTarget(a_sites, u_sites)
+    if term_sites:
+        target = _ResidualTarget(target, _SumTarget(term_sites))
+    t1 = time.perf_counter()
+    swept = _run_sweeps(x_sites, target, norm_sq, opts)
+    t2 = time.perf_counter()
+    return _fit_result(x_sites, ls, cap < exact_bond, *swept, (t1 - t0) * 1e3, (t2 - t1) * 1e3)

@@ -3,6 +3,8 @@
 The thermal builds are the expensive shared inputs, so they are built once
 per session and reused by the unit and acceptance tests alike.
 """
+import math
+
 import numpy as np
 import pytest
 
@@ -57,3 +59,9 @@ def random_mpo(L, dbond, seed, d=2):
 def real_part(m):
     """The operator whose site tensors are the real parts of m's."""
     return mp.Mpo(tuple(s.real for s in m.sites), m.log_scale)
+
+
+def inner(a, b):
+    """<a, b> = tr(a^H b) as one number; a float when both are real."""
+    mant, logv = mp.inner_product_scaled(a, b)
+    return mant * math.exp(logv)

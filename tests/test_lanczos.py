@@ -9,7 +9,9 @@ from mpotrace import mpo as mp
 from mpotrace import lanczos as lz
 from mpotrace.errors import EvaluationError, HermiticityError, NumericError
 
-from conftest import random_mpo
+from mpotrace.sweeping import multiply_and_optimize
+
+from conftest import inner, random_mpo
 
 
 def make_run(estimates, ritz_min=0.5, ritz_max=1.5):
@@ -134,6 +136,22 @@ def test_check_stop_converged():
     assert halt and reason == lz.STOP_CONVERGED
 
 
+def test_check_stop_tie_needs_eps_above_one_ulp():
+    # a bit-exact tie is a change below one ulp of the estimate: it stops
+    # the run only when eps_conv is at least that ulp
+    run = make_run([13.67, 13.67])
+    assert lz.check_stop(run, lz.StoppingConfig(eps_conv=1e-300), NONE) == (False, None)
+    assert lz.check_stop(run, lz.StoppingConfig(eps_conv=1e-10), NONE) == (True, lz.STOP_CONVERGED)
+
+
+def test_check_stop_change_below_eps_stops():
+    run = make_run([13.67, 13.67 + 5e-11])
+    halt, reason = lz.check_stop(run, lz.StoppingConfig(eps_conv=1e-10), NONE)
+    assert halt and reason == lz.STOP_CONVERGED
+    run = make_run([13.67, 13.67 + 2e-10])
+    assert lz.check_stop(run, lz.StoppingConfig(eps_conv=1e-10), NONE) == (False, None)
+
+
 def test_check_stop_needs_two_estimates():
     halt, reason = lz.check_stop(make_run([]), lz.StoppingConfig(), LOWER)
     assert not halt and reason is None
@@ -256,7 +274,7 @@ def test_keep_basis_orthonormal():
     assert len(basis) == len(run.records)
     for i in range(len(basis)):
         for j in range(i, len(basis)):
-            ip = mp.inner_product(basis[i], basis[j])
+            ip = inner(basis[i], basis[j])
             want = 1.0 if i == j else 0.0
             assert abs(ip - want) < 1e-8, (i, j, ip)
 
@@ -336,14 +354,56 @@ def test_real_and_complex_arithmetic_agree(thermal_cache):
 
 def test_records_count_sweeps(thermal_l6):
     _, run = lz.entropy_from_half_state(thermal_l6, kmax=4, dmax=8)
-    # step 1 makes two fits, every later step three, each at least one sweep
-    assert run.records[0].sweeps >= 2
-    assert all(r.sweeps >= 3 for r in run.records[1:])
-    # one sweep per fit cannot meet rel_tol, and from step 2 on the fits
-    # truncate, so their objective stays well above 0
+    # one fit per step, and every fit sweeps at least twice: one sweep to
+    # fit, one to see that the objective stopped moving
+    assert all(r.sweeps >= 2 for r in run.records)
+    # with one sweep per fit no fit can see that
     capped = lz.global_lanczos(thermal_l6, kmax=3, dmax=4,
                                f=lz.polynomial_function([0.0] * 9 + [1.0]),
                                stop=lz.StoppingConfig(eps_conv=1e-300, sigma_mult=math.inf),
                                sweep=mt.SweepOptions(max_sweeps=1, rel_tol=1e-300))
-    assert [r.sweeps for r in capped.records] == [2, 3, 3]
-    assert not any(r.converged for r in capped.records[1:])
+    assert [r.sweeps for r in capped.records] == [1, 1, 1]
+    assert not any(r.converged for r in capped.records)
+
+
+def test_one_fit_per_step(thermal_l6, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return multiply_and_optimize(*args, **kwargs)
+
+    monkeypatch.setattr(lz, "multiply_and_optimize", counting)
+    run = lz.global_lanczos(thermal_l6, kmax=6, dmax=12,
+                            f=lz.polynomial_function([0.0] * 9 + [1.0]),
+                            stop=lz.StoppingConfig(eps_conv=1e-300, sigma_mult=math.inf))
+    assert len(calls) == len(run.records) == 6
+    # the cap schedule: D -> min(dmax, D * D_a + D_{U_k} + D_{U_{k-1}})
+    assert thermal_l6.max_bond() == 8
+    assert calls == [1 * 8 + 1] + [12] * 5
+
+
+def _haar_conjugated(m, seed):
+    """U m U^H for a product U of seeded Haar-random single-site unitaries."""
+    rng = np.random.default_rng(seed)
+    sites = []
+    for s in m.sites:
+        z = rng.standard_normal((m.d, m.d)) + 1j * rng.standard_normal((m.d, m.d))
+        q, r = np.linalg.qr(z)
+        u = q * (np.diag(r) / np.abs(np.diag(r)))
+        sites.append(np.einsum("ab,bcij,dc->adij", u, s, u.conj()))
+    return mp.Mpo(tuple(sites), m.log_scale)
+
+
+def test_hermitian_complex_input_matches_real(thermal_cache):
+    m = thermal_cache(8, 1.0, 20, 0.01)[0]
+    dmax = 12  # below the exact bonds, so every later fit truncates
+    S, run = lz.entropy_from_half_state(m, kmax=30, dmax=dmax)
+    for seed in (1, 2, 3):
+        mc = _haar_conjugated(m, seed)
+        assert mc.dtype == np.complex128
+        assert max(float(np.max(np.abs(s.imag))) for s in mc.sites) > 0.1
+        Sc, runc = lz.entropy_from_half_state(mc, kmax=30, dmax=dmax)
+        assert len(runc.records) == len(run.records), seed
+        assert runc.stop_reason == run.stop_reason, seed
+        assert abs(Sc - S) <= 1e-7 * abs(S), seed

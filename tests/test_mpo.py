@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from mpotrace import mpo as mp
-from mpotrace.sweeping import multiply_and_optimize, sum_and_optimize
+from mpotrace.sweeping import multiply_and_optimize
 from mpotrace.errors import CapacityError, DimensionError, NumericError
 
-from conftest import random_mpo, real_part
+from conftest import inner, random_mpo, real_part
 
 
 def test_identity_dense_small():
@@ -23,13 +23,13 @@ def test_identity_frobenius_norm():
 
 
 def test_inner_product_identity():
-    assert abs(mp.inner_product(mp.identity_mpo(10), mp.identity_mpo(10)) - 1024.0) < 1e-9
+    assert abs(inner(mp.identity_mpo(10), mp.identity_mpo(10)) - 1024.0) < 1e-9
 
 
 def test_inner_product_dense_oracle():
     for seed in range(6):
         m = random_mpo(6, 4, seed)
-        ip = mp.inner_product(m, m)
+        ip = inner(m, m)
         assert ip.real >= 0.0
         ref = np.linalg.norm(mp.dense(m)) ** 2
         assert abs(ip.real - ref) < 1e-8 * max(ref, 1.0)
@@ -39,7 +39,7 @@ def test_inner_product_conjugate_symmetry():
     for seed in range(5):
         a = random_mpo(5, 3, seed)
         b = random_mpo(5, 3, 100 + seed)
-        assert abs(mp.inner_product(a, b) - np.conj(mp.inner_product(b, a))) < 1e-10
+        assert abs(inner(a, b) - np.conj(inner(b, a))) < 1e-10
 
 
 def test_frobenius_norm_homogeneity():
@@ -217,7 +217,7 @@ def test_ln_norm_matches_contraction_where_set():
         "truncate_svd": mp.truncate_svd(m, dmax=3)[0],
         "shift_log_scale": mp.shift_log_scale(mp.canonicalize(m, 0), -7.5),
         "multiply_and_optimize": multiply_and_optimize(a, u, 4).mpo,
-        "sum_and_optimize": sum_and_optimize(a, [(-0.5, u)], 4).mpo,
+        "multiply_and_optimize with terms": multiply_and_optimize(a, u, 4, terms=[(-0.5, u)]).mpo,
     }
     for name, x in made.items():
         assert x.ln_norm is not None, name
@@ -297,7 +297,7 @@ def test_dtype_rule_real_stays_float64():
     for out in outs:
         assert [s.dtype for s in out.sites] == [np.float64] * 5
     # the transfer contractions of real operators give real numbers
-    assert isinstance(mp.inner_product(a, b), float)
+    assert isinstance(inner(a, b), float)
     assert isinstance(mp.mpo_trace(a), float)
     assert mp.dense(a).dtype == np.float64
 

@@ -1,4 +1,5 @@
-"""Variational product and sum fits: exactness, monotonicity, scaling."""
+"""The variational fit of a@u + sum_k c_k t_k: exactness, monotonicity,
+scaling, the plateau stop."""
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import mpotrace as mt
 from mpotrace import mpo as mp
-from mpotrace.sweeping import SweepOptions, multiply_and_optimize, sum_and_optimize
+from mpotrace.sweeping import SweepOptions, expectation, multiply_and_optimize
 from mpotrace.errors import DimensionError
 
 from conftest import random_mpo, real_part
@@ -116,9 +117,14 @@ def test_multiply_zero_operand():
     assert fit.residual == 0.0
 
 
+def _fit_sum(u, terms, dnew, opts=None):
+    """u + sum_k c_k t_k, fitted as identity @ u plus the terms."""
+    return multiply_and_optimize(mp.identity_mpo(u.L, u.d), u, dnew, opts, terms)
+
+
 def test_sum_empty_terms_is_truncation():
     u = random_mpo(5, 6, 3)
-    fit = sum_and_optimize(u, [], 3)
+    fit = _fit_sum(u, [], 3)
     _, terr = mp.truncate_svd(u, dmax=3)
     nrm2 = mp.frobenius_norm(u) ** 2
     assert fit.residual <= (terr**2) * nrm2 * (1.0 + 1e-6) + 1e-12
@@ -126,7 +132,7 @@ def test_sum_empty_terms_is_truncation():
 
 def test_sum_cancellation_gives_zero():
     u = random_mpo(4, 3, 8)
-    fit = sum_and_optimize(u, [(-1.0, u)], 5)
+    fit = _fit_sum(u, [(-1.0, u)], 5)
     assert mp.frobenius_norm(fit.mpo) == 0.0
     assert fit.converged
 
@@ -136,7 +142,7 @@ def test_sum_unconstrained_matches_exact_add():
         u = random_mpo(4, 3, seed)
         t1 = random_mpo(4, 2, 60 + seed)
         t2 = random_mpo(4, 3, 90 + seed)
-        fit = sum_and_optimize(u, [(-0.5, t1), (2.0, t2)], None)
+        fit = _fit_sum(u, [(-0.5, t1), (2.0, t2)], None)
         ref = mp.dense(u) - 0.5 * mp.dense(t1) + 2.0 * mp.dense(t2)
         assert np.linalg.norm(mp.dense(fit.mpo) - ref) < 1e-10, seed
 
@@ -145,7 +151,7 @@ def test_sum_objectives_monotone():
     for seed in range(5):
         u = random_mpo(4, 4, seed)
         t = random_mpo(4, 4, 30 + seed)
-        fit = sum_and_optimize(u, [(1.5, t)], 3, SweepOptions(max_sweeps=4))
+        fit = _fit_sum(u, [(1.5, t)], 3, SweepOptions(max_sweeps=4))
         obj = fit.objectives
         for j in range(1, len(obj)):
             assert obj[j] <= obj[j - 1] + 1e-12 * max(abs(obj[0]), 1.0), (seed, j)
@@ -155,11 +161,11 @@ def test_sum_mixed_log_scales():
     u = random_mpo(4, 3, 4)
     t = random_mpo(4, 3, 14)
     shifted = mp.shift_log_scale(t, 3.0)
-    fit = sum_and_optimize(u, [(math.exp(-3.0), shifted)], None)
+    fit = _fit_sum(u, [(math.exp(-3.0), shifted)], None)
     ref = mp.dense(u) + mp.dense(t)
     assert np.linalg.norm(mp.dense(fit.mpo) - ref) < 1e-10
     for e in (20.0, -20.0):
-        fit = sum_and_optimize(_scale_into_sites(u, e), [(1.0, _scale_into_sites(t, -e))], None)
+        fit = _fit_sum(_scale_into_sites(u, e), [(1.0, _scale_into_sites(t, -e))], None)
         assert np.linalg.norm(mp.dense(fit.mpo) - ref) < 1e-10, e
 
 
@@ -167,21 +173,21 @@ def test_sum_discards_negligible_term():
     # a term 700 decades below the dominant one must not destabilize the fit
     u = random_mpo(4, 3, 5)
     t = mp.shift_log_scale(random_mpo(4, 3, 15), -1600.0)
-    fit = sum_and_optimize(u, [(1.0, t)], None)
+    fit = _fit_sum(u, [(1.0, t)], None)
     assert np.linalg.norm(mp.dense(fit.mpo) - mp.dense(u)) < 1e-10
 
 
 def test_fits_follow_operand_dtype():
     a, u = real_part(random_mpo(5, 3, 0)), real_part(random_mpo(5, 3, 1))
-    # the exact-product warm start (bond 9 <= 64) and the zip-up one (bond 144 > 4 * 20)
+    # an exact target norm (block bond 9 <= 64) and a zip-up estimate (bond 144)
     big = real_part(random_mpo(5, 12, 2))
     fits = [multiply_and_optimize(a, u, 4), multiply_and_optimize(big, big, 20),
-            sum_and_optimize(u, [(-0.5, a)], 4)]
+            _fit_sum(u, [(-0.5, a)], 4)]
     for fit in fits:
         assert [s.dtype for s in fit.mpo.sites] == [np.float64] * 5
     c = random_mpo(5, 3, 3)
     fits = [multiply_and_optimize(a, c, 4), multiply_and_optimize(c, u, 4),
-            sum_and_optimize(u, [(-0.5, c)], 4), sum_and_optimize(c, [(2.0, u)], 4)]
+            _fit_sum(u, [(-0.5, c)], 4), _fit_sum(c, [(2.0, u)], 4)]
     for fit in fits:
         assert [s.dtype for s in fit.mpo.sites] == [np.complex128] * 5
 
@@ -197,3 +203,90 @@ def test_fit_reports_sweeps():
     assert exact.converged and exact.sweeps == 2
     zero = multiply_and_optimize(mp.zero_mpo(5), u, 4)
     assert zero.converged and zero.sweeps == 0
+
+
+def _lanczos_operands(cplx):
+    """a Hermitian a, a normalized u, an older block u_prev, and alpha =
+    <u, a u>: the operands of one Lanczos step."""
+    a = mt.random_hermitian_mpo(5, dbond=3, seed=4)
+    u, u_prev = random_mpo(5, 3, 5), random_mpo(5, 2, 6)
+    if not cplx:
+        a, u, u_prev = real_part(a), real_part(u), real_part(u_prev)
+    u = mp.shift_log_scale(u, -mp.log_norm(u))
+    return a, u, u_prev, expectation(a, u)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_expectation_matches_dense(cplx):
+    a, u, _, alpha = _lanczos_operands(cplx)
+    ref = np.vdot(mp.dense(u), mp.dense(a) @ mp.dense(u))
+    assert abs(alpha - ref) < 1e-12 * max(abs(ref), 1.0)
+    # real for Hermitian a, whatever u is
+    assert abs(np.imag(alpha)) < 1e-14 * np.linalg.norm(mp.dense(a))
+    assert isinstance(alpha, float) == (not cplx)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_fused_fit_unconstrained_matches_dense(cplx):
+    a, u, u_prev, alpha = _lanczos_operands(cplx)
+    beta = 0.7
+    fit = multiply_and_optimize(a, u, None, terms=[(-alpha, u), (-beta, u_prev)])
+    ref = mp.dense(a) @ mp.dense(u) - alpha * mp.dense(u) - beta * mp.dense(u_prev)
+    assert np.linalg.norm(mp.dense(fit.mpo) - ref) < 1e-10 * max(np.linalg.norm(ref), 1.0)
+    assert fit.mpo.dtype == (np.complex128 if cplx else np.float64)
+    assert fit.converged and fit.sweeps == 2
+
+
+def test_fused_fit_objectives_monotone():
+    for seed in range(5):
+        a = random_mpo(5, 4, seed)
+        u, u_prev = random_mpo(5, 4, 50 + seed), random_mpo(5, 3, 70 + seed)
+        fit = multiply_and_optimize(a, u, 3, SweepOptions(max_sweeps=5),
+                                    terms=[(-0.8, u), (0.3, u_prev)])
+        obj = fit.objectives
+        scale = max(abs(obj[0]), 1.0)
+        for j in range(1, len(obj)):
+            assert obj[j] <= obj[j - 1] + 1e-12 * scale, (seed, j)
+
+
+def test_capped_fit_stops_on_plateau():
+    # rel_tol out of reach: only the plateau rule can stop the sweeps
+    opts = SweepOptions(max_sweeps=40, rel_tol=1e-300)
+    for seed in range(3):
+        a, u = random_mpo(6, 4, seed), random_mpo(6, 4, 20 + seed)
+        fit = multiply_and_optimize(a, u, 3, opts, terms=[(-0.5, u)])
+        assert fit.converged and fit.sweeps < opts.max_sweeps, seed
+        # the last sweep lowered the objective by at most 1e-2 of what the
+        # first one did, and the residual it stopped on is far above rounding
+        per_sweep = len(fit.objectives) // fit.sweeps
+        first_gain = fit.objectives[0] - fit.objectives[per_sweep - 1]
+        prev, last = fit.objectives[-1 - per_sweep], fit.objectives[-1]
+        assert prev - last <= 1e-2 * first_gain, seed
+        assert fit.residual > 1e-3 * mp.frobenius_norm(fit.mpo) ** 2, seed
+
+
+def test_zipup_norm_estimate_on_at_cap_fits(thermal_cache, monkeypatch):
+    # The Lanczos steps of a thermal state at a cap far below their block
+    # bonds take ||target||^2 from the zip-up's estimate.  This pins how
+    # far off that estimate is: measured 0.60-1.0 of the true value here
+    # and 0.58-1.0 on the L = 10, beta = 1 state at cap 40.  Below the
+    # true value, the reported residual max(estimate - ||x||^2, 0)
+    # understates the true one, and reads 0 on most of these steps.
+    from mpotrace import lanczos as lz
+    ratios = []
+
+    def checked(a, u, dnew, opts=None, terms=()):
+        fit = multiply_and_optimize(a, u, dnew, opts, terms)
+        ref = mp.dense(a) @ mp.dense(u) + sum(c * mp.dense(t) for c, t in terms)
+        norm_sq = np.linalg.norm(ref) ** 2
+        res = np.linalg.norm(mp.dense(fit.mpo) - ref) ** 2
+        # objective = estimate - ||x||^2 and res = ||target||^2 - ||x||^2
+        ratios.append((fit.objectives[-1] - res + norm_sq) / norm_sq)
+        assert fit.residual <= res + 1e-10 * norm_sq
+        return fit
+
+    monkeypatch.setattr(lz, "multiply_and_optimize", checked)
+    m = thermal_cache(8, 1.0, 20, 0.01)[0]
+    lz.entropy_from_half_state(m, kmax=30, dmax=12)
+    assert sum(r < 0.99 for r in ratios) >= 5
+    assert all(0.5 <= r <= 1.0 + 1e-9 for r in ratios), ratios

@@ -20,13 +20,20 @@ def test_svd_rank_one():
 
 
 def test_svd_reconstruction_and_isometry():
-    rng = np.random.default_rng(2)
-    for seed in range(5):
+    # tall, wide and square; complex and real
+    for seed, shape in enumerate([(6, 4), (4, 6), (5, 5), (3, 17)] * 2):
         rng = np.random.default_rng(seed)
-        a = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+        a = rng.standard_normal(shape)
+        if seed < 4:
+            a = a + 1j * rng.standard_normal(shape)
         u, s, vh = tensors.svd(a)
+        k = min(shape)
+        assert u.shape == (shape[0], k) and vh.shape == (k, shape[1])
+        assert u.dtype == vh.dtype == a.dtype
+        assert np.all(np.diff(s) <= 0)
         assert np.linalg.norm(u @ np.diag(s) @ vh - a) < 1e-12
-        assert np.linalg.norm(u.conj().T @ u - np.eye(u.shape[1])) < 1e-12
+        assert np.linalg.norm(u.conj().T @ u - np.eye(k)) < 1e-12
+        assert np.linalg.norm(vh @ vh.conj().T - np.eye(k)) < 1e-12
 
 
 def test_svd_rejects_non_finite():
