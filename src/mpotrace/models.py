@@ -104,9 +104,11 @@ def thermal_half_state_report(
 
     Starting from the identity MPO, each Trotter step applies the layer
     sandwich [even tau/2][odd tau][even tau/2] of two-site propagators to
-    the physical-out legs (left multiplication by the step propagator) and
-    recompresses with truncate_svd after every layer.  The metadata lists
-    the relative discarded weight and max bond per layer.
+    the physical-out legs (left multiplication by the step propagator).
+    The even half layers of successive steps are merged, so the layers run
+    even-half, odd-full, (even-full, odd-full)..., even-half: 2*steps + 1
+    of them.  Every layer is recompressed with truncate_svd.  The metadata
+    lists the relative discarded weight and max bond per layer.
 
     The returned MPO is canonicalized: its tensors carry unit Frobenius
     norm and log_scale holds ln of the true norm of M.
@@ -120,22 +122,25 @@ def thermal_half_state_report(
     tau = half_beta / nsteps
     even = list(range(0, p.L - 1, 2))
     odd = list(range(1, p.L - 1, 2))
-    gates_half = {i: _bond_gate(p, i, 0.5 * tau) for i in even}
-    gates_full = {i: _bond_gate(p, i, tau) for i in odd}
-    schedule = [("even-half", even, gates_half), ("odd-full", odd, gates_full),
-                ("even-half", even, gates_half)]
+    even_half = ("even-half", even, {i: _bond_gate(p, i, 0.5 * tau) for i in even})
+    even_full = ("even-full", even, {i: _bond_gate(p, i, tau) for i in even})
+    odd_full = ("odd-full", odd, {i: _bond_gate(p, i, tau) for i in odd})
+    # steps [even tau/2][odd tau][even tau/2] meet as [even tau/2][even tau/2],
+    # one exact [even tau] layer since the even gates commute
+    schedule = [(1, even_half)]
+    for step in range(1, nsteps + 1):
+        schedule += [(step, odd_full), (step, even_full if step < nsteps else even_half)]
 
     m = mp.identity_mpo(p.L, d=2)
     layers = []
-    for step in range(1, nsteps + 1):
-        for name, bonds, gates in schedule:
-            if bonds:
-                m = _apply_layer(m, bonds, gates)
-            m, disc = mp.truncate_svd(m, dmax=dbond)
-            layers.append(
-                {"step": step, "layer": name, "discarded": float(disc),
-                 "max_bond": int(m.max_bond())}
-            )
+    for step, (name, bonds, gates) in schedule:
+        if bonds:
+            m = _apply_layer(m, bonds, gates)
+        m, disc = mp.truncate_svd(m, dmax=dbond)
+        layers.append(
+            {"step": step, "layer": name, "discarded": float(disc),
+             "max_bond": int(m.max_bond())}
+        )
     m = mp.canonicalize(m, center=0)
     meta = {
         "steps": nsteps,
