@@ -66,7 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--state", choices=("half", "full"), default="half",
                    help="half: exp(-beta/2 H); full: trace-normalized Gibbs state")
     b.add_argument("--trunc-warn", type=float, default=1e-6, dest="trunc_warn",
-                   help="warn when a layer discards more relative weight than this")
+                   help="warn when a Trotter layer's gate cuts discard more relative "
+                        "weight (root-sum-square over the layer) than this")
     b.add_argument("--out", required=True, help="output JSON path")
 
     e = sub.add_parser("estimate", help="estimate tr f(A) for a stored MPO")
@@ -208,8 +209,9 @@ def cmd_estimate(args) -> int:
             eps_conv=args.eps, window=args.window,
             spectrum_floor=0.0 if args.spectrum_floor is None else args.spectrum_floor,
         )
-        mant, logv = mp.inner_product_scaled(m, m)
-        ln_z2 = math.log(mant.real) + logv if mant.real > 0 else None
+        # contract <m, m> once: entropy_from_half_state reads it back
+        m = mp.Mpo(m.sites, m.log_scale, mp.log_norm(m))
+        ln_z2 = 2.0 * m.ln_norm if m.ln_norm > -math.inf else None
         estimate, run = lz.entropy_from_half_state(
             m, kmax=args.kmax, dmax=dmax, stop=stop, progress=progress,
         )

@@ -364,12 +364,11 @@ def entropy_from_half_state(
 
     Returns (S, run).
     """
-    mant, logv = mp.inner_product_scaled(m, m)
-    if mant.real <= 0:
+    ln_norm = mp.log_norm(m)  # 0.5 ln Z2
+    if ln_norm == -math.inf:
         raise NumericError("tr(m^H m) must be positive")
-    ln_z2 = math.log(mant.real) + logv
     # unit norm by construction: ln||m_unit|| = 0.5 ln Z2 - 0.5 ln Z2
-    m_unit = mp.Mpo(m.sites, m.log_scale - 0.5 * ln_z2, 0.0)
+    m_unit = mp.Mpo(m.sites, m.log_scale - ln_norm, 0.0)
     if stop is None:
         stop = StoppingConfig(spectrum_floor=0.0)
 

@@ -1,7 +1,12 @@
 """Benchmark input construction: the thermal half-state exp(-beta/2 H) of
 the transverse/longitudinal-field Ising chain, built by second-order
 Trotter evolution of the identity, plus a reproducible random Hermitian
-MPO generator for tests."""
+MPO generator for tests.
+
+The builder is TEBD for an operator: two-site gates act on the
+physical-out legs at the orthogonality center, and each gate's SVD is cut
+to the bond cap where it is made, so its discarded weight is exact (Vidal,
+PRL 91, 147902 (2003); Zwolak & Vidal, PRL 93, 207205 (2004))."""
 from __future__ import annotations
 
 import logging
@@ -19,10 +24,6 @@ logger = logging.getLogger("mpotrace.models")
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-
-# singular values below this relative floor are treated as exact zeros
-# when splitting a gate application back into two site tensors
-RANK_EPS = 1e-14
 
 
 @dataclass(frozen=True)
@@ -62,39 +63,37 @@ def _bond_gate(p: IsingParams, i: int, tau: float) -> np.ndarray:
     return sla.expm(-tau * h4).reshape(2, 2, 2, 2)
 
 
-def _apply_gate_pair(si, sj, gate):
-    """Apply a two-site gate to the physical-out legs of neighboring MPO
-    sites and split back by a rank-revealing SVD (no bond cap).
+def _apply_gate(left, right, gate, dbond, center_right):
+    """Apply a two-site gate to the physical-out legs of neighboring sites,
+    one of which is the orthogonality center, and split back by an SVD cut
+    to at most dbond by the keep rule of mpo._truncation_rank.
 
-    Returns (new_si, new_sj, log_of_extracted_norm).
+    The singular values go to the right site when center_right, else to
+    the left one; the other site is an isometry.  Returns (new_left,
+    new_right, ln of the extracted norm, discarded weight squared relative
+    to the norm after the gate).  The environment is isometric, so the
+    discarded weight is the exact relative distance the cut adds.
     """
-    d = si.shape[0]
-    dl, dr = si.shape[2], sj.shape[3]
-    # (o1,i1,Dl,Dm),(o2,i2,Dm,Dr) -> (o1,i1,Dl,o2,i2,Dr)
-    theta = np.tensordot(si, sj, axes=([3], [2]))
-    # gate (o1',o2',o1,o2) x theta -> (o1',o2',i1,Dl,i2,Dr)
-    theta = np.tensordot(gate, theta, axes=([2, 3], [0, 3]))
-    # -> (o1',i1,Dl | o2',i2,Dr)
-    theta = theta.transpose(0, 2, 3, 1, 4, 5)
-    u, s, vh = svd(theta.reshape(d * d * dl, d * d * dr))
-    keep = max(1, int(np.count_nonzero(s > RANK_EPS * s[0])))
-    u, s, vh = u[:, :keep], s[:keep], vh[:keep, :]
-    norm = float(np.linalg.norm(s))
-    if norm > 0:
-        s = s / norm
-    sq = np.sqrt(s)
-    new_si = (u * sq).reshape(d, d, dl, keep)
-    new_sj = (sq[:, None] * vh).reshape(keep, d, d, dr).transpose(1, 2, 0, 3)
-    return new_si, new_sj, math.log(norm) if norm > 0 else 0.0
-
-
-def _apply_layer(m: Mpo, bonds, gates) -> Mpo:
-    sites = list(m.sites)
-    log_acc = m.log_scale
-    for i in bonds:
-        sites[i], sites[i + 1], dlog = _apply_gate_pair(sites[i], sites[i + 1], gates[i])
-        log_acc += dlog
-    return Mpo(sites=tuple(sites), log_scale=log_acc)
+    d, _, dl, dm = left.shape
+    dr = right.shape[3]
+    # (o1,i1,Dl,Dm),(o2,i2,Dm,Dr) -> (o1 | i1,Dl | o2 | i2,Dr)
+    theta = left.reshape(-1, dm) @ right.transpose(2, 0, 1, 3).reshape(dm, -1)
+    theta = theta.reshape(d, d * dl, d, d * dr).transpose(0, 2, 1, 3)
+    # gate (o1',o2' | o1,o2) x theta -> (o1' | i1,Dl | o2' | i2,Dr)
+    theta = (gate.reshape(d * d, d * d) @ theta.reshape(d * d, -1)).reshape(d, d, d * dl, d * dr)
+    u, s, vh = svd(theta.transpose(0, 2, 1, 3).reshape(d * d * dl, d * d * dr))
+    keep, tail2 = mp._truncation_rank(s, dbond)
+    u, s, vh = u[:, :keep], s[:keep], vh[:keep]
+    kept2 = float(s @ s)
+    norm = math.sqrt(kept2)
+    s = s / norm
+    if center_right:
+        vh = s[:, None] * vh
+    else:
+        u = u * s
+    new_left = u.reshape(d, d, dl, keep)
+    new_right = vh.reshape(keep, d, d, dr).transpose(1, 2, 0, 3)
+    return new_left, new_right, math.log(norm), tail2 / (kept2 + tail2)
 
 
 def thermal_half_state_report(
@@ -107,8 +106,17 @@ def thermal_half_state_report(
     the physical-out legs (left multiplication by the step propagator).
     The even half layers of successive steps are merged, so the layers run
     even-half, odd-full, (even-full, odd-full)..., even-half: 2*steps + 1
-    of them.  Every layer is recompressed with truncate_svd.  The metadata
-    lists the relative discarded weight and max bond per layer.
+    of them, the even-full after step n counted in step n.
+
+    The evolution is TEBD-style: the operator stays in mixed canonical
+    form, and each layer is one sweep over its gates, left to right for
+    the even layers and right to left for the odd ones.  Before each gate
+    one QR or LQ step moves the orthogonality center onto the gate's pair;
+    the gate's SVD is then cut to at most dbond and to a relative tail
+    weight of at most mpo.TRUNC_EPS.  Around the center the environment
+    is isometric, so each cut's relative discarded weight is exact.  The
+    metadata lists, per layer, the root-sum-square of these weights
+    ("discarded") and the max bond.
 
     The returned MPO is canonicalized: its tensors carry unit Frobenius
     norm and log_scale holds ln of the true norm of M.
@@ -131,17 +139,29 @@ def thermal_half_state_report(
     for step in range(1, nsteps + 1):
         schedule += [(step, odd_full), (step, even_full if step < nsteps else even_half)]
 
-    m = mp.identity_mpo(p.L, d=2)
+    start = mp.canonicalize(mp.identity_mpo(p.L, d=2), center=0)
+    sites, log_scale, center = list(start.sites), start.log_scale, 0
     layers = []
     for step, (name, bonds, gates) in schedule:
-        if bonds:
-            m = _apply_layer(m, bonds, gates)
-        m, disc = mp.truncate_svd(m, dmax=dbond)
+        rightward = name.startswith("even")
+        disc2 = 0.0
+        for i in bonds if rightward else bonds[::-1]:
+            while center < i:
+                mp._move_center(sites, center, +1)
+                center += 1
+            while center > i + 1:
+                mp._move_center(sites, center, -1)
+                center -= 1
+            sites[i], sites[i + 1], dlog, dd2 = _apply_gate(
+                sites[i], sites[i + 1], gates[i], dbond, rightward)
+            log_scale += dlog
+            disc2 += dd2
+            center = i + 1 if rightward else i
         layers.append(
-            {"step": step, "layer": name, "discarded": float(disc),
-             "max_bond": int(m.max_bond())}
+            {"step": step, "layer": name, "discarded": math.sqrt(disc2),
+             "max_bond": max(s.shape[3] for s in sites)}
         )
-    m = mp.canonicalize(m, center=0)
+    m = mp.canonicalize(Mpo(tuple(sites), log_scale), center=0)
     meta = {
         "steps": nsteps,
         "dtau": tau,

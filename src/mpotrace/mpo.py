@@ -30,6 +30,8 @@ from .errors import CapacityError, DimensionError, NumericError
 from . import tensors
 
 DENSE_MAX_DIM = 2 ** 14
+# relative tail weight a truncated split drops even below its bond cap
+TRUNC_EPS = 1e-14
 
 
 def _as_site(arr, pos: int):
@@ -275,6 +277,43 @@ def _split_right(site: np.ndarray):
     return l, q.reshape(-1, d1, d2, dr).transpose(1, 2, 0, 3)
 
 
+def _into_left_bond(r: np.ndarray, site: np.ndarray) -> np.ndarray:
+    """Contract the matrix r (k, Dl) into the left bond of site."""
+    o, j, dl, dr = site.shape
+    out = r @ site.transpose(2, 0, 1, 3).reshape(dl, o * j * dr)
+    return out.reshape(-1, o, j, dr).transpose(1, 2, 0, 3)
+
+
+def _move_center(sites: list, i: int, step: int) -> None:
+    """One gauge step, in place: factor sites[i] into an isometry (QR for
+    step +1, LQ for step -1) and absorb the remainder into sites[i + step],
+    which becomes the orthogonality center.  The dense value is unchanged."""
+    if step > 0:
+        sites[i], r = _split_left(sites[i])
+        sites[i + 1] = _into_left_bond(r, sites[i + 1])
+    else:
+        l, sites[i] = _split_right(sites[i])
+        s0 = sites[i - 1]
+        # l: (Dr, Dr') into the right bond of the neighbor
+        sites[i - 1] = (s0.reshape(-1, s0.shape[3]) @ l).reshape(s0.shape[:3] + (l.shape[1],))
+
+
+def _truncation_rank(s: np.ndarray, dmax: int | None, eps: float = TRUNC_EPS) -> tuple[int, float]:
+    """The keep rule of every truncated split.  Of the descending singular
+    values s, keep the fewest whose dropped tail carries at most eps**2 of
+    the total squared weight, then at most dmax, and at least one.
+
+    Returns (keep, squared weight of the dropped tail)."""
+    tot2 = float(s @ s)
+    if tot2 == 0.0:
+        return 1, 0.0
+    tail2 = np.concatenate([np.cumsum((s * s)[::-1])[::-1], [0.0]])  # tail2[k] = sum of s[k:]**2
+    keep = max(int(np.searchsorted(-tail2, -(eps * eps) * tot2)), 1)  # smallest k with tail2[k] <= budget
+    if dmax is not None:
+        keep = min(keep, dmax)
+    return keep, float(tail2[keep])
+
+
 def canonicalize(a: Mpo, center: int = 0) -> Mpo:
     """Bring to mixed-canonical form with the orthogonality center at
     `center` (0-based).  Sites left of the center become left-isometries,
@@ -286,19 +325,9 @@ def canonicalize(a: Mpo, center: int = 0) -> Mpo:
         raise DimensionError(f"center {center} out of range for L={L}")
     sites = [s.copy() for s in a.sites]
     for i in range(center):
-        q, r = _split_left(sites[i])
-        sites[i] = q
-        s1 = sites[i + 1]
-        o, j, dl, dr = s1.shape
-        # r: (dl', dl) absorbed into the left bond of the neighbor
-        s1 = (r @ s1.transpose(2, 0, 1, 3).reshape(dl, o * j * dr)).reshape(-1, o, j, dr)
-        sites[i + 1] = s1.transpose(1, 2, 0, 3)
+        _move_center(sites, i, +1)
     for i in range(L - 1, center, -1):
-        l, q = _split_right(sites[i])
-        sites[i] = q
-        s0 = sites[i - 1]
-        # l: (dr, dr') absorbed into the right bond of the neighbor
-        sites[i - 1] = (s0.reshape(-1, s0.shape[3]) @ l).reshape(s0.shape[:3] + (l.shape[1],))
+        _move_center(sites, i, -1)
     nrm = np.linalg.norm(sites[center])
     ls = a.log_scale
     if nrm > 0:
@@ -309,45 +338,32 @@ def canonicalize(a: Mpo, center: int = 0) -> Mpo:
     return Mpo(tuple(sites), ls, -math.inf)
 
 
-def truncate_svd(a: Mpo, dmax: int | None = None, eps: float = 1e-14) -> tuple[Mpo, float]:
+def truncate_svd(a: Mpo, dmax: int | None = None, eps: float = TRUNC_EPS) -> tuple[Mpo, float]:
     """Compress every interior bond to at most dmax, discarding relative
-    singular-value weight up to eps per bond.
+    singular-value weight up to eps per bond (_truncation_rank).
 
     Returns the truncated operator and the accumulated root-sum-square of
     the discarded singular values relative to the norm of a.  A single
     sweep from a right-canonical form; the discarded pieces at different
     bonds are mutually orthogonal, so the reported error equals the true
-    relative distance (up to roundoff).
+    relative distance (up to roundoff).  The pipeline no longer calls it;
+    it is the reference the fit tests compare against.
     """
     if dmax is not None and dmax < 1:
         raise DimensionError("dmax must be >= 1")
     if eps < 0:
         raise ValueError("eps must be >= 0")
     w = canonicalize(a, center=0)
-    sites = [s.copy() for s in w.sites]
+    sites = list(w.sites)
     L = w.L
     disc2 = 0.0
     for i in range(L - 1):
         d1, d2, dl, dr = sites[i].shape
         u, s, vh = tensors.svd(sites[i].reshape(d1 * d2 * dl, dr))
-        tot2 = float(s @ s)
-        if tot2 == 0.0:
-            keep = 1
-        else:
-            tail2 = np.concatenate([np.cumsum((s * s)[::-1])[::-1], [0.0]])  # tail2[k] = sum of s[k:]**2
-            budget = (eps * eps) * tot2
-            keep = int(np.searchsorted(-tail2, -budget))  # smallest k with tail2[k] <= budget
-            keep = max(keep, 1)
-        if dmax is not None:
-            keep = min(keep, dmax)
-        disc2 += float(tail2[keep]) if tot2 > 0.0 else 0.0
+        keep, tail2 = _truncation_rank(s, dmax, eps)
+        disc2 += tail2
         sites[i] = u[:, :keep].reshape(d1, d2, dl, keep)
-        carry = s[:keep, None] * vh[:keep]
-        s1 = sites[i + 1]
-        o, j, dl1, dr1 = s1.shape
-        # carry: (keep, dl1) absorbed into the left bond of the neighbor
-        s1 = (carry @ s1.transpose(2, 0, 1, 3).reshape(dl1, o * j * dr1)).reshape(keep, o, j, dr1)
-        sites[i + 1] = s1.transpose(1, 2, 0, 3)
+        sites[i + 1] = _into_left_bond(s[:keep, None] * vh[:keep], sites[i + 1])
     # left-isometries everywhere except the last site, which carries the
     # remaining weight: the norm reduces to that site's Frobenius norm
     tail = float(np.linalg.norm(sites[L - 1]))

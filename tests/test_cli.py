@@ -57,6 +57,23 @@ def test_build_rejects_bad_beta(tmp_path):
     assert rc == 2
 
 
+def test_build_trunc_warn_counts_alarmed_layers(tmp_path, caplog):
+    # bond 3 cuts well above 1e-6 per layer at L = 6, beta = 0.5; bond 20
+    # cuts only at the rank floor
+    counts = {}
+    for bond in (3, 20):
+        path = str(tmp_path / f"b{bond}.json")
+        caplog.clear()
+        rc = run_cli("build-thermal", "--L", "6", "--beta", "0.5", "--bond-dim", str(bond),
+                     "--trunc-warn", "1e-6", "--out", path)
+        assert rc == 0
+        counts[bond] = read_json(path)["metadata"]["alarmed_layers"]
+        warned = [r for r in caplog.records if "discarded relative weight" in r.getMessage()]
+        assert len(warned) == counts[bond]
+    assert counts[3] > 0
+    assert counts[20] == 0
+
+
 def test_build_full_state_has_unit_trace(tmp_path):
     path = str(tmp_path / "full.json")
     rc = run_cli(

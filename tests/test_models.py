@@ -68,6 +68,38 @@ def test_thermal_state_is_hermitian():
     m = mt.thermal_half_state(p, dbond=None, dtau=0.01)
     d = mp.dense(m)
     assert np.max(np.abs(d - d.conj().T)) < 1e-12 * np.max(np.abs(d))
+    # a capped build: the Trotter product is Hermitian, so M - M^H is what
+    # the cuts left, at most twice their summed discarded weight
+    m, meta = mt.thermal_half_state_report(p, dbond=4, dtau=0.01)
+    d = mp.dense(m)
+    cut = sum(l["discarded"] for l in meta["layers"])
+    assert cut > 1e-7
+    assert np.linalg.norm(d - d.conj().T) <= (2.0 * cut + 1e-12) * np.linalg.norm(d)
+
+
+def test_thermal_discarded_weight_bounds_truncation():
+    # each gate is cut at the orthogonality center, where the environment
+    # is isometric: the summed per-layer discarded weight bounds how far
+    # the cap moves the unit-normalized state from the uncapped build
+    for L, dbond in ((8, 3), (10, 4)):
+        p = mt.IsingParams(L=L, beta=1.0)
+        m, meta = mt.thermal_half_state_report(p, dbond=dbond, dtau=0.01)
+        assert m.max_bond() == dbond
+        capped = mp.dense(m)
+        ref = mp.dense(mt.thermal_half_state(p, dbond=None, dtau=0.01))
+        dist = np.linalg.norm(capped / np.linalg.norm(capped) - ref / np.linalg.norm(ref))
+        assert 1e-4 < dist <= sum(l["discarded"] for l in meta["layers"]), (L, dbond, dist)
+
+
+def test_thermal_layer_schedule():
+    # adjacent even half layers of successive steps are merged
+    for L in (3, 4, 7):
+        _, meta = mt.thermal_half_state_report(mt.IsingParams(L=L, beta=0.1), dbond=None, dtau=0.01)
+        n = meta["steps"]
+        assert n == 5
+        names = [l["layer"] for l in meta["layers"]]
+        assert len(names) == 2 * n + 1
+        assert names == ["even-half"] + ["odd-full", "even-full"] * (n - 1) + ["odd-full", "even-half"]
 
 
 def test_thermal_state_infinite_temperature_limit():
