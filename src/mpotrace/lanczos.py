@@ -360,7 +360,8 @@ def entropy_from_half_state(
     entropy.  The per-iteration estimates are entropy values: a
     nondecreasing sequence of lower bounds while the iteration stays
     clean and the normalized spectrum sits in the small-eigenvalue
-    regime.
+    regime.  Z2 comes from mp.log_norm(m), so a caller that already
+    contracted it passes it in m.ln_norm.
 
     Returns (S, run).
     """

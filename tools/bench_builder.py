@@ -1,0 +1,107 @@
+"""Time the thermal builder in-process, min of N, on the build parameters
+of the three benchmark workloads, and write BENCH_builder.json.
+
+    python3 tools/bench_builder.py --repeat 5 [--baseline DIR]
+
+Each timing runs `thermal_half_state_report` in a fresh child process with
+one BLAS thread, on the sources under `<tree>/src`.  With --baseline, the
+child runs alternate between DIR (another checkout, e.g. the parent
+commit) and this checkout, so both see the same machine state.  The file
+records, per tree and workload, every time, their minimum, the layer
+count and the max bond, plus the machine facts and git revisions.  The
+file goes to the root of this checkout.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# (L, beta, dtau) of bench/run.py's workloads, built at its bond cap 20
+WORKLOADS = {
+    "entropy-l20-d60": (20, 0.1, 0.002),
+    "entropy-l100-d30": (100, 0.1, 0.002),
+    "hard-l10-beta1": (10, 1.0, 0.001),
+}
+BOND_DIM = 20
+CHILD = """
+import json, sys, time
+import mpotrace as mt
+L, beta, dtau, bond = json.loads(sys.argv[1])
+p = mt.IsingParams(L=L, J=1.0, g=1.0, h=0.0, beta=beta)
+t0 = time.perf_counter()
+m, meta = mt.thermal_half_state_report(p, dbond=bond, dtau=dtau)
+print(json.dumps({"s": time.perf_counter() - t0, "layers": len(meta["layers"]),
+                  "max_bond": m.max_bond()}))
+"""
+
+
+def _env(tree: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    return env
+
+
+def _time_build(tree: Path, params) -> dict:
+    out = subprocess.run([sys.executable, "-c", CHILD, json.dumps(list(params) + [BOND_DIM])],
+                         env=_env(tree), capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def _revision(tree: Path) -> str:
+    out = subprocess.run(["git", "-C", str(tree), "rev-parse", "HEAD"],
+                         capture_output=True, text=True)
+    return out.stdout.strip() if out.returncode == 0 else "unknown"
+
+
+def _machine() -> dict:
+    import numpy as np
+    import scipy
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    return {"nproc": os.cpu_count(), "blas": blas.get("name", "unknown"),
+            "blas_version": blas.get("version", "unknown"), "blas_threads": 1,
+            "python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--repeat", type=int, default=5, help="timings per tree and workload")
+    ap.add_argument("--baseline", type=Path, default=None, help="checkout to compare with")
+    args = ap.parse_args(argv)
+    trees = {"change": ROOT} if args.baseline is None else {"baseline": args.baseline, "change": ROOT}
+    runs = {side: {name: [] for name in WORKLOADS} for side in trees}
+    for _ in range(args.repeat):
+        for name, params in WORKLOADS.items():
+            for side, tree in trees.items():
+                runs[side][name].append(_time_build(tree, params))
+    doc = {
+        "topic": "thermal builder, in-process wall time of thermal_half_state_report",
+        "method": f"min of {args.repeat} child processes per tree and workload, alternating "
+                  f"trees, bond cap {BOND_DIM}, one BLAS thread (tools/bench_builder.py)",
+        "machine": _machine(),
+        "trees": {},
+    }
+    for side, tree in trees.items():
+        doc["trees"][side] = {"revision": _revision(tree), "workloads": {
+            name: {"L": WORKLOADS[name][0], "beta": WORKLOADS[name][1], "dtau": WORKLOADS[name][2],
+                   "min_s": round(min(r["s"] for r in rs), 4),
+                   "all_s": [round(r["s"], 4) for r in rs],
+                   "layers": rs[0]["layers"], "max_bond": rs[0]["max_bond"]}
+            for name, rs in runs[side].items()}}
+    (ROOT / "BENCH_builder.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    print(json.dumps(doc["trees"], indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
