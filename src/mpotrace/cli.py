@@ -123,10 +123,13 @@ def cmd_build_thermal(args) -> int:
     t0 = time.perf_counter()
     m, meta = models.thermal_half_state_report(params, dbond=args.bond_dim, dtau=args.dtau)
     alarmed = [l for l in meta["layers"] if l["discarded"] > args.trunc_warn]
-    for l in alarmed:
+    if alarmed:
+        worst = max(alarmed, key=lambda l: l["discarded"])
         logger.warning(
-            "step %d layer %s discarded relative weight %.3e (above %.1e)",
-            l["step"], l["layer"], l["discarded"], args.trunc_warn,
+            "%d of %d layers discarded relative weight above %.1e; worst: step %d "
+            "layer %s, %.3e (per-layer weights in the state file's layers)",
+            len(alarmed), len(meta["layers"]), args.trunc_warn,
+            worst["step"], worst["layer"], worst["discarded"],
         )
     if args.state == "full":
         fit = multiply_and_optimize(m, mp.adjoint(m), args.bond_dim)

@@ -2,15 +2,19 @@
 
 `multiply_and_optimize` fits an MPO with capped bonds to the target
 a@u + sum_k c_k t_k.  A Lanczos step is one such fit: A U_k - alpha U_k
-- beta U_{k-1}.
+- beta U_{k-1}.  The target is held as one list of operator products:
+the fit's own (a, u), and (c_k*I, t_k) for each carried term, with I the
+bond-1 identity sites.  One contraction kernel (`_Target`) serves the
+warm start, the sweeps and `expectation`.
 
-The warm start is one left-to-right zip-up of the block-embedded target:
-at each site the product part and the carried terms sit side by side on
-the right bond, and one SVD capped at the bond limit splits them.  It
-yields ||target||^2 as the norm of the last site plus the discarded
-weight: exact when the cap discards nothing, an estimate otherwise.  A
-truncating fit small enough that the exact contraction of ||target||^2
-costs no more than the zip-up contracts it instead.
+The warm start is one left-to-right zip-up of that target: at each site
+the products' parts sit side by side on the right bond, and one SVD,
+cut by the keep rule of every truncated split (mpo._truncation_rank)
+and capped at the bond limit, splits them.  It yields ||target||^2 as
+the norm of the last site plus the discarded weight: exact when the cap
+discards nothing, an estimate otherwise.  A truncating fit small enough
+that the exact contraction of ||target||^2 costs no more than the
+zip-up contracts it instead.
 
 The sweeps are alternating least squares: the trial operator is kept in
 mixed-canonical gauge, so each local problem is solved exactly by a plain
@@ -114,165 +118,89 @@ def _scaled(v: float, log_factor: float) -> float:
         return math.inf if v > 0 else -math.inf
 
 
-class _MultiplyTarget:
-    """Environments of <x, a@u> for the product fit.
+class _Target:
+    """Environments of <x, sum_k a_k@u_k> over a list of operator products.
+
+    The fit's own product is (a, u); a carried term c*t enters as
+    (c*I, t), with I the bond-1 identity sites, so one kernel serves the
+    whole target.  Environments are lists with one (x, a_k, u_k) bond
+    tensor per product, and local tensors sum the products' parts.
 
     The contractions run as plain matrix products on pre-transposed
     views of the (static) operand sites, which keeps every step inside
     BLAS instead of paying per-call tensordot bookkeeping on the many
     small tensors a sweep touches."""
 
-    def __init__(self, a_sites, u_sites):
-        self.a = a_sites
-        self.u = u_sites
+    def __init__(self, products):
+        self.a = [a for a, _ in products]
+        self.u = [u for _, u in products]
         # u_i: (c, j, lu, ru) -> (lu, c*j*ru) for the left-to-right pass
-        self._ul = [s.transpose(2, 0, 1, 3).reshape(s.shape[2], -1) for s in u_sites]
+        self._ul = [[s.transpose(2, 0, 1, 3).reshape(s.shape[2], -1) for s in u] for u in self.u]
         # and (c*j*lu, ru) for the right-to-left pass
-        self._ur = [s.reshape(-1, s.shape[3]) for s in u_sites]
+        self._ur = [[s.reshape(-1, s.shape[3]) for s in u] for u in self.u]
         # a_i: (o, c, la, ra) -> (la*c, o*ra) and (c*ra, o*la)
-        self._al = [s.transpose(2, 1, 0, 3).reshape(s.shape[2] * s.shape[1], -1)
-                    for s in a_sites]
-        self._ar = [s.transpose(1, 3, 0, 2).reshape(s.shape[1] * s.shape[3], -1)
-                    for s in a_sites]
+        self._al = [[s.transpose(2, 1, 0, 3).reshape(s.shape[2] * s.shape[1], -1) for s in a]
+                    for a in self.a]
+        self._ar = [[s.transpose(1, 3, 0, 2).reshape(s.shape[1] * s.shape[3], -1) for s in a]
+                    for a in self.a]
         self._tmp = None  # (site, E, half-contracted target) reuse
 
-    def boundary_left(self):
-        return np.ones((1, 1, 1))
+    def boundary(self):
+        return [np.ones((1, 1, 1)) for _ in self.a]
 
-    boundary_right = boundary_left
-
-    def _half(self, i, E):
-        """Target with E absorbed, flattened to (lx*j*o, ra*ru) plus dims."""
-        if self._tmp is not None and self._tmp[0] == i and self._tmp[1] is E:
-            return self._tmp[2]
-        o, c, la, ra = self.a[i].shape
-        j, lu, ru = self.u[i].shape[1], self.u[i].shape[2], self.u[i].shape[3]
-        lx = E.shape[0]
-        # E: (lx, la, lu) @ (lu, c*j*ru) -> (lx, la, c, j, ru)
-        t = (E.reshape(lx * la, lu) @ self._ul[i]).reshape(lx, la, c, j, ru)
-        # contract (la, c) with a_i -> (lx, j, ru, o, ra)
-        t = t.transpose(0, 3, 4, 1, 2).reshape(lx * j * ru, la * c)
-        t = (t @ self._al[i]).reshape(lx, j, ru, o, ra)
-        half = (t.transpose(0, 1, 3, 4, 2).reshape(lx * j * o, ra * ru),
-                (lx, j, o, ra, ru))
-        self._tmp = (i, E, half)
-        return half
-
-    def local(self, i, E, F):
-        flat, (lx, j, o, ra, ru) = self._half(i, E)
-        rx = F.shape[0]
-        # F: (rx, ra, ru); contract ra, ru -> (lx, j, o, rx)
-        t = (flat @ F.transpose(1, 2, 0).reshape(ra * ru, rx)).reshape(lx, j, o, rx)
-        return t.transpose(2, 1, 0, 3)  # (o, j, lx, rx)
-
-    def env_left(self, i, E, xq):
-        flat, (lx, j, o, ra, ru) = self._half(i, E)
-        rx = xq.shape[3]
-        # xq: (o, j, lx, rx); contract lx, j, o -> (rx, ra, ru)
-        xc = xq.conj().transpose(3, 2, 1, 0).reshape(rx, lx * j * o)
-        return (xc @ flat).reshape(rx, ra, ru)
-
-    def env_right(self, i, F, xq):
-        o, c, la, ra = self.a[i].shape
-        j, lu, ru = self.u[i].shape[1], self.u[i].shape[2], self.u[i].shape[3]
-        rx = F.shape[0]
-        # u_i: (c*j*lu, ru) @ (ru, rx*ra) -> (c, j, lu, rx, ra)
-        t = (self._ur[i] @ F.transpose(2, 0, 1).reshape(ru, rx * ra)).reshape(
-            c, j, lu, rx, ra)
-        # a_i as (c*ra, o*la); contract c, ra -> (o, la, j, lu, rx)
-        t = t.transpose(0, 4, 1, 2, 3).reshape(c * ra, j * lu * rx)
-        t = (self._ar[i].T @ t).reshape(o, la, j, lu, rx)
-        # xq: contract o, j, rx -> (lx, la, lu)
-        xc = xq.conj().transpose(2, 0, 1, 3).reshape(xq.shape[2], o * j * rx)
-        t = t.transpose(0, 2, 4, 1, 3).reshape(o * j * rx, la * lu)
-        return (xc @ t).reshape(xq.shape[2], la, lu)
-
-
-class _SumTarget:
-    """Environments of <x, sum_k t_k> for the carried terms of the fit
-    (their coefficients are folded into the sites).
-
-    Same matmul-on-views scheme as the product target; the per-term site
-    tensors are static, so their transposed layouts are built once."""
-
-    def __init__(self, term_sites):
-        self.terms = term_sites
-        # t_i: (o, j, lt, rt) -> (lt, o*j*rt) and (o*j*lt, rt)
-        self._tl = [[s.transpose(2, 0, 1, 3).reshape(s.shape[2], -1) for s in tk]
-                    for tk in term_sites]
-        self._tr = [[s.reshape(-1, s.shape[3]) for s in tk] for tk in term_sites]
-        self._tmp = None  # (site, E, per-term absorbed targets) reuse
-
-    def boundary_left(self):
-        return [np.ones((1, 1)) for _ in self.terms]
-
-    boundary_right = boundary_left
-
-    def _absorbed(self, i, E):
-        """Per term: E_k (lx, lt) @ (lt, o*j*rt), kept as (lx*o*j, rt)."""
-        if self._tmp is not None and self._tmp[0] == i and self._tmp[1] is E:
-            return self._tmp[2]
-        parts = []
-        for k, tk in enumerate(self.terms):
-            o, j, _, rt = tk[i].shape
-            lx = E[k].shape[0]
-            parts.append((E[k] @ self._tl[k][i]).reshape(lx * o * j, rt))
-        self._tmp = (i, E, parts)
-        return parts
-
-    def local(self, i, E, F):
-        parts = self._absorbed(i, E)
-        out = None
-        for k, tk in enumerate(self.terms):
-            o, j, _, rt = tk[i].shape
-            lx, rx = E[k].shape[0], F[k].shape[0]
-            # (lx*o*j, rt) @ (rt, rx) -> (lx, o, j, rx)
-            piece = (parts[k] @ F[k].T).reshape(lx, o, j, rx)
-            out = piece if out is None else out + piece
-        return out.transpose(1, 2, 0, 3)  # (o, j, lx, rx)
-
-    def env_left(self, i, E, xq):
-        parts = self._absorbed(i, E)
-        o, j, lx, rx = xq.shape
-        # xq: (o, j, lx, rx); contract lx, o, j with each absorbed target
-        xc = xq.conj().transpose(3, 2, 0, 1).reshape(rx, lx * o * j)
-        return [xc @ p for p in parts]  # each (rx, rt)
-
-    def env_right(self, i, F, xq):
-        o, j, lx, rx = xq.shape
-        xc = xq.conj().transpose(2, 0, 1, 3).reshape(lx, o * j * rx)
+    def half(self, i, E):
+        """Per product, E_k absorbed into a_k@u_k at site i, flattened to
+        (lx*j*o, ra*ru)."""
         out = []
-        for k, tk in enumerate(self.terms):
-            rt = tk[i].shape[3]
-            # t_i: (o*j*lt, rt) @ (rt, rx) -> (o, j, lt, rx)
-            tmp = (self._tr[k][i] @ F[k].T).reshape(o, j, -1, rx)
-            # contract o, j, rx -> (lx, lt)
-            out.append(xc @ tmp.transpose(0, 1, 3, 2).reshape(o * j * rx, -1))
+        for a, u, ul, al, e in zip(self.a, self.u, self._ul, self._al, E):
+            o, c, la, ra = a[i].shape
+            j, lu, ru = u[i].shape[1:]
+            lx = e.shape[0]
+            # E: (lx, la, lu) @ (lu, c*j*ru) -> (lx, la, c, j, ru)
+            t = (e.reshape(lx * la, lu) @ ul[i]).reshape(lx, la, c, j, ru)
+            # contract (la, c) with a_i -> (lx, j, ru, o, ra)
+            t = t.transpose(0, 3, 4, 1, 2).reshape(lx * j * ru, la * c)
+            t = (t @ al[i]).reshape(lx, j, ru, o, ra)
+            out.append(t.transpose(0, 1, 3, 4, 2).reshape(lx * j * o, ra * ru))
         return out
 
-
-class _ResidualTarget:
-    """Environments of <x, a@u + sum_k t_k>: the product target and the
-    sum target side by side.  Local tensors add; environments are carried
-    as a (product, terms) pair."""
-
-    def __init__(self, prod: _MultiplyTarget, terms: _SumTarget):
-        self.prod = prod
-        self.terms = terms
-
-    def boundary_left(self):
-        return self.prod.boundary_left(), self.terms.boundary_left()
-
-    boundary_right = boundary_left
+    def _half(self, i, E):
+        """half, kept for the env_left that follows a local at site i."""
+        if self._tmp is None or self._tmp[0] != i or self._tmp[1] is not E:
+            self._tmp = (i, E, self.half(i, E))
+        return self._tmp[2]
 
     def local(self, i, E, F):
-        return self.prod.local(i, E[0], F[0]) + self.terms.local(i, E[1], F[1])
+        # F_k: (rx, ra, ru); contract ra, ru -> (lx*j*o, rx), summed
+        parts = [h @ f.transpose(1, 2, 0).reshape(-1, f.shape[0])
+                 for h, f in zip(self._half(i, E), F)]
+        t = sum(parts[1:], parts[0])
+        o, j = self.a[0][i].shape[0], self.u[0][i].shape[1]
+        return t.reshape(-1, j, o, t.shape[1]).transpose(2, 1, 0, 3)  # (o, j, lx, rx)
 
     def env_left(self, i, E, xq):
-        return self.prod.env_left(i, E[0], xq), self.terms.env_left(i, E[1], xq)
+        o, j, lx, rx = xq.shape
+        # xq: (o, j, lx, rx); contract lx, j, o -> (rx, ra, ru) per product
+        xc = xq.conj().transpose(3, 2, 1, 0).reshape(rx, lx * j * o)
+        return [(xc @ h).reshape(rx, a[i].shape[3], u[i].shape[3])
+                for h, a, u in zip(self._half(i, E), self.a, self.u)]
 
     def env_right(self, i, F, xq):
-        return self.prod.env_right(i, F[0], xq), self.terms.env_right(i, F[1], xq)
+        o, j, lx, rx = xq.shape
+        # xq: contract o, j, rx with each product's part
+        xc = xq.conj().transpose(2, 0, 1, 3).reshape(lx, o * j * rx)
+        out = []
+        for a, u, ur, ar, f in zip(self.a, self.u, self._ur, self._ar, F):
+            c, la, ra = a[i].shape[1:]
+            lu, ru = u[i].shape[2:]
+            # u_i: (c*j*lu, ru) @ (ru, rx*ra) -> (c, j, lu, rx, ra)
+            t = (ur[i] @ f.transpose(2, 0, 1).reshape(ru, rx * ra)).reshape(c, j, lu, rx, ra)
+            # a_i as (c*ra, o*la); contract c, ra -> (o, la, j, lu, rx)
+            t = t.transpose(0, 4, 1, 2, 3).reshape(c * ra, j * lu * rx)
+            t = (ar[i].T @ t).reshape(o, la, j, lu, rx)
+            t = t.transpose(0, 2, 4, 1, 3).reshape(o * j * rx, la * lu)
+            out.append((xc @ t).reshape(lx, la, lu))
+        return out
 
 
 def _run_sweeps(x_sites, target, norm_sq: float, opts: SweepOptions):
@@ -293,11 +221,11 @@ def _run_sweeps(x_sites, target, norm_sq: float, opts: SweepOptions):
     L = len(x_sites)
     tol = opts.rel_tol * max(norm_sq, _TINY)
     renvs = [None] * (L + 1)
-    renvs[L] = target.boundary_right()
+    renvs[L] = target.boundary()
     for i in range(L - 1, 0, -1):
         renvs[i] = target.env_right(i, renvs[i + 1], x_sites[i])
     lenvs = [None] * (L + 1)
-    lenvs[0] = target.boundary_left()
+    lenvs[0] = target.boundary()
     objectives = []
     converged = False
     prev = first_gain = None
@@ -327,75 +255,60 @@ def _run_sweeps(x_sites, target, norm_sq: float, opts: SweepOptions):
     return objectives, converged, sweeps
 
 
-def _zipup(a_sites, u_sites, term_sites, cap: int):
-    """One left-to-right pass over the block-embedded target a@u + sum_k
-    t_k, split at every bond by one SVD capped at cap.
+def _zipup(target: _Target, cap: int):
+    """One left-to-right pass over the target sum_k a_k@u_k, split at
+    every bond by one SVD capped at cap.
 
-    At each site the product part (right bond ra*ru) and the terms (right
-    bonds rt_k) are concatenated on the right bond, so the carried weights
-    of all parts meet in one factorization.  Returns (sites, norm_sq,
-    scale_sq): sites in right-canonical gauge (center 0), the form the
-    sweeps start from; norm_sq, the norm of the last site plus the
-    discarded weight, is ||target||^2, exact when nothing is discarded
-    and an estimate otherwise, because the discarded weights are measured
-    against a right side that is not isometric; scale_sq is the squared
-    sum of the parts' norms, against which a cancellation of the whole
-    target is judged."""
-    L = len(a_sites)
-    carry = np.ones((1, 1, 1))  # (x, la, lu) of the product part
-    carries = [np.ones((1, 1)) for _ in term_sites]  # (x, lt) per term
-    sites = [None] * L
+    The carries are the target's left environments, and each site's block
+    is its half-contraction: the products' parts (right bonds ra*ru) sit
+    side by side, so the carried weights of all of them, a term (c*I)@t
+    among them, meet in one factorization, cut by the keep rule of
+    mp._truncation_rank.  Returns (sites, norm_sq, scale_sq): sites in
+    right-canonical gauge (center 0), the form the sweeps start from;
+    norm_sq, the norm of the last site plus the discarded weight, is
+    ||target||^2, exact when nothing is discarded and an estimate
+    otherwise, because the discarded weights are measured against a right
+    side that is not isometric; scale_sq is the squared sum of the parts'
+    norms, against which a cancellation of the whole target is judged."""
+    L = len(target.a[0])
+    carries = target.boundary()
+    sites = []
     disc2 = 0.0
     for i in range(L):
-        sa, su = a_sites[i], u_sites[i]
-        x, la, lu = carry.shape
-        o, c, _, ra = sa.shape
-        j, ru = su.shape[1], su.shape[3]
-        # carry (x*lu, la) @ a_i (la, o*c*ra) -> (x, lu, o, c, ra)
-        t = carry.transpose(0, 2, 1).reshape(x * lu, la) @ sa.transpose(2, 0, 1, 3).reshape(la, -1)
-        t = t.reshape(x, lu, o, c, ra).transpose(0, 2, 4, 3, 1).reshape(x * o * ra, c * lu)
-        # t (x*o*ra, c*lu) @ u_i (c*lu, j*ru) -> (x, o, ra, j, ru), columns (ra, ru)
-        t = (t @ su.transpose(0, 2, 1, 3).reshape(c * lu, -1)).reshape(x, o, ra, j, ru)
-        blocks = [t.transpose(1, 3, 0, 2, 4).reshape(o * j * x, ra * ru)]
-        for tk, ck in zip(term_sites, carries):
-            # carry (x, lt) @ t_i (lt, o*j*rt) -> (x, o, j, rt), columns rt
-            s = tk[i]
-            rt = s.shape[3]
-            blocks.append((ck @ s.transpose(2, 0, 1, 3).reshape(s.shape[2], -1))
-                          .reshape(x, o, j, rt).transpose(1, 2, 0, 3).reshape(o * j * x, rt))
+        o, j, x = target.a[0][i].shape[0], target.u[0][i].shape[1], carries[0].shape[0]
+        blocks = target.half(i, carries)
         if i == L - 1:
             # every part's right boundary bond is 1: the site is their sum
-            parts = [blk.reshape(-1) for blk in blocks]
-            site = sum(parts[1:], parts[0])
-            sites[i] = site.reshape(o, j, x, 1)
+            site = sum(blocks[1:], blocks[0])
+            sites.append(site.reshape(x, j, o, 1).transpose(2, 1, 0, 3))
             norm_sq = float(np.vdot(site, site).real) + disc2
-            scale_sq = sum(math.sqrt(float(np.vdot(p, p).real)) for p in parts) ** 2
+            scale_sq = sum(math.sqrt(float(np.vdot(b, b).real)) for b in blocks) ** 2
             return list(mp.canonicalize(mp.Mpo(tuple(sites)), center=0).sites), norm_sq, scale_sq
         mat = np.concatenate(blocks, axis=1)
         # the parts are as large as mat: free them, and mat after the
         # split, so that no two copies are held through the factorization
-        del t, blocks
+        del blocks
         uu, sv, vh = tensors.svd(mat)
         del mat
-        keep = max(1, int(np.sum(sv > 1e-14 * sv[0]))) if sv.size and sv[0] > 0 else 1
-        keep = min(keep, cap)
-        disc2 += float(np.sum(sv[keep:] ** 2))
-        sites[i] = uu[:, :keep].reshape(o, j, x, keep)
+        keep, tail2 = mp._truncation_rank(sv, cap)
+        disc2 += tail2
+        # a copy, so that the site does not hold all of uu alive
+        sites.append(uu[:, :keep].reshape(x, j, o, keep).transpose(2, 1, 0, 3).copy())
         right = sv[:keep, None] * vh[:keep]
-        carry = right[:, :ra * ru].reshape(keep, ra, ru)
-        off = ra * ru
-        for k, tk in enumerate(term_sites):
-            rt = tk[i].shape[3]
-            carries[k] = right[:, off:off + rt]
-            off += rt
+        carries, off = [], 0
+        for a, u in zip(target.a, target.u):
+            ra, ru = a[i].shape[3], u[i].shape[3]
+            carries.append(right[:, off:off + ra * ru].reshape(keep, ra, ru))
+            off += ra * ru
 
 
-def _exact_norm_sq(a_sites, u_sites, term_sites) -> float:
-    """||a@u + sum_k t_k||^2 by one transfer contraction of the exact
+def _exact_norm_sq(products) -> float:
+    """||sum_k a_k@u_k||^2 by one transfer contraction of the exact
     block-embedded target."""
-    acc = mp.exact_multiply(mp.Mpo(tuple(a_sites)), mp.Mpo(tuple(u_sites)))
-    for tk in term_sites:
-        acc = mp.exact_add(acc, mp.Mpo(tuple(tk)))
+    acc = None
+    for a_sites, u_sites in products:
+        p = mp.exact_multiply(mp.Mpo(tuple(a_sites)), mp.Mpo(tuple(u_sites)))
+        acc = p if acc is None else mp.exact_add(acc, p)
     mant, logv = mp.inner_product_scaled(acc, acc)
     return float(np.real(mant)) * math.exp(logv)
 
@@ -427,18 +340,18 @@ def _zero_result(L: int, d: int, residual: float = 0.0, warm_ms: float = 0.0) ->
 
 def expectation(a: mp.Mpo, u: mp.Mpo) -> complex:
     """<u, a@u> = tr(u^H a u), contracted by one left-to-right pass of the
-    product fit's environments with x = u.  A float when a and u are
-    real; real up to rounding for any u when a is Hermitian."""
+    fit's environments with x = u.  A float when a and u are real; real
+    up to rounding for any u when a is Hermitian."""
     mp._check_compatible(a, u)
     a_sites, log_a = _unit_sites(a)
     u_sites, log_u = _unit_sites(u)
     if log_a == -math.inf or log_u == -math.inf:
         return 0.0
-    target = _MultiplyTarget(a_sites, u_sites)
-    env = target.boundary_left()
+    target = _Target([(a_sites, u_sites)])
+    env = target.boundary()
     for i, s in enumerate(u_sites):
         env = target.env_left(i, env, s)
-    return env.item() * math.exp(log_a + 2.0 * log_u)
+    return env[0].item() * math.exp(log_a + 2.0 * log_u)
 
 
 def multiply_and_optimize(a: mp.Mpo, u: mp.Mpo, dnew: int | None, opts: SweepOptions | None = None,
@@ -459,38 +372,36 @@ def multiply_and_optimize(a: mp.Mpo, u: mp.Mpo, dnew: int | None, opts: SweepOpt
         raise DimensionError("dnew must be >= 1")
     L, d = a.L, a.d
     t0 = time.perf_counter()
-    # work with unit-norm operands; every part's true magnitude, rebased
-    # onto the largest one, folds into its site 0, and that common scale
-    # rides on the output log_scale, so nothing downstream sees
-    # compounded scales
-    a_sites, log_a = _unit_sites(a)
-    u_sites, log_u = _unit_sites(u)
-    unit = [_unit_sites(t) for _, t in terms]
-    coeffs = [1.0] + [c for c, _ in terms]
-    log_mags = [log_a + log_u] + [
-        ln + math.log(abs(c)) if c != 0 else -math.inf for (c, _), (_, ln) in zip(terms, unit)]
+    # the target is a list of products: (a, u), and (c_k*I, t_k) per term.
+    # Work with unit-norm operands (the identity sites act as the identity
+    # on a unit t_k); every product's true magnitude, rebased onto the
+    # largest one, folds into its site 0, and that common scale rides on
+    # the output log_scale, so nothing downstream sees compounded scales
+    eye = (list(mp.identity_mpo(L, d).sites), 0.0)
+    factors = [(1.0, _unit_sites(a), _unit_sites(u))] + [
+        (c, eye, _unit_sites(t)) for c, t in terms]
+    log_mags = [la + lu + math.log(abs(c)) if c != 0 else -math.inf
+                for c, (_, la), (_, lu) in factors]
     ls = max(log_mags)
     if ls == -math.inf:
         return _zero_result(L, d)
-    weights = [c / abs(c) * math.exp(lm - ls) if lm != -math.inf else 0.0
-               for c, lm in zip(coeffs, log_mags)]
-    a_sites[0] = a_sites[0] * weights[0]
-    term_sites = [[ts[0] * w] + ts[1:] for (ts, _), w in zip(unit, weights[1:])]
+    products = []
+    for (c, (a_sites, _), (u_sites, _)), lm in zip(factors, log_mags):
+        w = c / abs(c) * math.exp(lm - ls) if lm != -math.inf else 0.0
+        products.append(([a_sites[0] * w] + a_sites[1:], u_sites))
 
-    exact_bond = max((sa.shape[3] * su.shape[3] + sum(tk[i].shape[3] for tk in term_sites)
-                      for i, (sa, su) in enumerate(zip(a_sites[:-1], u_sites[:-1]))), default=1)
+    exact_bond = max((sum(ak[i].shape[3] * uk[i].shape[3] for ak, uk in products)
+                      for i in range(L - 1)), default=1)
     cap = exact_bond if dnew is None else min(dnew, exact_bond)
-    x_sites, norm_sq, scale_sq = _zipup(a_sites, u_sites, term_sites, cap)
+    target = _Target(products)
+    x_sites, norm_sq, scale_sq = _zipup(target, cap)
     if cap < exact_bond <= max(d * d * cap, _EXACT_NORM_MIN):
-        norm_sq = _exact_norm_sq(a_sites, u_sites, term_sites)
+        norm_sq = _exact_norm_sq(products)
     if norm_sq <= 1e-28 * scale_sq:
         # complete cancellation: the zero operator is the exact optimum
         return _zero_result(L, d, _scaled(max(norm_sq, 0.0), 2.0 * ls),
                             (time.perf_counter() - t0) * 1e3)
 
-    target = _MultiplyTarget(a_sites, u_sites)
-    if term_sites:
-        target = _ResidualTarget(target, _SumTarget(term_sites))
     t1 = time.perf_counter()
     swept = _run_sweeps(x_sites, target, norm_sq, opts)
     t2 = time.perf_counter()

@@ -70,26 +70,33 @@ def test_multiply_objectives_monotone():
 
 def test_multiply_debug_incremental_matches_scratch():
     # the incrementally tracked objective equals the squared distance to
-    # the exact product, recomputed from scratch, at a capped bond
+    # the exact target, recomputed from scratch, at a capped bond whose
+    # block bond (9, and 9 + 3 + 2 with the terms) takes ||target||^2
+    # from the exact contraction: the product, and the product with terms
     a = random_mpo(4, 3, 2)
     u = random_mpo(4, 3, 9)
-    fit = multiply_and_optimize(a, u, 4)
-    assert fit.mpo.max_bond() == 4
-    dist2 = np.linalg.norm(mp.dense(fit.mpo) - mp.dense(a) @ mp.dense(u)) ** 2
-    assert dist2 > 1e-6
-    assert abs(fit.residual - dist2) < 1e-8 * max(dist2, 1.0)
+    u_prev = random_mpo(4, 2, 10)
+    for terms in ([], [(-0.8, u), (0.3, u_prev)]):
+        fit = multiply_and_optimize(a, u, 4, terms=terms)
+        assert fit.mpo.max_bond() == 4
+        ref = mp.dense(a) @ mp.dense(u) + sum(c * mp.dense(t) for c, t in terms)
+        dist2 = np.linalg.norm(mp.dense(fit.mpo) - ref) ** 2
+        assert dist2 > 1e-6
+        assert abs(fit.residual - dist2) < 1e-8 * dist2, terms
 
 
 def test_multiply_zipup_warm_start_path():
-    # exact product bond 16*16 forces the one-pass truncated init
+    # exact product bond 16*16 forces the one-pass truncated init, and its
+    # estimate of ||target||^2; with carried terms as well
     a = random_mpo(6, 16, 1)
     u = random_mpo(6, 16, 2)
-    fit = multiply_and_optimize(a, u, 8, SweepOptions(max_sweeps=3))
-    assert np.isfinite(fit.residual)
-    assert fit.mpo.max_bond() <= 8
-    obj = fit.objectives
-    for j in range(1, len(obj)):
-        assert obj[j] <= obj[j - 1] + 1e-10 * max(abs(obj[0]), 1.0)
+    for terms in ([], [(-0.8, u), (0.3, random_mpo(6, 8, 3))]):
+        fit = multiply_and_optimize(a, u, 8, SweepOptions(max_sweeps=3), terms)
+        assert np.isfinite(fit.residual)
+        assert fit.mpo.max_bond() <= 8
+        obj = fit.objectives
+        for j in range(1, len(obj)):
+            assert obj[j] <= obj[j - 1] + 1e-10 * max(abs(obj[0]), 1.0), (terms, j)
 
 
 def test_multiply_huge_log_scale_is_stable():
