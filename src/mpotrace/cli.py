@@ -21,6 +21,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, fields
 
 from .errors import MpoTraceError
 from . import exact as ex
@@ -31,8 +32,7 @@ from .sweeping import multiply_and_optimize
 
 logger = logging.getLogger("mpotrace.cli")
 
-CSV_COLUMNS = ("k", "alpha", "beta", "ritz_min", "ritz_max", "estimate", "wall_ms",
-               "fit_residual", "sweeps", "converged", "warm_ms", "sweep_ms")
+CSV_COLUMNS = tuple(f.name for f in fields(lz.IterationRecord))
 
 
 def _configure_logging() -> None:
@@ -138,7 +138,7 @@ def cmd_build_thermal(args) -> int:
         if not tr.real > 0:
             print(f"error: Gibbs state trace is not positive ({tr!r})", file=sys.stderr)
             return 1
-        m = mp.scalar_multiply(1.0 / tr.real, rho)
+        m = mp.shift_log_scale(rho, math.log(1.0 / tr.real))
         meta["squaring_residual"] = float(fit.residual)
     meta.update(
         state=args.state,
@@ -168,22 +168,12 @@ def _parse_function(text: str):
     raise ValueError(f"unknown function {text!r} (want entropy, trace, or poly:<c0,c1,...>)")
 
 
-def _record_dict(rec: lz.IterationRecord) -> dict:
-    return {
-        "k": rec.k, "alpha": rec.alpha, "beta": rec.beta,
-        "ritz_min": rec.ritz_min, "ritz_max": rec.ritz_max,
-        "estimate": rec.estimate, "wall_ms": rec.wall_ms,
-        "fit_residual": rec.fit_residual, "sweeps": rec.sweeps,
-        "converged": rec.converged, "warm_ms": rec.warm_ms, "sweep_ms": rec.sweep_ms,
-    }
-
-
 def _write_iterations_csv(records, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for rec in records:
-            row = _record_dict(rec)
+            row = asdict(rec)
             writer.writerow([rec.k] + [f"{row[c]:.17g}" for c in CSV_COLUMNS[1:]])
 
 
@@ -192,15 +182,19 @@ def cmd_estimate(args) -> int:
         fspec = _parse_function(args.function)
         if args.kmax < 1:
             raise ValueError("--kmax must be >= 1")
-        if args.window < 2:
-            raise ValueError("--window must be >= 2")
-        if args.eps <= 0:
-            raise ValueError("--eps must be > 0")
+        floor = args.spectrum_floor
+        if fspec == "entropy" and floor is None:
+            floor = 0.0  # the half-state is psd: a negative Ritz value is a fault
+        stop = lz.StoppingConfig(eps_conv=args.eps, window=args.window, spectrum_floor=floor)
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
     m = mp.load_json(args.input)
-    dmax = args.dmax if args.dmax > 0 else None
+    if fspec == "trace":
+        # one uncapped step is exact: beta_1^2 alpha_1 = tr(A)
+        fspec, kmax, dmax = lz.identity_function(), 1, None
+    else:
+        kmax, dmax = args.kmax, (args.dmax if args.dmax > 0 else None)
     t0 = time.perf_counter()
 
     def progress(rec):
@@ -208,29 +202,14 @@ def cmd_estimate(args) -> int:
 
     ln_z2 = None
     if fspec == "entropy":
-        stop = lz.StoppingConfig(
-            eps_conv=args.eps, window=args.window,
-            spectrum_floor=0.0 if args.spectrum_floor is None else args.spectrum_floor,
-        )
         # contract <m, m> once: entropy_from_half_state reads it back
         m = mp.Mpo(m.sites, m.log_scale, mp.log_norm(m))
         ln_z2 = 2.0 * m.ln_norm if m.ln_norm > -math.inf else None
         estimate, run = lz.entropy_from_half_state(
-            m, kmax=args.kmax, dmax=dmax, stop=stop, progress=progress,
+            m, kmax=kmax, dmax=dmax, stop=stop, progress=progress,
         )
-    elif fspec == "trace":
-        run = lz.global_lanczos(
-            m, kmax=1, dmax=None, f=lz.identity_function(), progress=progress,
-        )
-        estimate = run.estimate
     else:
-        stop = lz.StoppingConfig(
-            eps_conv=args.eps, window=args.window,
-            spectrum_floor=args.spectrum_floor,
-        )
-        run = lz.global_lanczos(
-            m, kmax=args.kmax, dmax=dmax, f=fspec, stop=stop, progress=progress,
-        )
+        run = lz.global_lanczos(m, kmax=kmax, dmax=dmax, f=fspec, stop=stop, progress=progress)
         estimate = run.estimate
 
     payload = {
@@ -238,9 +217,8 @@ def cmd_estimate(args) -> int:
         "input": args.input,
         "dtype": m.dtype.name,
         "settings": {
-            "kmax": args.kmax if fspec != "trace" else 1,
-            "dmax": dmax, "eps": args.eps, "window": args.window,
-            "spectrum_floor": args.spectrum_floor,
+            "kmax": kmax, "dmax": dmax, "eps": stop.eps_conv, "window": stop.window,
+            "spectrum_floor": stop.spectrum_floor,
         },
         "estimate": estimate,
         "stop_reason": run.stop_reason,
@@ -250,7 +228,7 @@ def cmd_estimate(args) -> int:
         "alphas": list(run.tridiag.alphas) if run.tridiag else [],
         "betas": list(run.tridiag.betas) if run.tridiag else [],
         "wall_s": time.perf_counter() - t0,
-        "records": [_record_dict(r) for r in run.records],
+        "records": [asdict(r) for r in run.records],
     }
     _write_json(payload, args.out)
     if args.iterations_csv:

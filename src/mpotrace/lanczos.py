@@ -23,7 +23,7 @@ import numpy as np
 from .errors import EvaluationError, HermiticityError, NumericError
 from . import mpo as mp
 from . import tensors
-from .sweeping import SweepOptions, expectation, multiply_and_optimize
+from .sweeping import expectation, multiply_and_optimize
 
 logger = logging.getLogger("mpotrace.lanczos")
 
@@ -121,7 +121,6 @@ class StoppingConfig:
     window: int = 3
     sigma_mult: float = 3.0
     spectrum_floor: float | None = None
-    spectrum_ceiling: float | None = None
 
     def __post_init__(self):
         if self.eps_conv <= 0:
@@ -189,8 +188,8 @@ def gauss_quadrature(t: TridiagonalMatrix, beta1: float, f: SpectralFunction):
 
 def check_stop(run: QuadratureRun, stop: StoppingConfig, f: SpectralFunction):
     """First satisfied criterion wins, in the fixed order: convergence of
-    successive estimates, Ritz values escaping the declared spectral
-    interval, violated bound monotonicity (in the direction
+    successive estimates, a Ritz value below the declared spectrum floor,
+    violated bound monotonicity (in the direction
     f.bound_direction() gives), 3-sigma outlier against the trailing
     window."""
     ests = run.estimates()
@@ -203,8 +202,6 @@ def check_stop(run: QuadratureRun, stop: StoppingConfig, f: SpectralFunction):
         return True, STOP_CONVERGED
     rec = run.records[-1]
     if stop.spectrum_floor is not None and rec.ritz_min < stop.spectrum_floor:
-        return True, STOP_RITZ
-    if stop.spectrum_ceiling is not None and rec.ritz_max > stop.spectrum_ceiling:
         return True, STOP_RITZ
     if len(ests) >= 2:
         direction = f.bound_direction()
@@ -222,54 +219,42 @@ def check_stop(run: QuadratureRun, stop: StoppingConfig, f: SpectralFunction):
     return False, None
 
 
-def _cap(dmax: int | None, want: int) -> int:
-    return want if dmax is None else min(dmax, want)
-
-
 def global_lanczos(
     a: mp.Mpo,
-    u0: mp.Mpo | None = None,
     kmax: int = 50,
     dmax: int | None = None,
     f: SpectralFunction | None = None,
     stop: StoppingConfig | None = None,
-    sweep: SweepOptions | None = None,
     keep_basis: bool = False,
     progress: Callable | None = None,
 ) -> QuadratureRun:
-    """Run the global Lanczos iteration on the Hermitian operator a.
+    """Run the global Lanczos iteration on the Hermitian operator a,
+    started from the identity, so that beta_1^2 = tr(I) and the Gauss rule
+    approximates tr f(a).
 
     Each step normalizes the previous residual block U_k, computes alpha_k
     = <U_k, A U_k> exactly (one transfer pass over a and U_k), makes one
-    capped-bond variational fit of the new residual A U_k - alpha_k U_k -
-    beta_k U_{k-1}, and evaluates the Gauss rule on the accumulated
-    tridiagonal matrix.  The fit's bond cap follows the recurrence's cost
-    schedule: a ledger D that starts at the start operator's bond and
-    becomes min(dmax, D * D_a + D_{U_{k-1}} + D_{U_k}) each step.  The
-    blocks are float64 when a and u0 are both real, complex128 otherwise.
+    variational fit of the new residual A U_k - alpha_k U_k - beta_k
+    U_{k-1} at bond cap dmax (None: uncapped), which the fit clips to the
+    residual's exact bond, and evaluates the Gauss rule on the accumulated
+    tridiagonal matrix.  The blocks are float64 when a is real, complex128
+    otherwise.
     """
-    if u0 is None:
-        u0 = mp.identity_mpo(a.L, a.d)
-    mp._check_compatible(a, u0)
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    if dmax is not None and dmax < u0.max_bond():
-        raise ValueError(f"dmax={dmax} is below the start operator bond {u0.max_bond()}")
+    if dmax is not None and dmax < 1:
+        raise ValueError("dmax must be >= 1")
     f = f or identity_function()
     stop = stop or StoppingConfig()
-    sweep = sweep or SweepOptions()
     # every step's alpha and fit rescale a by its norm, and the first step
-    # normalizes u0: measure both norms once
-    a, u0 = (replace(x, ln_norm=mp.log_norm(x)) for x in (a, u0))
+    # normalizes the identity: measure both norms once
+    a, v = (replace(x, ln_norm=mp.log_norm(x)) for x in (a, mp.identity_mpo(a.L, a.d)))
 
-    d_a = a.max_bond()
     run = QuadratureRun(basis=[] if keep_basis else None)
     alphas: list[float] = []
     betas: list[float] = []
     beta1 = math.nan
     u_prev: mp.Mpo | None = None
-    v = u0
-    d_ledger = u0.max_bond()
     v_scale = 0.0  # magnitude of the pre-normalization block, for breakdown detection
 
     for k in range(1, kmax + 1):
@@ -277,15 +262,13 @@ def global_lanczos(
         ln_v = mp.log_norm(v)
         beta = math.exp(ln_v) if ln_v != -math.inf else 0.0
         if k == 1:
-            if beta <= 0:
-                raise NumericError("start operator has zero Frobenius norm")
             beta1 = beta
+        elif beta <= BREAKDOWN_RTOL * v_scale:
+            # Krylov space exhausted: T_{k-1} reproduces the operator
+            # exactly on the subspace and the last estimate is final
+            run.stop_reason = STOP_BREAKDOWN
+            break
         else:
-            if beta <= BREAKDOWN_RTOL * v_scale:
-                # Krylov space exhausted: T_{k-1} reproduces the operator
-                # exactly on the subspace and the last estimate is final
-                run.stop_reason = STOP_BREAKDOWN
-                break
             betas.append(beta)
         u = mp.shift_log_scale(v, -math.log(beta))
         if keep_basis:
@@ -295,8 +278,7 @@ def global_lanczos(
         alpha = float(alpha_c.real)
         # beta_1 is the start norm and never enters the subtraction
         terms = [(-alpha, u)] if u_prev is None else [(-alpha, u), (-beta, u_prev)]
-        d_ledger = _cap(dmax, d_ledger * d_a + sum(t.max_bond() for _, t in terms))
-        fit = multiply_and_optimize(a, u, d_ledger, sweep, terms)
+        fit = multiply_and_optimize(a, u, dmax, terms=terms)
         v = fit.mpo
 
         # ||A U_k|| by the three-term relation: the scale of the terms that
@@ -347,21 +329,21 @@ def entropy_from_half_state(
     kmax: int = 50,
     dmax: int | None = 100,
     stop: StoppingConfig | None = None,
-    sweep: SweepOptions | None = None,
-    keep_basis: bool = False,
     progress: Callable | None = None,
 ):
     """Von Neumann entropy of rho = m^H m / tr(m^H m) for Hermitian psd m.
 
-    Runs the Lanczos quadrature for f(lam) = -lam^2 ln lam^2 on m rescaled
-    to unit Frobenius norm, which folds the normalization S = ln Z2 -
+    Runs global_lanczos for f(lam) = -lam^2 ln lam^2 on m rescaled to unit
+    Frobenius norm, which folds the normalization S = ln Z2 -
     tr(m^2 ln m^2) / Z2 (Z2 = tr(m^2) = <m, m>) away: the rescaled squared
     eigenvalues sum to one, so -sum lam^2 ln lam^2 over them IS the
     entropy.  The per-iteration estimates are entropy values: a
     nondecreasing sequence of lower bounds while the iteration stays
     clean and the normalized spectrum sits in the small-eigenvalue
-    regime.  Z2 comes from mp.log_norm(m), so a caller that already
-    contracted it passes it in m.ln_norm.
+    regime.  The default stop rule is StoppingConfig(spectrum_floor=0.0):
+    m is psd, so a negative Ritz value marks a broken recurrence.  Z2
+    comes from mp.log_norm(m), so a caller that already contracted it
+    passes it in m.ln_norm.
 
     Returns (S, run).
     """
@@ -370,17 +352,12 @@ def entropy_from_half_state(
         raise NumericError("tr(m^H m) must be positive")
     # unit norm by construction: ln||m_unit|| = 0.5 ln Z2 - 0.5 ln Z2
     m_unit = mp.Mpo(m.sites, m.log_scale - ln_norm, 0.0)
-    if stop is None:
-        stop = StoppingConfig(spectrum_floor=0.0)
-
     run = global_lanczos(
         m_unit,
         kmax=kmax,
         dmax=dmax,
         f=entropy_integrand(),
-        stop=stop,
-        sweep=sweep,
-        keep_basis=keep_basis,
+        stop=stop or StoppingConfig(spectrum_floor=0.0),
         progress=progress,
     )
     return float(run.estimate), run

@@ -115,20 +115,6 @@ def shift_log_scale(a: Mpo, delta: float) -> Mpo:
     return Mpo(a.sites, a.log_scale + delta, ln)
 
 
-def scalar_multiply(c: complex, a: Mpo) -> Mpo:
-    """c * a.  Positive real factors go into log_scale only; otherwise the
-    magnitude goes into log_scale and the phase into site 1."""
-    if c == 0:
-        sites = (np.zeros_like(a.sites[0]),) + a.sites[1:]
-        return Mpo(sites, a.log_scale)
-    mag = abs(c)
-    phase = c / mag
-    if phase == 1.0:
-        return Mpo(a.sites, a.log_scale + math.log(mag))
-    sites = (a.sites[0] * phase,) + a.sites[1:]
-    return Mpo(sites, a.log_scale + math.log(mag))
-
-
 def adjoint(a: Mpo) -> Mpo:
     """Hermitian conjugate: swap the physical legs and conjugate."""
     return Mpo(tuple(s.conj().transpose(1, 0, 2, 3) for s in a.sites), a.log_scale)
@@ -373,7 +359,7 @@ def truncate_svd(a: Mpo, dmax: int | None = None, eps: float = TRUNC_EPS) -> tup
 
 def hermitian_part(a: Mpo) -> Mpo:
     """(a + a^H)/2; bonds at most double."""
-    return scalar_multiply(0.5, exact_add(a, adjoint(a)))
+    return shift_log_scale(exact_add(a, adjoint(a)), math.log(0.5))
 
 
 def save_json(a: Mpo, path: str, metadata: dict | None = None) -> None:
@@ -398,10 +384,10 @@ def load_json(path: str) -> Mpo:
     """Read an Mpo written by save_json.  It is float64 when every
     imaginary part in the file is exactly 0, complex128 otherwise."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise NumericError(f"{path}: not valid JSON ({exc})") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise NumericError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
     try:
         kind = doc["kind"]
         L = int(doc["L"])
@@ -412,11 +398,14 @@ def load_json(path: str) -> Mpo:
         raise NumericError(f"{path}: missing or malformed field ({exc})") from exc
     if kind != "mpo":
         raise NumericError(f"{path}: unknown kind {kind!r}")
-    if len(raw) != L:
-        raise NumericError(f"{path}: L={L} but {len(raw)} site tensors")
+    if not isinstance(raw, list) or len(raw) != L:
+        raise NumericError(f"{path}: L={L} but sites is not a list of {L} site tensors")
     sites = []
     for i, entry in enumerate(raw):
-        arr = np.asarray(entry, dtype=float)
+        try:
+            arr = np.asarray(entry, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise NumericError(f"{path}: site {i} is not a regular array of numbers ({exc})") from exc
         if arr.ndim == 0 or arr.shape[-1] != 2:
             raise NumericError(f"{path}: site {i} entries must be [re, im] pairs")
         if not np.all(np.isfinite(arr)):

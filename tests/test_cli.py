@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+from dataclasses import asdict
 
 import jsonschema
 import numpy as np
@@ -93,11 +94,16 @@ def test_estimate_trace_of_normalized_state(tmp_path):
     out = str(tmp_path / "trace.json")
     assert run_cli("build-thermal", "--L", "6", "--beta", "0.1", "--state", "full",
                    "--dtau", "0.001", "--out", state) == 0
-    rc = run_cli("estimate", "--input", state, "--function", "trace", "--out", out)
+    rc = run_cli("estimate", "--input", state, "--function", "trace",
+                 "--kmax", "7", "--dmax", "3", "--out", out)
     assert rc == 0
     payload = read_json(out)
     assert abs(payload["estimate"] - 1.0) < 1e-8
     assert payload["iterations"] == 1
+    # the trace is one uncapped step whatever the flags say, and the
+    # settings report the run that was made
+    assert payload["settings"]["kmax"] == 1
+    assert payload["settings"]["dmax"] is None
 
 
 def test_estimate_poly_identity_is_trace(tmp_path):
@@ -121,6 +127,38 @@ def test_estimate_entropy_small_chain(tmp_path, half_state_file):
     ref = mt.exact_entropy_dense(mt.IsingParams(L=6, beta=0.1))
     assert abs(payload["estimate"] - ref) / ref < 1e-6
     assert payload["ln_z2"] is not None
+    assert payload["settings"]["spectrum_floor"] == 0.0
+
+
+def test_estimate_stop_flags(tmp_path, half_state_file):
+    def estimate(*flags):
+        out = str(tmp_path / "S.json")
+        rc = run_cli("estimate", "--input", half_state_file, "--function", "entropy",
+                     "--kmax", "30", "--dmax", "60", "--out", out, *flags)
+        return rc, read_json(out) if rc == 0 else None
+
+    _, default = estimate()
+    _, loose = estimate("--eps", "1e-3")
+    assert default["stop_reason"] == loose["stop_reason"] == "converged"
+    assert (loose["iterations"], default["iterations"]) == (3, 7)
+    assert loose["settings"]["eps"] == 1e-3
+    # the unit-norm state's Ritz values lie in [0, 1]: a floor of 1 stops
+    # the first step
+    rc, floored = estimate("--spectrum-floor", "1")
+    assert rc == 0 and floored["settings"]["spectrum_floor"] == 1.0
+    assert (floored["stop_reason"], floored["iterations"]) == ("ritz-violation", 1)
+    assert estimate("--window", "1")[0] == 2
+    assert estimate("--eps", "0")[0] == 2
+
+
+def test_estimate_malformed_state_fails_cleanly(tmp_path, capsys):
+    src = str(tmp_path / "ragged.json")
+    with open(src, "w", encoding="utf-8") as fh:
+        json.dump({"kind": "mpo", "L": 1, "d": 2, "log_scale": 0.0,
+                   "sites": [[[1.0, 0.0], [1.0]]]}, fh)
+    assert run_cli("estimate", "--input", src, "--function", "trace") == 1
+    err = capsys.readouterr().err
+    assert "ragged.json" in err and "Traceback" not in err
 
 
 def test_estimate_result_matches_schema(tmp_path, half_state_file):
@@ -163,7 +201,16 @@ def test_iterations_csv_columns_match_record_dict():
     rec = lz.IterationRecord(k=1, alpha=0.5, beta=1.0, ritz_min=0.5, ritz_max=0.5,
                              estimate=2.0, wall_ms=3.0, fit_residual=1e-9, sweeps=5,
                              converged=False, warm_ms=1.0, sweep_ms=2.0)
-    assert cli.CSV_COLUMNS == tuple(cli._record_dict(rec))
+    assert cli.CSV_COLUMNS == tuple(asdict(rec))
+
+
+def test_schema_records_match_csv_columns():
+    # the schema allows additional properties, so only this keeps a new
+    # record field from skipping it
+    schema_path = os.path.join(os.path.dirname(cli.__file__), "schemas", "result.schema.json")
+    with open(schema_path, encoding="utf-8") as fh:
+        schema = json.load(fh)
+    assert tuple(schema["properties"]["records"]["items"]["properties"]) == cli.CSV_COLUMNS
 
 
 def test_estimate_deterministic(tmp_path, half_state_file):
@@ -222,21 +269,33 @@ def test_exact_rejects_field_with_free_fermion():
     assert run_cli("exact", "--L", "14", "--beta", "0.5", "--h", "0.3") == 2
 
 
-def test_sweep_two_cells(tmp_path):
+def run_two_cell_sweep(tmp_path, jobs):
     manifest = str(tmp_path / "m.json")
-    out = str(tmp_path / "rows.csv")
+    out = str(tmp_path / f"rows{jobs}.csv")
     with open(manifest, "w", encoding="utf-8") as fh:
         json.dump({"L": [6, 8], "beta": [0.2], "dmax": [32], "kmax": [16]}, fh)
     rc = run_cli("sweep", "--manifest", manifest, "--out", out,
-                 "--dbond", "16", "--dtau", "0.005")
+                 "--dbond", "16", "--dtau", "0.005", "--jobs", str(jobs))
     assert rc == 0
     with open(out, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
+        return list(csv.DictReader(fh))
+
+
+def test_sweep_two_cells(tmp_path):
+    rows = run_two_cell_sweep(tmp_path, 1)
     assert len(rows) == 2
     for row in rows:
         assert row["error"] == ""
         assert float(row["rel_error"]) < 1e-4
         assert row["stop_reason"]
+
+
+def test_sweep_jobs_match_serial(tmp_path):
+    serial, parallel = (run_two_cell_sweep(tmp_path, jobs) for jobs in (1, 2))
+    for rows in (serial, parallel):
+        for row in rows:
+            del row["wall_s"]
+    assert parallel == serial
 
 
 def test_sweep_empty_manifest(tmp_path):

@@ -1,5 +1,6 @@
 """MPO value semantics: construction, arithmetic, gauge, truncation, IO."""
 import json
+import math
 import os
 
 import numpy as np
@@ -44,7 +45,8 @@ def test_inner_product_conjugate_symmetry():
 
 def test_frobenius_norm_homogeneity():
     m = random_mpo(5, 3, 7)
-    assert abs(mp.frobenius_norm(mp.scalar_multiply(2.0, m)) - 2.0 * mp.frobenius_norm(m)) < 1e-10
+    assert abs(mp.frobenius_norm(mp.shift_log_scale(m, math.log(2.0)))
+               - 2.0 * mp.frobenius_norm(m)) < 1e-10
 
 
 def test_frobenius_norm_dense_oracle():
@@ -52,23 +54,6 @@ def test_frobenius_norm_dense_oracle():
         m = random_mpo(6, 4, seed)
         ref = np.linalg.norm(mp.dense(m))
         assert abs(mp.frobenius_norm(m) - ref) < 1e-10 * ref
-
-
-def test_scalar_multiply_cases():
-    m = random_mpo(5, 3, 11)
-    ref = mp.dense(m)
-    assert np.allclose(mp.dense(mp.scalar_multiply(1.0, m)), ref, atol=1e-12)
-    assert np.max(np.abs(mp.dense(mp.scalar_multiply(0.0, m)))) < 1e-14
-    c = 2.0 + 1.0j
-    assert np.allclose(mp.dense(mp.scalar_multiply(c, m)), c * ref, atol=1e-12)
-
-
-def test_scalar_multiply_positive_goes_to_log_scale():
-    m = random_mpo(4, 2, 1)
-    out = mp.scalar_multiply(3.0, m)
-    assert abs(out.log_scale - (m.log_scale + np.log(3.0))) < 1e-14
-    for s_out, s_in in zip(out.sites, m.sites):
-        assert np.array_equal(s_out, s_in)
 
 
 def test_exact_add_cancellation():
@@ -151,7 +136,7 @@ def test_truncate_rank_one_collapses():
     # product operator (true bond 1) stored redundantly at bond 4
     rng = np.random.default_rng(0)
     prod = mp.Mpo(tuple((rng.standard_normal((2, 2, 1, 1)) + 1j * rng.standard_normal((2, 2, 1, 1))) for _ in range(4)))
-    padded = mp.exact_add(prod, mp.scalar_multiply(0.0, random_mpo(4, 3, 1)))
+    padded = mp.exact_add(prod, random_mpo(4, 3, 1), 0.0)
     assert max(padded.bond_dims()) == 4
     out, err = mp.truncate_svd(padded, dmax=4)
     assert max(out.bond_dims()) == 1
@@ -275,6 +260,24 @@ def test_load_malformed_file_names_path(tmp_path):
         mp.load_json(path2)
     assert "wrongkind.json" in str(exc.value)
 
+    # a ragged site, sites that are not a list, a non-numeric entry, and
+    # bytes that are not UTF-8
+    site = np.zeros((2, 2, 1, 1, 2)).tolist()
+    header = '{"kind": "mpo", "L": 2, "d": 2, "log_scale": 0.0, "sites": '
+    bodies = {
+        "ragged.json": json.dumps([[[1.0, 0.0], [1.0]], site]),
+        "scalar.json": "5",
+        "text.json": json.dumps([[["one", 0.0]], site]),
+        "latin1.json": json.dumps([site, site]) + ', "note": "caf\u00e9"',
+    }
+    for name, body in bodies.items():
+        bad = os.path.join(tmp_path, name)
+        with open(bad, "wb") as fh:
+            fh.write((header + body + "}").encode("latin-1"))
+        with pytest.raises(NumericError) as exc:
+            mp.load_json(bad)
+        assert name in str(exc.value)
+
 
 def test_dtype_rule_construction():
     assert mp.identity_mpo(3).dtype == np.float64
@@ -293,7 +296,7 @@ def test_dtype_rule_real_stays_float64():
     a, b = real_part(random_mpo(5, 3, 0)), real_part(random_mpo(5, 4, 1))
     outs = [mp.exact_add(a, b, -0.5), mp.exact_multiply(a, b), mp.canonicalize(a, center=2),
             mp.truncate_svd(mp.exact_multiply(a, b), dmax=5)[0], mp.adjoint(a),
-            mp.scalar_multiply(-2.0, a)]
+            mp.shift_log_scale(a, math.log(2.0))]
     for out in outs:
         assert [s.dtype for s in out.sites] == [np.float64] * 5
     # the transfer contractions of real operators give real numbers
