@@ -134,11 +134,12 @@ def cmd_build_thermal(args) -> int:
     if args.state == "full":
         fit = multiply_and_optimize(m, mp.adjoint(m), args.bond_dim)
         rho = fit.mpo
-        tr = mp.mpo_trace(rho)
-        if not tr.real > 0:
-            print(f"error: Gibbs state trace is not positive ({tr!r})", file=sys.stderr)
+        # tr rho = <I, rho> = mant * exp(ln_tr), kept in log form
+        mant, ln_tr = mp.inner_product_scaled(mp.identity_mpo(rho.L, rho.d), rho)
+        if not mant.real > 0:
+            print(f"error: Gibbs state trace {mant!r} * e^{ln_tr!r} is not positive", file=sys.stderr)
             return 1
-        m = mp.shift_log_scale(rho, math.log(1.0 / tr.real))
+        m = mp.shift_log_scale(rho, -(math.log(mant.real) + ln_tr))
         meta["squaring_residual"] = float(fit.residual)
     meta.update(
         state=args.state,
@@ -200,11 +201,9 @@ def cmd_estimate(args) -> int:
     def progress(rec):
         logger.info("k=%d estimate=%.12g beta=%.6g", rec.k, rec.estimate, rec.beta)
 
-    ln_z2 = None
+    # log_norm keeps what it contracts on m, for the estimator to read
+    ln_z2 = 2.0 * mp.log_norm(m) if fspec == "entropy" else None
     if fspec == "entropy":
-        # contract <m, m> once: entropy_from_half_state reads it back
-        m = mp.Mpo(m.sites, m.log_scale, mp.log_norm(m))
-        ln_z2 = 2.0 * m.ln_norm if m.ln_norm > -math.inf else None
         estimate, run = lz.entropy_from_half_state(
             m, kmax=kmax, dmax=dmax, stop=stop, progress=progress,
         )
@@ -289,12 +288,13 @@ def _run_cell(cell, builds, build_lock, args):
         params = models.IsingParams(L=cell["L"], J=cell["J"], g=cell["g"],
                                     h=cell["h"], beta=cell["beta"])
         key = (params.L, params.J, params.g, params.h, params.beta)
+        # build_lock guards the map only; each key's own lock its one build
         with build_lock:
-            if key not in builds:
-                builds[key] = models.thermal_half_state(
-                    params, dbond=args.dbond, dtau=args.dtau
-                )
-            m = builds[key]
+            entry = builds.setdefault(key, [threading.Lock(), None])
+        with entry[0]:
+            if entry[1] is None:
+                entry[1] = models.thermal_half_state(params, dbond=args.dbond, dtau=args.dtau)
+            m = entry[1]
         dmax = cell["dmax"] if cell["dmax"] > 0 else None
         estimate, run = lz.entropy_from_half_state(m, kmax=cell["kmax"], dmax=dmax)
         oracle, _ = _oracle_entropy(params, "auto")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -29,6 +29,8 @@ logger = logging.getLogger("mpotrace.lanczos")
 
 # relative floor under which a new block norm counts as exact breakdown
 BREAKDOWN_RTOL = 1e-13
+# beta_1^2 = tr(I) = d^L must stay below the largest float64
+_LN_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 
 STOP_CONVERGED = "converged"
 STOP_BREAKDOWN = "breakdown"
@@ -170,7 +172,7 @@ def gauss_quadrature(t: TridiagonalMatrix, beta1: float, f: SpectralFunction):
 
     Returns (estimate, ritz values ascending, weights).  The weights are
     the squared first components of the normalized eigenvectors of t and
-    sum to one.
+    sum to one.  A non-finite estimate raises NumericError.
     """
     if not beta1 > 0:
         raise ValueError("beta1 must be positive")
@@ -183,6 +185,8 @@ def gauss_quadrature(t: TridiagonalMatrix, beta1: float, f: SpectralFunction):
             raise EvaluationError(f"{f.name} is not finite at Ritz node theta_{j}={node!r}")
         vals[j] = v
     estimate = beta1 * beta1 * float(weights @ vals)
+    if not math.isfinite(estimate):
+        raise NumericError(f"Gauss estimate of {f.name} is {estimate!r} (beta_1 = {beta1!r})")
     return estimate, [float(x) for x in theta], [float(w) for w in weights]
 
 
@@ -238,7 +242,8 @@ def global_lanczos(
     U_{k-1} at bond cap dmax (None: uncapped), which the fit clips to the
     residual's exact bond, and evaluates the Gauss rule on the accumulated
     tridiagonal matrix.  The blocks are float64 when a is real, complex128
-    otherwise.
+    otherwise.  The Gauss rule needs beta_1^2 = d^L as a float64, so
+    longer chains (L >= 1024 at d = 2) raise NumericError.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
@@ -246,9 +251,10 @@ def global_lanczos(
         raise ValueError("dmax must be >= 1")
     f = f or identity_function()
     stop = stop or StoppingConfig()
-    # every step's alpha and fit rescale a by its norm, and the first step
-    # normalizes the identity: measure both norms once
-    a, v = (replace(x, ln_norm=mp.log_norm(x)) for x in (a, mp.identity_mpo(a.L, a.d)))
+    v = mp.identity_mpo(a.L, a.d)
+    if 2.0 * mp.log_norm(v) >= _LN_FLOAT_MAX:
+        raise NumericError(f"beta_1^2 = tr(I) = {a.d}^{a.L} overflows float64; the Gauss rule "
+                           f"needs L <= {math.ceil(_LN_FLOAT_MAX / math.log(a.d)) - 1}")
 
     run = QuadratureRun(basis=[] if keep_basis else None)
     alphas: list[float] = []
@@ -270,7 +276,7 @@ def global_lanczos(
             break
         else:
             betas.append(beta)
-        u = mp.shift_log_scale(v, -math.log(beta))
+        u = mp.shift_log_scale(v, -ln_v)
         if keep_basis:
             run.basis.append(u)
 
@@ -342,16 +348,16 @@ def entropy_from_half_state(
     clean and the normalized spectrum sits in the small-eigenvalue
     regime.  The default stop rule is StoppingConfig(spectrum_floor=0.0):
     m is psd, so a negative Ritz value marks a broken recurrence.  Z2
-    comes from mp.log_norm(m), so a caller that already contracted it
-    passes it in m.ln_norm.
+    stays in log form, ln Z2 = 2 mp.log_norm(m), read from m or contracted
+    once and kept on m, and the rescale moves only log_scale.  The chain
+    limit of global_lanczos applies.
 
     Returns (S, run).
     """
     ln_norm = mp.log_norm(m)  # 0.5 ln Z2
     if ln_norm == -math.inf:
         raise NumericError("tr(m^H m) must be positive")
-    # unit norm by construction: ln||m_unit|| = 0.5 ln Z2 - 0.5 ln Z2
-    m_unit = mp.Mpo(m.sites, m.log_scale - ln_norm, 0.0)
+    m_unit = mp.shift_log_scale(m, -ln_norm)
     run = global_lanczos(
         m_unit,
         kmax=kmax,

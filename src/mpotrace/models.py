@@ -118,8 +118,11 @@ def thermal_half_state_report(
     metadata lists, per layer, the root-sum-square of these weights
     ("discarded") and the max bond.
 
-    The returned MPO is canonicalized: its tensors carry unit Frobenius
-    norm and log_scale holds ln of the true norm of M.
+    It starts from the exact identity, unscaled eye sites (1/sqrt(2) has
+    no exact float): each is sqrt(2) times an isometry, which keeps those
+    weights exact, and each gate moves its pair's norm into log_scale, so
+    the sites stay O(1) at any chain length.  The returned MPO is
+    canonical: unit tensors, and log_scale = ln_norm = ln of M's norm.
     """
     if dtau <= 0:
         raise ValueError(f"need dtau > 0, got {dtau}")
@@ -139,8 +142,8 @@ def thermal_half_state_report(
     for step in range(1, nsteps + 1):
         schedule += [(step, odd_full), (step, even_full if step < nsteps else even_half)]
 
-    start = mp.canonicalize(mp.identity_mpo(p.L, d=2), center=0)
-    sites, log_scale, center = list(start.sites), start.log_scale, 0
+    sites = [np.eye(2).reshape(2, 2, 1, 1) for _ in range(p.L)]
+    log_scale, center = 0.0, 0
     layers = []
     for step, (name, bonds, gates) in schedule:
         rightward = name.startswith("even")
@@ -161,7 +164,8 @@ def thermal_half_state_report(
             {"step": step, "layer": name, "discarded": math.sqrt(disc2),
              "max_bond": max(s.shape[3] for s in sites)}
         )
-    m = mp.canonicalize(Mpo(tuple(sites), log_scale), center=0)
+    # a unit center among isometries: the norm is exp(log_scale)
+    m = mp.canonicalize(Mpo(tuple(sites), log_scale, log_scale), center=0)
     meta = {
         "steps": nsteps,
         "dtau": tau,

@@ -3,9 +3,11 @@
 Site tensors have the index order (phys out, phys in, left bond, right
 bond), and boundary bonds have extent 1.  Every operator carries a real
 `log_scale`: the value represented is exp(log_scale) times the
-contraction of the site tensors.  Keeping the prefactor in log form lets
-norms like 2**(L/2) and thermal partition functions stay representable
-while the site data remain O(1).
+contraction of the site tensors.  One scale convention holds: site data
+stay O(1), and every magnitude, such as 2**(L/2) or a partition function,
+rides in log_scale.  The identity is built balanced, and the kernels
+balance their operands first (`_unit_sites`), so none multiplies out or
+squares a norm.
 
 Every operator has one dtype, fixed when it is built: float64 unless
 some site is complex, and then complex128 for every site.  The kernels
@@ -13,10 +15,10 @@ take their dtype from their operands by numpy's promotion, so an
 operator built from real data is contracted and factorized in real
 arithmetic throughout.
 
-An operator may also carry `ln_norm`, its ln Frobenius norm, when the
-code that made it knows that norm (a canonical form, a truncation, a fit,
-a pure rescale, or a norm contracted once and kept).  `log_norm` reads it
-instead of contracting, and never sets it.
+An operator carries `ln_norm`, its ln Frobenius norm, once it is known:
+from the code that made it (the identity, zero, an adjoint, a canonical
+form, a truncation, a fit, a rescale), or from `log_norm`, which keeps
+what it contracts.  So a norm is contracted at most once per operator.
 """
 from __future__ import annotations
 
@@ -64,7 +66,7 @@ class Mpo:
 
     sites: tuple
     log_scale: float = 0.0
-    # ln of the Frobenius norm, set only by code that knows it (module docstring)
+    # ln of the Frobenius norm once known (module docstring); log_norm sets it
     ln_norm: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -96,16 +98,19 @@ class Mpo:
 
 
 def identity_mpo(L: int, d: int = 2) -> Mpo:
-    """Identity operator on L sites of local dimension d, all bonds 1."""
+    """Identity on L sites of local dimension d, all bonds 1, balanced:
+    sites eye/sqrt(d), and log_scale = ln_norm = (L/2) ln d."""
     if L < 1 or d < 1:
         raise DimensionError("need L >= 1 and d >= 1")
-    site = np.eye(d).reshape(d, d, 1, 1)
-    return Mpo(tuple(site.copy() for _ in range(L)))
+    # sqrt(1/d) rounds correctly at d = 2, where 1/sqrt(2) lands one ulp low
+    site = (np.eye(d) * math.sqrt(1.0 / d)).reshape(d, d, 1, 1)
+    ln = 0.5 * L * math.log(d)
+    return Mpo(tuple(site.copy() for _ in range(L)), ln, ln)
 
 
 def zero_mpo(L: int, d: int = 2) -> Mpo:
     site = np.zeros((d, d, 1, 1))
-    return Mpo(tuple(site.copy() for _ in range(L)))
+    return Mpo(tuple(site.copy() for _ in range(L)), 0.0, -math.inf)
 
 
 def shift_log_scale(a: Mpo, delta: float) -> Mpo:
@@ -117,7 +122,7 @@ def shift_log_scale(a: Mpo, delta: float) -> Mpo:
 
 def adjoint(a: Mpo) -> Mpo:
     """Hermitian conjugate: swap the physical legs and conjugate."""
-    return Mpo(tuple(s.conj().transpose(1, 0, 2, 3) for s in a.sites), a.log_scale)
+    return Mpo(tuple(s.conj().transpose(1, 0, 2, 3) for s in a.sites), a.log_scale, a.ln_norm)
 
 
 def _check_compatible(a, b) -> None:
@@ -202,33 +207,18 @@ def inner_product_scaled(a: Mpo, b: Mpo) -> tuple[complex, float]:
 
 def log_norm(a: Mpo) -> float:
     """ln of the Frobenius norm; -inf for the zero operator.  Reads
-    a.ln_norm when it is set, contracts otherwise."""
-    if a.ln_norm is not None:
-        return a.ln_norm
-    mant, logv = _transfer_scaled(a, a)
-    # mant.real can round to <= 0 only when the norm is lost in roundoff
-    return 0.5 * (math.log(mant.real) + logv) if mant.real > 0 else -math.inf
+    a.ln_norm when it is set; otherwise contracts it once and keeps it in
+    a.ln_norm, so that later calls read it."""
+    if a.ln_norm is None:
+        mant, logv = _transfer_scaled(a, a)
+        # mant.real can round to <= 0 only when the norm is lost in roundoff
+        ln = 0.5 * (math.log(mant.real) + logv) if mant.real > 0 else -math.inf
+        object.__setattr__(a, "ln_norm", ln)
+    return a.ln_norm
 
 
 def frobenius_norm(a: Mpo) -> float:
-    ln = log_norm(a)
-    return 0.0 if ln == -math.inf else math.exp(ln)
-
-
-def mpo_trace(a: Mpo) -> complex:
-    """Exact trace: contract the physical legs pairwise, multiply the bond
-    matrices left to right.  A float when a is real."""
-    env = np.ones((1, 1))
-    logacc = a.log_scale
-    for s in a.sites:
-        t = np.trace(s, axis1=0, axis2=1)  # (Dl, Dr)
-        env = env @ t
-        mag = np.max(np.abs(env)) if env.size else 0.0
-        if mag == 0.0:
-            return 0.0
-        env = env / mag
-        logacc += math.log(mag)
-    return env[0, 0].item() * math.exp(logacc)
+    return math.exp(log_norm(a))
 
 
 def dense(a: Mpo) -> np.ndarray:
@@ -300,22 +290,37 @@ def _truncation_rank(s: np.ndarray, dmax: int | None, eps: float = TRUNC_EPS) ->
     return keep, float(tail2[keep])
 
 
+def _unit_sites(a: Mpo):
+    """The one balancing step: the sites rescaled uniformly so that their
+    contraction has unit Frobenius norm, and ln||a|| (log_scale included),
+    read from a known norm (log_norm).  Every intermediate that multiplies
+    balanced sites stays O(1).  Returns (sites unscaled, -inf) when the
+    norm is 0."""
+    ln_full = log_norm(a)
+    if ln_full == -math.inf:
+        return [s.copy() for s in a.sites], -math.inf
+    # log of the raw tensor-network norm, spread evenly across the sites
+    f = math.exp(-(ln_full - a.log_scale) / a.L)
+    return [s * f for s in a.sites], ln_full
+
+
 def canonicalize(a: Mpo, center: int = 0) -> Mpo:
     """Bring to mixed-canonical form with the orthogonality center at
     `center` (0-based).  Sites left of the center become left-isometries,
     sites right of it right-isometries, and the center is rescaled to unit
     norm with the norm moved into log_scale.  The dense value is unchanged.
+    The gauge steps run on balanced sites, so the center stays O(1).
     """
     L = a.L
     if not 0 <= center < L:
         raise DimensionError(f"center {center} out of range for L={L}")
-    sites = [s.copy() for s in a.sites]
+    sites, ln = _unit_sites(a)
+    ls = ln if ln > -math.inf else a.log_scale
     for i in range(center):
         _move_center(sites, i, +1)
     for i in range(L - 1, center, -1):
         _move_center(sites, i, -1)
     nrm = np.linalg.norm(sites[center])
-    ls = a.log_scale
     if nrm > 0:
         sites[center] = sites[center] / nrm
         ls += math.log(nrm)

@@ -91,23 +91,6 @@ class SweepResult:
     sweep_ms: float = 0.0
 
 
-def _unit_sites(a: mp.Mpo):
-    """Site tensors rescaled uniformly to unit Frobenius norm, plus the true
-    log-magnitude ln||a|| that was factored out (log_scale included).
-
-    Working with unit-norm operands keeps every intermediate of the sweeps
-    O(1) regardless of how log_scale and the raw tensor norm are balanced
-    against each other in the input.  Returns (sites, -inf) unchanged for
-    the zero operator.
-    """
-    ln_full = mp.log_norm(a)
-    if ln_full == -math.inf:
-        return [s.copy() for s in a.sites], -math.inf
-    # log of the raw tensor-network norm, spread evenly across the sites
-    f = math.exp(-(ln_full - a.log_scale) / a.L)
-    return [s * f for s in a.sites], ln_full
-
-
 def _scaled(v: float, log_factor: float) -> float:
     """v * exp(log_factor), saturating to inf instead of raising."""
     if v == 0.0 or log_factor == 0.0:
@@ -283,7 +266,10 @@ def _zipup(target: _Target, cap: int):
             sites.append(site.reshape(x, j, o, 1).transpose(2, 1, 0, 3))
             norm_sq = float(np.vdot(site, site).real) + disc2
             scale_sq = sum(math.sqrt(float(np.vdot(b, b).real)) for b in blocks) ** 2
-            return list(mp.canonicalize(mp.Mpo(tuple(sites)), center=0).sites), norm_sq, scale_sq
+            # gauge right to left; site 0, the center, is never read
+            for k in range(L - 1, 0, -1):
+                mp._move_center(sites, k, -1)
+            return sites, norm_sq, scale_sq
         mat = np.concatenate(blocks, axis=1)
         # the parts are as large as mat: free them, and mat after the
         # split, so that no two copies are held through the factorization
@@ -343,10 +329,8 @@ def expectation(a: mp.Mpo, u: mp.Mpo) -> complex:
     fit's environments with x = u.  A float when a and u are real; real
     up to rounding for any u when a is Hermitian."""
     mp._check_compatible(a, u)
-    a_sites, log_a = _unit_sites(a)
-    u_sites, log_u = _unit_sites(u)
-    if log_a == -math.inf or log_u == -math.inf:
-        return 0.0
+    a_sites, log_a = mp._unit_sites(a)
+    u_sites, log_u = mp._unit_sites(u)
     target = _Target([(a_sites, u_sites)])
     env = target.boundary()
     for i, s in enumerate(u_sites):
@@ -373,13 +357,13 @@ def multiply_and_optimize(a: mp.Mpo, u: mp.Mpo, dnew: int | None, opts: SweepOpt
     L, d = a.L, a.d
     t0 = time.perf_counter()
     # the target is a list of products: (a, u), and (c_k*I, t_k) per term.
-    # Work with unit-norm operands (the identity sites act as the identity
+    # Work with unit-norm operands (unscaled eye sites act as the identity
     # on a unit t_k); every product's true magnitude, rebased onto the
     # largest one, folds into its site 0, and that common scale rides on
     # the output log_scale, so nothing downstream sees compounded scales
-    eye = (list(mp.identity_mpo(L, d).sites), 0.0)
-    factors = [(1.0, _unit_sites(a), _unit_sites(u))] + [
-        (c, eye, _unit_sites(t)) for c, t in terms]
+    eye = ([np.eye(d).reshape(d, d, 1, 1)] * L, 0.0)
+    factors = [(1.0, mp._unit_sites(a), mp._unit_sites(u))] + [
+        (c, eye, mp._unit_sites(t)) for c, t in terms]
     log_mags = [la + lu + math.log(abs(c)) if c != 0 else -math.inf
                 for c, (_, la), (_, lu) in factors]
     ls = max(log_mags)
@@ -395,12 +379,14 @@ def multiply_and_optimize(a: mp.Mpo, u: mp.Mpo, dnew: int | None, opts: SweepOpt
     cap = exact_bond if dnew is None else min(dnew, exact_bond)
     target = _Target(products)
     x_sites, norm_sq, scale_sq = _zipup(target, cap)
-    if cap < exact_bond <= max(d * d * cap, _EXACT_NORM_MIN):
-        norm_sq = _exact_norm_sq(products)
+    # judged on the zip-up's norm: the transfer contraction of
+    # _exact_norm_sq has a rounding floor far above the threshold
     if norm_sq <= 1e-28 * scale_sq:
         # complete cancellation: the zero operator is the exact optimum
         return _zero_result(L, d, _scaled(max(norm_sq, 0.0), 2.0 * ls),
                             (time.perf_counter() - t0) * 1e3)
+    if cap < exact_bond <= max(d * d * cap, _EXACT_NORM_MIN):
+        norm_sq = _exact_norm_sq(products)
 
     t1 = time.perf_counter()
     swept = _run_sweeps(x_sites, target, norm_sq, opts)

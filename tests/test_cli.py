@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import threading
 from dataclasses import asdict
 
 import jsonschema
@@ -12,7 +13,10 @@ import pytest
 import mpotrace as mt
 from mpotrace import cli
 from mpotrace import lanczos as lz
+from mpotrace import models
 from mpotrace import mpo as mp
+
+from conftest import inner
 
 
 def run_cli(*argv):
@@ -78,6 +82,19 @@ def test_build_trunc_warn_counts_alarmed_layers(tmp_path, caplog):
     assert counts[20] == 0
 
 
+def test_build_long_chain_keeps_norm_in_log_scale(tmp_path):
+    # at L = 1100 the identity's network norm 2^550, squared, overflows;
+    # the build keeps every magnitude in log_scale, which equals the norm
+    # contracted afresh from the stored file
+    path = str(tmp_path / "long.json")
+    assert run_cli("build-thermal", "--L", "1100", "--beta", "0.1", "--dtau", "0.05",
+                   "--bond-dim", "4", "--out", path) == 0
+    m = mp.load_json(path)
+    assert m.ln_norm is None
+    assert math.isfinite(m.log_scale)
+    assert abs(mp.log_norm(m) - m.log_scale) < 1e-9
+
+
 def test_build_full_state_has_unit_trace(tmp_path):
     path = str(tmp_path / "full.json")
     rc = run_cli(
@@ -86,7 +103,7 @@ def test_build_full_state_has_unit_trace(tmp_path):
     )
     assert rc == 0
     rho = mp.load_json(path)
-    assert abs(mp.mpo_trace(rho) - 1.0) < 1e-10
+    assert abs(inner(mp.identity_mpo(rho.L), rho) - 1.0) < 1e-10
 
 
 def test_estimate_trace_of_normalized_state(tmp_path):
@@ -296,6 +313,41 @@ def test_sweep_jobs_match_serial(tmp_path):
         for row in rows:
             del row["wall_s"]
     assert parallel == serial
+
+
+def test_sweep_builds_distinct_keys_concurrently(tmp_path, monkeypatch):
+    # under --jobs 2 the builds of two different chains run at the same
+    # time: each waits for the other at a two-party barrier
+    barrier = threading.Barrier(2, timeout=5)
+    built = []
+    real = models.thermal_half_state
+
+    def counting(params, **kwargs):
+        built.append(params.L)
+        return real(params, **kwargs)
+
+    def meeting(params, **kwargs):
+        barrier.wait()
+        return counting(params, **kwargs)
+
+    monkeypatch.setattr(models, "thermal_half_state", meeting)
+    manifest = str(tmp_path / "m.json")
+    out = str(tmp_path / "rows.csv")
+    with open(manifest, "w", encoding="utf-8") as fh:
+        json.dump({"L": [4, 6], "beta": [0.2], "dmax": [16], "kmax": [4]}, fh)
+    assert run_cli("sweep", "--manifest", manifest, "--out", out, "--dbond", "8",
+                   "--dtau", "0.01", "--jobs", "2") == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        assert [r["error"] for r in csv.DictReader(fh)] == ["", ""]
+    assert sorted(built) == [4, 6]
+    # cells of one chain still share one build
+    built.clear()
+    monkeypatch.setattr(models, "thermal_half_state", counting)
+    with open(manifest, "w", encoding="utf-8") as fh:
+        json.dump({"L": [4], "beta": [0.2], "dmax": [8, 16], "kmax": [4]}, fh)
+    assert run_cli("sweep", "--manifest", manifest, "--out", out, "--dbond", "8",
+                   "--dtau", "0.01", "--jobs", "2") == 0
+    assert built == [4]
 
 
 def test_sweep_empty_manifest(tmp_path):

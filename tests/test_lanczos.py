@@ -292,6 +292,25 @@ def test_entropy_maximally_mixed():
     assert run.stop_reason == lz.STOP_BREAKDOWN
 
 
+def test_entropy_identity_up_to_the_float_range():
+    # the maximally mixed state: S = L ln 2 while beta_1^2 = 2^L is finite
+    L = 1000
+    m = mp.shift_log_scale(mp.identity_mpo(L), -L / 2 * math.log(2.0))
+    S, _ = lz.entropy_from_half_state(m, kmax=5, dmax=None)
+    assert abs(S - L * math.log(2.0)) <= 1e-10 * L * math.log(2.0)
+    # past it the run raises, naming the limit, instead of returning inf/nan
+    for L in (1024, 1030, 2100):
+        m = mp.shift_log_scale(mp.identity_mpo(L), -L / 2 * math.log(2.0))
+        with pytest.raises(NumericError, match="L <= 1023"):
+            lz.entropy_from_half_state(m, kmax=5, dmax=None)
+
+
+def test_gauss_quadrature_rejects_non_finite_estimate():
+    t = lz.TridiagonalMatrix((1.0,), ())
+    with pytest.raises(NumericError):
+        lz.gauss_quadrature(t, 1e200, lz.identity_function())
+
+
 def test_entropy_pure_state_is_zero():
     proj = np.zeros((2, 2, 1, 1))
     proj[0, 0, 0, 0] = 1.0

@@ -27,6 +27,33 @@ def test_inner_product_identity():
     assert abs(inner(mp.identity_mpo(10), mp.identity_mpo(10)) - 1024.0) < 1e-9
 
 
+def test_identity_is_balanced_past_float_range():
+    # <I, I> = 2^1100 overflows float64; in log form it is 1100 ln 2, and
+    # the identity's sites are unit tensors with the norm in log_scale
+    eye = mp.identity_mpo(1100)
+    mant, logv = mp.inner_product_scaled(eye, eye)
+    assert abs(math.log(mant) + logv - 1100 * math.log(2.0)) < 1e-10
+    assert eye.log_scale == eye.ln_norm == 550 * math.log(2.0)
+    assert all(abs(np.linalg.norm(s) - 1.0) < 1e-15 for s in eye.sites)
+    # the trace tr(2 I) = 2^1101 as <I, 2 I>
+    mant, logv = mp.inner_product_scaled(eye, mp.shift_log_scale(eye, math.log(2.0)))
+    assert abs(math.log(mant) + logv - 1101 * math.log(2.0)) < 1e-10
+
+
+def test_canonicalize_long_chain_keeps_norm_in_log_scale():
+    # 600 sites of 2 I: the network norm (2 sqrt 2)^600 squared overflows
+    site = 2.0 * np.eye(2).reshape(2, 2, 1, 1)
+    g = mp.canonicalize(mp.Mpo(tuple(site for _ in range(600))), center=300)
+    want = 600 * math.log(2.0 * math.sqrt(2.0))
+    assert abs(g.log_scale - want) < 1e-10 * want
+    assert g.ln_norm == g.log_scale
+    assert all(np.all(np.isfinite(s)) for s in g.sites)
+    assert abs(mp.log_norm(mp.Mpo(g.sites)) - 0.0) < 1e-10
+    # a huge identity is already balanced
+    big = mp.canonicalize(mp.identity_mpo(1030), center=0)
+    assert abs(big.log_scale - 515 * math.log(2.0)) < 1e-10
+
+
 def test_inner_product_dense_oracle():
     for seed in range(6):
         m = random_mpo(6, 4, seed)
@@ -164,10 +191,10 @@ def test_hermitian_part_cases():
     assert np.allclose(mp.dense(mp.hermitian_part(m)), ref, atol=1e-12)
 
 
-def test_mpo_trace_dense_oracle():
+def test_trace_is_inner_product_with_identity():
     for seed in range(5):
         m = random_mpo(5, 4, seed)
-        assert abs(mp.mpo_trace(m) - np.trace(mp.dense(m))) < 1e-10
+        assert abs(inner(mp.identity_mpo(5), m) - np.trace(mp.dense(m))) < 1e-10
 
 
 def test_log_scale_semantics_huge_prefactor():
@@ -180,11 +207,13 @@ def test_log_scale_semantics_huge_prefactor():
     assert abs((np.log(mant.real) + logv) - 2 * mp.log_norm(big)) < 1e-10
 
 
-def test_log_norm_reads_ln_norm_and_never_writes():
+def test_log_norm_reads_ln_norm_and_keeps_what_it_contracts():
     m = random_mpo(5, 4, 13)
     before = [s.copy() for s in m.sites]
-    ln = mp.log_norm(m)
     assert m.ln_norm is None
+    ln = mp.log_norm(m)
+    # the contracted norm is kept; the value is not touched
+    assert m.ln_norm == ln
     assert m.log_scale == 0.0
     assert all(np.array_equal(s, b) for s, b in zip(m.sites, before))
     assert abs(ln - np.log(np.linalg.norm(mp.dense(m)))) < 1e-12
@@ -197,7 +226,13 @@ def test_log_norm_reads_ln_norm_and_never_writes():
 def test_ln_norm_matches_contraction_where_set():
     m = mp.shift_log_scale(random_mpo(5, 6, 21), 3.0)
     a, u = random_mpo(5, 3, 22), random_mpo(5, 3, 23)
+    memo = mp.shift_log_scale(random_mpo(5, 4, 24), -2.0)
+    mp.log_norm(memo)
     made = {
+        "identity": mp.identity_mpo(7, d=3),
+        "adjoint": mp.adjoint(mp.canonicalize(m, center=1)),
+        "zero": mp.zero_mpo(5),
+        "memoized log_norm": memo,
         "canonicalize": mp.canonicalize(m, center=2),
         "truncate_svd": mp.truncate_svd(m, dmax=3)[0],
         "shift_log_scale": mp.shift_log_scale(mp.canonicalize(m, 0), -7.5),
@@ -207,8 +242,9 @@ def test_ln_norm_matches_contraction_where_set():
     for name, x in made.items():
         assert x.ln_norm is not None, name
         contracted = mp.log_norm(mp.Mpo(x.sites, x.log_scale))
-        assert abs(x.ln_norm - contracted) < 1e-12, (name, x.ln_norm, contracted)
-    assert mp.shift_log_scale(m, 1.0).ln_norm is None
+        assert x.ln_norm == contracted or abs(x.ln_norm - contracted) < 1e-12, \
+            (name, x.ln_norm, contracted)
+    assert mp.shift_log_scale(random_mpo(5, 6, 25), 1.0).ln_norm is None
 
 
 def test_dense_includes_log_scale():
@@ -301,7 +337,7 @@ def test_dtype_rule_real_stays_float64():
         assert [s.dtype for s in out.sites] == [np.float64] * 5
     # the transfer contractions of real operators give real numbers
     assert isinstance(inner(a, b), float)
-    assert isinstance(mp.mpo_trace(a), float)
+    assert isinstance(inner(mp.identity_mpo(5), a), float)
     assert mp.dense(a).dtype == np.float64
 
 

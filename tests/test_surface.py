@@ -1,9 +1,14 @@
 """Every exported name has a user: the pipeline, the CLI or the
 acceptance gate.  A name that only its own definition and unit tests
-mention is dead API.  And no array in the package is allocated complex
-by hand: an operator's dtype follows its inputs."""
+mention is dead API.  Every module-level function and class of the
+package is referenced somewhere outside its own definition: in the
+package, the tests or the console-script entry point.  And no array in
+the package is allocated complex by hand: an operator's dtype follows
+its inputs."""
+import ast
 import io
 import keyword
+import re
 import tokenize
 from pathlib import Path
 
@@ -37,6 +42,22 @@ def test_every_export_is_used():
             used[name] = used.get(name, 0) + n
     unused = [name for name in mpotrace.__all__ if not used.get(name)]
     assert not unused, f"exported but used only by unit tests: {unused}"
+
+
+def test_every_definition_is_referenced():
+    package = sorted((ROOT / "src" / "mpotrace").glob("*.py"))
+    used: dict = {}
+    for path in package + sorted((ROOT / "tests").glob("*.py")):
+        for name, n in _uses(path).items():
+            used[name] = used.get(name, 0) + n
+    # console scripts name their function as module:function
+    for target in re.findall(r"=\s*\"mpotrace\.\w+:(\w+)\"",
+                             (ROOT / "pyproject.toml").read_text(encoding="utf-8")):
+        used[target] = used.get(target, 0) + 1
+    dead = [f"{path.name}:{node.name}" for path in package
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not used.get(node.name)]
+    assert not dead, f"defined but referenced nowhere: {dead}"
 
 
 def _complex_dtype_args(path: Path) -> list:
