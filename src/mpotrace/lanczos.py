@@ -192,8 +192,9 @@ def gauss_quadrature(t: TridiagonalMatrix, beta1: float, f: SpectralFunction):
 
 def check_stop(run: QuadratureRun, stop: StoppingConfig, f: SpectralFunction):
     """First satisfied criterion wins, in the fixed order: convergence of
-    successive estimates, a Ritz value below the declared spectrum floor,
-    violated bound monotonicity (in the direction
+    successive estimates, a Ritz value below the declared spectrum floor
+    by more than the tridiagonal eigensolver's rounding (8 k eps
+    max|theta|), violated bound monotonicity (in the direction
     f.bound_direction() gives), 3-sigma outlier against the trailing
     window."""
     ests = run.estimates()
@@ -205,8 +206,10 @@ def check_stop(run: QuadratureRun, stop: StoppingConfig, f: SpectralFunction):
     if len(ests) >= 2 and abs(cur - ests[-2]) + np.spacing(abs(cur)) <= stop.eps_conv:
         return True, STOP_CONVERGED
     rec = run.records[-1]
-    if stop.spectrum_floor is not None and rec.ritz_min < stop.spectrum_floor:
-        return True, STOP_RITZ
+    if stop.spectrum_floor is not None:
+        slack = 8 * rec.k * np.finfo(float).eps * max(abs(rec.ritz_min), abs(rec.ritz_max))
+        if rec.ritz_min < stop.spectrum_floor - slack:
+            return True, STOP_RITZ
     if len(ests) >= 2:
         direction = f.bound_direction()
         if direction == "lower" and cur < ests[-2]:
@@ -241,7 +244,10 @@ def global_lanczos(
     variational fit of the new residual A U_k - alpha_k U_k - beta_k
     U_{k-1} at bond cap dmax (None: uncapped), which the fit clips to the
     residual's exact bond, and evaluates the Gauss rule on the accumulated
-    tridiagonal matrix.  The blocks are float64 when a is real, complex128
+    tridiagonal matrix.  The run's estimate is the last step's, except on
+    a Ritz violation: then it is the step before, whose Ritz values still
+    kept the floor (step 1 keeps its own).  Every step stays in the
+    records.  The blocks are float64 when a is real, complex128
     otherwise.  The Gauss rule needs beta_1^2 = d^L as a float64, so
     longer chains (L >= 1024 at d = 2) raise NumericError.
     """
@@ -326,7 +332,10 @@ def global_lanczos(
     if run.stop_reason is None:
         run.stop_reason = STOP_KMAX
     if run.records:
-        run.estimate = run.records[-1].estimate
+        # a step whose Ritz values broke the floor is not trusted: the run
+        # returns the last step that kept it, or step 1 if that one broke it
+        kept = -2 if run.stop_reason == STOP_RITZ and len(run.records) > 1 else -1
+        run.estimate = run.records[kept].estimate
     return run
 
 
@@ -347,7 +356,8 @@ def entropy_from_half_state(
     nondecreasing sequence of lower bounds while the iteration stays
     clean and the normalized spectrum sits in the small-eigenvalue
     regime.  The default stop rule is StoppingConfig(spectrum_floor=0.0):
-    m is psd, so a negative Ritz value marks a broken recurrence.  Z2
+    m is psd, so a negative Ritz value marks a broken recurrence, and the
+    run returns the step before it.  Z2
     stays in log form, ln Z2 = 2 mp.log_norm(m), read from m or contracted
     once and kept on m, and the rescale moves only log_scale.  The chain
     limit of global_lanczos applies.

@@ -8,23 +8,33 @@ bond-1 identity sites.  One contraction kernel (`_Target`) serves the
 warm start, the sweeps and `expectation`.
 
 The warm start is one left-to-right zip-up of that target: at each site
-the products' parts sit side by side on the right bond, and one SVD,
+the products' parts sit side by side on the right bond, and one split,
 cut by the keep rule of every truncated split (mpo._truncation_rank)
-and capped at the bond limit, splits them.  It yields ||target||^2 as
-the norm of the last site plus the discarded weight: exact when the cap
-discards nothing, an estimate otherwise.  A truncating fit small enough
-that the exact contraction of ||target||^2 costs no more than the
-zip-up contracts it instead.
+and capped at the bond limit, separates them.  The split factorizes only
+what it keeps (tensors.svd_left): the R factor of a QR of the block's
+adjoint, then the SVD of that small square R, gives the left singular
+vectors and every singular value; the kept vectors become the site, and
+the carry to the next site is one matrix product, U_keep^H @ block,
+which equals diag(s) V^H on the kept rows without forming V.  The
+zip-up yields ||target||^2 as the norm of the last site plus the
+discarded weight: exact when the cap discards nothing, an estimate
+otherwise.  A truncating fit small enough that the exact contraction of
+||target||^2 costs no more than the zip-up contracts it instead.
 
 The sweeps are alternating least squares: the trial operator is kept in
 mixed-canonical gauge, so each local problem is solved exactly by a plain
 environment contraction, and the squared Frobenius objective never
-increases from one site update to the next.  They stop when the
-objective stops moving: when a sweep lowers it by no more than rel_tol of
-||target||^2, or by no more than a fixed share of what the first sweep
-lowered it by (the truncation plateau of a capped fit).  Differences of
-objectives do not depend on ||target||^2, so the plateau rule holds where
-that norm is only an estimate; the residual the fit reports does not.
+increases from one site update to the next.  Each site update contracts
+the target once: one half-contraction, the environment on the side the
+sweep comes from absorbed into the products' sites (E left to right, F
+right to left), gives both the local tensor, with the other environment,
+and the next environment, with the updated site.  The sweeps stop when
+the objective stops moving: when a sweep lowers it by no more than
+rel_tol of ||target||^2, or by no more than a fixed share of what the
+first sweep lowered it by (the truncation plateau of a capped fit).
+Differences of objectives do not depend on ||target||^2, so the plateau
+rule holds where that norm is only an estimate; the residual the fit
+reports does not.
 """
 from __future__ import annotations
 
@@ -126,12 +136,12 @@ class _Target:
                     for a in self.a]
         self._ar = [[s.transpose(1, 3, 0, 2).reshape(s.shape[1] * s.shape[3], -1) for s in a]
                     for a in self.a]
-        self._tmp = None  # (site, E, half-contracted target) reuse
+        self._tmp = None  # (side, site, env, half-contraction) reuse
 
     def boundary(self):
         return [np.ones((1, 1, 1)) for _ in self.a]
 
-    def half(self, i, E):
+    def half_left(self, i, E):
         """Per product, E_k absorbed into a_k@u_k at site i, flattened to
         (lx*j*o, ra*ru)."""
         out = []
@@ -147,43 +157,60 @@ class _Target:
             out.append(t.transpose(0, 1, 3, 4, 2).reshape(lx * j * o, ra * ru))
         return out
 
-    def _half(self, i, E):
-        """half, kept for the env_left that follows a local at site i."""
-        if self._tmp is None or self._tmp[0] != i or self._tmp[1] is not E:
-            self._tmp = (i, E, self.half(i, E))
-        return self._tmp[2]
+    def half_right(self, i, F):
+        """Per product, F_k absorbed into a_k@u_k at site i, flattened to
+        (o*j*rx, la*lu)."""
+        out = []
+        for a, u, ur, ar, f in zip(self.a, self.u, self._ur, self._ar, F):
+            o, c, la, ra = a[i].shape
+            j, lu, ru = u[i].shape[1:]
+            rx = f.shape[0]
+            # u_i: (c*j*lu, ru) @ (ru, rx*ra) -> (c, j, lu, rx, ra)
+            t = (ur[i] @ f.transpose(2, 0, 1).reshape(ru, rx * ra)).reshape(c, j, lu, rx, ra)
+            # a_i as (c*ra, o*la); contract c, ra -> (o, la, j, lu, rx)
+            t = t.transpose(0, 4, 1, 2, 3).reshape(c * ra, j * lu * rx)
+            t = (ar[i].T @ t).reshape(o, la, j, lu, rx)
+            out.append(t.transpose(0, 2, 4, 1, 3).reshape(o * j * rx, la * lu))
+        return out
 
-    def local(self, i, E, F):
+    def _half(self, right, i, env):
+        """The half-contraction at site i from the left (E) or the right
+        (F), kept for the environment update that follows a local there."""
+        if self._tmp is None or self._tmp[:2] != (right, i) or self._tmp[2] is not env:
+            half = self.half_right(i, env) if right else self.half_left(i, env)
+            self._tmp = (right, i, env, half)
+        return self._tmp[3]
+
+    def local_left(self, i, E, F):
+        """The target's part at site i, (o, j, lx, rx), with E absorbed first."""
         # F_k: (rx, ra, ru); contract ra, ru -> (lx*j*o, rx), summed
         parts = [h @ f.transpose(1, 2, 0).reshape(-1, f.shape[0])
-                 for h, f in zip(self._half(i, E), F)]
+                 for h, f in zip(self._half(False, i, E), F)]
         t = sum(parts[1:], parts[0])
         o, j = self.a[0][i].shape[0], self.u[0][i].shape[1]
-        return t.reshape(-1, j, o, t.shape[1]).transpose(2, 1, 0, 3)  # (o, j, lx, rx)
+        return t.reshape(-1, j, o, t.shape[1]).transpose(2, 1, 0, 3)
+
+    def local_right(self, i, E, F):
+        """The same part with F absorbed first."""
+        # E_k: (lx, la, lu); contract la, lu -> (lx, o*j*rx), summed
+        parts = [e.reshape(e.shape[0], -1) @ h.T for h, e in zip(self._half(True, i, F), E)]
+        t = sum(parts[1:], parts[0])
+        o, j = self.a[0][i].shape[0], self.u[0][i].shape[1]
+        return t.reshape(t.shape[0], o, j, -1).transpose(1, 2, 0, 3)
 
     def env_left(self, i, E, xq):
         o, j, lx, rx = xq.shape
         # xq: (o, j, lx, rx); contract lx, j, o -> (rx, ra, ru) per product
         xc = xq.conj().transpose(3, 2, 1, 0).reshape(rx, lx * j * o)
         return [(xc @ h).reshape(rx, a[i].shape[3], u[i].shape[3])
-                for h, a, u in zip(self._half(i, E), self.a, self.u)]
+                for h, a, u in zip(self._half(False, i, E), self.a, self.u)]
 
     def env_right(self, i, F, xq):
         o, j, lx, rx = xq.shape
-        # xq: contract o, j, rx with each product's part
+        # xq: (o, j, lx, rx); contract o, j, rx -> (lx, la, lu) per product
         xc = xq.conj().transpose(2, 0, 1, 3).reshape(lx, o * j * rx)
-        out = []
-        for a, u, ur, ar, f in zip(self.a, self.u, self._ur, self._ar, F):
-            c, la, ra = a[i].shape[1:]
-            lu, ru = u[i].shape[2:]
-            # u_i: (c*j*lu, ru) @ (ru, rx*ra) -> (c, j, lu, rx, ra)
-            t = (ur[i] @ f.transpose(2, 0, 1).reshape(ru, rx * ra)).reshape(c, j, lu, rx, ra)
-            # a_i as (c*ra, o*la); contract c, ra -> (o, la, j, lu, rx)
-            t = t.transpose(0, 4, 1, 2, 3).reshape(c * ra, j * lu * rx)
-            t = (ar[i].T @ t).reshape(o, la, j, lu, rx)
-            t = t.transpose(0, 2, 4, 1, 3).reshape(o * j * rx, la * lu)
-            out.append((xc @ t).reshape(lx, la, lu))
-        return out
+        return [(xc @ h).reshape(lx, a[i].shape[2], u[i].shape[2])
+                for h, a, u in zip(self._half(True, i, F), self.a, self.u)]
 
 
 def _run_sweeps(x_sites, target, norm_sq: float, opts: SweepOptions):
@@ -214,18 +241,18 @@ def _run_sweeps(x_sites, target, norm_sq: float, opts: SweepOptions):
     prev = first_gain = None
     for sweeps in range(1, opts.max_sweeps + 1):
         for i in range(L - 1):
-            t = target.local(i, lenvs[i], renvs[i + 1])
+            t = target.local_left(i, lenvs[i], renvs[i + 1])
             objectives.append(norm_sq - float(np.vdot(t, t).real))
             q, _ = mp._split_left(t)
             x_sites[i] = q
             lenvs[i + 1] = target.env_left(i, lenvs[i], q)
         for i in range(L - 1, 0, -1):
-            t = target.local(i, lenvs[i], renvs[i + 1])
+            t = target.local_right(i, lenvs[i], renvs[i + 1])
             objectives.append(norm_sq - float(np.vdot(t, t).real))
             _, q = mp._split_right(t)
             x_sites[i] = q
             renvs[i] = target.env_right(i, renvs[i + 1], q)
-        t = target.local(0, lenvs[0], renvs[1])
+        t = target.local_left(0, lenvs[0], renvs[1])
         x_sites[0] = t
         obj = norm_sq - float(np.vdot(t, t).real)
         objectives.append(obj)
@@ -240,13 +267,17 @@ def _run_sweeps(x_sites, target, norm_sq: float, opts: SweepOptions):
 
 def _zipup(target: _Target, cap: int):
     """One left-to-right pass over the target sum_k a_k@u_k, split at
-    every bond by one SVD capped at cap.
+    every bond by one truncated SVD capped at cap.
 
     The carries are the target's left environments, and each site's block
     is its half-contraction: the products' parts (right bonds ra*ru) sit
     side by side, so the carried weights of all of them, a term (c*I)@t
     among them, meet in one factorization, cut by the keep rule of
-    mp._truncation_rank.  Returns (sites, norm_sq, scale_sq): sites in
+    mp._truncation_rank.  The factorization is tensors.svd_left: for a
+    wide block, the R factor of the QR of its adjoint (no Q) and the SVD
+    of that square R, so the right factor is never formed.  The kept left
+    vectors U are the site, and the carry is U^H @ block (= diag(s) V^H on
+    the kept rows), one GEMM.  Returns (sites, norm_sq, scale_sq): sites in
     right-canonical gauge (center 0), the form the sweeps start from;
     norm_sq, the norm of the last site plus the discarded weight, is
     ||target||^2, exact when nothing is discarded and an estimate
@@ -259,7 +290,7 @@ def _zipup(target: _Target, cap: int):
     disc2 = 0.0
     for i in range(L):
         o, j, x = target.a[0][i].shape[0], target.u[0][i].shape[1], carries[0].shape[0]
-        blocks = target.half(i, carries)
+        blocks = target.half_left(i, carries)
         if i == L - 1:
             # every part's right boundary bond is 1: the site is their sum
             site = sum(blocks[1:], blocks[0])
@@ -271,16 +302,18 @@ def _zipup(target: _Target, cap: int):
                 mp._move_center(sites, k, -1)
             return sites, norm_sq, scale_sq
         mat = np.concatenate(blocks, axis=1)
-        # the parts are as large as mat: free them, and mat after the
-        # split, so that no two copies are held through the factorization
+        # the parts are as large as mat: free them, so that no two copies
+        # are held through the factorization
         del blocks
-        uu, sv, vh = tensors.svd(mat)
-        del mat
+        uu, sv = tensors.svd_left(mat)
         keep, tail2 = mp._truncation_rank(sv, cap)
         disc2 += tail2
+        kept = uu[:, :keep]
         # a copy, so that the site does not hold all of uu alive
-        sites.append(uu[:, :keep].reshape(x, j, o, keep).transpose(2, 1, 0, 3).copy())
-        right = sv[:keep, None] * vh[:keep]
+        sites.append(kept.reshape(x, j, o, keep).transpose(2, 1, 0, 3).copy())
+        # U^H mat = diag(s) V^H: the kept rows of the right factor, in one GEMM
+        right = kept.conj().T @ mat
+        del mat, uu, kept
         carries, off = [], 0
         for a, u in zip(target.a, target.u):
             ra, ru = a[i].shape[3], u[i].shape[3]

@@ -5,6 +5,13 @@ complex128; the factorizations return the dtype they are given.  The
 functions here are thin, checked wrappers around numpy/scipy so the rest
 of the package has one place for factorization and the tridiagonal
 eigensolver.
+
+The factorizations a Lanczos step repeats (svd, svd_left, qr) run on
+numpy's LAPACK.  The scipy wheel bundles a second OpenBLAS with its own
+thread pool, and with more than one BLAS thread, interleaving its calls
+with numpy's matrix products made an at-cap step 2-3 times slower (L =
+20, dmax 20, two threads on a 2-vCPU host: 64 ms against 178-214 ms with
+the QRs through scipy.linalg.lapack).
 """
 from __future__ import annotations
 
@@ -23,31 +30,53 @@ def _check_finite(a: np.ndarray, what: str) -> None:
         raise NumericError(f"{what} contains non-finite entries")
 
 
+def _svd(a: np.ndarray) -> tuple[Tensor, np.ndarray, Tensor]:
+    try:
+        return np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError:
+        # gesdd occasionally fails to converge; gesvd is slower but sturdier
+        return scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesvd")
+
+
+def _matrix(a: Tensor, what: str) -> np.ndarray:
+    a = np.asarray(a)
+    if a.ndim != 2:
+        raise DimensionError(f"{what} expects a matrix")
+    _check_finite(a, f"{what} input")
+    return a
+
+
 def svd(a: Tensor) -> tuple[Tensor, np.ndarray, Tensor]:
     """Thin singular value decomposition of a matrix, a = U @ diag(S) @ V.
 
     U has orthonormal columns, V orthonormal rows, S is real and sorted
     descending.
     """
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise DimensionError("svd expects a matrix")
-    _check_finite(a, "svd input")
-    try:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError:
-        # gesdd occasionally fails to converge; gesvd is slower but sturdier
-        u, s, vh = scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesvd")
-    return u, s, vh
+    return _svd(_matrix(a, "svd"))
+
+
+def svd_left(a: Tensor) -> tuple[Tensor, np.ndarray]:
+    """Left singular vectors U and all singular values S of a matrix,
+    without the right factor.
+
+    A wide matrix (m < n) goes through the R factor of the QR of its
+    adjoint, a^H = Q R with R square (m x m), so a = R^H Q^H: only R is
+    formed, never Q, and the SVD of R^H gives U and S.  U^H a then equals
+    diag(S) V^H, so a caller that needs the kept rows of the right factor
+    forms them with one matrix product.  A tall or square matrix goes
+    straight to the SVD.
+    """
+    a = _matrix(a, "svd_left")
+    m, n = a.shape
+    if m < n:
+        a = np.linalg.qr(a.conj().T, mode="r").conj().T
+    u, s, _ = _svd(a)
+    return u, s
 
 
 def qr(a: Tensor) -> tuple[Tensor, Tensor]:
     """Reduced QR factorization of a matrix."""
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise DimensionError("qr expects a matrix")
-    _check_finite(a, "qr input")
-    return np.linalg.qr(a, mode="reduced")
+    return np.linalg.qr(_matrix(a, "qr"), mode="reduced")
 
 
 def lq(a: Tensor) -> tuple[Tensor, Tensor]:

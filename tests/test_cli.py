@@ -168,6 +168,21 @@ def test_estimate_stop_flags(tmp_path, half_state_file):
     assert estimate("--eps", "0")[0] == 2
 
 
+def test_estimate_ritz_violation_returns_the_step_before(tmp_path, half_state_file):
+    def estimate(*flags):
+        out = str(tmp_path / "S.json")
+        assert run_cli("estimate", "--input", half_state_file, "--function", "entropy",
+                       "--kmax", "30", "--dmax", "60", "--out", out, *flags) == 0
+        return read_json(out)
+
+    recs = estimate()["records"]
+    floor = 0.5 * (recs[1]["ritz_min"] + recs[2]["ritz_min"])
+    stopped = estimate("--spectrum-floor", repr(floor))
+    assert (stopped["stop_reason"], stopped["iterations"]) == ("ritz-violation", 3)
+    assert stopped["estimate"] == stopped["records"][-2]["estimate"]
+    assert stopped["estimate"] != stopped["records"][-1]["estimate"]
+
+
 def test_estimate_malformed_state_fails_cleanly(tmp_path, capsys):
     src = str(tmp_path / "ragged.json")
     with open(src, "w", encoding="utf-8") as fh:

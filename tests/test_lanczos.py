@@ -181,6 +181,38 @@ def test_check_stop_ritz_floor_and_ceiling():
     assert halt and reason == lz.STOP_RITZ
 
 
+def test_check_stop_ritz_floor_allows_rounding():
+    # an exact zero node that the eigensolver returns as -1e-17 keeps the
+    # floor; a Ritz value below it by more than 8 k eps max|theta| breaks it
+    cfg = lz.StoppingConfig(spectrum_floor=0.0)
+    assert lz.check_stop(make_run([1.0, 2.0], ritz_min=-1e-17, ritz_max=1.0), cfg, NONE) == (
+        False, None)
+    halt, reason = lz.check_stop(make_run([1.0, 2.0], ritz_min=-1e-13, ritz_max=1.0), cfg, NONE)
+    assert halt and reason == lz.STOP_RITZ
+
+
+def test_ritz_violation_returns_the_step_before(thermal_l6, thermal_cache):
+    # a floor between the smallest Ritz values of steps 2 and 3 stops the
+    # run at step 3, which stays in the records but not in the estimate
+    _, free = lz.entropy_from_half_state(thermal_l6, kmax=30, dmax=60)
+    floor = 0.5 * (free.records[1].ritz_min + free.records[2].ritz_min)
+    S, run = lz.entropy_from_half_state(thermal_l6, kmax=30, dmax=60,
+                                        stop=lz.StoppingConfig(spectrum_floor=floor))
+    assert run.stop_reason == lz.STOP_RITZ and len(run.records) == 3
+    assert S == run.estimate == run.records[-2].estimate != run.records[-1].estimate
+    # a floor step 1 already breaks: step 1 keeps its own estimate
+    S, run = lz.entropy_from_half_state(thermal_l6, kmax=30, dmax=60,
+                                        stop=lz.StoppingConfig(spectrum_floor=1.0))
+    assert run.stop_reason == lz.STOP_RITZ and len(run.records) == 1
+    assert S == run.records[0].estimate
+    # a truncated L = 8, beta = 1 run breaks the psd floor on its own
+    m = thermal_cache(8, 1.0, 20, 0.01)[0]
+    S, run = lz.entropy_from_half_state(m, kmax=30, dmax=12)
+    assert run.stop_reason == lz.STOP_RITZ and len(run.records) > 2
+    assert run.records[-1].ritz_min < 0 <= run.records[-2].ritz_min
+    assert S == run.records[-2].estimate
+
+
 def test_check_stop_ritz_precedes_bound():
     run = make_run([1.0, 0.9], ritz_min=-1.0)
     halt, reason = lz.check_stop(run, lz.StoppingConfig(spectrum_floor=0.0), LOWER)

@@ -297,3 +297,40 @@ def test_zipup_norm_estimate_on_at_cap_fits(thermal_cache, monkeypatch):
     lz.entropy_from_half_state(m, kmax=30, dmax=12)
     assert sum(r < 0.99 for r in ratios) >= 5
     assert all(0.5 <= r <= 1.0 + 1e-9 for r in ratios), ratios
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_target_right_half_matches_left(cplx):
+    # a target with carried terms, as a Lanczos step fits it, and a trial
+    # operator at a smaller bond
+    from mpotrace.sweeping import _Target
+    a, u, u_prev, x = (random_mpo(5, 3, 1), random_mpo(5, 4, 2), random_mpo(5, 2, 3),
+                       random_mpo(5, 3, 4))
+    if not cplx:
+        a, u, u_prev, x = map(real_part, (a, u, u_prev, x))
+    eye = [np.eye(2).reshape(2, 2, 1, 1)] * 5
+    products = [(list(a.sites), list(u.sites)), ([eye[0] * -0.8] + eye[1:], list(u.sites)),
+                ([eye[0] * 0.3] + eye[1:], list(u_prev.sites))]
+    target = _Target(products)
+    lenvs, renvs = [target.boundary()], [target.boundary()]
+    for i in range(5):
+        lenvs.append(target.env_left(i, lenvs[i], x.sites[i]))
+    for i in range(4, -1, -1):
+        renvs.insert(0, target.env_right(i, renvs[0], x.sites[i]))
+    # <x, target> closes the same from either end
+    assert abs(sum(e.item() for e in lenvs[5]) - sum(e.item() for e in renvs[0])) < 1e-12
+    for i in range(5):
+        left = target.local_left(i, lenvs[i], renvs[i + 1])
+        right = target.local_right(i, lenvs[i], renvs[i + 1])
+        assert np.linalg.norm(left - right) <= 1e-12 * np.linalg.norm(left), i
+        # env_right against a plain einsum of x^*, a_k, u_k and the next env
+        ref = [np.einsum("ojxy,ocab,cjuv,ybv->xau", x.sites[i].conj(), ak[i], uk[i], f)
+               for (ak, uk), f in zip(products, renvs[i + 1])]
+        for got, want in zip(target.env_right(i, renvs[i + 1], x.sites[i]), ref):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), i
+    # the fit built on it still never raises its objective between updates
+    fit = multiply_and_optimize(a, u, 3, SweepOptions(max_sweeps=5),
+                                terms=[(-0.8, u), (0.3, u_prev)])
+    obj = fit.objectives
+    for j in range(1, len(obj)):
+        assert obj[j] <= obj[j - 1] + 1e-12 * max(abs(obj[0]), 1.0), j

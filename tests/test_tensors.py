@@ -100,3 +100,87 @@ def test_tridiag_eig_validation():
         tensors.symmetric_tridiag_eig([], [])
     with pytest.raises(DimensionError):
         tensors.symmetric_tridiag_eig([1.0, 2.0], [1.0, 2.0])
+
+
+def _with_spectrum(m, n, s, seed, cplx):
+    """An m x n matrix Q1 diag(s) Q2^H with the given singular values."""
+    rng = np.random.default_rng(seed)
+
+    def isometry(rows, cols):
+        z = rng.standard_normal((rows, cols))
+        if cplx:
+            z = z + 1j * rng.standard_normal((rows, cols))
+        return np.linalg.qr(z)[0]
+
+    k = len(s)
+    return (isometry(m, k) * s) @ isometry(n, k).conj().T
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("shape", [(6, 40), (40, 6), (12, 12), (30, 75)])
+def test_svd_left_matches_full_svd(shape, cplx):
+    m, n = shape
+    k = min(m, n)
+    # distinct singular values, so that each singular vector is defined up
+    # to a phase; the last case has rank 10 < k
+    s_true = 0.8 ** np.arange(k)
+    if shape == (30, 75):
+        s_true[10:] = 0.0
+    a = _with_spectrum(m, n, s_true, sum(shape), cplx)
+    u, s = tensors.svd_left(a)
+    u0, s0, vh0 = np.linalg.svd(a, full_matrices=False)
+    assert u.shape == (m, k) and s.shape == (k,) and u.dtype == a.dtype
+    assert np.max(np.abs(s - s0)) <= 1e-14 * s0[0]
+    assert np.linalg.norm(u.conj().T @ u - np.eye(k)) < 1e-13
+    # the carry U^H a equals diag(s) V^H row by row, up to each row's phase
+    rank = int(np.sum(s_true > 0))
+    got, ref = u[:, :rank].conj().T @ a, s0[:rank, None] * vh0[:rank]
+    for g, r in zip(got, ref):
+        phase = np.vdot(r, g) / abs(np.vdot(r, g))
+        assert abs(abs(phase) - 1.0) < 1e-12
+        assert np.linalg.norm(g - phase * r) <= 1e-13 * s0[0]
+
+
+def test_svd_left_zero_matrix():
+    for shape in [(3, 8), (8, 3)]:
+        u, s = tensors.svd_left(np.zeros(shape))
+        assert np.all(s == 0.0)
+        assert np.linalg.norm(u.T @ u - np.eye(3)) < 1e-14
+
+
+def test_svd_left_rejects_bad_input():
+    with pytest.raises(NumericError):
+        tensors.svd_left(np.array([[1.0, np.inf, 0.0], [0.0, 1.0, 0.0]]))
+    with pytest.raises(DimensionError):
+        tensors.svd_left(np.ones(4))
+
+
+def test_svds_fall_back_to_gesvd(monkeypatch):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    a = _with_spectrum(9, 20, 0.7 ** np.arange(9), 5, True)
+    s0 = np.linalg.svd(a, compute_uv=False)
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    u, s = tensors.svd_left(a)
+    assert np.max(np.abs(s - s0)) <= 1e-14 * s0[0]
+    assert np.linalg.norm(u.conj().T @ u - np.eye(9)) < 1e-13
+    u, s, vh = tensors.svd(a)
+    assert np.linalg.norm(u * s @ vh - a) < 1e-13
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("shape", [(120, 30), (30, 120), (16, 16), (300, 200), (150, 400)])
+def test_qr_reconstruction(shape, cplx):
+    # the last two go past LAPACK's blocking crossover (min(m, n) > 128)
+    rng = np.random.default_rng(shape[0])
+    a = rng.standard_normal(shape)
+    if cplx:
+        a = a + 1j * rng.standard_normal(shape)
+    k = min(shape)
+    q, r = tensors.qr(a)
+    assert q.shape == (shape[0], k) and r.shape == (k, shape[1])
+    assert q.dtype == r.dtype == a.dtype
+    assert np.array_equal(r, np.triu(r))
+    assert np.linalg.norm(q @ r - a) < 1e-13 * np.linalg.norm(a)
+    assert np.linalg.norm(q.conj().T @ q - np.eye(k)) < 1e-13

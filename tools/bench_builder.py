@@ -48,19 +48,39 @@ def _env(tree: Path) -> dict:
     return env
 
 
-def _time_build(tree: Path, params) -> dict:
-    out = subprocess.run([sys.executable, "-c", CHILD, json.dumps(list(params) + [BOND_DIM])],
-                         env=_env(tree), capture_output=True, text=True, check=True)
+def run_child(tree: Path, code: str, *args) -> dict:
+    """Run `code` in a fresh interpreter on the sources under tree/src with
+    one BLAS thread, and return the JSON object it prints."""
+    out = subprocess.run([sys.executable, "-c", code, *args], env=_env(tree),
+                         capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
 
 
-def _revision(tree: Path) -> str:
+def alternate(trees: dict, workloads: dict, repeat: int, time_one) -> dict:
+    """runs[side][name]: `repeat` results of time_one(tree, params) per
+    tree and workload.  The trees take turns, and which one goes first
+    flips from one repetition to the next, so both see the same machine
+    state."""
+    runs = {side: {name: [] for name in workloads} for side in trees}
+    for rep in range(repeat):
+        order = list(trees.items())[::-1 if rep % 2 else 1]
+        for name, params in workloads.items():
+            for side, tree in order:
+                runs[side][name].append(time_one(tree, params))
+    return runs
+
+
+def _time_build(tree: Path, params) -> dict:
+    return run_child(tree, CHILD, json.dumps(list(params) + [BOND_DIM]))
+
+
+def revision(tree: Path) -> str:
     out = subprocess.run(["git", "-C", str(tree), "rev-parse", "HEAD"],
                          capture_output=True, text=True)
     return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
-def _machine() -> dict:
+def machine() -> dict:
     import numpy as np
     import scipy
     try:
@@ -79,20 +99,16 @@ def main(argv=None) -> int:
     ap.add_argument("--baseline", type=Path, default=None, help="checkout to compare with")
     args = ap.parse_args(argv)
     trees = {"change": ROOT} if args.baseline is None else {"baseline": args.baseline, "change": ROOT}
-    runs = {side: {name: [] for name in WORKLOADS} for side in trees}
-    for _ in range(args.repeat):
-        for name, params in WORKLOADS.items():
-            for side, tree in trees.items():
-                runs[side][name].append(_time_build(tree, params))
+    runs = alternate(trees, WORKLOADS, args.repeat, _time_build)
     doc = {
         "topic": "thermal builder, in-process wall time of thermal_half_state_report",
         "method": f"min of {args.repeat} child processes per tree and workload, alternating "
                   f"trees, bond cap {BOND_DIM}, one BLAS thread (tools/bench_builder.py)",
-        "machine": _machine(),
+        "machine": machine(),
         "trees": {},
     }
     for side, tree in trees.items():
-        doc["trees"][side] = {"revision": _revision(tree), "workloads": {
+        doc["trees"][side] = {"revision": revision(tree), "workloads": {
             name: {"L": WORKLOADS[name][0], "beta": WORKLOADS[name][1], "dtau": WORKLOADS[name][2],
                    "min_s": round(min(r["s"] for r in rs), 4),
                    "all_s": [round(r["s"], 4) for r in rs],

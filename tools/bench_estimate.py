@@ -1,0 +1,106 @@
+"""Time the entropy estimate in-process, min of N, on the parameters of the
+three benchmark workloads, and write BENCH_estimate.json.
+
+    python3 tools/bench_estimate.py --repeat 5 [--baseline DIR]
+
+Each workload's state is built once, by this checkout, at bond cap 20 and
+saved to a temporary file.  Each timing then loads it in a fresh child
+process with one BLAS thread, on the sources under `<tree>/src`, and runs
+`entropy_from_half_state` at the workload's kmax and dmax.  With
+--baseline, the child runs alternate between DIR (another checkout, e.g.
+the parent commit) and this checkout, as tools/bench_builder.py does.  The
+file records, per tree and workload, every time and their minimum, the
+median wall time of the at-cap Lanczos steps (those whose fit reached
+dmax), the iteration count, the stop reason and S, plus the machine facts
+and git revisions.  The file goes to the root of this checkout.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_builder import ROOT, alternate, machine, revision, run_child
+
+# (L, beta, dtau, kmax, dmax) of bench/run.py's workloads, built at bond cap 20
+WORKLOADS = {
+    "entropy-l20-d60": (20, 0.1, 0.002, 20, 60),
+    "entropy-l100-d30": (100, 0.1, 0.002, 12, 30),
+    "hard-l10-beta1": (10, 1.0, 0.001, 50, 40),
+}
+BOND_DIM = 20
+BUILD = """
+import json, sys
+import mpotrace as mt
+from mpotrace import mpo as mp
+L, beta, dtau, bond, path = json.loads(sys.argv[1])
+p = mt.IsingParams(L=L, J=1.0, g=1.0, h=0.0, beta=beta)
+mp.save_json(mt.thermal_half_state(p, dbond=bond, dtau=dtau), path)
+print("{}")
+"""
+CHILD = """
+import json, statistics, sys, time
+from mpotrace import lanczos as lz, mpo as mp
+path, kmax, dmax = json.loads(sys.argv[1])
+m = mp.load_json(path)
+bonds, fit = [], lz.multiply_and_optimize
+
+def recording(*args, **kwargs):
+    out = fit(*args, **kwargs)
+    bonds.append(out.mpo.max_bond())
+    return out
+
+lz.multiply_and_optimize = recording
+t0 = time.perf_counter()
+S, run = lz.entropy_from_half_state(m, kmax=kmax, dmax=dmax)
+s = time.perf_counter() - t0
+walls = [r.wall_ms for r in run.records]
+at_cap = [w for w, b in zip(walls, bonds) if b >= dmax]
+print(json.dumps({"s": s, "S": S, "iterations": len(run.records), "stop": run.stop_reason,
+                  "at_cap_steps": len(at_cap), "step_ms": statistics.median(at_cap or walls)}))
+"""
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--repeat", type=int, default=5, help="timings per tree and workload")
+    ap.add_argument("--baseline", type=Path, default=None, help="checkout to compare with")
+    args = ap.parse_args(argv)
+    trees = {"change": ROOT} if args.baseline is None else {"baseline": args.baseline, "change": ROOT}
+    with tempfile.TemporaryDirectory() as tmp:
+        states = {}
+        for name, (L, beta, dtau, kmax, dmax) in WORKLOADS.items():
+            path = str(Path(tmp) / f"{name}.json")
+            run_child(ROOT, BUILD, json.dumps([L, beta, dtau, BOND_DIM, path]))
+            states[name] = (path, kmax, dmax)
+        runs = alternate(trees, states, args.repeat,
+                         lambda tree, params: run_child(tree, CHILD, json.dumps(params)))
+    doc = {
+        "topic": "entropy estimate, in-process wall time of entropy_from_half_state",
+        "method": f"min of {args.repeat} child processes per tree and workload, alternating "
+                  f"trees, state built once at bond cap {BOND_DIM}, one BLAS thread "
+                  f"(tools/bench_estimate.py); at_cap_step_ms is the smallest per-run median "
+                  f"wall time of the steps whose fit reached dmax",
+        "machine": machine(),
+        "trees": {},
+    }
+    for side, tree in trees.items():
+        doc["trees"][side] = {"revision": revision(tree), "workloads": {
+            name: {"L": WORKLOADS[name][0], "beta": WORKLOADS[name][1], "dtau": WORKLOADS[name][2],
+                   "kmax": WORKLOADS[name][3], "dmax": WORKLOADS[name][4],
+                   "min_s": round(min(r["s"] for r in rs), 4),
+                   "all_s": [round(r["s"], 4) for r in rs],
+                   "at_cap_step_ms": round(min(r["step_ms"] for r in rs), 2),
+                   "at_cap_steps": rs[0]["at_cap_steps"],
+                   "iterations": rs[0]["iterations"], "stop_reason": rs[0]["stop"],
+                   "S": rs[0]["S"]}
+            for name, rs in runs[side].items()}}
+    (ROOT / "BENCH_estimate.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    print(json.dumps(doc["trees"], indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
