@@ -18,9 +18,7 @@ import logging
 import math
 import os
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields
 
 from .errors import MpoTraceError
@@ -95,7 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sweep", help="run a manifest of pipeline cells")
     s.add_argument("--manifest", required=True, help="JSON manifest path")
     s.add_argument("--out", required=True, help="output CSV path")
-    s.add_argument("--jobs", type=int, default=1, help="concurrent cells (default 1)")
     s.add_argument("--dbond", type=int, default=20, help="input-build bond cap")
     s.add_argument("--dtau", type=float, default=0.01, help="input-build Trotter step")
     return parser
@@ -110,13 +107,20 @@ def _write_json(payload: dict, path: str | None) -> None:
             fh.write(text + "\n")
 
 
+def _check_build_flags(bond: int, dtau: float) -> None:
+    """The input-build flags of build-thermal and sweep."""
+    if bond < 1:
+        raise ValueError("the bond cap must be >= 1")
+    if not (dtau > 0 and math.isfinite(dtau)):
+        raise ValueError("--dtau must be finite and > 0")
+
+
 def cmd_build_thermal(args) -> int:
     try:
         params = models.IsingParams(L=args.L, J=args.J, g=args.g, h=args.h, beta=args.beta)
-        if args.bond_dim < 1:
-            raise ValueError("--bond-dim must be >= 1")
-        if args.dtau <= 0:
-            raise ValueError("--dtau must be > 0")
+        _check_build_flags(args.bond_dim, args.dtau)
+        if not math.isfinite(args.trunc_warn):
+            raise ValueError("--trunc-warn must be finite")
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
@@ -278,7 +282,7 @@ def _as_list(value, name: str) -> list:
     raise ValueError(f"manifest key {name!r} must be a number or list of numbers")
 
 
-def _run_cell(cell, builds, build_lock, args):
+def _run_cell(cell, builds, args):
     """One pipeline cell: build (cached), estimate, compare to oracle."""
     row = dict.fromkeys(SWEEP_COLUMNS, "")
     row.update(L=cell["L"], beta=cell["beta"], J=cell["J"], g=cell["g"], h=cell["h"],
@@ -288,13 +292,9 @@ def _run_cell(cell, builds, build_lock, args):
         params = models.IsingParams(L=cell["L"], J=cell["J"], g=cell["g"],
                                     h=cell["h"], beta=cell["beta"])
         key = (params.L, params.J, params.g, params.h, params.beta)
-        # build_lock guards the map only; each key's own lock its one build
-        with build_lock:
-            entry = builds.setdefault(key, [threading.Lock(), None])
-        with entry[0]:
-            if entry[1] is None:
-                entry[1] = models.thermal_half_state(params, dbond=args.dbond, dtau=args.dtau)
-            m = entry[1]
+        if key not in builds:
+            builds[key] = models.thermal_half_state(params, dbond=args.dbond, dtau=args.dtau)
+        m = builds[key]
         dmax = cell["dmax"] if cell["dmax"] > 0 else None
         estimate, run = lz.entropy_from_half_state(m, kmax=cell["kmax"], dmax=dmax)
         oracle, _ = _oracle_entropy(params, "auto")
@@ -329,19 +329,13 @@ def cmd_sweep(args) -> int:
         ]
         if not cells:
             raise ValueError("manifest produced no cells (need nonempty L and beta)")
-        if args.jobs < 1:
-            raise ValueError("--jobs must be >= 1")
+        _check_build_flags(args.dbond, args.dtau)
     except (OSError, json.JSONDecodeError, ValueError, TypeError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
 
     builds: dict = {}
-    build_lock = threading.Lock()
-    if args.jobs == 1:
-        rows = [_run_cell(cell, builds, build_lock, args) for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(lambda c: _run_cell(c, builds, build_lock, args), cells))
+    rows = [_run_cell(cell, builds, args) for cell in cells]
 
     # soft monotonicity check: at fixed (L, beta, kmax) the error should
     # not grow with dmax; log, never fail

@@ -71,8 +71,10 @@ class TridiagonalMatrix:
 @dataclass(frozen=True)
 class SpectralFunction:
     """Scalar map f with a name and the sign of its order-2K derivatives
-    on the spectral interval (+1 makes the quadrature a lower bound of
-    tr f, -1 an upper bound, 0 unknown/mixed)."""
+    on the spectral interval for K >= 2 nodes (+1 makes the quadrature a
+    lower bound of tr f, -1 an upper bound, 0 unknown/mixed).  The sign
+    says nothing of the 1-node rule, so check_stop compares estimates in
+    that direction only from step 3 on."""
 
     name: str
     fn: Callable[[float], float]
@@ -125,8 +127,10 @@ class StoppingConfig:
     spectrum_floor: float | None = None
 
     def __post_init__(self):
-        if self.eps_conv <= 0:
-            raise ValueError("eps_conv must be > 0")
+        if not (self.eps_conv > 0 and math.isfinite(self.eps_conv)):
+            raise ValueError("eps_conv must be finite and > 0")
+        if self.spectrum_floor is not None and not math.isfinite(self.spectrum_floor):
+            raise ValueError("spectrum_floor must be finite")
         if self.window < 2:
             raise ValueError("window must be >= 2")
 
@@ -195,8 +199,10 @@ def check_stop(run: QuadratureRun, stop: StoppingConfig, f: SpectralFunction):
     successive estimates, a Ritz value below the declared spectrum floor
     by more than the tridiagonal eigensolver's rounding (8 k eps
     max|theta|), violated bound monotonicity (in the direction
-    f.bound_direction() gives), 3-sigma outlier against the trailing
-    window."""
+    f.bound_direction() gives, between estimates of at least 2 nodes, so
+    from step 3 on: the 1-node rule is no bound, e.g. for the entropy
+    integrand at a Ritz value above e^(-3/2)), 3-sigma outlier against the
+    trailing window."""
     ests = run.estimates()
     if not ests:
         return False, None
@@ -210,7 +216,7 @@ def check_stop(run: QuadratureRun, stop: StoppingConfig, f: SpectralFunction):
         slack = 8 * rec.k * np.finfo(float).eps * max(abs(rec.ritz_min), abs(rec.ritz_max))
         if rec.ritz_min < stop.spectrum_floor - slack:
             return True, STOP_RITZ
-    if len(ests) >= 2:
+    if len(ests) >= 3:
         direction = f.bound_direction()
         if direction == "lower" and cur < ests[-2]:
             return True, STOP_BOUND
@@ -352,12 +358,12 @@ def entropy_from_half_state(
     Frobenius norm, which folds the normalization S = ln Z2 -
     tr(m^2 ln m^2) / Z2 (Z2 = tr(m^2) = <m, m>) away: the rescaled squared
     eigenvalues sum to one, so -sum lam^2 ln lam^2 over them IS the
-    entropy.  The per-iteration estimates are entropy values: a
-    nondecreasing sequence of lower bounds while the iteration stays
-    clean and the normalized spectrum sits in the small-eigenvalue
-    regime.  The default stop rule is StoppingConfig(spectrum_floor=0.0):
-    m is psd, so a negative Ritz value marks a broken recurrence, and the
-    run returns the step before it.  Z2
+    entropy.  The per-iteration estimates are entropy values: from step
+    2 on, a nondecreasing sequence of lower bounds while the iteration
+    stays clean (step 1's single node is a lower bound only while its
+    Ritz value is at most e^(-3/2)).  The default stop rule is
+    StoppingConfig(spectrum_floor=0.0): m is psd, so a negative Ritz value
+    marks a broken recurrence, and the run returns the step before it.  Z2
     stays in log form, ln Z2 = 2 mp.log_norm(m), read from m or contracted
     once and kept on m, and the rescale moves only log_scale.  The chain
     limit of global_lanczos applies.

@@ -4,9 +4,10 @@ Trotter evolution of the identity, plus a reproducible random Hermitian
 MPO generator for tests.
 
 The builder is TEBD for an operator: two-site gates act on the
-physical-out legs at the orthogonality center, and each gate's SVD is cut
-to the bond cap where it is made, so its discarded weight is exact (Vidal,
-PRL 91, 147902 (2003); Zwolak & Vidal, PRL 93, 207205 (2004))."""
+physical-out legs at the orthogonality center, and each gate's product is
+split back by the package's one truncated split (mpo._truncated_split),
+cut to the bond cap where it is made, so its discarded weight is exact
+(Vidal, PRL 91, 147902 (2003); Zwolak & Vidal, PRL 93, 207205 (2004))."""
 from __future__ import annotations
 
 import logging
@@ -18,7 +19,6 @@ import scipy.linalg as sla
 
 from . import mpo as mp
 from .mpo import Mpo
-from .tensors import svd
 
 logger = logging.getLogger("mpotrace.models")
 
@@ -65,11 +65,12 @@ def _bond_gate(p: IsingParams, i: int, tau: float) -> np.ndarray:
 
 def _apply_gate(left, right, gate, dbond, center_right):
     """Apply a two-site gate to the physical-out legs of neighboring sites,
-    one of which is the orthogonality center, and split back by an SVD cut
-    to at most dbond by the keep rule of mpo._truncation_rank.
+    one of which is the orthogonality center, and split back by
+    mpo._truncated_split, cut to at most dbond.
 
-    The singular values go to the right site when center_right, else to
-    the left one; the other site is an isometry.  Returns (new_left,
+    The split's weights go to the right site when center_right, else to
+    the left one: then the split runs on the adjoint of the gate matrix, so
+    that its isometry lands on the right site.  Returns (new_left,
     new_right, ln of the extracted norm, discarded weight squared relative
     to the norm after the gate).  The environment is isometric, so the
     discarded weight is the exact relative distance the cut adds.
@@ -81,19 +82,19 @@ def _apply_gate(left, right, gate, dbond, center_right):
     theta = theta.reshape(d, d * dl, d, d * dr).transpose(0, 2, 1, 3)
     # gate (o1',o2' | o1,o2) x theta -> (o1' | i1,Dl | o2' | i2,Dr)
     theta = (gate.reshape(d * d, d * d) @ theta.reshape(d * d, -1)).reshape(d, d, d * dl, d * dr)
-    u, s, vh = svd(theta.transpose(0, 2, 1, 3).reshape(d * d * dl, d * d * dr))
-    keep, tail2 = mp._truncation_rank(s, dbond)
-    u, s, vh = u[:, :keep], s[:keep], vh[:keep]
-    kept2 = float(s @ s)
-    norm = math.sqrt(kept2)
-    s = s / norm
+    mat = theta.transpose(0, 2, 1, 3).reshape(d * d * dl, d * d * dr)
     if center_right:
-        vh = s[:, None] * vh
+        u, vh, tail2 = mp._truncated_split(mat, dbond)
+        norm = float(np.linalg.norm(vh))
+        vh = vh / norm
     else:
-        u = u * s
+        v, c, tail2 = mp._truncated_split(mat.conj().T, dbond)
+        norm = float(np.linalg.norm(c))
+        u, vh = c.conj().T / norm, v.conj().T
+    keep = vh.shape[0]
     new_left = u.reshape(d, d, dl, keep)
     new_right = vh.reshape(keep, d, d, dr).transpose(1, 2, 0, 3)
-    return new_left, new_right, math.log(norm), tail2 / (kept2 + tail2)
+    return new_left, new_right, math.log(norm), tail2 / (norm * norm + tail2)
 
 
 def thermal_half_state_report(
@@ -112,8 +113,8 @@ def thermal_half_state_report(
     form, and each layer is one sweep over its gates, left to right for
     the even layers and right to left for the odd ones.  Before each gate
     one QR or LQ step moves the orthogonality center onto the gate's pair;
-    the gate's SVD is then cut to at most dbond and to a relative tail
-    weight of at most mpo.TRUNC_EPS.  Around the center the environment
+    the gate's split (mpo._truncated_split) is then cut to at most dbond
+    and to a relative tail weight of at most mpo.TRUNC_EPS.  Around the center the environment
     is isometric, so each cut's relative discarded weight is exact.  The
     metadata lists, per layer, the root-sum-square of these weights
     ("discarded") and the max bond.
@@ -124,8 +125,8 @@ def thermal_half_state_report(
     the sites stay O(1) at any chain length.  The returned MPO is
     canonical: unit tensors, and log_scale = ln_norm = ln of M's norm.
     """
-    if dtau <= 0:
-        raise ValueError(f"need dtau > 0, got {dtau}")
+    if not (dtau > 0 and math.isfinite(dtau)):
+        raise ValueError(f"need a finite dtau > 0, got {dtau}")
     if dbond is not None and dbond < 1:
         raise ValueError(f"need dbond >= 1, got {dbond}")
     half_beta = 0.5 * p.beta

@@ -274,20 +274,35 @@ def _move_center(sites: list, i: int, step: int) -> None:
         sites[i - 1] = (s0.reshape(-1, s0.shape[3]) @ l).reshape(s0.shape[:3] + (l.shape[1],))
 
 
-def _truncation_rank(s: np.ndarray, dmax: int | None, eps: float = TRUNC_EPS) -> tuple[int, float]:
+def _truncation_rank(s: np.ndarray, dmax: int | None) -> tuple[int, float]:
     """The keep rule of every truncated split.  Of the descending singular
-    values s, keep the fewest whose dropped tail carries at most eps**2 of
-    the total squared weight, then at most dmax, and at least one.
+    values s, keep the fewest whose dropped tail carries at most
+    TRUNC_EPS**2 of the total squared weight, then at most dmax, and at
+    least one.
 
     Returns (keep, squared weight of the dropped tail)."""
     tot2 = float(s @ s)
     if tot2 == 0.0:
         return 1, 0.0
     tail2 = np.concatenate([np.cumsum((s * s)[::-1])[::-1], [0.0]])  # tail2[k] = sum of s[k:]**2
-    keep = max(int(np.searchsorted(-tail2, -(eps * eps) * tot2)), 1)  # smallest k with tail2[k] <= budget
+    keep = max(int(np.searchsorted(-tail2, -(TRUNC_EPS * TRUNC_EPS) * tot2)), 1)  # smallest k with tail2[k] <= budget
     if dmax is not None:
         keep = min(keep, dmax)
     return keep, float(tail2[keep])
+
+
+def _truncated_split(mat: np.ndarray, dmax: int | None):
+    """The one truncated split: mat ~ u @ c, cut by _truncation_rank.
+
+    u holds the kept left singular vectors (orthonormal columns, a copy,
+    so that it does not keep the full factor alive) and c = u^H @ mat their
+    weights, diag(s) V^H on the kept rows, formed by one matrix product.
+    Returns (u, c, tail2), tail2 being the squared weight dropped, so
+    ||mat - u @ c||^2 = tail2."""
+    u, s = tensors.svd(mat)
+    keep, tail2 = _truncation_rank(s, dmax)
+    u = u[:, :keep].copy()
+    return u, u.conj().T @ mat, tail2
 
 
 def _unit_sites(a: Mpo):
@@ -329,9 +344,9 @@ def canonicalize(a: Mpo, center: int = 0) -> Mpo:
     return Mpo(tuple(sites), ls, -math.inf)
 
 
-def truncate_svd(a: Mpo, dmax: int | None = None, eps: float = TRUNC_EPS) -> tuple[Mpo, float]:
+def truncate_svd(a: Mpo, dmax: int | None = None) -> tuple[Mpo, float]:
     """Compress every interior bond to at most dmax, discarding relative
-    singular-value weight up to eps per bond (_truncation_rank).
+    singular-value weight up to TRUNC_EPS per bond (_truncated_split).
 
     Returns the truncated operator and the accumulated root-sum-square of
     the discarded singular values relative to the norm of a.  A single
@@ -342,19 +357,16 @@ def truncate_svd(a: Mpo, dmax: int | None = None, eps: float = TRUNC_EPS) -> tup
     """
     if dmax is not None and dmax < 1:
         raise DimensionError("dmax must be >= 1")
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
     w = canonicalize(a, center=0)
     sites = list(w.sites)
     L = w.L
     disc2 = 0.0
     for i in range(L - 1):
         d1, d2, dl, dr = sites[i].shape
-        u, s, vh = tensors.svd(sites[i].reshape(d1 * d2 * dl, dr))
-        keep, tail2 = _truncation_rank(s, dmax, eps)
+        u, c, tail2 = _truncated_split(sites[i].reshape(d1 * d2 * dl, dr), dmax)
         disc2 += tail2
-        sites[i] = u[:, :keep].reshape(d1, d2, dl, keep)
-        sites[i + 1] = _into_left_bond(s[:keep, None] * vh[:keep], sites[i + 1])
+        sites[i] = u.reshape(d1, d2, dl, -1)
+        sites[i + 1] = _into_left_bond(c, sites[i + 1])
     # left-isometries everywhere except the last site, which carries the
     # remaining weight: the norm reduces to that site's Frobenius norm
     tail = float(np.linalg.norm(sites[L - 1]))

@@ -8,33 +8,34 @@ bond-1 identity sites.  One contraction kernel (`_Target`) serves the
 warm start, the sweeps and `expectation`.
 
 The warm start is one left-to-right zip-up of that target: at each site
-the products' parts sit side by side on the right bond, and one split,
-cut by the keep rule of every truncated split (mpo._truncation_rank)
-and capped at the bond limit, separates them.  The split factorizes only
-what it keeps (tensors.svd_left): the R factor of a QR of the block's
-adjoint, then the SVD of that small square R, gives the left singular
-vectors and every singular value; the kept vectors become the site, and
-the carry to the next site is one matrix product, U_keep^H @ block,
-which equals diag(s) V^H on the kept rows without forming V.  The
-zip-up yields ||target||^2 as the norm of the last site plus the
-discarded weight: exact when the cap discards nothing, an estimate
-otherwise.  A truncating fit small enough that the exact contraction of
-||target||^2 costs no more than the zip-up contracts it instead.
+the products' parts sit side by side on the right bond, and the
+package's one truncated split (mpo._truncated_split), capped at the bond
+limit, separates them.  The split factorizes only what it keeps: the
+left singular vectors and every singular value (tensors.svd); the kept
+vectors become the site, and the carry to the next site is one matrix
+product, U_keep^H @ block, which equals diag(s) V^H on the kept rows
+without forming V.  The zip-up yields ||target||^2 as the norm of the
+last site plus the discarded weight: exact when the cap discards
+nothing, an estimate otherwise.  A truncating fit small enough that the
+exact contraction of ||target||^2 costs no more than the zip-up
+contracts it instead.
 
 The sweeps are alternating least squares: the trial operator is kept in
 mixed-canonical gauge, so each local problem is solved exactly by a plain
 environment contraction, and the squared Frobenius objective never
-increases from one site update to the next.  Each site update contracts
-the target once: one half-contraction, the environment on the side the
-sweep comes from absorbed into the products' sites (E left to right, F
-right to left), gives both the local tensor, with the other environment,
-and the next environment, with the updated site.  The sweeps stop when
-the objective stops moving: when a sweep lowers it by no more than
-rel_tol of ||target||^2, or by no more than a fixed share of what the
-first sweep lowered it by (the truncation plateau of a capped fit).
-Differences of objectives do not depend on ||target||^2, so the plateau
-rule holds where that norm is only an estimate; the residual the fit
-reports does not.
+increases from one site update to the next.  The kernel contracts in one
+direction only, left to right: the right-to-left half of a sweep is a
+left-to-right pass over the mirrored target, the chain read right to
+left, whose left environments are the forward right environments.  Each
+site update contracts the target once: one half-contraction, the left
+environment absorbed into the products' sites, gives both the local
+tensor, with the right environment, and the next environment, with the
+updated site.  The sweeps stop when the objective stops moving: when a
+sweep lowers it by no more than rel_tol of ||target||^2, or by no more
+than a fixed share of what the first sweep lowered it by (the truncation
+plateau of a capped fit).  Differences of objectives do not depend on
+||target||^2, so the plateau rule holds where that norm is only an
+estimate; the residual the fit reports does not.
 """
 from __future__ import annotations
 
@@ -111,6 +112,11 @@ def _scaled(v: float, log_factor: float) -> float:
         return math.inf if v > 0 else -math.inf
 
 
+def _flip(sites):
+    """The chain read right to left: sites reversed, bond legs swapped."""
+    return [s.transpose(0, 1, 3, 2) for s in reversed(sites)]
+
+
 class _Target:
     """Environments of <x, sum_k a_k@u_k> over a list of operator products.
 
@@ -118,6 +124,11 @@ class _Target:
     (c*I, t), with I the bond-1 identity sites, so one kernel serves the
     whole target.  Environments are lists with one (x, a_k, u_k) bond
     tensor per product, and local tensors sum the products' parts.
+
+    The kernels contract left to right only.  A pass right to left is a
+    left-to-right pass over `mirrored()`, the same target on the chain
+    read right to left; its left environments are this target's right
+    environments, in the same (x, a_k, u_k) layout.
 
     The contractions run as plain matrix products on pre-transposed
     views of the (static) operand sites, which keeps every step inside
@@ -127,21 +138,21 @@ class _Target:
     def __init__(self, products):
         self.a = [a for a, _ in products]
         self.u = [u for _, u in products]
-        # u_i: (c, j, lu, ru) -> (lu, c*j*ru) for the left-to-right pass
+        # u_i: (c, j, lu, ru) -> (lu, c*j*ru)
         self._ul = [[s.transpose(2, 0, 1, 3).reshape(s.shape[2], -1) for s in u] for u in self.u]
-        # and (c*j*lu, ru) for the right-to-left pass
-        self._ur = [[s.reshape(-1, s.shape[3]) for s in u] for u in self.u]
-        # a_i: (o, c, la, ra) -> (la*c, o*ra) and (c*ra, o*la)
+        # a_i: (o, c, la, ra) -> (la*c, o*ra)
         self._al = [[s.transpose(2, 1, 0, 3).reshape(s.shape[2] * s.shape[1], -1) for s in a]
                     for a in self.a]
-        self._ar = [[s.transpose(1, 3, 0, 2).reshape(s.shape[1] * s.shape[3], -1) for s in a]
-                    for a in self.a]
-        self._tmp = None  # (side, site, env, half-contraction) reuse
+        self._tmp = None  # (site, env, half-contraction) reuse
+
+    def mirrored(self) -> "_Target":
+        """The same target on the chain read right to left."""
+        return _Target([(_flip(a), _flip(u)) for a, u in zip(self.a, self.u)])
 
     def boundary(self):
         return [np.ones((1, 1, 1)) for _ in self.a]
 
-    def half_left(self, i, E):
+    def half(self, i, E):
         """Per product, E_k absorbed into a_k@u_k at site i, flattened to
         (lx*j*o, ra*ru)."""
         out = []
@@ -157,102 +168,84 @@ class _Target:
             out.append(t.transpose(0, 1, 3, 4, 2).reshape(lx * j * o, ra * ru))
         return out
 
-    def half_right(self, i, F):
-        """Per product, F_k absorbed into a_k@u_k at site i, flattened to
-        (o*j*rx, la*lu)."""
-        out = []
-        for a, u, ur, ar, f in zip(self.a, self.u, self._ur, self._ar, F):
-            o, c, la, ra = a[i].shape
-            j, lu, ru = u[i].shape[1:]
-            rx = f.shape[0]
-            # u_i: (c*j*lu, ru) @ (ru, rx*ra) -> (c, j, lu, rx, ra)
-            t = (ur[i] @ f.transpose(2, 0, 1).reshape(ru, rx * ra)).reshape(c, j, lu, rx, ra)
-            # a_i as (c*ra, o*la); contract c, ra -> (o, la, j, lu, rx)
-            t = t.transpose(0, 4, 1, 2, 3).reshape(c * ra, j * lu * rx)
-            t = (ar[i].T @ t).reshape(o, la, j, lu, rx)
-            out.append(t.transpose(0, 2, 4, 1, 3).reshape(o * j * rx, la * lu))
-        return out
+    def _half(self, i, E):
+        """The half-contraction at site i, kept from a local there for the
+        environment update that follows it."""
+        if self._tmp is None or self._tmp[0] != i or self._tmp[1] is not E:
+            self._tmp = (i, E, self.half(i, E))
+        return self._tmp[2]
 
-    def _half(self, right, i, env):
-        """The half-contraction at site i from the left (E) or the right
-        (F), kept for the environment update that follows a local there."""
-        if self._tmp is None or self._tmp[:2] != (right, i) or self._tmp[2] is not env:
-            half = self.half_right(i, env) if right else self.half_left(i, env)
-            self._tmp = (right, i, env, half)
-        return self._tmp[3]
-
-    def local_left(self, i, E, F):
-        """The target's part at site i, (o, j, lx, rx), with E absorbed first."""
+    def local(self, i, E, F):
+        """The target's part at site i, (o, j, lx, rx), from the
+        environments E left and F right of it."""
         # F_k: (rx, ra, ru); contract ra, ru -> (lx*j*o, rx), summed
         parts = [h @ f.transpose(1, 2, 0).reshape(-1, f.shape[0])
-                 for h, f in zip(self._half(False, i, E), F)]
+                 for h, f in zip(self._half(i, E), F)]
         t = sum(parts[1:], parts[0])
         o, j = self.a[0][i].shape[0], self.u[0][i].shape[1]
         return t.reshape(-1, j, o, t.shape[1]).transpose(2, 1, 0, 3)
 
-    def local_right(self, i, E, F):
-        """The same part with F absorbed first."""
-        # E_k: (lx, la, lu); contract la, lu -> (lx, o*j*rx), summed
-        parts = [e.reshape(e.shape[0], -1) @ h.T for h, e in zip(self._half(True, i, F), E)]
-        t = sum(parts[1:], parts[0])
-        o, j = self.a[0][i].shape[0], self.u[0][i].shape[1]
-        return t.reshape(t.shape[0], o, j, -1).transpose(1, 2, 0, 3)
-
-    def env_left(self, i, E, xq):
+    def env(self, i, E, xq):
+        """The environment right of site i, from E left of it and x's site
+        xq there."""
+        half = self._half(i, E)
+        self._tmp = None
         o, j, lx, rx = xq.shape
         # xq: (o, j, lx, rx); contract lx, j, o -> (rx, ra, ru) per product
         xc = xq.conj().transpose(3, 2, 1, 0).reshape(rx, lx * j * o)
         return [(xc @ h).reshape(rx, a[i].shape[3], u[i].shape[3])
-                for h, a, u in zip(self._half(False, i, E), self.a, self.u)]
+                for h, a, u in zip(half, self.a, self.u)]
 
-    def env_right(self, i, F, xq):
-        o, j, lx, rx = xq.shape
-        # xq: (o, j, lx, rx); contract o, j, rx -> (lx, la, lu) per product
-        xc = xq.conj().transpose(2, 0, 1, 3).reshape(lx, o * j * rx)
-        return [(xc @ h).reshape(lx, a[i].shape[2], u[i].shape[2])
-                for h, a, u in zip(self._half(True, i, F), self.a, self.u)]
+
+def _pass(target, lenvs, renvs, sites, norm_sq: float, objectives: list) -> None:
+    """One left-to-right pass of local solves over sites 0..L-2 of
+    target's chain, in place.  lenvs[i] is the environment left of site
+    i, renvs[j] the one right of site L-1-j (lenvs of the mirrored
+    target); each solved site is split into an isometry, sites[i], and the
+    environment right of it, lenvs[i + 1]."""
+    L = len(sites)
+    for i in range(L - 1):
+        t = target.local(i, lenvs[i], renvs[L - 1 - i])
+        objectives.append(norm_sq - float(np.vdot(t, t).real))
+        q, _ = mp._split_left(t)
+        sites[i] = q
+        lenvs[i + 1] = target.env(i, lenvs[i], q)
 
 
 def _run_sweeps(x_sites, target, norm_sq: float, opts: SweepOptions):
     """Alternate local solves over the chain; x_sites is modified in place.
 
     x_sites must be right-canonical from site 1 on; site 0 is never read,
-    because the first local solve overwrites it.  Returns (objectives,
-    converged, sweeps run).  The objective after a site update is
-    norm_sq - |center|^2, which is exact given exact environments because
-    the local optimum equals the environment tensor.  It is a difference
-    of nearly equal numbers, so for an exact fit it rounds to either sign;
-    convergence is therefore judged only by the change between two
-    sweeps, never by the objective's own size: the sweeps stop when one
-    lowers the objective by at most rel_tol * norm_sq, or by at most
-    _PLATEAU of what the first sweep lowered it by (the fit sits on its
-    truncation plateau).  norm_sq cancels from both gains.
+    because the first local solve overwrites it.  A sweep is a
+    left-to-right pass over the target and one over its mirror, which is
+    the right-to-left pass of the chain, and a last solve at site 0.
+    Returns (objectives, converged, sweeps run).  The objective after a
+    site update is norm_sq - |center|^2, which is exact given exact
+    environments because the local optimum equals the environment tensor.
+    It is a difference of nearly equal numbers, so for an exact fit it
+    rounds to either sign; convergence is therefore judged only by the
+    change between two sweeps, never by the objective's own size: the
+    sweeps stop when one lowers the objective by at most rel_tol *
+    norm_sq, or by at most _PLATEAU of what the first sweep lowered it by
+    (the fit sits on its truncation plateau).  norm_sq cancels from both
+    gains.
     """
     L = len(x_sites)
     tol = opts.rel_tol * max(norm_sq, _TINY)
-    renvs = [None] * (L + 1)
-    renvs[L] = target.boundary()
-    for i in range(L - 1, 0, -1):
-        renvs[i] = target.env_right(i, renvs[i + 1], x_sites[i])
-    lenvs = [None] * (L + 1)
-    lenvs[0] = target.boundary()
+    mirror = target.mirrored()
+    # fwd[i]: environment of sites 0..i-1; bwd[j]: of sites L-j..L-1,
+    # which is the mirror's left environment of its first j sites
+    fwd, bwd = [target.boundary()] + [None] * L, [target.boundary()] + [None] * L
+    back = _flip(x_sites)
+    for j in range(L - 1):
+        bwd[j + 1] = mirror.env(j, bwd[j], back[j])
     objectives = []
     converged = False
     prev = first_gain = None
     for sweeps in range(1, opts.max_sweeps + 1):
-        for i in range(L - 1):
-            t = target.local_left(i, lenvs[i], renvs[i + 1])
-            objectives.append(norm_sq - float(np.vdot(t, t).real))
-            q, _ = mp._split_left(t)
-            x_sites[i] = q
-            lenvs[i + 1] = target.env_left(i, lenvs[i], q)
-        for i in range(L - 1, 0, -1):
-            t = target.local_right(i, lenvs[i], renvs[i + 1])
-            objectives.append(norm_sq - float(np.vdot(t, t).real))
-            _, q = mp._split_right(t)
-            x_sites[i] = q
-            renvs[i] = target.env_right(i, renvs[i + 1], q)
-        t = target.local_left(0, lenvs[0], renvs[1])
+        _pass(target, fwd, bwd, x_sites, norm_sq, objectives)
+        _pass(mirror, bwd, fwd, back, norm_sq, objectives)
+        t = target.local(0, fwd[0], bwd[L - 1])
         x_sites[0] = t
         obj = norm_sq - float(np.vdot(t, t).real)
         objectives.append(obj)
@@ -262,35 +255,35 @@ def _run_sweeps(x_sites, target, norm_sq: float, opts: SweepOptions):
             converged = True
             break
         prev = obj
+    # the mirror pass wrote sites 1..L-1 last
+    x_sites[1:] = _flip(back)[1:]
     return objectives, converged, sweeps
 
 
 def _zipup(target: _Target, cap: int):
     """One left-to-right pass over the target sum_k a_k@u_k, split at
-    every bond by one truncated SVD capped at cap.
+    every bond by the truncated split mp._truncated_split capped at cap.
 
     The carries are the target's left environments, and each site's block
     is its half-contraction: the products' parts (right bonds ra*ru) sit
     side by side, so the carried weights of all of them, a term (c*I)@t
-    among them, meet in one factorization, cut by the keep rule of
-    mp._truncation_rank.  The factorization is tensors.svd_left: for a
-    wide block, the R factor of the QR of its adjoint (no Q) and the SVD
-    of that square R, so the right factor is never formed.  The kept left
-    vectors U are the site, and the carry is U^H @ block (= diag(s) V^H on
-    the kept rows), one GEMM.  Returns (sites, norm_sq, scale_sq): sites in
-    right-canonical gauge (center 0), the form the sweeps start from;
-    norm_sq, the norm of the last site plus the discarded weight, is
-    ||target||^2, exact when nothing is discarded and an estimate
-    otherwise, because the discarded weights are measured against a right
-    side that is not isometric; scale_sq is the squared sum of the parts'
-    norms, against which a cancellation of the whole target is judged."""
+    among them, meet in one factorization.  The kept left singular
+    vectors are the site, and the carry is the split's weights, U^H @
+    block (= diag(s) V^H on the kept rows).  Returns (sites, norm_sq,
+    scale_sq): sites in right-canonical gauge (center 0), the form the
+    sweeps start from; norm_sq, the norm of the last site plus the
+    discarded weight, is ||target||^2, exact when nothing is discarded and
+    an estimate otherwise, because the discarded weights are measured
+    against a right side that is not isometric; scale_sq is the squared
+    sum of the parts' norms, against which a cancellation of the whole
+    target is judged."""
     L = len(target.a[0])
     carries = target.boundary()
     sites = []
     disc2 = 0.0
     for i in range(L):
         o, j, x = target.a[0][i].shape[0], target.u[0][i].shape[1], carries[0].shape[0]
-        blocks = target.half_left(i, carries)
+        blocks = target.half(i, carries)
         if i == L - 1:
             # every part's right boundary bond is 1: the site is their sum
             site = sum(blocks[1:], blocks[0])
@@ -305,15 +298,11 @@ def _zipup(target: _Target, cap: int):
         # the parts are as large as mat: free them, so that no two copies
         # are held through the factorization
         del blocks
-        uu, sv = tensors.svd_left(mat)
-        keep, tail2 = mp._truncation_rank(sv, cap)
+        kept, right, tail2 = mp._truncated_split(mat, cap)
+        del mat
         disc2 += tail2
-        kept = uu[:, :keep]
-        # a copy, so that the site does not hold all of uu alive
-        sites.append(kept.reshape(x, j, o, keep).transpose(2, 1, 0, 3).copy())
-        # U^H mat = diag(s) V^H: the kept rows of the right factor, in one GEMM
-        right = kept.conj().T @ mat
-        del mat, uu, kept
+        keep = kept.shape[1]
+        sites.append(kept.reshape(x, j, o, keep).transpose(2, 1, 0, 3))
         carries, off = [], 0
         for a, u in zip(target.a, target.u):
             ra, ru = a[i].shape[3], u[i].shape[3]
@@ -367,7 +356,7 @@ def expectation(a: mp.Mpo, u: mp.Mpo) -> complex:
     target = _Target([(a_sites, u_sites)])
     env = target.boundary()
     for i, s in enumerate(u_sites):
-        env = target.env_left(i, env, s)
+        env = target.env(i, env, s)
     return env[0].item() * math.exp(log_a + 2.0 * log_u)
 
 

@@ -6,7 +6,11 @@ functions here are thin, checked wrappers around numpy/scipy so the rest
 of the package has one place for factorization and the tridiagonal
 eigensolver.
 
-The factorizations a Lanczos step repeats (svd, svd_left, qr) run on
+There is one SVD, `svd`, and it returns only the left factor and the
+singular values: every caller cuts it through mpo._truncated_split,
+which forms the kept rows of the right factor by one matrix product.
+
+The factorizations a Lanczos step repeats (svd, qr) run on
 numpy's LAPACK.  The scipy wheel bundles a second OpenBLAS with its own
 thread pool, and with more than one BLAS thread, interleaving its calls
 with numpy's matrix products made an at-cap step 2-3 times slower (L =
@@ -30,14 +34,6 @@ def _check_finite(a: np.ndarray, what: str) -> None:
         raise NumericError(f"{what} contains non-finite entries")
 
 
-def _svd(a: np.ndarray) -> tuple[Tensor, np.ndarray, Tensor]:
-    try:
-        return np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError:
-        # gesdd occasionally fails to converge; gesvd is slower but sturdier
-        return scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesvd")
-
-
 def _matrix(a: Tensor, what: str) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2:
@@ -46,18 +42,10 @@ def _matrix(a: Tensor, what: str) -> np.ndarray:
     return a
 
 
-def svd(a: Tensor) -> tuple[Tensor, np.ndarray, Tensor]:
-    """Thin singular value decomposition of a matrix, a = U @ diag(S) @ V.
-
-    U has orthonormal columns, V orthonormal rows, S is real and sorted
-    descending.
-    """
-    return _svd(_matrix(a, "svd"))
-
-
-def svd_left(a: Tensor) -> tuple[Tensor, np.ndarray]:
+def svd(a: Tensor) -> tuple[Tensor, np.ndarray]:
     """Left singular vectors U and all singular values S of a matrix,
-    without the right factor.
+    without the right factor: a = U @ diag(S) @ V^H with U orthonormal
+    columns and S real, sorted descending.
 
     A wide matrix (m < n) goes through the R factor of the QR of its
     adjoint, a^H = Q R with R square (m x m), so a = R^H Q^H: only R is
@@ -66,11 +54,15 @@ def svd_left(a: Tensor) -> tuple[Tensor, np.ndarray]:
     forms them with one matrix product.  A tall or square matrix goes
     straight to the SVD.
     """
-    a = _matrix(a, "svd_left")
+    a = _matrix(a, "svd")
     m, n = a.shape
     if m < n:
         a = np.linalg.qr(a.conj().T, mode="r").conj().T
-    u, s, _ = _svd(a)
+    try:
+        u, s, _ = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError:
+        # gesdd occasionally fails to converge; gesvd is slower but sturdier
+        u, s, _ = scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesvd")
     return u, s
 
 

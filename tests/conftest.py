@@ -65,3 +65,16 @@ def inner(a, b):
     """<a, b> = tr(a^H b) as one number; a float when both are real."""
     mant, logv = mp.inner_product_scaled(a, b)
     return mant * math.exp(logv)
+
+
+def with_spectrum(m, n, s, seed, cplx):
+    """An m x n matrix Q1 diag(s) Q2^H with the given singular values."""
+    rng = np.random.default_rng(seed)
+
+    def isometry(rows, cols):
+        z = rng.standard_normal((rows, cols))
+        if cplx:
+            z = z + 1j * rng.standard_normal((rows, cols))
+        return np.linalg.qr(z)[0]
+
+    return (isometry(m, len(s)) * s) @ isometry(n, len(s)).conj().T

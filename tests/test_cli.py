@@ -3,7 +3,6 @@ import csv
 import json
 import math
 import os
-import threading
 from dataclasses import asdict
 
 import jsonschema
@@ -60,6 +59,15 @@ def test_build_roundtrip_identical_tensors(tmp_path, half_state_file):
 def test_build_rejects_bad_beta(tmp_path):
     rc = run_cli("build-thermal", "--L", "6", "--beta", "0", "--out", str(tmp_path / "x.json"))
     assert rc == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--dtau", "nan"), ("--dtau", "inf"),
+                                         ("--trunc-warn", "nan")])
+def test_build_rejects_non_finite_flags(tmp_path, capsys, flag, value):
+    out = tmp_path / "x.json"
+    rc = run_cli("build-thermal", "--L", "4", "--beta", "0.1", flag, value, "--out", str(out))
+    assert rc == 2 and not out.exists()
+    assert capsys.readouterr().err.startswith("usage error: ")
 
 
 def test_build_trunc_warn_counts_alarmed_layers(tmp_path, caplog):
@@ -166,6 +174,17 @@ def test_estimate_stop_flags(tmp_path, half_state_file):
     assert (floored["stop_reason"], floored["iterations"]) == ("ritz-violation", 1)
     assert estimate("--window", "1")[0] == 2
     assert estimate("--eps", "0")[0] == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--eps", "nan"), ("--eps", "inf"),
+                                         ("--spectrum-floor", "nan"),
+                                         ("--spectrum-floor", "-inf")])
+def test_estimate_rejects_non_finite_flags(tmp_path, capsys, half_state_file, flag, value):
+    out = tmp_path / "S.json"
+    rc = run_cli("estimate", "--input", half_state_file, "--function", "entropy",
+                 "--out", str(out), f"{flag}={value}")
+    assert rc == 2 and not out.exists()
+    assert capsys.readouterr().err.startswith("usage error: ")
 
 
 def test_estimate_ritz_violation_returns_the_step_before(tmp_path, half_state_file):
@@ -301,20 +320,20 @@ def test_exact_rejects_field_with_free_fermion():
     assert run_cli("exact", "--L", "14", "--beta", "0.5", "--h", "0.3") == 2
 
 
-def run_two_cell_sweep(tmp_path, jobs):
+def run_two_cell_sweep(tmp_path):
     manifest = str(tmp_path / "m.json")
-    out = str(tmp_path / f"rows{jobs}.csv")
+    out = str(tmp_path / "rows.csv")
     with open(manifest, "w", encoding="utf-8") as fh:
         json.dump({"L": [6, 8], "beta": [0.2], "dmax": [32], "kmax": [16]}, fh)
     rc = run_cli("sweep", "--manifest", manifest, "--out", out,
-                 "--dbond", "16", "--dtau", "0.005", "--jobs", str(jobs))
+                 "--dbond", "16", "--dtau", "0.005")
     assert rc == 0
     with open(out, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
 
 
 def test_sweep_two_cells(tmp_path):
-    rows = run_two_cell_sweep(tmp_path, 1)
+    rows = run_two_cell_sweep(tmp_path)
     assert len(rows) == 2
     for row in rows:
         assert row["error"] == ""
@@ -322,18 +341,8 @@ def test_sweep_two_cells(tmp_path):
         assert row["stop_reason"]
 
 
-def test_sweep_jobs_match_serial(tmp_path):
-    serial, parallel = (run_two_cell_sweep(tmp_path, jobs) for jobs in (1, 2))
-    for rows in (serial, parallel):
-        for row in rows:
-            del row["wall_s"]
-    assert parallel == serial
-
-
-def test_sweep_builds_distinct_keys_concurrently(tmp_path, monkeypatch):
-    # under --jobs 2 the builds of two different chains run at the same
-    # time: each waits for the other at a two-party barrier
-    barrier = threading.Barrier(2, timeout=5)
+def test_sweep_builds_each_chain_once(tmp_path, monkeypatch):
+    # cells of one chain share one build, distinct chains get their own
     built = []
     real = models.thermal_half_state
 
@@ -341,28 +350,25 @@ def test_sweep_builds_distinct_keys_concurrently(tmp_path, monkeypatch):
         built.append(params.L)
         return real(params, **kwargs)
 
-    def meeting(params, **kwargs):
-        barrier.wait()
-        return counting(params, **kwargs)
-
-    monkeypatch.setattr(models, "thermal_half_state", meeting)
+    monkeypatch.setattr(models, "thermal_half_state", counting)
     manifest = str(tmp_path / "m.json")
     out = str(tmp_path / "rows.csv")
     with open(manifest, "w", encoding="utf-8") as fh:
-        json.dump({"L": [4, 6], "beta": [0.2], "dmax": [16], "kmax": [4]}, fh)
+        json.dump({"L": [4, 6], "beta": [0.2], "dmax": [8, 16], "kmax": [4]}, fh)
     assert run_cli("sweep", "--manifest", manifest, "--out", out, "--dbond", "8",
-                   "--dtau", "0.01", "--jobs", "2") == 0
+                   "--dtau", "0.01") == 0
     with open(out, newline="", encoding="utf-8") as fh:
-        assert [r["error"] for r in csv.DictReader(fh)] == ["", ""]
-    assert sorted(built) == [4, 6]
-    # cells of one chain still share one build
-    built.clear()
-    monkeypatch.setattr(models, "thermal_half_state", counting)
+        assert [r["error"] for r in csv.DictReader(fh)] == [""] * 4
+    assert built == [4, 6]
+
+
+def test_sweep_rejects_non_finite_dtau(tmp_path):
+    manifest = str(tmp_path / "m.json")
     with open(manifest, "w", encoding="utf-8") as fh:
-        json.dump({"L": [4], "beta": [0.2], "dmax": [8, 16], "kmax": [4]}, fh)
-    assert run_cli("sweep", "--manifest", manifest, "--out", out, "--dbond", "8",
-                   "--dtau", "0.01", "--jobs", "2") == 0
-    assert built == [4]
+        json.dump({"L": [4], "beta": [0.2], "dmax": [8], "kmax": [4]}, fh)
+    out = tmp_path / "rows.csv"
+    assert run_cli("sweep", "--manifest", manifest, "--out", str(out), "--dtau", "nan") == 2
+    assert not out.exists()
 
 
 def test_sweep_empty_manifest(tmp_path):

@@ -67,8 +67,12 @@ def test_entropy_integrand_values():
 
 
 def test_stopping_config_validation():
-    with pytest.raises(ValueError):
-        lz.StoppingConfig(eps_conv=0.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            lz.StoppingConfig(eps_conv=bad)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            lz.StoppingConfig(spectrum_floor=bad)
     with pytest.raises(ValueError):
         lz.StoppingConfig(window=1)
 
@@ -160,7 +164,9 @@ def test_check_stop_needs_two_estimates():
 
 
 def test_check_stop_lower_bound_violation():
-    run = make_run([1.0, 0.9])
+    # the 1-node value is no bound: a drop from step 1 to 2 does not fire
+    assert lz.check_stop(make_run([1.0, 0.9]), lz.StoppingConfig(), LOWER) == (False, None)
+    run = make_run([0.5, 1.0, 0.9])
     halt, reason = lz.check_stop(run, lz.StoppingConfig(), LOWER)
     assert halt and reason == lz.STOP_BOUND
     assert lz.check_stop(run, lz.StoppingConfig(), lz.entropy_integrand()) == (True, lz.STOP_BOUND)
@@ -169,10 +175,24 @@ def test_check_stop_lower_bound_violation():
 
 
 def test_check_stop_upper_bound_violation():
-    run = make_run([1.0, 1.1])
+    assert lz.check_stop(make_run([1.0, 1.1]), lz.StoppingConfig(), UPPER) == (False, None)
+    run = make_run([1.5, 1.0, 1.1])
     halt, reason = lz.check_stop(run, lz.StoppingConfig(), UPPER)
     assert halt and reason == lz.STOP_BOUND
     assert lz.check_stop(run, lz.StoppingConfig(), LOWER) == (False, None)
+
+
+def test_entropy_l4_runs_past_a_one_node_value_that_is_no_bound(thermal_cache):
+    # step 1's Ritz value, 0.248, lies above e^(-3/2): its 1-node value is
+    # above step 2's, and the run must not stop there
+    from mpotrace.exact import exact_entropy_dense
+    m, _ = thermal_cache(4, 0.1, 20, 0.01)
+    S, run = lz.entropy_from_half_state(m)
+    assert run.records[0].ritz_max > math.exp(-1.5)
+    assert run.records[1].estimate < run.records[0].estimate
+    assert run.stop_reason == lz.STOP_CONVERGED
+    S_ref = exact_entropy_dense(mt.IsingParams(L=4, J=1.0, g=1.0, h=0.0, beta=0.1))
+    assert abs(S - S_ref) < 1e-6 * S_ref
 
 
 def test_check_stop_ritz_floor_and_ceiling():

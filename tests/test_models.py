@@ -138,8 +138,9 @@ def test_thermal_state_trotter_order_two():
 
 def test_thermal_builder_validation():
     p = mt.IsingParams(L=4, beta=0.5)
-    with pytest.raises(ValueError):
-        mt.thermal_half_state(p, dtau=0.0)
+    for dtau in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            mt.thermal_half_state(p, dtau=dtau)
     with pytest.raises(ValueError):
         mt.thermal_half_state(p, dbond=0)
 

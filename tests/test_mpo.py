@@ -10,7 +10,7 @@ from mpotrace import mpo as mp
 from mpotrace.sweeping import multiply_and_optimize
 from mpotrace.errors import CapacityError, DimensionError, NumericError
 
-from conftest import inner, random_mpo, real_part
+from conftest import inner, random_mpo, real_part, with_spectrum
 
 
 def test_identity_dense_small():
@@ -178,6 +178,27 @@ def test_truncate_error_matches_dense_distance():
         out, err = mp.truncate_svd(m, dmax=4)
         rel = np.linalg.norm(mp.dense(out) - mp.dense(m)) / np.linalg.norm(mp.dense(m))
         assert abs(err - rel) < 1e-10, (seed, err, rel)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("shape", [(8, 30), (30, 8), (12, 12)])
+def test_truncated_split(shape, cplx):
+    m, n = shape
+    k = min(m, n)
+    # a cap that binds, no cap, and a spectrum whose tail lies below
+    # TRUNC_EPS of the total weight, which the rule drops without a cap
+    cases = [(0.8 ** np.arange(k), 3, 3), (0.8 ** np.arange(k), None, k),
+             (np.r_[1.0, 0.5, 0.25, np.full(k - 3, 1e-16)], None, 3)]
+    for seed, (s, dmax, keep) in enumerate(cases):
+        mat = with_spectrum(m, n, s, seed, cplx)
+        u, c, tail2 = mp._truncated_split(mat, dmax)
+        assert u.shape == (m, keep) and c.shape == (keep, n)
+        assert u.dtype == c.dtype == mat.dtype
+        assert u.flags["C_CONTIGUOUS"]
+        assert np.linalg.norm(u.conj().T @ u - np.eye(keep)) < 1e-13
+        assert abs(tail2 - float(s[keep:] @ s[keep:])) <= 1e-12 * float(s @ s)
+        dist2 = np.linalg.norm(mat - u @ c) ** 2
+        assert abs(dist2 - tail2) <= 1e-12 * np.linalg.norm(mat) ** 2, (seed, dist2, tail2)
 
 
 def test_hermitian_part_cases():

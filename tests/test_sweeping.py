@@ -300,10 +300,10 @@ def test_zipup_norm_estimate_on_at_cap_fits(thermal_cache, monkeypatch):
 
 
 @pytest.mark.parametrize("cplx", [False, True])
-def test_target_right_half_matches_left(cplx):
+def test_target_mirror_matches_forward(cplx):
     # a target with carried terms, as a Lanczos step fits it, and a trial
     # operator at a smaller bond
-    from mpotrace.sweeping import _Target
+    from mpotrace.sweeping import _flip, _Target
     a, u, u_prev, x = (random_mpo(5, 3, 1), random_mpo(5, 4, 2), random_mpo(5, 2, 3),
                        random_mpo(5, 3, 4))
     if not cplx:
@@ -312,22 +312,31 @@ def test_target_right_half_matches_left(cplx):
     products = [(list(a.sites), list(u.sites)), ([eye[0] * -0.8] + eye[1:], list(u.sites)),
                 ([eye[0] * 0.3] + eye[1:], list(u_prev.sites))]
     target = _Target(products)
-    lenvs, renvs = [target.boundary()], [target.boundary()]
+    mirror = target.mirrored()
+    back = _flip(list(x.sites))
+    # fwd[i]: environment of sites 0..i-1; bwd[j]: the mirror's of its
+    # first j sites, forward sites 5-j..4
+    fwd, bwd = [target.boundary()], [target.boundary()]
     for i in range(5):
-        lenvs.append(target.env_left(i, lenvs[i], x.sites[i]))
-    for i in range(4, -1, -1):
-        renvs.insert(0, target.env_right(i, renvs[0], x.sites[i]))
+        fwd.append(target.env(i, fwd[i], x.sites[i]))
+        bwd.append(mirror.env(i, bwd[i], back[i]))
     # <x, target> closes the same from either end
-    assert abs(sum(e.item() for e in lenvs[5]) - sum(e.item() for e in renvs[0])) < 1e-12
-    for i in range(5):
-        left = target.local_left(i, lenvs[i], renvs[i + 1])
-        right = target.local_right(i, lenvs[i], renvs[i + 1])
-        assert np.linalg.norm(left - right) <= 1e-12 * np.linalg.norm(left), i
-        # env_right against a plain einsum of x^*, a_k, u_k and the next env
+    assert abs(sum(e.item() for e in fwd[5]) - sum(e.item() for e in bwd[5])) < 1e-12
+    # the mirror's left environments are the forward right environments:
+    # a plain einsum of x^*, a_k, u_k and the next one, from the right end
+    ref = target.boundary()
+    for i in range(4, -1, -1):
         ref = [np.einsum("ojxy,ocab,cjuv,ybv->xau", x.sites[i].conj(), ak[i], uk[i], f)
-               for (ak, uk), f in zip(products, renvs[i + 1])]
-        for got, want in zip(target.env_right(i, renvs[i + 1], x.sites[i]), ref):
+               for (ak, uk), f in zip(products, ref)]
+        for got, want in zip(bwd[5 - i], ref):
+            assert got.shape == want.shape
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), i
+    # the mirror's local is the forward one with the bond legs swapped
+    for i in range(5):
+        local = target.local(i, fwd[i], bwd[4 - i])
+        flipped = mirror.local(4 - i, bwd[4 - i], fwd[i])
+        assert np.linalg.norm(flipped - local.transpose(0, 1, 3, 2)) <= 1e-12 * np.linalg.norm(
+            local), i
     # the fit built on it still never raises its objective between updates
     fit = multiply_and_optimize(a, u, 3, SweepOptions(max_sweeps=5),
                                 terms=[(-0.8, u), (0.3, u_prev)])

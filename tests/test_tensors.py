@@ -1,39 +1,29 @@
-"""Dense primitive checks: SVD, QR/LQ, tridiagonal eig."""
+"""Dense primitive checks: SVD, QR/LQ, tridiagonal eig.  tensors.svd
+returns the left factor and the singular values, so its tests check the
+right factor through the carry U^H a."""
 import numpy as np
 import pytest
 
 from mpotrace import tensors
 from mpotrace.errors import DimensionError, NumericError
 
+from conftest import with_spectrum
+
 
 def test_svd_identity():
-    u, s, vh = tensors.svd(np.eye(3))
+    u, s = tensors.svd(np.eye(3))
     assert np.allclose(s, [1.0, 1.0, 1.0])
+    assert np.linalg.norm(u.T @ u - np.eye(3)) < 1e-14
 
 
 def test_svd_rank_one():
+    # tall goes straight to the SVD, wide through the R factor of its adjoint
     rng = np.random.default_rng(1)
-    u = rng.standard_normal(6)
-    v = rng.standard_normal(4)
-    _, s, _ = tensors.svd(np.outer(u, v))
-    assert int(np.sum(s > 1e-12)) == 1
-
-
-def test_svd_reconstruction_and_isometry():
-    # tall, wide and square; complex and real
-    for seed, shape in enumerate([(6, 4), (4, 6), (5, 5), (3, 17)] * 2):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal(shape)
-        if seed < 4:
-            a = a + 1j * rng.standard_normal(shape)
-        u, s, vh = tensors.svd(a)
-        k = min(shape)
-        assert u.shape == (shape[0], k) and vh.shape == (k, shape[1])
-        assert u.dtype == vh.dtype == a.dtype
-        assert np.all(np.diff(s) <= 0)
-        assert np.linalg.norm(u @ np.diag(s) @ vh - a) < 1e-12
-        assert np.linalg.norm(u.conj().T @ u - np.eye(k)) < 1e-12
-        assert np.linalg.norm(vh @ vh.conj().T - np.eye(k)) < 1e-12
+    a = np.outer(rng.standard_normal(6), rng.standard_normal(4))
+    for m in (a, a.T):
+        u, s = tensors.svd(m)
+        assert int(np.sum(s > 1e-12)) == 1
+        assert np.linalg.norm(u[:, :1] @ (u[:, :1].T @ m) - m) < 1e-12 * np.linalg.norm(m)
 
 
 def test_svd_rejects_non_finite():
@@ -102,22 +92,8 @@ def test_tridiag_eig_validation():
         tensors.symmetric_tridiag_eig([1.0, 2.0], [1.0, 2.0])
 
 
-def _with_spectrum(m, n, s, seed, cplx):
-    """An m x n matrix Q1 diag(s) Q2^H with the given singular values."""
-    rng = np.random.default_rng(seed)
-
-    def isometry(rows, cols):
-        z = rng.standard_normal((rows, cols))
-        if cplx:
-            z = z + 1j * rng.standard_normal((rows, cols))
-        return np.linalg.qr(z)[0]
-
-    k = len(s)
-    return (isometry(m, k) * s) @ isometry(n, k).conj().T
-
-
 @pytest.mark.parametrize("cplx", [False, True])
-@pytest.mark.parametrize("shape", [(6, 40), (40, 6), (12, 12), (30, 75)])
+@pytest.mark.parametrize("shape", [(6, 40), (40, 6), (12, 12), (30, 75), (3, 17), (6, 4)])
 def test_svd_left_matches_full_svd(shape, cplx):
     m, n = shape
     k = min(m, n)
@@ -126,8 +102,8 @@ def test_svd_left_matches_full_svd(shape, cplx):
     s_true = 0.8 ** np.arange(k)
     if shape == (30, 75):
         s_true[10:] = 0.0
-    a = _with_spectrum(m, n, s_true, sum(shape), cplx)
-    u, s = tensors.svd_left(a)
+    a = with_spectrum(m, n, s_true, sum(shape), cplx)
+    u, s = tensors.svd(a)
     u0, s0, vh0 = np.linalg.svd(a, full_matrices=False)
     assert u.shape == (m, k) and s.shape == (k,) and u.dtype == a.dtype
     assert np.max(np.abs(s - s0)) <= 1e-14 * s0[0]
@@ -143,30 +119,30 @@ def test_svd_left_matches_full_svd(shape, cplx):
 
 def test_svd_left_zero_matrix():
     for shape in [(3, 8), (8, 3)]:
-        u, s = tensors.svd_left(np.zeros(shape))
+        u, s = tensors.svd(np.zeros(shape))
         assert np.all(s == 0.0)
         assert np.linalg.norm(u.T @ u - np.eye(3)) < 1e-14
 
 
 def test_svd_left_rejects_bad_input():
     with pytest.raises(NumericError):
-        tensors.svd_left(np.array([[1.0, np.inf, 0.0], [0.0, 1.0, 0.0]]))
+        tensors.svd(np.array([[1.0, np.inf, 0.0], [0.0, 1.0, 0.0]]))
     with pytest.raises(DimensionError):
-        tensors.svd_left(np.ones(4))
+        tensors.svd(np.ones(4))
 
 
 def test_svds_fall_back_to_gesvd(monkeypatch):
     def failing(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    a = _with_spectrum(9, 20, 0.7 ** np.arange(9), 5, True)
+    a = with_spectrum(9, 20, 0.7 ** np.arange(9), 5, True)
     s0 = np.linalg.svd(a, compute_uv=False)
     monkeypatch.setattr(np.linalg, "svd", failing)
-    u, s = tensors.svd_left(a)
-    assert np.max(np.abs(s - s0)) <= 1e-14 * s0[0]
-    assert np.linalg.norm(u.conj().T @ u - np.eye(9)) < 1e-13
-    u, s, vh = tensors.svd(a)
-    assert np.linalg.norm(u * s @ vh - a) < 1e-13
+    for m in (a, a.conj().T):
+        u, s = tensors.svd(m)
+        assert np.max(np.abs(s - s0)) <= 1e-14 * s0[0]
+        assert np.linalg.norm(u.conj().T @ u - np.eye(9)) < 1e-13
+        assert np.linalg.norm(u @ (u.conj().T @ m) - m) < 1e-13
 
 
 @pytest.mark.parametrize("cplx", [False, True])

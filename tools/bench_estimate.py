@@ -3,16 +3,19 @@ three benchmark workloads, and write BENCH_estimate.json.
 
     python3 tools/bench_estimate.py --repeat 5 [--baseline DIR]
 
-Each workload's state is built once, by this checkout, at bond cap 20 and
-saved to a temporary file.  Each timing then loads it in a fresh child
-process with one BLAS thread, on the sources under `<tree>/src`, and runs
-`entropy_from_half_state` at the workload's kmax and dmax.  With
---baseline, the child runs alternate between DIR (another checkout, e.g.
-the parent commit) and this checkout, as tools/bench_builder.py does.  The
-file records, per tree and workload, every time and their minimum, the
-median wall time of the at-cap Lanczos steps (those whose fit reached
-dmax), the iteration count, the stop reason and S, plus the machine facts
-and git revisions.  The file goes to the root of this checkout.
+Each tree builds each workload's state once, at bond cap 20, with its own
+builder, and saves it to a temporary file.  Each timing then loads the
+tree's state in a fresh child process with one BLAS thread, on the sources
+under `<tree>/src`, and runs `entropy_from_half_state` at the workload's
+kmax and dmax.  With --baseline, the child runs alternate between DIR
+(another checkout, e.g. the parent commit) and this checkout, as
+tools/bench_builder.py does.  The file records, per tree and workload,
+every time and their minimum, the median wall time of the at-cap Lanczos
+steps (those whose fit reached dmax), the iteration count, the stop reason
+and S, plus the machine facts and git revisions.  With --baseline it also
+records, and prints, per workload whether the two trees computed the same
+numbers: the relative difference of S and whether the iteration counts
+and stop reasons are equal.  The file goes to the root of this checkout.
 """
 from __future__ import annotations
 
@@ -70,17 +73,20 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     trees = {"change": ROOT} if args.baseline is None else {"baseline": args.baseline, "change": ROOT}
     with tempfile.TemporaryDirectory() as tmp:
+        # states[tree][name]: the child's arguments, on the tree's own build
         states = {}
-        for name, (L, beta, dtau, kmax, dmax) in WORKLOADS.items():
-            path = str(Path(tmp) / f"{name}.json")
-            run_child(ROOT, BUILD, json.dumps([L, beta, dtau, BOND_DIM, path]))
-            states[name] = (path, kmax, dmax)
-        runs = alternate(trees, states, args.repeat,
-                         lambda tree, params: run_child(tree, CHILD, json.dumps(params)))
+        for side, tree in trees.items():
+            states[tree] = {}
+            for name, (L, beta, dtau, kmax, dmax) in WORKLOADS.items():
+                path = str(Path(tmp) / f"{side}-{name}.json")
+                run_child(tree, BUILD, json.dumps([L, beta, dtau, BOND_DIM, path]))
+                states[tree][name] = (path, kmax, dmax)
+        runs = alternate(trees, {name: name for name in WORKLOADS}, args.repeat,
+                         lambda tree, name: run_child(tree, CHILD, json.dumps(states[tree][name])))
     doc = {
         "topic": "entropy estimate, in-process wall time of entropy_from_half_state",
         "method": f"min of {args.repeat} child processes per tree and workload, alternating "
-                  f"trees, state built once at bond cap {BOND_DIM}, one BLAS thread "
+                  f"trees, state built once per tree at bond cap {BOND_DIM}, one BLAS thread "
                   f"(tools/bench_estimate.py); at_cap_step_ms is the smallest per-run median "
                   f"wall time of the steps whose fit reached dmax",
         "machine": machine(),
@@ -97,8 +103,18 @@ def main(argv=None) -> int:
                    "iterations": rs[0]["iterations"], "stop_reason": rs[0]["stop"],
                    "S": rs[0]["S"]}
             for name, rs in runs[side].items()}}
+    if args.baseline is not None:
+        doc["same_numbers"] = {}
+        for name in WORKLOADS:
+            old, new = (doc["trees"][side]["workloads"][name] for side in ("baseline", "change"))
+            doc["same_numbers"][name] = {
+                "S_rel_diff": (new["S"] - old["S"]) / abs(old["S"]),
+                "iterations_equal": new["iterations"] == old["iterations"],
+                "stop_reason_equal": new["stop_reason"] == old["stop_reason"]}
     (ROOT / "BENCH_estimate.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     print(json.dumps(doc["trees"], indent=1))
+    if "same_numbers" in doc:
+        print(json.dumps(doc["same_numbers"], indent=1))
     return 0
 
 
