@@ -8,48 +8,45 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import logsumexp
 
 from .errors import CapacityError, HermiticityError
 from .lanczos import TridiagonalMatrix
 from .models import IsingParams
-
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 DENSE_L_MAX = 14
 LANCZOS_DIM_MAX = 4096
 
 
 def ising_dense(p: IsingParams) -> np.ndarray:
-    """Dense 2^L x 2^L matrix of the open Ising chain, assembled from
-    sparse Kronecker products term by term."""
+    """Dense 2^L x 2^L matrix of the open Ising chain in the Z basis, site
+    0 the most significant bit of the basis index: Z_i is a diagonal of
+    +-1 by bit i, and X_i (X_i X_{i+1}) maps each basis state to the one
+    with bit i (bits i and i+1) flipped."""
     if p.L > DENSE_L_MAX:
         raise CapacityError(f"dense construction capped at L={DENSE_L_MAX}, got {p.L}")
     n = 2 ** p.L
-    field = p.g * _SZ + p.h * _SX
-    ham = sp.csr_matrix((n, n))
-    xx = p.J * np.kron(_SX, _SX)
+    idx = np.arange(n)
+    ham = np.zeros((n, n))
     for i in range(p.L - 1):
-        ham = ham + sp.kron(
-            sp.kron(sp.identity(2 ** i), xx), sp.identity(2 ** (p.L - 2 - i)),
-            format="csr",
-        )
+        ham[idx ^ (3 << (p.L - 2 - i)), idx] += p.J
+    diag = np.zeros(n)
     for i in range(p.L):
-        ham = ham + sp.kron(
-            sp.kron(sp.identity(2 ** i), field), sp.identity(2 ** (p.L - 1 - i)),
-            format="csr",
-        )
-    return ham.toarray()
+        bit = p.L - 1 - i
+        diag += p.g * (1 - 2 * ((idx >> bit) & 1))
+        ham[idx ^ (1 << bit), idx] += p.h
+    ham[idx, idx] = diag
+    return ham
 
 
 def entropy_from_spectrum(energies, beta: float) -> float:
     """Gibbs entropy -sum p ln p for p_i = e^(-beta E_i)/Z, evaluated in
-    log space: S = beta <E> + ln Z."""
+    log space: S = beta <E> + ln Z, with ln Z shifted by the largest
+    exponent so that no term overflows."""
     e = np.asarray(energies, dtype=float)
-    ln_z = float(logsumexp(-beta * e))
-    p = np.exp(-beta * e - ln_z)
+    x = -beta * e
+    top = float(np.max(x))
+    ln_z = top + math.log(float(np.sum(np.exp(x - top))))
+    p = np.exp(x - ln_z)
     return float(beta * (p @ e) + ln_z)
 
 

@@ -140,9 +140,11 @@ class IterationRecord:
     """One Lanczos step.  The step makes one fit; `fit_residual`,
     `sweeps` and `converged` are that fit's squared residual (see
     sweeping.SweepResult for when it is only an estimate), ALS sweep
-    count and whether its objective stopped moving before max_sweeps, and
+    count and whether its objective stopped moving before max_sweeps,
     `warm_ms` / `sweep_ms` split its wall time between the zip-up warm
-    start and the sweeps."""
+    start and the sweeps, and `bond` is the max bond of the fitted block.
+    `alpha_ms` times the exact contraction of alpha and `quad_ms` the Gauss
+    rule; with the fit they make up most of `wall_ms`."""
 
     k: int
     alpha: float
@@ -156,6 +158,9 @@ class IterationRecord:
     converged: bool = True
     warm_ms: float = 0.0
     sweep_ms: float = 0.0
+    bond: int = 0
+    alpha_ms: float = 0.0
+    quad_ms: float = 0.0
 
 
 @dataclass
@@ -292,7 +297,9 @@ def global_lanczos(
         if keep_basis:
             run.basis.append(u)
 
+        t_alpha = time.perf_counter()
         alpha_c = expectation(a, u)
+        alpha_ms = (time.perf_counter() - t_alpha) * 1e3
         alpha = float(alpha_c.real)
         # beta_1 is the start norm and never enters the subtraction
         terms = [(-alpha, u)] if u_prev is None else [(-alpha, u), (-beta, u_prev)]
@@ -310,7 +317,9 @@ def global_lanczos(
         alphas.append(alpha)
 
         tri = TridiagonalMatrix(tuple(alphas), tuple(betas))
+        t_quad = time.perf_counter()
         est, ritz, _ = gauss_quadrature(tri, beta1, f)
+        quad_ms = (time.perf_counter() - t_quad) * 1e3
         rec = IterationRecord(
             k=k,
             alpha=alpha,
@@ -324,6 +333,9 @@ def global_lanczos(
             converged=fit.converged,
             warm_ms=fit.warm_ms,
             sweep_ms=fit.sweep_ms,
+            bond=v.max_bond(),
+            alpha_ms=alpha_ms,
+            quad_ms=quad_ms,
         )
         run.records.append(rec)
         run.tridiag = tri

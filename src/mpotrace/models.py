@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import mpo as mp
 from .mpo import Mpo
@@ -50,7 +49,9 @@ class IsingParams:
 def _bond_gate(p: IsingParams, i: int, tau: float) -> np.ndarray:
     """exp(-tau h_i) for the bond (i, i+1), with single-site fields split
     half/half between the adjacent bonds and full weight at the chain
-    ends, reshaped to (out_i, out_j, in_i, in_j)."""
+    ends, reshaped to (out_i, out_j, in_i, in_j).  The 4 x 4 bond
+    Hamiltonian is real symmetric, so the exponential is V e^(-tau lam) V^T
+    from its eigendecomposition."""
     field = p.g * PAULI_Z + p.h * PAULI_X
     wl = 1.0 if i == 0 else 0.5
     wr = 1.0 if i + 1 == p.L - 1 else 0.5
@@ -60,7 +61,8 @@ def _bond_gate(p: IsingParams, i: int, tau: float) -> np.ndarray:
         + wl * np.kron(field, eye)
         + wr * np.kron(eye, field)
     )
-    return sla.expm(-tau * h4).reshape(2, 2, 2, 2)
+    lam, v = np.linalg.eigh(h4)
+    return ((v * np.exp(-tau * lam)) @ v.T).reshape(2, 2, 2, 2)
 
 
 def _apply_gate(left, right, gate, dbond, center_right):

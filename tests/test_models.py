@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import mpotrace as mt
 from mpotrace import mpo as mp
+from mpotrace.models import _bond_gate
 
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -119,6 +121,19 @@ def test_thermal_state_matches_expm(thermal_cache):
     ref = (v * np.exp(-p.beta * w)) @ v.conj().T
     ref /= np.trace(ref).real
     assert np.max(np.abs(rho - ref)) < 1e-6
+
+
+def test_bond_gate_matches_expm():
+    p = mt.IsingParams(L=5, J=0.8, g=1.3, h=-0.4)
+    eye = np.eye(2)
+    field = p.g * Z + p.h * X
+    for i in range(p.L - 1):
+        wl = 1.0 if i == 0 else 0.5
+        wr = 1.0 if i == p.L - 2 else 0.5
+        h4 = p.J * np.kron(X, X) + wl * np.kron(field, eye) + wr * np.kron(eye, field)
+        for tau in (1e-3, 0.05, 0.5):
+            ref = sla.expm(-tau * h4)
+            assert np.max(np.abs(_bond_gate(p, i, tau).reshape(4, 4) - ref)) < 1e-14, (i, tau)
 
 
 def test_thermal_state_trotter_order_two():

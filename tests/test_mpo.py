@@ -302,6 +302,22 @@ def test_save_load_roundtrip(tmp_path):
         assert np.array_equal(s_out, s_in)
 
 
+def test_save_json_bytes_match_streaming_encoder(tmp_path):
+    # one json.dumps (C encoder) writes what json.dump (pure Python) would
+    m = mp.shift_log_scale(random_mpo(5, 4, 3), -0.25)
+    meta = {"steps": 3, "layers": [{"step": 1, "discarded": 1e-17, "max_bond": 4}]}
+    path = os.path.join(tmp_path, "m.json")
+    mp.save_json(m, path, metadata=meta)
+    doc = {"kind": "mpo", "L": m.L, "d": m.d, "log_scale": m.log_scale,
+           "sites": [np.stack([s.real, s.imag], axis=-1).tolist() for s in m.sites],
+           "metadata": meta}
+    ref = os.path.join(tmp_path, "ref.json")
+    with open(ref, "w") as fh:
+        json.dump(doc, fh)
+    with open(path, "rb") as a, open(ref, "rb") as b:
+        assert a.read() == b.read()
+
+
 def test_load_malformed_file_names_path(tmp_path):
     path = os.path.join(tmp_path, "broken.json")
     with open(path, "w") as fh:

@@ -2,13 +2,17 @@
 acceptance gate.  A name that only its own definition and unit tests
 mention is dead API.  Every module-level function and class of the
 package is referenced somewhere outside its own definition: in the
-package, the tests or the console-script entry point.  And no array in
-the package is allocated complex by hand: an operator's dtype follows
-its inputs."""
+package, the tests or the console-script entry point.  No array in the
+package is allocated complex by hand: an operator's dtype follows its
+inputs.  And the pipeline runs without importing scipy."""
 import ast
 import io
+import json
 import keyword
+import os
 import re
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -82,3 +86,26 @@ def test_no_hand_allocated_complex_arrays():
     hits = [hit for path in sorted((ROOT / "src" / "mpotrace").glob("*.py"))
             for hit in _complex_dtype_args(path)]
     assert not hits, f"dtype=complex allocations: {hits}"
+
+
+PIPELINE = """
+import json, sys
+from mpotrace import cli
+state, result = sys.argv[1:]
+assert cli.main(["build-thermal", "--L", "4", "--beta", "0.1", "--out", state]) == 0
+assert cli.main(["estimate", "--input", state, "--function", "entropy", "--kmax", "6",
+                 "--out", result]) == 0
+assert cli.main(["exact", "--L", "4", "--beta", "0.1"]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def test_pipeline_imports_no_scipy(tmp_path):
+    # scipy costs each CLI process ~0.4 s and ~30 MB to import, and brings
+    # a second OpenBLAS; only the rare gesvd fallback may load it
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", PIPELINE, str(tmp_path / "state.json"), str(tmp_path / "S.json")],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    assert json.loads(out.stdout.strip().splitlines()[-1]) == []

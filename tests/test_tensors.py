@@ -3,6 +3,7 @@ returns the left factor and the singular values, so its tests check the
 right factor through the carry U^H a."""
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from mpotrace import tensors
 from mpotrace.errors import DimensionError, NumericError
@@ -83,6 +84,33 @@ def test_tridiag_eig_matches_dense():
         w_ref = np.linalg.eigvalsh(t)
         assert np.allclose(w, w_ref, atol=1e-10)
         assert np.linalg.norm(t @ v - v * w) < 1e-10
+
+
+def _lanczos_tridiagonal(lam, k):
+    """T_k of the Lanczos recurrence, fully reorthogonalized, on diag(lam)
+    from the uniform start vector."""
+    q = [np.ones(lam.size) / np.sqrt(lam.size)]
+    alphas, betas = [], []
+    for j in range(k):
+        w = lam * q[-1] - (betas[-1] * q[-2] if betas else 0.0)
+        alphas.append(q[-1] @ w)
+        for qq in q:
+            w = w - (qq @ w) * qq
+        if j < k - 1:
+            betas.append(np.linalg.norm(w))
+            q.append(w / betas[-1])
+    return np.array(alphas), np.array(betas)
+
+
+def test_tridiag_eig_matches_scipy_on_clustered_spectrum():
+    rng = np.random.default_rng(3)
+    lam = np.concatenate([np.linspace(0.0, 1.0, 100), 0.3 + 1e-6 * rng.random(50),
+                          0.9 + 1e-9 * rng.random(50)])
+    alphas, betas = _lanczos_tridiagonal(lam, 50)
+    w, v = tensors.symmetric_tridiag_eig(alphas, betas)
+    w_ref, v_ref = sla.eigh_tridiagonal(alphas, betas)
+    assert np.max(np.abs(w - w_ref)) < 1e-13
+    assert np.max(np.abs(np.abs(v[0]) ** 2 - np.abs(v_ref[0]) ** 2)) < 1e-12
 
 
 def test_tridiag_eig_validation():

@@ -41,7 +41,7 @@ print(json.dumps({"s": time.perf_counter() - t0, "layers": len(meta["layers"]),
 """
 
 
-def _env(tree: Path) -> dict:
+def child_env(tree: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
@@ -51,7 +51,7 @@ def _env(tree: Path) -> dict:
 def run_child(tree: Path, code: str, *args) -> dict:
     """Run `code` in a fresh interpreter on the sources under tree/src with
     one BLAS thread, and return the JSON object it prints."""
-    out = subprocess.run([sys.executable, "-c", code, *args], env=_env(tree),
+    out = subprocess.run([sys.executable, "-c", code, *args], env=child_env(tree),
                          capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
 
