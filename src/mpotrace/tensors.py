@@ -61,7 +61,8 @@ def svd(a: Tensor) -> tuple[Tensor, np.ndarray]:
     try:
         u, s, _ = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError:
-        # gesdd occasionally fails to converge; gesvd is slower but sturdier
+        # gesdd occasionally fails to converge; gesvd is slower but sturdier.
+        # Imported here, so that scipy loads only on this path
         import scipy.linalg
 
         u, s, _ = scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesvd")
@@ -101,8 +102,5 @@ def symmetric_tridiag_eig(alphas: Sequence[float], betas: Sequence[float]) -> tu
     _check_finite(alphas, "tridiagonal diagonal")
     if betas.size:
         _check_finite(betas, "tridiagonal off-diagonal")
-    t = np.diag(alphas)
-    if betas.size:
-        t += np.diag(betas, 1) + np.diag(betas, -1)
-    w, v = np.linalg.eigh(t)
+    w, v = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
     return w, v
