@@ -251,7 +251,7 @@ def global_lanczos(
     approximates tr f(a).
 
     Each step normalizes the previous residual block U_k, computes alpha_k
-    = <U_k, A U_k> exactly (one transfer pass over a and U_k), makes one
+    = <U_k, A U_k> exactly (one closing pass over a and U_k), makes one
     variational fit of the new residual A U_k - alpha_k U_k - beta_k
     U_{k-1} at bond cap dmax (None: uncapped), which the fit clips to the
     residual's exact bond, and evaluates the Gauss rule on the accumulated
@@ -259,7 +259,10 @@ def global_lanczos(
     a Ritz violation: then it is the step before, whose Ritz values still
     kept the floor (step 1 keeps its own).  Every step stays in the
     records.  The blocks are float64 when a is real, complex128
-    otherwise.  The Gauss rule needs beta_1^2 = d^L as a float64, so
+    otherwise.  alpha_k and the block norms come in log form and become
+    floats through one checked step (mp._from_log; mp.frobenius_norm for
+    the norms), which raises NumericError naming the quantity when it
+    overflows.  The Gauss rule needs beta_1^2 = d^L as a float64, so
     longer chains (L >= 1024 at d = 2) raise NumericError.
     """
     if kmax < 1:
@@ -283,7 +286,7 @@ def global_lanczos(
     for k in range(1, kmax + 1):
         t0 = time.perf_counter()
         ln_v = mp.log_norm(v)
-        beta = math.exp(ln_v) if ln_v != -math.inf else 0.0
+        beta = mp.frobenius_norm(v)
         if k == 1:
             beta1 = beta
         elif beta <= BREAKDOWN_RTOL * v_scale:
@@ -298,7 +301,7 @@ def global_lanczos(
             run.basis.append(u)
 
         t_alpha = time.perf_counter()
-        alpha_c = expectation(a, u)
+        alpha_c = mp._from_log(*expectation(a, u), f"alpha_{k}")
         alpha_ms = (time.perf_counter() - t_alpha) * 1e3
         alpha = float(alpha_c.real)
         # beta_1 is the start norm and never enters the subtraction

@@ -5,9 +5,15 @@ bond), and boundary bonds have extent 1.  Every operator carries a real
 `log_scale`: the value represented is exp(log_scale) times the
 contraction of the site tensors.  One scale convention holds: site data
 stay O(1), and every magnitude, such as 2**(L/2) or a partition function,
-rides in log_scale.  The identity is built balanced, and the kernels
-balance their operands first (`_unit_sites`), so none multiplies out or
-squares a norm.
+rides in log_scale.  The identity is built balanced, and the gauge and
+fit kernels balance their operands first (`_unit_sites`), so none
+multiplies out or squares a norm.
+
+One contraction kernel, `_Target`, serves the package: the fit's zip-up
+and sweeps, and every closed contraction (inner products, norms,
+<u, a u>).  `_close` runs it once along the chain with a running scale,
+so a closed value comes back in log form, (mantissa, log), and becomes a
+float only through one checked step (`_from_log`).
 
 Every operator has one dtype, fixed when it is built: float64 unless
 some site is complex, and then complex128 for every site.  The kernels
@@ -173,52 +179,138 @@ def exact_multiply(a: Mpo, b: Mpo) -> Mpo:
     return Mpo(tuple(sites), a.log_scale + b.log_scale)
 
 
-def _transfer_scaled(a: Mpo, b: Mpo) -> tuple[complex, float]:
-    """Left-to-right transfer contraction of <a, b>, with running
-    magnitude extraction.  Returns (mantissa, log) so the inner product is
-    mantissa * exp(log); the mantissa is a float when both operators are
-    real."""
-    env = np.ones((1, 1))
-    logacc = a.log_scale + b.log_scale
-    for sa, sb in zip(a.sites, b.sites):
-        ca = sa.conj().reshape(sa.shape[0] * sa.shape[1], sa.shape[2], sa.shape[3])
-        cb = sb.reshape(sb.shape[0] * sb.shape[1], sb.shape[2], sb.shape[3])
-        p, lb, rb = cb.shape
-        la, ra = ca.shape[1], ca.shape[2]
-        # env: (la, lb); cb as (lb, p*rb) -> (la, p, rb), matmul form
-        tmp = (env @ cb.transpose(1, 0, 2).reshape(lb, p * rb)).reshape(la, p, rb)
-        # ca as (p*la, ra) against tmp as (p*la, rb) -> env': (ra, rb)
-        env = ca.reshape(p * la, ra).T @ tmp.transpose(1, 0, 2).reshape(p * la, rb)
-        mag = np.max(np.abs(env)) if env.size else 0.0
+def _eye_sites(L: int, d: int) -> list:
+    """The identity's bond-1 sites, unscaled: eye(d) at every site."""
+    return [np.eye(d).reshape(d, d, 1, 1)] * L
+
+
+def _flip(sites):
+    """The chain read right to left: sites reversed, bond legs swapped."""
+    return [s.transpose(0, 1, 3, 2) for s in reversed(sites)]
+
+
+class _Target:
+    """Environments of <x, sum_k a_k@u_k> over a list of operator products:
+    the package's one contraction kernel.  The fit's own product is
+    (a, u); a carried term c*t enters as (c*I, t), with I the bond-1
+    identity sites, and <a, b> is the target [(I, b)] closed over x = a
+    (`_close`).  Environments are lists with one (x, a_k, u_k) bond tensor
+    per product, and local tensors sum the products' parts.
+
+    The kernel holds no state: a caller forms the half-contraction at a
+    site once, `half(i, E)`, and passes it to `local` and `env`.  It
+    contracts left to right only; a pass right to left runs over
+    `mirrored()`, the target on the chain read right to left, whose left
+    environments are this target's right environments.  The contractions
+    are plain matrix products, the operand sites transposed into matrices
+    at each call: every step stays inside BLAS, and no copy of a whole
+    operand is held."""
+
+    def __init__(self, products):
+        self.a = [a for a, _ in products]
+        self.u = [u for _, u in products]
+
+    def mirrored(self) -> "_Target":
+        """The same target on the chain read right to left."""
+        return _Target([(_flip(a), _flip(u)) for a, u in zip(self.a, self.u)])
+
+    def boundary(self):
+        return [np.ones((1, 1, 1)) for _ in self.a]
+
+    def half(self, i, E):
+        """Per product, E_k absorbed into a_k@u_k at site i, flattened to
+        (lx*j*o, ra*ru)."""
+        out = []
+        for a, u, e in zip(self.a, self.u, E):
+            o, c, la, ra = a[i].shape
+            j, lu, ru = u[i].shape[1:]
+            lx = e.shape[0]
+            # E: (lx, la, lu) @ u_i as (lu, c*j*ru) -> (lx, la, c, j, ru)
+            ul = u[i].transpose(2, 0, 1, 3).reshape(lu, c * j * ru)
+            t = (e.reshape(lx * la, lu) @ ul).reshape(lx, la, c, j, ru)
+            # contract (la, c) with a_i as (la*c, o*ra) -> (lx, j, ru, o, ra)
+            t = t.transpose(0, 3, 4, 1, 2).reshape(lx * j * ru, la * c)
+            t = (t @ a[i].transpose(2, 1, 0, 3).reshape(la * c, o * ra)).reshape(lx, j, ru, o, ra)
+            out.append(t.transpose(0, 1, 3, 4, 2).reshape(lx * j * o, ra * ru))
+        return out
+
+    def local(self, i, half, F):
+        """The target's part at site i, (o, j, lx, rx), from its
+        half-contraction there and the environments F right of it."""
+        # F_k: (rx, ra, ru); contract ra, ru -> (lx*j*o, rx), summed
+        parts = [h @ f.transpose(1, 2, 0).reshape(-1, f.shape[0]) for h, f in zip(half, F)]
+        t = sum(parts[1:], parts[0])
+        o, j = self.a[0][i].shape[0], self.u[0][i].shape[1]
+        return t.reshape(-1, j, o, t.shape[1]).transpose(2, 1, 0, 3)
+
+    def env(self, i, half, xq):
+        """The environment right of site i, from its half-contraction
+        there and x's site xq."""
+        o, j, lx, rx = xq.shape
+        # xq: (o, j, lx, rx); contract lx, j, o -> (rx, ra, ru) per product
+        xc = xq.conj().transpose(3, 2, 1, 0).reshape(rx, lx * j * o)
+        return [(xc @ h).reshape(rx, a[i].shape[3], u[i].shape[3])
+                for h, a, u in zip(half, self.a, self.u)]
+
+
+def _close(target: _Target, x_sites) -> tuple[list, float]:
+    """Close <x, a_k@u_k> for every product of target, left to right,
+    dividing the environments by their largest entry at every site.
+    Returns (mantissas, log), product k's value being mantissas[k] *
+    exp(log) without the operands' log_scales: floats when every operand
+    is real, and zeros with log -inf once an environment vanishes."""
+    env, log = target.boundary(), 0.0
+    for i, xq in enumerate(x_sites):
+        env = target.env(i, target.half(i, env), xq)
+        mag = max(float(np.max(np.abs(e))) for e in env)
         if mag == 0.0:
-            return 0.0, 0.0
-        env = env / mag
-        logacc += math.log(mag)
-    return env[0, 0].item(), logacc
+            return [0.0] * len(env), -math.inf
+        env = [e / mag for e in env]
+        log += math.log(mag)
+    return [e.item() for e in env], log
+
+
+def _scaled(v, log: float):
+    """v * exp(log), saturating to +-inf instead of raising."""
+    try:
+        return v * math.exp(log) if v != 0 else v
+    except OverflowError:
+        return v * math.inf
+
+
+def _from_log(mant, log: float, what: str):
+    """mant * exp(log), the one checked step from log form to a float
+    (complex when mant is): NumericError naming `what` if it overflows."""
+    val = _scaled(mant, log)
+    if not math.isfinite(abs(val)):
+        raise NumericError(f"{what} = {mant!r} * e^{log!r} overflows float64")
+    return val
 
 
 def inner_product_scaled(a: Mpo, b: Mpo) -> tuple[complex, float]:
-    """Frobenius inner product <a, b> = tr(a^H b), contracted as a
-    transfer matrix, never densified, as (mantissa, log): value =
+    """Frobenius inner product <a, b> = tr(a^H b), closed as the target
+    [(I, b)] over x = a, never densified, as (mantissa, log): value =
     mantissa * exp(log).  The mantissa is a float when both are real."""
     _check_compatible(a, b)
-    return _transfer_scaled(a, b)
+    (mant,), log = _close(_Target([(_eye_sites(b.L, b.d), b.sites)]), a.sites)
+    return mant, log + a.log_scale + b.log_scale
 
 
 def log_norm(a: Mpo) -> float:
     """ln of the Frobenius norm; -inf for the zero operator.  Reads
-    a.ln_norm when it is set; otherwise contracts it once and keeps it in
+    a.ln_norm when it is set; otherwise closes <a, a> once and keeps it in
     a.ln_norm, so that later calls read it."""
     if a.ln_norm is None:
-        mant, logv = _transfer_scaled(a, a)
-        # mant.real can round to <= 0 only when the norm is lost in roundoff
-        ln = 0.5 * (math.log(mant.real) + logv) if mant.real > 0 else -math.inf
+        # the kernel itself: a norm is one public call, not two
+        (mant,), log = _close(_Target([(_eye_sites(a.L, a.d), a.sites)]), a.sites)
+        # mant can round to <= 0 only when the norm is lost in roundoff
+        ln = 0.5 * (math.log(mant.real) + log) + a.log_scale if mant.real > 0 else -math.inf
         object.__setattr__(a, "ln_norm", ln)
     return a.ln_norm
 
 
 def frobenius_norm(a: Mpo) -> float:
-    return math.exp(log_norm(a))
+    return _from_log(1.0, log_norm(a), "Frobenius norm")
 
 
 def dense(a: Mpo) -> np.ndarray:
@@ -308,9 +400,10 @@ def _truncated_split(mat: np.ndarray, dmax: int | None):
 def _unit_sites(a: Mpo):
     """The one balancing step: the sites rescaled uniformly so that their
     contraction has unit Frobenius norm, and ln||a|| (log_scale included),
-    read from a known norm (log_norm).  Every intermediate that multiplies
-    balanced sites stays O(1).  Returns (sites unscaled, -inf) when the
-    norm is 0."""
+    read from a known norm (log_norm), for canonicalize and the fit's
+    operands; every intermediate that multiplies balanced sites stays O(1).
+    (A closed contraction needs none: `_close` carries a running scale.)
+    Returns (sites unscaled, -inf) when the norm is 0."""
     ln_full = log_norm(a)
     if ln_full == -math.inf:
         return [s.copy() for s in a.sites], -math.inf

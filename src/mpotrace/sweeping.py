@@ -4,38 +4,32 @@
 a@u + sum_k c_k t_k.  A Lanczos step is one such fit: A U_k - alpha U_k
 - beta U_{k-1}.  The target is held as one list of operator products:
 the fit's own (a, u), and (c_k*I, t_k) for each carried term, with I the
-bond-1 identity sites.  One contraction kernel (`_Target`) serves the
-warm start, the sweeps and `expectation`.
+bond-1 identity sites.  Every contraction here runs through the
+package's one kernel, mp._Target: the warm start, both halves of a
+sweep, and `expectation`, which closes <u, a u> in log form (mp._close).
 
-The warm start is one left-to-right zip-up of that target: at each site
-the products' parts sit side by side on the right bond, and the
-package's one truncated split (mpo._truncated_split), capped at the bond
-limit, separates them.  The split factorizes only what it keeps: the
-left singular vectors and every singular value (tensors.svd); the kept
-vectors become the site, and the carry to the next site is one matrix
-product, U_keep^H @ block, which equals diag(s) V^H on the kept rows
-without forming V.  The zip-up yields ||target||^2 as the norm of the
-last site plus the discarded weight: exact when the cap discards
-nothing, an estimate otherwise.  A truncating fit small enough that the
-exact contraction of ||target||^2 costs no more than the zip-up
-contracts it instead.
+The warm start is one left-to-right zip-up of that target (`_zipup`):
+at each site the products' parts sit side by side on the right bond, and
+the package's one truncated split (mp._truncated_split), capped at the
+bond limit, separates them.  It yields ||target||^2, exact when the cap
+discards nothing and an estimate otherwise.  A truncating fit small
+enough that the exact contraction of ||target||^2 costs no more than the
+zip-up contracts it instead.
 
-The sweeps are alternating least squares: the trial operator is kept in
-mixed-canonical gauge, so each local problem is solved exactly by a plain
-environment contraction, and the squared Frobenius objective never
-increases from one site update to the next.  The kernel contracts in one
-direction only, left to right: the right-to-left half of a sweep is a
-left-to-right pass over the mirrored target, the chain read right to
-left, whose left environments are the forward right environments.  Each
-site update contracts the target once: one half-contraction, the left
-environment absorbed into the products' sites, gives both the local
-tensor, with the right environment, and the next environment, with the
-updated site.  The sweeps stop when the objective stops moving: when a
-sweep lowers it by no more than rel_tol of ||target||^2, or by no more
-than a fixed share of what the first sweep lowered it by (the truncation
-plateau of a capped fit).  Differences of objectives do not depend on
-||target||^2, so the plateau rule holds where that norm is only an
-estimate; the residual the fit reports does not.
+The sweeps are alternating least squares (`_run_sweeps`): the trial
+operator is kept in mixed-canonical gauge, so each local problem is
+solved exactly by a plain environment contraction, and the squared
+Frobenius objective never increases from one site update to the next.
+The kernel contracts left to right only: the right-to-left half of a
+sweep is a left-to-right pass over the mirrored target, whose left
+environments are the forward right environments.  Each site update
+forms one half-contraction, the left environment absorbed into the
+products' sites, and hands it to both the local tensor and the next
+environment.  The sweeps stop when a sweep lowers the objective by no
+more than rel_tol of ||target||^2, or by no more than a fixed share of
+what the first sweep lowered it by (the truncation plateau of a capped
+fit).  Both are differences of objectives, so the rule holds where
+||target||^2 is only an estimate; the residual the fit reports does not.
 """
 from __future__ import annotations
 
@@ -102,101 +96,6 @@ class SweepResult:
     sweep_ms: float = 0.0
 
 
-def _scaled(v: float, log_factor: float) -> float:
-    """v * exp(log_factor), saturating to inf instead of raising."""
-    if v == 0.0 or log_factor == 0.0:
-        return v
-    try:
-        return v * math.exp(log_factor)
-    except OverflowError:
-        return math.inf if v > 0 else -math.inf
-
-
-def _flip(sites):
-    """The chain read right to left: sites reversed, bond legs swapped."""
-    return [s.transpose(0, 1, 3, 2) for s in reversed(sites)]
-
-
-class _Target:
-    """Environments of <x, sum_k a_k@u_k> over a list of operator products.
-
-    The fit's own product is (a, u); a carried term c*t enters as
-    (c*I, t), with I the bond-1 identity sites, so one kernel serves the
-    whole target.  Environments are lists with one (x, a_k, u_k) bond
-    tensor per product, and local tensors sum the products' parts.
-
-    The kernels contract left to right only.  A pass right to left is a
-    left-to-right pass over `mirrored()`, the same target on the chain
-    read right to left; its left environments are this target's right
-    environments, in the same (x, a_k, u_k) layout.
-
-    The contractions run as plain matrix products on pre-transposed
-    views of the (static) operand sites, which keeps every step inside
-    BLAS instead of paying per-call tensordot bookkeeping on the many
-    small tensors a sweep touches."""
-
-    def __init__(self, products):
-        self.a = [a for a, _ in products]
-        self.u = [u for _, u in products]
-        # u_i: (c, j, lu, ru) -> (lu, c*j*ru)
-        self._ul = [[s.transpose(2, 0, 1, 3).reshape(s.shape[2], -1) for s in u] for u in self.u]
-        # a_i: (o, c, la, ra) -> (la*c, o*ra)
-        self._al = [[s.transpose(2, 1, 0, 3).reshape(s.shape[2] * s.shape[1], -1) for s in a]
-                    for a in self.a]
-        self._tmp = None  # (site, env, half-contraction) reuse
-
-    def mirrored(self) -> "_Target":
-        """The same target on the chain read right to left."""
-        return _Target([(_flip(a), _flip(u)) for a, u in zip(self.a, self.u)])
-
-    def boundary(self):
-        return [np.ones((1, 1, 1)) for _ in self.a]
-
-    def half(self, i, E):
-        """Per product, E_k absorbed into a_k@u_k at site i, flattened to
-        (lx*j*o, ra*ru)."""
-        out = []
-        for a, u, ul, al, e in zip(self.a, self.u, self._ul, self._al, E):
-            o, c, la, ra = a[i].shape
-            j, lu, ru = u[i].shape[1:]
-            lx = e.shape[0]
-            # E: (lx, la, lu) @ (lu, c*j*ru) -> (lx, la, c, j, ru)
-            t = (e.reshape(lx * la, lu) @ ul[i]).reshape(lx, la, c, j, ru)
-            # contract (la, c) with a_i -> (lx, j, ru, o, ra)
-            t = t.transpose(0, 3, 4, 1, 2).reshape(lx * j * ru, la * c)
-            t = (t @ al[i]).reshape(lx, j, ru, o, ra)
-            out.append(t.transpose(0, 1, 3, 4, 2).reshape(lx * j * o, ra * ru))
-        return out
-
-    def _half(self, i, E):
-        """The half-contraction at site i, kept from a local there for the
-        environment update that follows it."""
-        if self._tmp is None or self._tmp[0] != i or self._tmp[1] is not E:
-            self._tmp = (i, E, self.half(i, E))
-        return self._tmp[2]
-
-    def local(self, i, E, F):
-        """The target's part at site i, (o, j, lx, rx), from the
-        environments E left and F right of it."""
-        # F_k: (rx, ra, ru); contract ra, ru -> (lx*j*o, rx), summed
-        parts = [h @ f.transpose(1, 2, 0).reshape(-1, f.shape[0])
-                 for h, f in zip(self._half(i, E), F)]
-        t = sum(parts[1:], parts[0])
-        o, j = self.a[0][i].shape[0], self.u[0][i].shape[1]
-        return t.reshape(-1, j, o, t.shape[1]).transpose(2, 1, 0, 3)
-
-    def env(self, i, E, xq):
-        """The environment right of site i, from E left of it and x's site
-        xq there."""
-        half = self._half(i, E)
-        self._tmp = None
-        o, j, lx, rx = xq.shape
-        # xq: (o, j, lx, rx); contract lx, j, o -> (rx, ra, ru) per product
-        xc = xq.conj().transpose(3, 2, 1, 0).reshape(rx, lx * j * o)
-        return [(xc @ h).reshape(rx, a[i].shape[3], u[i].shape[3])
-                for h, a, u in zip(half, self.a, self.u)]
-
-
 def _pass(target, lenvs, renvs, sites, norm_sq: float, objectives: list) -> None:
     """One left-to-right pass of local solves over sites 0..L-2 of
     target's chain, in place.  lenvs[i] is the environment left of site
@@ -205,11 +104,14 @@ def _pass(target, lenvs, renvs, sites, norm_sq: float, objectives: list) -> None
     environment right of it, lenvs[i + 1]."""
     L = len(sites)
     for i in range(L - 1):
-        t = target.local(i, lenvs[i], renvs[L - 1 - i])
+        half = target.half(i, lenvs[i])
+        t = target.local(i, half, renvs[L - 1 - i])
         objectives.append(norm_sq - float(np.vdot(t, t).real))
         q, _ = mp._split_left(t)
         sites[i] = q
-        lenvs[i + 1] = target.env(i, lenvs[i], q)
+        lenvs[i + 1] = target.env(i, half, q)
+        # drop it before the next site forms its own: two are never held
+        del half
 
 
 def _run_sweeps(x_sites, target, norm_sq: float, opts: SweepOptions):
@@ -236,16 +138,16 @@ def _run_sweeps(x_sites, target, norm_sq: float, opts: SweepOptions):
     # fwd[i]: environment of sites 0..i-1; bwd[j]: of sites L-j..L-1,
     # which is the mirror's left environment of its first j sites
     fwd, bwd = [target.boundary()] + [None] * L, [target.boundary()] + [None] * L
-    back = _flip(x_sites)
+    back = mp._flip(x_sites)
     for j in range(L - 1):
-        bwd[j + 1] = mirror.env(j, bwd[j], back[j])
+        bwd[j + 1] = mirror.env(j, mirror.half(j, bwd[j]), back[j])
     objectives = []
     converged = False
     prev = first_gain = None
     for sweeps in range(1, opts.max_sweeps + 1):
         _pass(target, fwd, bwd, x_sites, norm_sq, objectives)
         _pass(mirror, bwd, fwd, back, norm_sq, objectives)
-        t = target.local(0, fwd[0], bwd[L - 1])
+        t = target.local(0, target.half(0, fwd[0]), bwd[L - 1])
         x_sites[0] = t
         obj = norm_sq - float(np.vdot(t, t).real)
         objectives.append(obj)
@@ -256,11 +158,11 @@ def _run_sweeps(x_sites, target, norm_sq: float, opts: SweepOptions):
             break
         prev = obj
     # the mirror pass wrote sites 1..L-1 last
-    x_sites[1:] = _flip(back)[1:]
+    x_sites[1:] = mp._flip(back)[1:]
     return objectives, converged, sweeps
 
 
-def _zipup(target: _Target, cap: int):
+def _zipup(target: mp._Target, cap: int):
     """One left-to-right pass over the target sum_k a_k@u_k, split at
     every bond by the truncated split mp._truncated_split capped at cap.
 
@@ -311,14 +213,13 @@ def _zipup(target: _Target, cap: int):
 
 
 def _exact_norm_sq(products) -> float:
-    """||sum_k a_k@u_k||^2 by one transfer contraction of the exact
+    """||sum_k a_k@u_k||^2 by one closing pass over the exact
     block-embedded target."""
     acc = None
     for a_sites, u_sites in products:
         p = mp.exact_multiply(mp.Mpo(tuple(a_sites)), mp.Mpo(tuple(u_sites)))
         acc = p if acc is None else mp.exact_add(acc, p)
-    mant, logv = mp.inner_product_scaled(acc, acc)
-    return float(np.real(mant)) * math.exp(logv)
+    return mp._from_log(*mp.inner_product_scaled(acc, acc), "||target||^2").real
 
 
 def _fit_result(x_sites, ls: float, truncated: bool, objectives, converged: bool, sweeps: int,
@@ -332,10 +233,10 @@ def _fit_result(x_sites, ls: float, truncated: bool, objectives, converged: bool
     x = mp.Mpo(tuple(x_sites), ls, ls + 0.5 * math.log(nsq) if nsq > 0 else -math.inf)
     return SweepResult(
         mpo=x,
-        residual=_scaled(max(objectives[-1], 0.0), 2.0 * ls) if truncated else 0.0,
+        residual=mp._scaled(max(objectives[-1], 0.0), 2.0 * ls) if truncated else 0.0,
         converged=converged,
         sweeps=sweeps,
-        objectives=[_scaled(o, 2.0 * ls) for o in objectives],
+        objectives=[mp._scaled(o, 2.0 * ls) for o in objectives],
         warm_ms=warm_ms,
         sweep_ms=sweep_ms,
     )
@@ -346,18 +247,14 @@ def _zero_result(L: int, d: int, residual: float = 0.0, warm_ms: float = 0.0) ->
                        objectives=[residual], warm_ms=warm_ms)
 
 
-def expectation(a: mp.Mpo, u: mp.Mpo) -> complex:
-    """<u, a@u> = tr(u^H a u), contracted by one left-to-right pass of the
-    fit's environments with x = u.  A float when a and u are real; real
-    up to rounding for any u when a is Hermitian."""
+def expectation(a: mp.Mpo, u: mp.Mpo) -> tuple[complex, float]:
+    """<u, a@u> = tr(u^H a u), closed over x = u by the package's one
+    kernel (mp._close), as (mantissa, log): value = mantissa * exp(log).
+    The mantissa is a float when a and u are real; real up to rounding for
+    any u when a is Hermitian."""
     mp._check_compatible(a, u)
-    a_sites, log_a = mp._unit_sites(a)
-    u_sites, log_u = mp._unit_sites(u)
-    target = _Target([(a_sites, u_sites)])
-    env = target.boundary()
-    for i, s in enumerate(u_sites):
-        env = target.env(i, env, s)
-    return env[0].item() * math.exp(log_a + 2.0 * log_u)
+    (mant,), log = mp._close(mp._Target([(a.sites, u.sites)]), u.sites)
+    return mant, log + a.log_scale + 2.0 * u.log_scale
 
 
 def multiply_and_optimize(a: mp.Mpo, u: mp.Mpo, dnew: int | None, opts: SweepOptions | None = None,
@@ -383,7 +280,7 @@ def multiply_and_optimize(a: mp.Mpo, u: mp.Mpo, dnew: int | None, opts: SweepOpt
     # on a unit t_k); every product's true magnitude, rebased onto the
     # largest one, folds into its site 0, and that common scale rides on
     # the output log_scale, so nothing downstream sees compounded scales
-    eye = ([np.eye(d).reshape(d, d, 1, 1)] * L, 0.0)
+    eye = (mp._eye_sites(L, d), 0.0)
     factors = [(1.0, mp._unit_sites(a), mp._unit_sites(u))] + [
         (c, eye, mp._unit_sites(t)) for c, t in terms]
     log_mags = [la + lu + math.log(abs(c)) if c != 0 else -math.inf
@@ -399,13 +296,13 @@ def multiply_and_optimize(a: mp.Mpo, u: mp.Mpo, dnew: int | None, opts: SweepOpt
     exact_bond = max((sum(ak[i].shape[3] * uk[i].shape[3] for ak, uk in products)
                       for i in range(L - 1)), default=1)
     cap = exact_bond if dnew is None else min(dnew, exact_bond)
-    target = _Target(products)
+    target = mp._Target(products)
     x_sites, norm_sq, scale_sq = _zipup(target, cap)
-    # judged on the zip-up's norm: the transfer contraction of
+    # judged on the zip-up's norm: the closing pass of
     # _exact_norm_sq has a rounding floor far above the threshold
     if norm_sq <= 1e-28 * scale_sq:
         # complete cancellation: the zero operator is the exact optimum
-        return _zero_result(L, d, _scaled(max(norm_sq, 0.0), 2.0 * ls),
+        return _zero_result(L, d, mp._scaled(max(norm_sq, 0.0), 2.0 * ls),
                             (time.perf_counter() - t0) * 1e3)
     if cap < exact_bond <= max(d * d * cap, _EXACT_NORM_MIN):
         norm_sq = _exact_norm_sq(products)

@@ -212,6 +212,15 @@ def test_estimate_malformed_state_fails_cleanly(tmp_path, capsys):
     assert "ragged.json" in err and "Traceback" not in err
 
 
+def test_estimate_overflow_fails_cleanly(tmp_path, capsys):
+    # tr(e^800 I) overflows float64: a NumericError, not a traceback
+    src = str(tmp_path / "huge.json")
+    mp.save_json(mp.shift_log_scale(mp.identity_mpo(4), 800.0), src)
+    assert run_cli("estimate", "--input", src, "--function", "trace") == 1
+    err = capsys.readouterr().err
+    assert "NumericError" in err and "Traceback" not in err
+
+
 def test_estimate_result_matches_schema(tmp_path, half_state_file):
     out = str(tmp_path / "S.json")
     assert run_cli("estimate", "--input", half_state_file, "--function", "entropy",

@@ -363,6 +363,20 @@ def test_gauss_quadrature_rejects_non_finite_estimate():
         lz.gauss_quadrature(t, 1e200, lz.identity_function())
 
 
+@pytest.mark.parametrize("site0, shift, name", [
+    # alpha_1 = e^800 for the identity
+    (np.eye(2), 800.0, "alpha_1"),
+    # Z on site 0 is traceless, so alpha_1 is e^720 times rounding at most,
+    # but the new block's norm ||A U_1|| is e^720
+    (np.diag([1.0, -1.0]), 720.0, "Frobenius norm"),
+], ids=["alpha", "norm"])
+def test_driver_overflow_raises_numeric_error(site0, shift, name):
+    eye = np.eye(2).reshape(2, 2, 1, 1)
+    a = mp.shift_log_scale(mp.Mpo((site0.reshape(2, 2, 1, 1), eye, eye, eye)), shift)
+    with pytest.raises(NumericError, match=name):
+        lz.global_lanczos(a, kmax=3)
+
+
 def test_entropy_pure_state_is_zero():
     proj = np.zeros((2, 2, 1, 1))
     proj[0, 0, 0, 0] = 1.0

@@ -70,6 +70,41 @@ def test_inner_product_conjugate_symmetry():
         assert abs(inner(a, b) - np.conj(inner(b, a))) < 1e-10
 
 
+@pytest.mark.parametrize("cplx", [False, True])
+def test_close_returns_each_products_value(cplx):
+    # a target with carried terms, as a Lanczos step holds it, closed over
+    # a trial operator at another bond
+    a, u, u_prev, x = (random_mpo(5, 3, 1), random_mpo(5, 4, 2), random_mpo(5, 2, 3),
+                       random_mpo(5, 3, 4))
+    if not cplx:
+        a, u, u_prev, x = map(real_part, (a, u, u_prev, x))
+    eye = mp._eye_sites(5, 2)
+    products = [(a.sites, u.sites), ([eye[0] * -0.8] + eye[1:], u.sites),
+                ([eye[0] * 0.3] + eye[1:], u_prev.sites)]
+    mants, log = mp._close(mp._Target(products), x.sites)
+    assert len(mants) == 3
+    for mant, (a_k, u_k) in zip(mants, products):
+        assert isinstance(mant, float) == (not cplx)
+        got = mant * math.exp(log)
+        (alone,), log_alone = mp._close(mp._Target([(a_k, u_k)]), x.sites)
+        ref = np.vdot(mp.dense(x), mp.dense(mp.Mpo(tuple(a_k))) @ mp.dense(mp.Mpo(tuple(u_k))))
+        assert abs(got - alone * math.exp(log_alone)) <= 1e-12 * abs(ref)
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def test_close_keeps_the_scale_past_underflow():
+    # <x, a@u> over 1100 sites of 0.1 eye is tr(1e-3 I_2)^1100 = 0.002^1100
+    sites = [0.1 * np.eye(2).reshape(2, 2, 1, 1)] * 1100
+    target = mp._Target([(sites, sites)])
+    raw = target.boundary()
+    for i, s in enumerate(sites):
+        raw = target.env(i, target.half(i, raw), s)
+    assert raw[0].item() == 0.0
+    (mant,), log = mp._close(target, sites)
+    want = 1100 * math.log(0.002)
+    assert abs(math.log(mant) + log - want) < 1e-12 * abs(want)
+
+
 def test_frobenius_norm_homogeneity():
     m = random_mpo(5, 3, 7)
     assert abs(mp.frobenius_norm(mp.shift_log_scale(m, math.log(2.0)))

@@ -220,7 +220,8 @@ def _lanczos_operands(cplx):
     if not cplx:
         a, u, u_prev = real_part(a), real_part(u), real_part(u_prev)
     u = mp.shift_log_scale(u, -mp.log_norm(u))
-    return a, u, u_prev, expectation(a, u)
+    mant, log = expectation(a, u)
+    return a, u, u_prev, mant * math.exp(log)
 
 
 @pytest.mark.parametrize("cplx", [False, True])
@@ -231,6 +232,9 @@ def test_expectation_matches_dense(cplx):
     # real for Hermitian a, whatever u is
     assert abs(np.imag(alpha)) < 1e-14 * np.linalg.norm(mp.dense(a))
     assert isinstance(alpha, float) == (not cplx)
+    # the operands' scales ride in the log, past the float range
+    mant, log = expectation(mp.shift_log_scale(a, 800.0), mp.shift_log_scale(u, -300.0))
+    assert abs(mant * math.exp(log - 200.0) - alpha) < 1e-12 * max(abs(alpha), 1.0)
 
 
 @pytest.mark.parametrize("cplx", [False, True])
@@ -303,7 +307,7 @@ def test_zipup_norm_estimate_on_at_cap_fits(thermal_cache, monkeypatch):
 def test_target_mirror_matches_forward(cplx):
     # a target with carried terms, as a Lanczos step fits it, and a trial
     # operator at a smaller bond
-    from mpotrace.sweeping import _flip, _Target
+    from mpotrace.mpo import _flip, _Target
     a, u, u_prev, x = (random_mpo(5, 3, 1), random_mpo(5, 4, 2), random_mpo(5, 2, 3),
                        random_mpo(5, 3, 4))
     if not cplx:
@@ -318,8 +322,8 @@ def test_target_mirror_matches_forward(cplx):
     # first j sites, forward sites 5-j..4
     fwd, bwd = [target.boundary()], [target.boundary()]
     for i in range(5):
-        fwd.append(target.env(i, fwd[i], x.sites[i]))
-        bwd.append(mirror.env(i, bwd[i], back[i]))
+        fwd.append(target.env(i, target.half(i, fwd[i]), x.sites[i]))
+        bwd.append(mirror.env(i, mirror.half(i, bwd[i]), back[i]))
     # <x, target> closes the same from either end
     assert abs(sum(e.item() for e in fwd[5]) - sum(e.item() for e in bwd[5])) < 1e-12
     # the mirror's left environments are the forward right environments:
@@ -333,8 +337,8 @@ def test_target_mirror_matches_forward(cplx):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), i
     # the mirror's local is the forward one with the bond legs swapped
     for i in range(5):
-        local = target.local(i, fwd[i], bwd[4 - i])
-        flipped = mirror.local(4 - i, bwd[4 - i], fwd[i])
+        local = target.local(i, target.half(i, fwd[i]), bwd[4 - i])
+        flipped = mirror.local(4 - i, mirror.half(4 - i, bwd[4 - i]), fwd[i])
         assert np.linalg.norm(flipped - local.transpose(0, 1, 3, 2)) <= 1e-12 * np.linalg.norm(
             local), i
     # the fit built on it still never raises its objective between updates
