@@ -138,13 +138,16 @@ class StoppingConfig:
 @dataclass
 class IterationRecord:
     """One Lanczos step.  The step makes one fit; `fit_residual`,
-    `sweeps` and `converged` are that fit's squared residual (see
-    sweeping.SweepResult for when it is only an estimate), ALS sweep
-    count and whether its objective stopped moving before max_sweeps,
-    `warm_ms` / `sweep_ms` split its wall time between the zip-up warm
-    start and the sweeps, and `bond` is the max bond of the fitted block.
-    `alpha_ms` times the exact contraction of alpha and `quad_ms` the Gauss
-    rule; with the fit they make up most of `wall_ms`."""
+    `sweeps` and `converged` are that fit's squared residual, exact at
+    every bond (the driver passes the fit ||t_k||^2), ALS sweep count and
+    whether its objective stopped moving before max_sweeps, `warm_ms` /
+    `sweep_ms` split its wall time between the warm start (a zip-up on a
+    step that grows the bond, the gauge pass of U_k at the cap) and the
+    sweeps, and `bond` is the max bond of the fitted block.  `alpha_ms`
+    times the exact contraction of alpha, `norm_ms` the contractions of
+    ||t_k||^2 (step 2's includes fitting the compressed A^H A once), and
+    `quad_ms` the Gauss rule; with the fit they make up most of
+    `wall_ms`."""
 
     k: int
     alpha: float
@@ -160,6 +163,7 @@ class IterationRecord:
     sweep_ms: float = 0.0
     bond: int = 0
     alpha_ms: float = 0.0
+    norm_ms: float = 0.0
     quad_ms: float = 0.0
 
 
@@ -237,6 +241,35 @@ def check_stop(run: QuadratureRun, stop: StoppingConfig, f: SpectralFunction):
     return False, None
 
 
+def _target_norm_sq(a: mp.Mpo, u: mp.Mpo, u_prev: mp.Mpo | None, au_sq, alpha: float,
+                    ln_beta: float) -> tuple[float, float]:
+    """||t_k||^2 for the step's target t_k = A U_k - alpha_k U_k - beta_k
+    U_{k-1}, with U_k and U_{k-1} of unit norm and alpha_k = <U_k, A U_k>:
+
+        ||A U_k||^2 - alpha_k^2 + beta_k^2 - 2 beta_k Re<U_{k-1}, A U_k>
+            + 2 alpha_k beta_k Re<U_k, U_{k-1}>.
+
+    au_sq is ||A U_k||^2 and ln_beta is ln beta_k, both in log form; the
+    two overlaps close in one pass over U_{k-1}.  u_prev None is step 1,
+    where the beta terms vanish.  Every magnitude stays a log until the
+    fit rebases it onto its own scale, so the result is in log form too:
+    (mantissa, log), value = mantissa * exp(log)."""
+    terms = [(au_sq[0].real, au_sq[1])]
+    if alpha != 0:
+        terms.append((-1.0, 2.0 * math.log(abs(alpha))))
+    if u_prev is not None:
+        target = mp._Target([(a.sites, u.sites), (mp._eye_sites(a.L, a.d), u.sites)])
+        (m_au, m_u), log = mp._close(target, u_prev.sites)
+        log += u.log_scale + u_prev.log_scale + ln_beta
+        terms += [(1.0, 2.0 * ln_beta), (-2.0 * m_au.real, log + a.log_scale)]
+        if alpha != 0:
+            terms.append((math.copysign(2.0, alpha) * m_u.real, log + math.log(abs(alpha))))
+    top = max(log for _, log in terms)
+    if top == -math.inf:
+        return 0.0, 0.0
+    return sum(m * math.exp(log - top) for m, log in terms), top
+
+
 def global_lanczos(
     a: mp.Mpo,
     kmax: int = 50,
@@ -251,18 +284,22 @@ def global_lanczos(
     approximates tr f(a).
 
     Each step normalizes the previous residual block U_k, computes alpha_k
-    = <U_k, A U_k> exactly (one closing pass over a and U_k), makes one
-    variational fit of the new residual A U_k - alpha_k U_k - beta_k
-    U_{k-1} at bond cap dmax (None: uncapped), which the fit clips to the
-    residual's exact bond, and evaluates the Gauss rule on the accumulated
-    tridiagonal matrix.  The run's estimate is the last step's, except on
-    a Ritz violation: then it is the step before, whose Ritz values still
-    kept the floor (step 1 keeps its own).  Every step stays in the
-    records.  The blocks are float64 when a is real, complex128
-    otherwise.  alpha_k and the block norms come in log form and become
-    floats through one checked step (mp._from_log; mp.frobenius_norm for
-    the norms), which raises NumericError naming the quantity when it
-    overflows.  The Gauss rule needs beta_1^2 = d^L as a float64, so
+    = <U_k, A U_k> exactly (one closing pass over a and U_k), and the
+    squared norm of the new residual t_k = A U_k - alpha_k U_k - beta_k
+    U_{k-1} from its three-term expansion (_target_norm_sq).  Its
+    ||A U_k||^2 is <U_k, A^H A U_k> on A^H A fitted once per run at twice
+    a's bond, from step 2 on; U_1 is the identity over its norm, so
+    ||A U_1||^2 = ||A||^2 / ||I||^2.  The step then makes one variational
+    fit of t_k, given ||t_k||^2, at bond cap dmax (None: uncapped), which
+    the fit clips to the residual's exact bond, and evaluates the Gauss
+    rule on the accumulated tridiagonal matrix.  The run's estimate is the
+    last step's, except on a Ritz violation: then it is the step before,
+    whose Ritz values still kept the floor (step 1 keeps its own).  Every
+    step stays in the records.  The blocks are float64 when a is real,
+    complex128 otherwise.  alpha_k and the block norms come in log form
+    and become floats through one checked step (mp._from_log;
+    mp.frobenius_norm for the norms), which raises NumericError naming the
+    quantity when it overflows; ||t_k||^2 stays in log form.  The Gauss rule needs beta_1^2 = d^L as a float64, so
     longer chains (L >= 1024 at d = 2) raise NumericError.
     """
     if kmax < 1:
@@ -281,6 +318,7 @@ def global_lanczos(
     betas: list[float] = []
     beta1 = math.nan
     u_prev: mp.Mpo | None = None
+    a2: mp.Mpo | None = None  # A^H A, compressed
     v_scale = 0.0  # magnitude of the pre-normalization block, for breakdown detection
 
     for k in range(1, kmax + 1):
@@ -304,9 +342,20 @@ def global_lanczos(
         alpha_c = mp._from_log(*expectation(a, u), f"alpha_{k}")
         alpha_ms = (time.perf_counter() - t_alpha) * 1e3
         alpha = float(alpha_c.real)
+        t_norm = time.perf_counter()
+        if u_prev is None:
+            # U_1 = I / ||I||
+            au_sq = (1.0, 2.0 * (mp.log_norm(a) - ln_v))
+        else:
+            if a2 is None:
+                a2 = multiply_and_optimize(mp.adjoint(a), a, 2 * a.max_bond()).mpo
+            # ||A U||^2 = <U, A^H A U>
+            au_sq = expectation(a2, u)
+        norm_sq = _target_norm_sq(a, u, u_prev, au_sq, alpha, ln_v)
+        norm_ms = (time.perf_counter() - t_norm) * 1e3
         # beta_1 is the start norm and never enters the subtraction
         terms = [(-alpha, u)] if u_prev is None else [(-alpha, u), (-beta, u_prev)]
-        fit = multiply_and_optimize(a, u, dmax, terms=terms)
+        fit = multiply_and_optimize(a, u, dmax, terms=terms, norm_sq=norm_sq)
         v = fit.mpo
 
         # ||A U_k|| by the three-term relation: the scale of the terms that
@@ -338,6 +387,7 @@ def global_lanczos(
             sweep_ms=fit.sweep_ms,
             bond=v.max_bond(),
             alpha_ms=alpha_ms,
+            norm_ms=norm_ms,
             quad_ms=quad_ms,
         )
         run.records.append(rec)

@@ -168,7 +168,9 @@ def exact_add(a: Mpo, b: Mpo, coeff: complex = 1.0) -> Mpo:
 
 
 def exact_multiply(a: Mpo, b: Mpo) -> Mpo:
-    """Operator product a @ b; interior bonds multiply exactly."""
+    """Operator product a @ b; interior bonds multiply exactly.  The
+    pipeline fits its products instead (sweeping.multiply_and_optimize);
+    this is the exact reference the tests build and compare against."""
     _check_compatible(a, b)
     sites = []
     for sa, sb in zip(a.sites, b.sites):
@@ -234,11 +236,18 @@ class _Target:
             out.append(t.transpose(0, 1, 3, 4, 2).reshape(lx * j * o, ra * ru))
         return out
 
+    def parts(self, half, F):
+        """Per product, its part of the local tensor at a site, as an
+        (lx*j*o, rx) matrix, from the half-contraction there and the
+        environments F right of it."""
+        # F_k: (rx, ra, ru); contract ra, ru -> (lx*j*o, rx)
+        return [h @ f.transpose(1, 2, 0).reshape(-1, f.shape[0]) for h, f in zip(half, F)]
+
     def local(self, i, half, F):
         """The target's part at site i, (o, j, lx, rx), from its
-        half-contraction there and the environments F right of it."""
-        # F_k: (rx, ra, ru); contract ra, ru -> (lx*j*o, rx), summed
-        parts = [h @ f.transpose(1, 2, 0).reshape(-1, f.shape[0]) for h, f in zip(half, F)]
+        half-contraction there and the environments F right of it: the
+        sum of the products' parts."""
+        parts = self.parts(half, F)
         t = sum(parts[1:], parts[0])
         o, j = self.a[0][i].shape[0], self.u[0][i].shape[1]
         return t.reshape(-1, j, o, t.shape[1]).transpose(2, 1, 0, 3)

@@ -8,13 +8,19 @@ bond-1 identity sites.  Every contraction here runs through the
 package's one kernel, mp._Target: the warm start, both halves of a
 sweep, and `expectation`, which closes <u, a u> in log form (mp._close).
 
-The warm start is one left-to-right zip-up of that target (`_zipup`):
-at each site the products' parts sit side by side on the right bond, and
-the package's one truncated split (mp._truncated_split), capped at the
-bond limit, separates them.  It yields ||target||^2, exact when the cap
-discards nothing and an estimate otherwise.  A truncating fit small
-enough that the exact contraction of ||target||^2 costs no more than the
-zip-up contracts it instead.
+A caller that knows ||target||^2 passes it (a Lanczos step computes it
+from a compressed A^H A, see lanczos.global_lanczos).  Then the
+objectives and the residual are exact at every bond.  And when u's
+interior bonds already equal the bonds the fit outputs (the cap, clipped
+by the block bond and the chain's natural limits), the sweeps start from
+u in right-canonical gauge: a zip-up could not offer them a larger trial
+space.
+Otherwise the warm start is one left-to-right zip-up of the target
+(`_zipup`): at each site the products' parts sit side by side on the
+right bond, and the package's one truncated split (mp._truncated_split),
+capped at the bond limit, separates them.  It also yields ||target||^2,
+exact when the cap discards nothing and an estimate otherwise, which a
+fit without a known norm works with.
 
 The sweeps are alternating least squares (`_run_sweeps`): the trial
 operator is kept in mixed-canonical gauge, so each local problem is
@@ -29,7 +35,8 @@ environment.  The sweeps stop when a sweep lowers the objective by no
 more than rel_tol of ||target||^2, or by no more than a fixed share of
 what the first sweep lowered it by (the truncation plateau of a capped
 fit).  Both are differences of objectives, so the rule holds where
-||target||^2 is only an estimate; the residual the fit reports does not.
+||target||^2 is only the zip-up's estimate; the residual the fit
+reports does not.
 """
 from __future__ import annotations
 
@@ -47,15 +54,9 @@ _TINY = 1e-300
 # a sweep that lowers the objective by at most this share of what the
 # first sweep lowered it by has reached the truncation plateau
 _PLATEAU = 1e-2
-# a truncating zip-up knows ||target||^2 only approximately (see _zipup).
-# The exact contraction costs about B^3 d^2 per site for a block bond B,
-# the zip-up about (d^2 cap)^2 B.  Timed on random chains (L = 20, d = 2,
-# bonds of a 2..20 and u 3..40, caps 4..80) on a 2-vCPU Xeon with one
-# OpenBLAS thread, the exact one is the cheaper of the two wherever
-# B <= max(d^2 cap, _EXACT_NORM_MIN) (0.33-0.80 of the zip-up's time) and
-# the dearer beyond (0.90-3.3 times, 9 times at B = 880, cap 60), so it
-# is used there.
-_EXACT_NORM_MIN = 64
+# a target whose squared norm is at most this share of its parts' squared
+# scale has cancelled completely: the zero operator is the exact optimum
+_CANCELLED = 1e-28
 
 
 @dataclass
@@ -80,11 +81,12 @@ class SweepResult:
     `max_sweeps` (or the fit needed no sweeps), `sweeps` counts the ALS
     sweeps run, and `objectives` is the squared-distance objective after
     every site update.  `residual` is the squared distance to the target:
-    0 when the cap truncates nothing, else the last objective floored at
-    0, which rests on the zip-up's estimate of ||target||^2 when a large
-    truncating fit does not contract it exactly (see the module
-    docstring).  `warm_ms` and `sweep_ms` split the fit's wall time
-    between the warm start and the sweeps.
+    0 when the cap truncates nothing, else the last objective,
+    ||target||^2 - ||x||^2, floored at 0.  It is exact when the caller
+    passed ||target||^2; without it a truncating fit takes ||target||^2
+    from its zip-up, an estimate (see the module docstring).  `warm_ms`
+    and `sweep_ms` split the fit's wall time between the warm start (the
+    zip-up, or the gauge pass of u) and the sweeps.
     """
 
     mpo: mp.Mpo
@@ -121,7 +123,8 @@ def _run_sweeps(x_sites, target, norm_sq: float, opts: SweepOptions):
     because the first local solve overwrites it.  A sweep is a
     left-to-right pass over the target and one over its mirror, which is
     the right-to-left pass of the chain, and a last solve at site 0.
-    Returns (objectives, converged, sweeps run).  The objective after a
+    Returns (objectives, converged, sweeps run, scale_sq), scale_sq being
+    the parts' scale at that last solve (_scale_sq).  The objective after a
     site update is norm_sq - |center|^2, which is exact given exact
     environments because the local optimum equals the environment tensor.
     It is a difference of nearly equal numbers, so for an exact fit it
@@ -159,7 +162,14 @@ def _run_sweeps(x_sites, target, norm_sq: float, opts: SweepOptions):
         prev = obj
     # the mirror pass wrote sites 1..L-1 last
     x_sites[1:] = mp._flip(back)[1:]
-    return objectives, converged, sweeps
+    scale_sq = _scale_sq(target.parts(target.half(0, fwd[0]), bwd[L - 1]))
+    return objectives, converged, sweeps, scale_sq
+
+
+def _scale_sq(parts) -> float:
+    """The squared sum of the norms of the target's parts at one site,
+    against which a cancellation of the whole target is judged."""
+    return sum(math.sqrt(float(np.vdot(p, p).real)) for p in parts) ** 2
 
 
 def _zipup(target: mp._Target, cap: int):
@@ -176,9 +186,8 @@ def _zipup(target: mp._Target, cap: int):
     sweeps start from; norm_sq, the norm of the last site plus the
     discarded weight, is ||target||^2, exact when nothing is discarded and
     an estimate otherwise, because the discarded weights are measured
-    against a right side that is not isometric; scale_sq is the squared
-    sum of the parts' norms, against which a cancellation of the whole
-    target is judged."""
+    against a right side that is not isometric; scale_sq is the parts'
+    scale at the last site (_scale_sq)."""
     L = len(target.a[0])
     carries = target.boundary()
     sites = []
@@ -191,7 +200,7 @@ def _zipup(target: mp._Target, cap: int):
             site = sum(blocks[1:], blocks[0])
             sites.append(site.reshape(x, j, o, 1).transpose(2, 1, 0, 3))
             norm_sq = float(np.vdot(site, site).real) + disc2
-            scale_sq = sum(math.sqrt(float(np.vdot(b, b).real)) for b in blocks) ** 2
+            scale_sq = _scale_sq(blocks)
             # gauge right to left; site 0, the center, is never read
             for k in range(L - 1, 0, -1):
                 mp._move_center(sites, k, -1)
@@ -210,16 +219,6 @@ def _zipup(target: mp._Target, cap: int):
             ra, ru = a[i].shape[3], u[i].shape[3]
             carries.append(right[:, off:off + ra * ru].reshape(keep, ra, ru))
             off += ra * ru
-
-
-def _exact_norm_sq(products) -> float:
-    """||sum_k a_k@u_k||^2 by one closing pass over the exact
-    block-embedded target."""
-    acc = None
-    for a_sites, u_sites in products:
-        p = mp.exact_multiply(mp.Mpo(tuple(a_sites)), mp.Mpo(tuple(u_sites)))
-        acc = p if acc is None else mp.exact_add(acc, p)
-    return mp._from_log(*mp.inner_product_scaled(acc, acc), "||target||^2").real
 
 
 def _fit_result(x_sites, ls: float, truncated: bool, objectives, converged: bool, sweeps: int,
@@ -242,9 +241,10 @@ def _fit_result(x_sites, ls: float, truncated: bool, objectives, converged: bool
     )
 
 
-def _zero_result(L: int, d: int, residual: float = 0.0, warm_ms: float = 0.0) -> SweepResult:
+def _zero_result(L: int, d: int, residual: float = 0.0, warm_ms: float = 0.0,
+                 sweep_ms: float = 0.0) -> SweepResult:
     return SweepResult(mpo=mp.zero_mpo(L, d), residual=residual, converged=True,
-                       objectives=[residual], warm_ms=warm_ms)
+                       objectives=[residual], warm_ms=warm_ms, sweep_ms=sweep_ms)
 
 
 def expectation(a: mp.Mpo, u: mp.Mpo) -> tuple[complex, float]:
@@ -258,14 +258,18 @@ def expectation(a: mp.Mpo, u: mp.Mpo) -> tuple[complex, float]:
 
 
 def multiply_and_optimize(a: mp.Mpo, u: mp.Mpo, dnew: int | None, opts: SweepOptions | None = None,
-                          terms=()) -> SweepResult:
+                          terms=(), norm_sq: tuple[float, float] | None = None) -> SweepResult:
     """Best bond-dnew approximation of a @ u + sum_k c_k * t_k.
 
     `terms` is a sequence of (c_k, Mpo) pairs; the default () fits the
-    plain product.  Returns a SweepResult whose residual is the final
-    squared Frobenius distance.  With dnew at least the exact bond
-    (D_a * D_u plus the terms' bonds) the fit reproduces the exact
-    operator to numerical precision.
+    plain product.  `norm_sq` is the target's squared norm when the caller
+    knows it, in log form (mantissa, log): value = mantissa * exp(log).
+    With it the residual is exact at every bond, and a fit whose u already
+    has the bonds the fit outputs starts its sweeps from u instead of a
+    zip-up (see the module docstring).  Returns a SweepResult whose
+    residual is the final squared Frobenius distance.  With dnew at least
+    the exact bond (D_a * D_u plus the terms' bonds) the fit reproduces
+    the exact operator to numerical precision.
     """
     opts = opts or SweepOptions()
     terms = list(terms)
@@ -293,21 +297,37 @@ def multiply_and_optimize(a: mp.Mpo, u: mp.Mpo, dnew: int | None, opts: SweepOpt
         w = c / abs(c) * math.exp(lm - ls) if lm != -math.inf else 0.0
         products.append(([a_sites[0] * w] + a_sites[1:], u_sites))
 
-    exact_bond = max((sum(ak[i].shape[3] * uk[i].shape[3] for ak, uk in products)
-                      for i in range(L - 1)), default=1)
+    blocks = [sum(ak[i].shape[3] * uk[i].shape[3] for ak, uk in products) for i in range(L - 1)]
+    exact_bond = max(blocks, default=1)
     cap = exact_bond if dnew is None else min(dnew, exact_bond)
     target = mp._Target(products)
-    x_sites, norm_sq, scale_sq = _zipup(target, cap)
-    # judged on the zip-up's norm: the closing pass of
-    # _exact_norm_sq has a rounding floor far above the threshold
-    if norm_sq <= 1e-28 * scale_sq:
-        # complete cancellation: the zero operator is the exact optimum
-        return _zero_result(L, d, mp._scaled(max(norm_sq, 0.0), 2.0 * ls),
-                            (time.perf_counter() - t0) * 1e3)
-    if cap < exact_bond <= max(d * d * cap, _EXACT_NORM_MIN):
-        norm_sq = _exact_norm_sq(products)
+    if norm_sq is not None:
+        norm_sq = mp._scaled(norm_sq[0], norm_sq[1] - 2.0 * ls)
+    # the bonds the fit outputs: the cap, clipped by the block bond and by
+    # the chain's natural limit, d^2 per site from either end
+    from_u = norm_sq is not None and u.bond_dims() == [
+        min(cap, b, (d * d) ** min(i + 1, L - 1 - i)) for i, b in enumerate(blocks)]
+    if from_u:
+        # a zip-up could not offer the sweeps a larger trial space than u
+        # spans; they start from u, right-canonical from site 1 on
+        x_sites = list(products[0][1])
+        for k in range(L - 1, 0, -1):
+            mp._move_center(x_sites, k, -1)
+    else:
+        x_sites, zip_sq, scale_sq = _zipup(target, cap)
+        norm_sq = zip_sq if norm_sq is None else norm_sq
+        if zip_sq <= _CANCELLED * scale_sq:
+            return _zero_result(L, d, mp._scaled(max(norm_sq, 0.0), 2.0 * ls),
+                                (time.perf_counter() - t0) * 1e3)
 
     t1 = time.perf_counter()
-    swept = _run_sweeps(x_sites, target, norm_sq, opts)
+    objectives, converged, sweeps, scale_sq = _run_sweeps(x_sites, target, norm_sq, opts)
     t2 = time.perf_counter()
-    return _fit_result(x_sites, ls, cap < exact_bond, *swept, (t1 - t0) * 1e3, (t2 - t1) * 1e3)
+    # without a zip-up the fit judges a complete cancellation by its own
+    # norm: the known norm's rounding floor, eps * ||a u||^2, lies far
+    # above the threshold
+    if from_u and float(np.vdot(x_sites[0], x_sites[0]).real) <= _CANCELLED * scale_sq:
+        return _zero_result(L, d, mp._scaled(max(norm_sq, 0.0), 2.0 * ls),
+                            (t1 - t0) * 1e3, (t2 - t1) * 1e3)
+    return _fit_result(x_sites, ls, cap < exact_bond, objectives, converged, sweeps,
+                       (t1 - t0) * 1e3, (t2 - t1) * 1e3)

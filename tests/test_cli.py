@@ -250,13 +250,14 @@ def test_estimate_iterations_csv_header(tmp_path, half_state_file):
         [[rec["sweeps"], int(rec["converged"])] for rec in records]
     assert all(rec["sweeps"] >= 2 for rec in records)
     # the step's one fit: residual, bond and the split of the step's time
-    for name in ("fit_residual", "bond", "alpha_ms", "warm_ms", "sweep_ms", "quad_ms"):
+    for name in ("fit_residual", "bond", "alpha_ms", "norm_ms", "warm_ms", "sweep_ms", "quad_ms"):
         col = cli.CSV_COLUMNS.index(name)
         assert [float(r[col]) for r in rows[1:]] == [rec[name] for rec in records], name
     assert all(0 < rec["warm_ms"] + rec["sweep_ms"] < rec["wall_ms"] for rec in records)
-    assert all(rec["alpha_ms"] > 0 and rec["quad_ms"] > 0 for rec in records)
-    assert all(rec["alpha_ms"] + rec["warm_ms"] + rec["sweep_ms"] + rec["quad_ms"]
-               <= rec["wall_ms"] for rec in records)
+    assert all(rec["alpha_ms"] > 0 and rec["norm_ms"] > 0 and rec["quad_ms"] > 0
+               for rec in records)
+    assert all(rec["alpha_ms"] + rec["norm_ms"] + rec["warm_ms"] + rec["sweep_ms"]
+               + rec["quad_ms"] <= rec["wall_ms"] for rec in records)
     assert all(1 <= rec["bond"] <= 40 for rec in records)
 
 
@@ -265,7 +266,7 @@ def test_iterations_csv_columns_match_record_dict():
     rec = lz.IterationRecord(k=1, alpha=0.5, beta=1.0, ritz_min=0.5, ritz_max=0.5,
                              estimate=2.0, wall_ms=3.0, fit_residual=1e-9, sweeps=5,
                              converged=False, warm_ms=1.0, sweep_ms=2.0, bond=7,
-                             alpha_ms=0.5, quad_ms=0.1)
+                             alpha_ms=0.5, norm_ms=0.3, quad_ms=0.1)
     assert cli.CSV_COLUMNS == tuple(asdict(rec))
 
 

@@ -439,9 +439,9 @@ def test_records_count_sweeps(thermal_l6, monkeypatch):
     assert all(r.sweeps >= 2 for r in run.records)
 
     # with one sweep per fit no fit can see that
-    def one_sweep(a, u, dnew, opts=None, terms=()):
+    def one_sweep(a, u, dnew, opts=None, terms=(), norm_sq=None):
         return multiply_and_optimize(a, u, dnew, mt.SweepOptions(max_sweeps=1, rel_tol=1e-300),
-                                     terms)
+                                     terms, norm_sq)
 
     monkeypatch.setattr(lz, "multiply_and_optimize", one_sweep)
     capped = lz.global_lanczos(thermal_l6, kmax=3, dmax=4,
@@ -464,12 +464,13 @@ def test_one_fit_per_step(thermal_l6, monkeypatch):
     run = lz.global_lanczos(thermal_l6, kmax=6, dmax=12,
                             f=lz.polynomial_function([0.0] * 9 + [1.0]),
                             stop=lz.StoppingConfig(eps_conv=1e-300, sigma_mult=math.inf))
-    assert len(calls) == len(run.records) == 6
-    # every fit gets the cap dmax and clips it to the residual's exact
-    # bond: D_a * 1 + 1 = 9 at the first step, where the block is the identity
+    assert len(run.records) == 6 and len(calls) == 7
+    # every step's fit gets the cap dmax and clips it to the residual's
+    # exact bond: D_a * 1 + 1 = 9 at the first step, where the block is the
+    # identity.  Step 2 first fits A^H A once for the run, at twice D_a
     assert thermal_l6.max_bond() == 8
-    assert calls == [12] * 6
-    assert bonds[0] <= 9 and all(b <= 12 for b in bonds[1:])
+    assert calls == [12, 16] + [12] * 5
+    assert bonds[0] <= 9 and bonds[1] <= 16 and all(b <= 12 for b in bonds[2:])
 
 
 def _haar_conjugated(m, seed):

@@ -7,7 +7,7 @@ import pytest
 
 import mpotrace as mt
 from mpotrace import mpo as mp
-from mpotrace.sweeping import SweepOptions, expectation, multiply_and_optimize
+from mpotrace.sweeping import SweepOptions, _zipup, expectation, multiply_and_optimize
 from mpotrace.errors import DimensionError
 
 from conftest import random_mpo, real_part
@@ -68,21 +68,36 @@ def test_multiply_objectives_monotone():
             assert obj[j] <= obj[j - 1] + 1e-12 * max(abs(obj[0]), 1.0), (seed, j)
 
 
-def test_multiply_debug_incremental_matches_scratch():
-    # the incrementally tracked objective equals the squared distance to
-    # the exact target, recomputed from scratch, at a capped bond whose
-    # block bond (9, and 9 + 3 + 2 with the terms) takes ||target||^2
-    # from the exact contraction: the product, and the product with terms
+def test_multiply_debug_incremental_matches_scratch(monkeypatch):
+    # given ||target||^2, the incrementally tracked objective equals the
+    # squared distance to the exact target, recomputed from scratch, at a
+    # capped bond: the product, and the product with terms.  A u of bond 3
+    # below the cap of 4 starts the sweeps from a zip-up; a u of bond 4,
+    # the bond the fit outputs, starts them from u itself
+    from mpotrace import sweeping
+    zipups = []
+    monkeypatch.setattr(sweeping, "_zipup", lambda *args: zipups.append(1) or _zipup(*args))
     a = random_mpo(4, 3, 2)
-    u = random_mpo(4, 3, 9)
     u_prev = random_mpo(4, 2, 10)
-    for terms in ([], [(-0.8, u), (0.3, u_prev)]):
-        fit = multiply_and_optimize(a, u, 4, terms=terms)
-        assert fit.mpo.max_bond() == 4
-        ref = mp.dense(a) @ mp.dense(u) + sum(c * mp.dense(t) for c, t in terms)
-        dist2 = np.linalg.norm(mp.dense(fit.mpo) - ref) ** 2
-        assert dist2 > 1e-6
-        assert abs(fit.residual - dist2) < 1e-8 * dist2, terms
+    for bond, calls in ((3, 1), (4, 0)):
+        u = random_mpo(4, bond, 9)
+        for terms in ([], [(-0.8, u), (0.3, u_prev)]):
+            ref = mp.dense(a) @ mp.dense(u) + sum(c * mp.dense(t) for c, t in terms)
+            zipups.clear()
+            fit = multiply_and_optimize(a, u, 4, terms=terms,
+                                        norm_sq=(np.linalg.norm(ref) ** 2, 0.0))
+            assert len(zipups) == calls, (bond, terms)
+            assert fit.mpo.max_bond() == 4
+            dist2 = np.linalg.norm(mp.dense(fit.mpo) - ref) ** 2
+            assert dist2 > 1e-6
+            assert abs(fit.residual - dist2) < 1e-8 * dist2, (bond, terms)
+            # the norm's log form meets the fit's scale: e^600 ||ref||^2
+            # is finite, its factors e^600 and e^300 ||a|| ||u|| are not
+            # all within reach of a float's square
+            big = multiply_and_optimize(mp.shift_log_scale(a, 300.0), u, 4, terms=[
+                (c * math.exp(300.0), t) for c, t in terms],
+                norm_sq=(np.linalg.norm(ref) ** 2, 600.0))
+            assert abs(big.residual * math.exp(-600.0) - dist2) < 1e-8 * dist2, (bond, terms)
 
 
 def test_multiply_zipup_warm_start_path():
@@ -124,16 +139,16 @@ def test_multiply_zero_operand():
     assert fit.residual == 0.0
 
 
-def _fit_sum(u, terms, dnew, opts=None):
+def _fit_sum(u, terms, dnew, opts=None, norm_sq=None):
     """u + sum_k c_k t_k, fitted as identity @ u plus the terms."""
-    return multiply_and_optimize(mp.identity_mpo(u.L, u.d), u, dnew, opts, terms)
+    return multiply_and_optimize(mp.identity_mpo(u.L, u.d), u, dnew, opts, terms, norm_sq)
 
 
 def test_sum_empty_terms_is_truncation():
     u = random_mpo(5, 6, 3)
-    fit = _fit_sum(u, [], 3)
-    _, terr = mp.truncate_svd(u, dmax=3)
     nrm2 = mp.frobenius_norm(u) ** 2
+    fit = _fit_sum(u, [], 3, norm_sq=(nrm2, 0.0))
+    _, terr = mp.truncate_svd(u, dmax=3)
     assert fit.residual <= (terr**2) * nrm2 * (1.0 + 1e-6) + 1e-12
 
 
@@ -142,6 +157,15 @@ def test_sum_cancellation_gives_zero():
     fit = _fit_sum(u, [(-1.0, u)], 5)
     assert mp.frobenius_norm(fit.mpo) == 0.0
     assert fit.converged
+    # at cap 3, u's bond, a fit given ||target||^2 starts from u without a
+    # zip-up and judges the cancellation by its own norm, whatever the
+    # known norm's rounding: 0, or eps times the parts' scale
+    nrm2 = mp.frobenius_norm(u) ** 2
+    for known in (0.0, 1e-16 * nrm2, -1e-16 * nrm2):
+        fit = _fit_sum(u, [(-1.0, u)], 3, norm_sq=(known, 0.0))
+        # the sweeps ran: a zip-up would have judged it before them
+        assert mp.frobenius_norm(fit.mpo) == 0.0 and fit.sweep_ms > 0, known
+        assert fit.converged and fit.residual == pytest.approx(max(known, 0.0), rel=1e-12), known
 
 
 def test_sum_unconstrained_matches_exact_add():
@@ -186,15 +210,17 @@ def test_sum_discards_negligible_term():
 
 def test_fits_follow_operand_dtype():
     a, u = real_part(random_mpo(5, 3, 0)), real_part(random_mpo(5, 3, 1))
-    # an exact target norm (block bond 9 <= 64) and a zip-up estimate (bond 144)
+    # zip-up starts (block bonds 9 and 144), and a start from u, whose
+    # bond 3 is the cap, given a target norm (its value does not matter here)
     big = real_part(random_mpo(5, 12, 2))
     fits = [multiply_and_optimize(a, u, 4), multiply_and_optimize(big, big, 20),
-            _fit_sum(u, [(-0.5, a)], 4)]
+            _fit_sum(u, [(-0.5, a)], 4), multiply_and_optimize(a, u, 3, norm_sq=(1.0, 0.0))]
     for fit in fits:
         assert [s.dtype for s in fit.mpo.sites] == [np.float64] * 5
     c = random_mpo(5, 3, 3)
     fits = [multiply_and_optimize(a, c, 4), multiply_and_optimize(c, u, 4),
-            _fit_sum(u, [(-0.5, c)], 4), _fit_sum(c, [(2.0, u)], 4)]
+            _fit_sum(u, [(-0.5, c)], 4), _fit_sum(c, [(2.0, u)], 4),
+            multiply_and_optimize(c, u, 3, norm_sq=(1.0, 0.0))]
     for fit in fits:
         assert [s.dtype for s in fit.mpo.sites] == [np.complex128] * 5
 
@@ -276,31 +302,43 @@ def test_capped_fit_stops_on_plateau():
         assert fit.residual > 1e-3 * mp.frobenius_norm(fit.mpo) ** 2, seed
 
 
-def test_zipup_norm_estimate_on_at_cap_fits(thermal_cache, monkeypatch):
+def test_lanczos_fits_know_their_target_norm(thermal_cache, monkeypatch):
     # The Lanczos steps of a thermal state at a cap far below their block
-    # bonds take ||target||^2 from the zip-up's estimate.  This pins how
-    # far off that estimate is: measured 0.60-1.0 of the true value here
-    # and 0.58-1.0 on the L = 10, beta = 1 state at cap 40.  Below the
-    # true value, the reported residual max(estimate - ||x||^2, 0)
-    # understates the true one, and reads 0 on most of these steps.
-    from mpotrace import lanczos as lz
-    ratios = []
+    # bonds.  The driver passes each fit ||t_k||^2, from the three-term
+    # expansion on a compressed A^H A: it matches the dense value, so the
+    # reported residual is the dense ||t - x||^2 wherever ||t||^2 stands
+    # clear of the expansion's rounding floor, eps ||A U||^2.  A step whose
+    # U_k sits at the cap starts its sweeps from U_k and makes no zip-up; a
+    # step that grows the bond makes one.
+    from mpotrace import lanczos as lz, sweeping
+    zipups, steps = [], []
+    monkeypatch.setattr(sweeping, "_zipup", lambda *args: zipups.append(1) or _zipup(*args))
 
-    def checked(a, u, dnew, opts=None, terms=()):
-        fit = multiply_and_optimize(a, u, dnew, opts, terms)
-        ref = mp.dense(a) @ mp.dense(u) + sum(c * mp.dense(t) for c, t in terms)
-        norm_sq = np.linalg.norm(ref) ** 2
-        res = np.linalg.norm(mp.dense(fit.mpo) - ref) ** 2
-        # objective = estimate - ||x||^2 and res = ||target||^2 - ||x||^2
-        ratios.append((fit.objectives[-1] - res + norm_sq) / norm_sq)
-        assert fit.residual <= res + 1e-10 * norm_sq
+    def checked(a, u, dnew, opts=None, terms=(), norm_sq=None):
+        zipups.clear()
+        fit = multiply_and_optimize(a, u, dnew, opts, terms, norm_sq)
+        if norm_sq is None:
+            # the run's one fit of A^H A
+            return fit
+        au = mp.dense(a) @ mp.dense(u)
+        ref = au + sum(c * mp.dense(t) for c, t in terms)
+        steps.append((u.max_bond() == dnew, len(zipups), np.linalg.norm(au) ** 2,
+                      np.linalg.norm(ref) ** 2, norm_sq[0] * math.exp(norm_sq[1]),
+                      np.linalg.norm(mp.dense(fit.mpo) - ref) ** 2, fit.residual))
         return fit
 
     monkeypatch.setattr(lz, "multiply_and_optimize", checked)
     m = thermal_cache(8, 1.0, 20, 0.01)[0]
     lz.entropy_from_half_state(m, kmax=30, dmax=12)
-    assert sum(r < 0.99 for r in ratios) >= 5
-    assert all(0.5 <= r <= 1.0 + 1e-9 for r in ratios), ratios
+    at_cap = [s for s in steps if s[0]]
+    assert len(at_cap) >= 10 and len(steps) > len(at_cap)
+    for k, (cap, calls, au2, t2, known, res, reported) in enumerate(steps, 1):
+        assert calls == (0 if cap else 1), k
+        assert abs(known - t2) <= 1e-12 * au2, k
+        if t2 > 1e-6 * au2:
+            assert abs(reported - res) <= 1e-8 * t2, k
+    # the at-cap fits truncate: their residuals are far from 0
+    assert max(s[5] / s[3] for s in at_cap) > 0.1
 
 
 @pytest.mark.parametrize("cplx", [False, True])
