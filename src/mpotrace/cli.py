@@ -254,6 +254,8 @@ def cmd_exact(args) -> int:
             raise ValueError("free-fermion oracle requires h = 0")
         if args.method == "auto" and args.L > 12 and args.h != 0:
             raise ValueError("L > 12 with h != 0 has no available oracle")
+        if args.method == "dense" and args.L > ex.DENSE_L_MAX:
+            raise ValueError(f"the dense oracle is capped at L = {ex.DENSE_L_MAX}")
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
@@ -280,6 +282,14 @@ def _as_list(value, name: str) -> list:
     if isinstance(value, (int, float)):
         return [value]
     raise ValueError(f"manifest key {name!r} must be a number or list of numbers")
+
+
+def _as_ints(value, name: str) -> list[int]:
+    """A manifest key of integers: a fraction or a boolean is an error."""
+    vals = _as_list(value, name)
+    if not all(type(v) is int or type(v) is float and v.is_integer() for v in vals):
+        raise ValueError(f"manifest key {name!r} must hold integers, got {vals!r}")
+    return [int(v) for v in vals]
 
 
 def _run_cell(cell, builds, args):
@@ -316,10 +326,10 @@ def cmd_sweep(args) -> int:
             manifest = json.load(fh)
         if not isinstance(manifest, dict):
             raise ValueError("manifest must be a JSON object")
-        ls = [int(v) for v in _as_list(manifest.get("L", []), "L")]
+        ls = _as_ints(manifest.get("L", []), "L")
         betas = [float(v) for v in _as_list(manifest.get("beta", []), "beta")]
-        dmaxes = [int(v) for v in _as_list(manifest.get("dmax", [100]), "dmax")]
-        kmaxes = [int(v) for v in _as_list(manifest.get("kmax", [50]), "kmax")]
+        dmaxes = _as_ints(manifest.get("dmax", [100]), "dmax")
+        kmaxes = _as_ints(manifest.get("kmax", [50]), "kmax")
         jj = float(manifest.get("J", 1.0))
         gg = float(manifest.get("g", 1.0))
         hh = float(manifest.get("h", 0.0))

@@ -142,8 +142,9 @@ class IterationRecord:
     every bond (the driver passes the fit ||t_k||^2), ALS sweep count and
     whether its objective stopped moving before max_sweeps, `warm_ms` /
     `sweep_ms` split its wall time between the warm start (a zip-up on a
-    step that grows the bond, the gauge pass of U_k at the cap) and the
-    sweeps, and `bond` is the max bond of the fitted block.  `alpha_ms`
+    step that grows the bond; about 0 at the cap, whose sweeps start from
+    U_k and gauge it themselves) and the sweeps, and `bond` is the max
+    bond of the fitted block.  `alpha_ms`
     times the exact contraction of alpha, `norm_ms` the contractions of
     ||t_k||^2 (step 2's includes fitting the compressed A^H A once), and
     `quad_ms` the Gauss rule; with the fit they make up most of
@@ -299,8 +300,9 @@ def global_lanczos(
     complex128 otherwise.  alpha_k and the block norms come in log form
     and become floats through one checked step (mp._from_log;
     mp.frobenius_norm for the norms), which raises NumericError naming the
-    quantity when it overflows; ||t_k||^2 stays in log form.  The Gauss rule needs beta_1^2 = d^L as a float64, so
-    longer chains (L >= 1024 at d = 2) raise NumericError.
+    quantity when it overflows; ||t_k||^2 stays in log form.  The Gauss
+    rule needs beta_1^2 = d^L as a float64, so longer chains (L >= 1024
+    at d = 2) raise NumericError.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")

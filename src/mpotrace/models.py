@@ -65,14 +65,13 @@ def _bond_gate(p: IsingParams, i: int, tau: float) -> np.ndarray:
     return ((v * np.exp(-tau * lam)) @ v.T).reshape(2, 2, 2, 2)
 
 
-def _apply_gate(left, right, gate, dbond, center_right):
+def _apply_gate(left, right, gate, dbond):
     """Apply a two-site gate to the physical-out legs of neighboring sites,
     one of which is the orthogonality center, and split back by
     mpo._truncated_split, cut to at most dbond.
 
-    The split's weights go to the right site when center_right, else to
-    the left one: then the split runs on the adjoint of the gate matrix, so
-    that its isometry lands on the right site.  Returns (new_left,
+    The split's isometry is the left site, and its weights, rescaled to
+    unit norm, the right one, the new center.  Returns (new_left,
     new_right, ln of the extracted norm, discarded weight squared relative
     to the norm after the gate).  The environment is isometric, so the
     discarded weight is the exact relative distance the cut adds.
@@ -85,14 +84,9 @@ def _apply_gate(left, right, gate, dbond, center_right):
     # gate (o1',o2' | o1,o2) x theta -> (o1' | i1,Dl | o2' | i2,Dr)
     theta = (gate.reshape(d * d, d * d) @ theta.reshape(d * d, -1)).reshape(d, d, d * dl, d * dr)
     mat = theta.transpose(0, 2, 1, 3).reshape(d * d * dl, d * d * dr)
-    if center_right:
-        u, vh, tail2 = mp._truncated_split(mat, dbond)
-        norm = float(np.linalg.norm(vh))
-        vh = vh / norm
-    else:
-        v, c, tail2 = mp._truncated_split(mat.conj().T, dbond)
-        norm = float(np.linalg.norm(c))
-        u, vh = c.conj().T / norm, v.conj().T
+    u, vh, tail2 = mp._truncated_split(mat, dbond)
+    norm = float(np.linalg.norm(vh))
+    vh = vh / norm
     keep = vh.shape[0]
     new_left = u.reshape(d, d, dl, keep)
     new_right = vh.reshape(keep, d, d, dr).transpose(1, 2, 0, 3)
@@ -113,11 +107,15 @@ def thermal_half_state_report(
 
     The evolution is TEBD-style: the operator stays in mixed canonical
     form, and each layer is one sweep over its gates, left to right for
-    the even layers and right to left for the odd ones.  Before each gate
-    one QR or LQ step moves the orthogonality center onto the gate's pair;
-    the gate's split (mpo._truncated_split) is then cut to at most dbond
-    and to a relative tail weight of at most mpo.TRUNC_EPS.  Around the center the environment
-    is isometric, so each cut's relative discarded weight is exact.  The
+    the even layers and right to left for the odd ones.  An odd layer runs
+    as a left-to-right sweep over the mirrored chain (mpo._flip), where
+    bond i is bond L-2-i and each gate acts on its two sites swapped.
+    Before each gate QR steps move the orthogonality center onto the
+    gate's pair; the gate's split (mpo._truncated_split) is then cut to at
+    most dbond and to a relative tail weight of at most mpo.TRUNC_EPS, and
+    leaves the center on the pair's right site.  Around the center the
+    environment is isometric, so each cut's relative discarded weight is
+    exact.  The
     metadata lists, per layer, the root-sum-square of these weights
     ("discarded") and the max bond.
 
@@ -138,7 +136,10 @@ def thermal_half_state_report(
     odd = list(range(1, p.L - 1, 2))
     even_half = ("even-half", even, {i: _bond_gate(p, i, 0.5 * tau) for i in even})
     even_full = ("even-full", even, {i: _bond_gate(p, i, tau) for i in even})
-    odd_full = ("odd-full", odd, {i: _bond_gate(p, i, tau) for i in odd})
+    # the odd layer on the mirrored chain: bond i is bond L-2-i there, and
+    # its gate acts on the pair's sites swapped
+    odd_full = ("odd-full", [p.L - 2 - i for i in reversed(odd)],
+                {p.L - 2 - i: _bond_gate(p, i, tau).transpose(1, 0, 3, 2) for i in odd})
     # steps [even tau/2][odd tau][even tau/2] meet as [even tau/2][even tau/2],
     # one exact [even tau] layer since the even gates commute
     schedule = [(1, even_half)]
@@ -149,20 +150,20 @@ def thermal_half_state_report(
     log_scale, center = 0.0, 0
     layers = []
     for step, (name, bonds, gates) in schedule:
-        rightward = name.startswith("even")
+        mirrored = name == "odd-full"
+        if mirrored:
+            sites, center = mp._flip(sites), p.L - 1 - center
         disc2 = 0.0
-        for i in bonds if rightward else bonds[::-1]:
+        for i in bonds:
             while center < i:
-                mp._move_center(sites, center, +1)
+                mp._move_center(sites, center)
                 center += 1
-            while center > i + 1:
-                mp._move_center(sites, center, -1)
-                center -= 1
-            sites[i], sites[i + 1], dlog, dd2 = _apply_gate(
-                sites[i], sites[i + 1], gates[i], dbond, rightward)
+            sites[i], sites[i + 1], dlog, dd2 = _apply_gate(sites[i], sites[i + 1], gates[i], dbond)
             log_scale += dlog
             disc2 += dd2
-            center = i + 1 if rightward else i
+            center = i + 1
+        if mirrored:
+            sites, center = mp._flip(sites), p.L - 1 - center
         layers.append(
             {"step": step, "layer": name, "discarded": math.sqrt(disc2),
              "max_bond": max(s.shape[3] for s in sites)}

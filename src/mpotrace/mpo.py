@@ -200,7 +200,7 @@ class _Target:
     per product, and local tensors sum the products' parts.
 
     The kernel holds no state: a caller forms the half-contraction at a
-    site once, `half(i, E)`, and passes it to `local` and `env`.  It
+    site once, `half(i, E)`, and passes it to `parts` and `env`.  It
     contracts left to right only; a pass right to left runs over
     `mirrored()`, the target on the chain read right to left, whose left
     environments are this target's right environments.  The contractions
@@ -243,11 +243,9 @@ class _Target:
         # F_k: (rx, ra, ru); contract ra, ru -> (lx*j*o, rx)
         return [h @ f.transpose(1, 2, 0).reshape(-1, f.shape[0]) for h, f in zip(half, F)]
 
-    def local(self, i, half, F):
-        """The target's part at site i, (o, j, lx, rx), from its
-        half-contraction there and the environments F right of it: the
-        sum of the products' parts."""
-        parts = self.parts(half, F)
+    def local(self, i, parts):
+        """The target's local tensor at site i, (o, j, lx, rx): the sum of
+        the products' parts there."""
         t = sum(parts[1:], parts[0])
         o, j = self.a[0][i].shape[0], self.u[0][i].shape[1]
         return t.reshape(-1, j, o, t.shape[1]).transpose(2, 1, 0, 3)
@@ -346,14 +344,6 @@ def _split_left(site: np.ndarray):
     return q.reshape(d1, d2, dl, -1), r
 
 
-def _split_right(site: np.ndarray):
-    """LQ split of an Mpo site, orthonormal over (out, in, right)."""
-    d1, d2, dl, dr = site.shape
-    mat = site.transpose(2, 0, 1, 3).reshape(dl, d1 * d2 * dr)
-    l, q = tensors.lq(mat)
-    return l, q.reshape(-1, d1, d2, dr).transpose(1, 2, 0, 3)
-
-
 def _into_left_bond(r: np.ndarray, site: np.ndarray) -> np.ndarray:
     """Contract the matrix r (k, Dl) into the left bond of site."""
     o, j, dl, dr = site.shape
@@ -361,18 +351,13 @@ def _into_left_bond(r: np.ndarray, site: np.ndarray) -> np.ndarray:
     return out.reshape(-1, o, j, dr).transpose(1, 2, 0, 3)
 
 
-def _move_center(sites: list, i: int, step: int) -> None:
-    """One gauge step, in place: factor sites[i] into an isometry (QR for
-    step +1, LQ for step -1) and absorb the remainder into sites[i + step],
-    which becomes the orthogonality center.  The dense value is unchanged."""
-    if step > 0:
-        sites[i], r = _split_left(sites[i])
-        sites[i + 1] = _into_left_bond(r, sites[i + 1])
-    else:
-        l, sites[i] = _split_right(sites[i])
-        s0 = sites[i - 1]
-        # l: (Dr, Dr') into the right bond of the neighbor
-        sites[i - 1] = (s0.reshape(-1, s0.shape[3]) @ l).reshape(s0.shape[:3] + (l.shape[1],))
+def _move_center(sites: list, i: int) -> None:
+    """The one gauge step, in place: QR-split sites[i] into a left
+    isometry and absorb R into sites[i + 1], which becomes the
+    orthogonality center.  The dense value is unchanged.  A step to the
+    left is this step on the mirrored chain (_flip)."""
+    sites[i], r = _split_left(sites[i])
+    sites[i + 1] = _into_left_bond(r, sites[i + 1])
 
 
 def _truncation_rank(s: np.ndarray, dmax: int | None) -> tuple[int, float]:
@@ -434,9 +419,13 @@ def canonicalize(a: Mpo, center: int = 0) -> Mpo:
     sites, ln = _unit_sites(a)
     ls = ln if ln > -math.inf else a.log_scale
     for i in range(center):
-        _move_center(sites, i, +1)
-    for i in range(L - 1, center, -1):
-        _move_center(sites, i, -1)
+        _move_center(sites, i)
+    # the sites right of the center, gauged as a left-to-right pass over
+    # their mirror: its left isometries are right isometries here
+    right = _flip(sites[center:])
+    for i in range(L - 1 - center):
+        _move_center(right, i)
+    sites[center:] = _flip(right)
     nrm = np.linalg.norm(sites[center])
     if nrm > 0:
         sites[center] = sites[center] / nrm

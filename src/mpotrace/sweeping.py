@@ -13,8 +13,7 @@ from a compressed A^H A, see lanczos.global_lanczos).  Then the
 objectives and the residual are exact at every bond.  And when u's
 interior bonds already equal the bonds the fit outputs (the cap, clipped
 by the block bond and the chain's natural limits), the sweeps start from
-u in right-canonical gauge: a zip-up could not offer them a larger trial
-space.
+u itself: a zip-up could not offer them a larger trial space.
 Otherwise the warm start is one left-to-right zip-up of the target
 (`_zipup`): at each site the products' parts sit side by side on the
 right bond, and the package's one truncated split (mp._truncated_split),
@@ -26,9 +25,11 @@ The sweeps are alternating least squares (`_run_sweeps`): the trial
 operator is kept in mixed-canonical gauge, so each local problem is
 solved exactly by a plain environment contraction, and the squared
 Frobenius objective never increases from one site update to the next.
-The kernel contracts left to right only: the right-to-left half of a
-sweep is a left-to-right pass over the mirrored target, whose left
-environments are the forward right environments.  Each site update
+They take their start in any gauge.  The kernel contracts left to right
+only: the right-to-left half of a sweep, and the sweeps' gauge pass over
+their start, are left-to-right passes over the mirrored chain and
+target, whose left environments are the forward right environments.
+A complete cancellation is judged once, after the sweeps.  Each site update
 forms one half-contraction, the left environment absorbed into the
 products' sites, and hands it to both the local tensor and the next
 environment.  The sweeps stop when a sweep lowers the objective by no
@@ -86,7 +87,8 @@ class SweepResult:
     passed ||target||^2; without it a truncating fit takes ||target||^2
     from its zip-up, an estimate (see the module docstring).  `warm_ms`
     and `sweep_ms` split the fit's wall time between the warm start (the
-    zip-up, or the gauge pass of u) and the sweeps.
+    zip-up; about 0 for a start from u) and the sweeps, their gauge pass
+    over the start included.
     """
 
     mpo: mp.Mpo
@@ -107,7 +109,7 @@ def _pass(target, lenvs, renvs, sites, norm_sq: float, objectives: list) -> None
     L = len(sites)
     for i in range(L - 1):
         half = target.half(i, lenvs[i])
-        t = target.local(i, half, renvs[L - 1 - i])
+        t = target.local(i, target.parts(half, renvs[L - 1 - i]))
         objectives.append(norm_sq - float(np.vdot(t, t).real))
         q, _ = mp._split_left(t)
         sites[i] = q
@@ -119,8 +121,11 @@ def _pass(target, lenvs, renvs, sites, norm_sq: float, objectives: list) -> None
 def _run_sweeps(x_sites, target, norm_sq: float, opts: SweepOptions):
     """Alternate local solves over the chain; x_sites is modified in place.
 
-    x_sites must be right-canonical from site 1 on; site 0 is never read,
-    because the first local solve overwrites it.  A sweep is a
+    x_sites is the start, in any gauge: the pass that closes the right
+    environments runs over the mirrored chain and QR-splits each site
+    before it closes that site's environment (mp._move_center), so the
+    start is right-canonical from site 1 on; its center, site 0, is never
+    read, because the first local solve overwrites it.  A sweep is a
     left-to-right pass over the target and one over its mirror, which is
     the right-to-left pass of the chain, and a last solve at site 0.
     Returns (objectives, converged, sweeps run, scale_sq), scale_sq being
@@ -142,15 +147,21 @@ def _run_sweeps(x_sites, target, norm_sq: float, opts: SweepOptions):
     # which is the mirror's left environment of its first j sites
     fwd, bwd = [target.boundary()] + [None] * L, [target.boundary()] + [None] * L
     back = mp._flip(x_sites)
+    # the sweeps write every site before they read it: drop the start's,
+    # and each isometry once its environment is closed
+    x_sites[:] = [None] * L
     for j in range(L - 1):
+        mp._move_center(back, j)
         bwd[j + 1] = mirror.env(j, mirror.half(j, bwd[j]), back[j])
+        back[j] = None
     objectives = []
     converged = False
     prev = first_gain = None
     for sweeps in range(1, opts.max_sweeps + 1):
         _pass(target, fwd, bwd, x_sites, norm_sq, objectives)
         _pass(mirror, bwd, fwd, back, norm_sq, objectives)
-        t = target.local(0, target.half(0, fwd[0]), bwd[L - 1])
+        parts = target.parts(target.half(0, fwd[0]), bwd[L - 1])
+        t = target.local(0, parts)
         x_sites[0] = t
         obj = norm_sq - float(np.vdot(t, t).real)
         objectives.append(obj)
@@ -162,8 +173,7 @@ def _run_sweeps(x_sites, target, norm_sq: float, opts: SweepOptions):
         prev = obj
     # the mirror pass wrote sites 1..L-1 last
     x_sites[1:] = mp._flip(back)[1:]
-    scale_sq = _scale_sq(target.parts(target.half(0, fwd[0]), bwd[L - 1]))
-    return objectives, converged, sweeps, scale_sq
+    return objectives, converged, sweeps, _scale_sq(parts)
 
 
 def _scale_sq(parts) -> float:
@@ -181,13 +191,12 @@ def _zipup(target: mp._Target, cap: int):
     side by side, so the carried weights of all of them, a term (c*I)@t
     among them, meet in one factorization.  The kept left singular
     vectors are the site, and the carry is the split's weights, U^H @
-    block (= diag(s) V^H on the kept rows).  Returns (sites, norm_sq,
-    scale_sq): sites in right-canonical gauge (center 0), the form the
-    sweeps start from; norm_sq, the norm of the last site plus the
-    discarded weight, is ||target||^2, exact when nothing is discarded and
-    an estimate otherwise, because the discarded weights are measured
-    against a right side that is not isometric; scale_sq is the parts'
-    scale at the last site (_scale_sq)."""
+    block (= diag(s) V^H on the kept rows).  Returns (sites, norm_sq):
+    sites left-isometric but the last, which holds the weight; norm_sq,
+    the norm of the last site plus the discarded weight, is ||target||^2,
+    exact when nothing is discarded and an estimate otherwise, because the
+    discarded weights are measured against a right side that is not
+    isometric."""
     L = len(target.a[0])
     carries = target.boundary()
     sites = []
@@ -197,14 +206,8 @@ def _zipup(target: mp._Target, cap: int):
         blocks = target.half(i, carries)
         if i == L - 1:
             # every part's right boundary bond is 1: the site is their sum
-            site = sum(blocks[1:], blocks[0])
-            sites.append(site.reshape(x, j, o, 1).transpose(2, 1, 0, 3))
-            norm_sq = float(np.vdot(site, site).real) + disc2
-            scale_sq = _scale_sq(blocks)
-            # gauge right to left; site 0, the center, is never read
-            for k in range(L - 1, 0, -1):
-                mp._move_center(sites, k, -1)
-            return sites, norm_sq, scale_sq
+            sites.append(target.local(i, blocks))
+            return sites, float(np.vdot(sites[i], sites[i]).real) + disc2
         mat = np.concatenate(blocks, axis=1)
         # the parts are as large as mat: free them, so that no two copies
         # are held through the factorization
@@ -309,24 +312,19 @@ def multiply_and_optimize(a: mp.Mpo, u: mp.Mpo, dnew: int | None, opts: SweepOpt
         min(cap, b, (d * d) ** min(i + 1, L - 1 - i)) for i, b in enumerate(blocks)]
     if from_u:
         # a zip-up could not offer the sweeps a larger trial space than u
-        # spans; they start from u, right-canonical from site 1 on
+        # spans; they start from u
         x_sites = list(products[0][1])
-        for k in range(L - 1, 0, -1):
-            mp._move_center(x_sites, k, -1)
     else:
-        x_sites, zip_sq, scale_sq = _zipup(target, cap)
+        x_sites, zip_sq = _zipup(target, cap)
         norm_sq = zip_sq if norm_sq is None else norm_sq
-        if zip_sq <= _CANCELLED * scale_sq:
-            return _zero_result(L, d, mp._scaled(max(norm_sq, 0.0), 2.0 * ls),
-                                (time.perf_counter() - t0) * 1e3)
 
     t1 = time.perf_counter()
     objectives, converged, sweeps, scale_sq = _run_sweeps(x_sites, target, norm_sq, opts)
     t2 = time.perf_counter()
-    # without a zip-up the fit judges a complete cancellation by its own
-    # norm: the known norm's rounding floor, eps * ||a u||^2, lies far
-    # above the threshold
-    if from_u and float(np.vdot(x_sites[0], x_sites[0]).real) <= _CANCELLED * scale_sq:
+    # a complete cancellation is judged once, by the norm of the result:
+    # a known norm's rounding floor, eps * ||a u||^2, lies far above the
+    # threshold
+    if float(np.vdot(x_sites[0], x_sites[0]).real) <= _CANCELLED * scale_sq:
         return _zero_result(L, d, mp._scaled(max(norm_sq, 0.0), 2.0 * ls),
                             (t1 - t0) * 1e3, (t2 - t1) * 1e3)
     return _fit_result(x_sites, ls, cap < exact_bond, objectives, converged, sweeps,

@@ -9,6 +9,8 @@ eigensolver.
 There is one SVD, `svd`, and it returns only the left factor and the
 singular values: every caller cuts it through mpo._truncated_split,
 which forms the kept rows of the right factor by one matrix product.
+There is one QR, `qr`, and no LQ: a gauge step to the left is a QR step
+on the mirrored chain (mpo._flip).
 
 scipy loads only on the rare gesdd -> gesvd fallback of svd, so the
 package imports without it: importing scipy.linalg costs about 0.4 s and
@@ -72,12 +74,6 @@ def svd(a: Tensor) -> tuple[Tensor, np.ndarray]:
 def qr(a: Tensor) -> tuple[Tensor, Tensor]:
     """Reduced QR factorization of a matrix."""
     return np.linalg.qr(_matrix(a, "qr"), mode="reduced")
-
-
-def lq(a: Tensor) -> tuple[Tensor, Tensor]:
-    """Reduced LQ factorization: a = L @ Q with orthonormal rows of Q."""
-    q, r = qr(a.conj().T)
-    return r.conj().T, q.conj().T
 
 
 def symmetric_tridiag_eig(alphas: Sequence[float], betas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:

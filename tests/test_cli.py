@@ -335,6 +335,11 @@ def test_exact_rejects_field_with_free_fermion():
     assert run_cli("exact", "--L", "14", "--beta", "0.5", "--h", "0.3") == 2
 
 
+def test_exact_dense_cap_is_usage_error(capsys):
+    assert run_cli("exact", "--L", "16", "--beta", "0.5", "--method", "dense") == 2
+    assert "usage error" in capsys.readouterr().err
+
+
 def run_two_cell_sweep(tmp_path):
     manifest = str(tmp_path / "m.json")
     out = str(tmp_path / "rows.csv")
@@ -383,6 +388,20 @@ def test_sweep_rejects_non_finite_dtau(tmp_path):
         json.dump({"L": [4], "beta": [0.2], "dmax": [8], "kmax": [4]}, fh)
     out = tmp_path / "rows.csv"
     assert run_cli("sweep", "--manifest", manifest, "--out", str(out), "--dtau", "nan") == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("L", [4.7]), ("L", [True]), ("dmax", [8.9]),
+                                       ("kmax", 4.5), ("kmax", ["4"])])
+def test_sweep_rejects_non_integral_manifest_values(tmp_path, key, value):
+    # a fraction or a boolean is a usage error, not truncated to an integer
+    manifest = str(tmp_path / "m.json")
+    cell = {"L": [4], "beta": [0.2], "dmax": [8], "kmax": [4]}
+    cell[key] = value
+    with open(manifest, "w", encoding="utf-8") as fh:
+        json.dump(cell, fh)
+    out = tmp_path / "rows.csv"
+    assert run_cli("sweep", "--manifest", manifest, "--out", str(out)) == 2
     assert not out.exists()
 
 

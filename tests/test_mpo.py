@@ -159,18 +159,24 @@ def test_exact_multiply_dense_oracle():
 
 
 def test_canonicalize_value_and_isometries():
-    m = random_mpo(5, 4, 3)
-    ref = mp.dense(m)
-    g = mp.canonicalize(m, center=3)
-    assert np.allclose(mp.dense(g), ref, atol=1e-10 * np.max(np.abs(ref)))
-    for i, s in enumerate(g.sites):
-        d1, d2, dl, dr = s.shape
-        if i < 3:
-            mat = s.reshape(d1 * d2 * dl, dr)
-            assert np.linalg.norm(mat.conj().T @ mat - np.eye(dr)) < 1e-12, f"site {i} not left-isometric"
-        elif i > 3:
-            mat = s.transpose(2, 0, 1, 3).reshape(dl, d1 * d2 * dr)
-            assert np.linalg.norm(mat @ mat.conj().T - np.eye(dl)) < 1e-12, f"site {i} not right-isometric"
+    # every center, on a real and on a complex operand
+    cplx = random_mpo(5, 4, 3)
+    for m, center in [(m, c) for m in (real_part(cplx), cplx) for c in range(5)]:
+        ref = mp.dense(m)
+        g = mp.canonicalize(m, center=center)
+        where = (m.dtype, center)
+        assert g.dtype == m.dtype, where
+        assert np.allclose(mp.dense(g), ref, atol=1e-10 * np.max(np.abs(ref))), where
+        assert abs(np.linalg.norm(g.sites[center]) - 1.0) < 1e-12, where
+        assert abs(g.ln_norm - math.log(np.linalg.norm(ref))) < 1e-12, where
+        for i, s in enumerate(g.sites):
+            d1, d2, dl, dr = s.shape
+            if i < center:
+                mat = s.reshape(d1 * d2 * dl, dr)
+                assert np.linalg.norm(mat.conj().T @ mat - np.eye(dr)) < 1e-12, (where, i, "left")
+            elif i > center:
+                mat = s.transpose(2, 0, 1, 3).reshape(dl, d1 * d2 * dr)
+                assert np.linalg.norm(mat @ mat.conj().T - np.eye(dl)) < 1e-12, (where, i, "right")
 
 
 def test_canonicalize_idempotent():

@@ -375,8 +375,8 @@ def test_target_mirror_matches_forward(cplx):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), i
     # the mirror's local is the forward one with the bond legs swapped
     for i in range(5):
-        local = target.local(i, target.half(i, fwd[i]), bwd[4 - i])
-        flipped = mirror.local(4 - i, mirror.half(4 - i, bwd[4 - i]), fwd[i])
+        local = target.local(i, target.parts(target.half(i, fwd[i]), bwd[4 - i]))
+        flipped = mirror.local(4 - i, mirror.parts(mirror.half(4 - i, bwd[4 - i]), fwd[i]))
         assert np.linalg.norm(flipped - local.transpose(0, 1, 3, 2)) <= 1e-12 * np.linalg.norm(
             local), i
     # the fit built on it still never raises its objective between updates
@@ -385,3 +385,47 @@ def test_target_mirror_matches_forward(cplx):
     obj = fit.objectives
     for j in range(1, len(obj)):
         assert obj[j] <= obj[j - 1] + 1e-12 * max(abs(obj[0]), 1.0), j
+
+
+def _gauged(sites, seed):
+    """The same chain in another gauge: a random invertible matrix on the
+    right bond of every site but the last, its inverse on the next left
+    bond."""
+    rng = np.random.default_rng(seed)
+    sites = list(sites)
+    for i in range(len(sites) - 1):
+        dr = sites[i].shape[3]
+        g = np.eye(dr) + 0.3 * rng.standard_normal((dr, dr))
+        sites[i] = sites[i] @ g
+        sites[i + 1] = np.einsum("ab,ojbc->ojac", np.linalg.inv(g), sites[i + 1])
+    return sites
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_sweeps_gauge_their_start(cplx, monkeypatch):
+    # the sweeps take their start in any gauge: a start with a random
+    # gauge on every bond gives the fit of the start itself.  At the cap,
+    # bond 3, the start is u; a fit that grows the bond of a bond-2 u
+    # starts from its zip-up
+    from mpotrace import sweeping
+    a, u, u_prev, alpha = _lanczos_operands(cplx)
+    small = random_mpo(5, 2, 8) if cplx else real_part(random_mpo(5, 2, 8))
+    for start in (u, small):
+        terms = [(-alpha, start), (-0.7, u_prev)]
+        ref = mp.dense(a) @ mp.dense(start) + sum(c * mp.dense(t) for c, t in terms)
+        norm_sq = (np.linalg.norm(ref) ** 2, 0.0)
+        plain = multiply_and_optimize(a, start, 3, terms=terms, norm_sq=norm_sq)
+        if start is u:
+            gauged = mp.Mpo(tuple(_gauged(u.sites, 7)), u.log_scale)
+            moved = multiply_and_optimize(a, gauged, 3, terms=terms, norm_sq=norm_sq)
+        else:
+            with monkeypatch.context() as m:
+                m.setattr(sweeping, "_zipup", lambda *args: (
+                    lambda sites, nsq: (_gauged(sites, 9), nsq))(*_zipup(*args)))
+                moved = multiply_and_optimize(a, start, 3, terms=terms, norm_sq=norm_sq)
+        want = mp.dense(plain.mpo)
+        # the fits truncate
+        assert np.linalg.norm(want - ref) ** 2 > 1e-6 * norm_sq[0]
+        dist = np.linalg.norm(mp.dense(moved.mpo) - want)
+        assert dist <= 1e-12 * np.linalg.norm(want), (start.max_bond(), dist)
+        assert moved.sweeps == plain.sweeps and moved.mpo.bond_dims() == plain.mpo.bond_dims()

@@ -53,15 +53,6 @@ def test_qr_scaled_diagonal():
     assert np.allclose(np.abs(np.diag(r)), [2.0, 3.0])
 
 
-def test_lq_orthonormal_rows():
-    for seed in range(5):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        low, q = tensors.lq(a)
-        assert np.linalg.norm(q @ q.conj().T - np.eye(3)) < 1e-12
-        assert np.linalg.norm(low @ q - a) < 1e-12
-
-
 def test_tridiag_eig_single_entry():
     w, v = tensors.symmetric_tridiag_eig([5.0], [])
     assert np.allclose(w, [5.0])
