@@ -115,9 +115,8 @@ def thermal_half_state_report(
     most dbond and to a relative tail weight of at most mpo.TRUNC_EPS, and
     leaves the center on the pair's right site.  Around the center the
     environment is isometric, so each cut's relative discarded weight is
-    exact.  The
-    metadata lists, per layer, the root-sum-square of these weights
-    ("discarded") and the max bond.
+    exact.  The metadata lists, per layer, the root-sum-square of these
+    weights ("discarded") and the max bond.
 
     It starts from the exact identity, unscaled eye sites (1/sqrt(2) has
     no exact float): each is sqrt(2) times an isometry, which keeps those

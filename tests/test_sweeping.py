@@ -408,6 +408,11 @@ def test_sweeps_gauge_their_start(cplx, monkeypatch):
     # bond 3, the start is u; a fit that grows the bond of a bond-2 u
     # starts from its zip-up
     from mpotrace import sweeping
+
+    def gauged_zipup(*args):
+        sites, nsq = _zipup(*args)
+        return _gauged(sites, 9), nsq
+
     a, u, u_prev, alpha = _lanczos_operands(cplx)
     small = random_mpo(5, 2, 8) if cplx else real_part(random_mpo(5, 2, 8))
     for start in (u, small):
@@ -420,8 +425,7 @@ def test_sweeps_gauge_their_start(cplx, monkeypatch):
             moved = multiply_and_optimize(a, gauged, 3, terms=terms, norm_sq=norm_sq)
         else:
             with monkeypatch.context() as m:
-                m.setattr(sweeping, "_zipup", lambda *args: (
-                    lambda sites, nsq: (_gauged(sites, 9), nsq))(*_zipup(*args)))
+                m.setattr(sweeping, "_zipup", gauged_zipup)
                 moved = multiply_and_optimize(a, start, 3, terms=terms, norm_sq=norm_sq)
         want = mp.dense(plain.mpo)
         # the fits truncate
