@@ -136,15 +136,13 @@ def cmd_build_thermal(args) -> int:
             worst["step"], worst["layer"], worst["discarded"],
         )
     if args.state == "full":
-        fit = multiply_and_optimize(m, mp.adjoint(m), args.bond_dim)
-        rho = fit.mpo
+        rho = multiply_and_optimize(m, mp.adjoint(m), args.bond_dim).mpo
         # tr rho = <I, rho> = mant * exp(ln_tr), kept in log form
         mant, ln_tr = mp.inner_product_scaled(mp.identity_mpo(rho.L, rho.d), rho)
         if not mant.real > 0:
             print(f"error: Gibbs state trace {mant!r} * e^{ln_tr!r} is not positive", file=sys.stderr)
             return 1
         m = mp.shift_log_scale(rho, -(math.log(mant.real) + ln_tr))
-        meta["squaring_residual"] = float(fit.residual)
     meta.update(
         state=args.state,
         params={"L": params.L, "J": params.J, "g": params.g, "h": params.h,
@@ -169,6 +167,8 @@ def _parse_function(text: str):
             coeffs = [float(c) for c in parts]
         except ValueError:
             raise ValueError(f"bad polynomial coefficients in {text!r}")
+        if not all(math.isfinite(c) for c in coeffs):
+            raise ValueError(f"polynomial coefficients must be finite, got {text!r}")
         return lz.polynomial_function(coeffs)
     raise ValueError(f"unknown function {text!r} (want entropy, trace, or poly:<c0,c1,...>)")
 
@@ -276,18 +276,22 @@ SWEEP_COLUMNS = (
 )
 
 
-def _as_list(value, name: str) -> list:
-    if isinstance(value, list):
-        return value
-    if isinstance(value, (int, float)):
-        return [value]
-    raise ValueError(f"manifest key {name!r} must be a number or list of numbers")
+def _as_number(value, name: str) -> float:
+    """A manifest number: a boolean or a string is an error."""
+    if type(value) not in (int, float):
+        raise ValueError(f"manifest key {name!r} must hold numbers, got {value!r}")
+    return float(value)
+
+
+def _as_list(value, name: str) -> list[float]:
+    """A manifest key of one number or a list of them."""
+    return [_as_number(v, name) for v in (value if isinstance(value, list) else [value])]
 
 
 def _as_ints(value, name: str) -> list[int]:
-    """A manifest key of integers: a fraction or a boolean is an error."""
+    """A manifest key of integers: a fraction is an error too."""
     vals = _as_list(value, name)
-    if not all(type(v) is int or type(v) is float and v.is_integer() for v in vals):
+    if not all(v.is_integer() for v in vals):
         raise ValueError(f"manifest key {name!r} must hold integers, got {vals!r}")
     return [int(v) for v in vals]
 
@@ -327,12 +331,11 @@ def cmd_sweep(args) -> int:
         if not isinstance(manifest, dict):
             raise ValueError("manifest must be a JSON object")
         ls = _as_ints(manifest.get("L", []), "L")
-        betas = [float(v) for v in _as_list(manifest.get("beta", []), "beta")]
+        betas = _as_list(manifest.get("beta", []), "beta")
         dmaxes = _as_ints(manifest.get("dmax", [100]), "dmax")
         kmaxes = _as_ints(manifest.get("kmax", [50]), "kmax")
-        jj = float(manifest.get("J", 1.0))
-        gg = float(manifest.get("g", 1.0))
-        hh = float(manifest.get("h", 0.0))
+        jj, gg, hh = (_as_number(manifest.get(key, default), key)
+                      for key, default in (("J", 1.0), ("g", 1.0), ("h", 0.0)))
         cells = [
             {"L": L, "beta": beta, "dmax": dmax, "kmax": kmax, "J": jj, "g": gg, "h": hh}
             for L in ls for beta in betas for dmax in dmaxes for kmax in kmaxes

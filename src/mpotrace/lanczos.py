@@ -12,7 +12,6 @@ approximates tr f(A) and is exact for polynomials of degree <= 2k-1.
 """
 from __future__ import annotations
 
-import logging
 import math
 import time
 from dataclasses import dataclass, field
@@ -25,9 +24,7 @@ from . import mpo as mp
 from . import tensors
 from .sweeping import expectation, multiply_and_optimize
 
-logger = logging.getLogger("mpotrace.lanczos")
-
-# relative floor under which a new block norm counts as exact breakdown
+# share of ||A U_{k-1}|| under which a new block norm counts as exact breakdown
 BREAKDOWN_RTOL = 1e-13
 # beta_1^2 = tr(I) = d^L must stay below the largest float64
 _LN_FLOAT_MAX = math.log(np.finfo(np.float64).max)
@@ -109,8 +106,6 @@ def entropy_integrand() -> SpectralFunction:
     on lam > 0, so the quadrature of f approaches tr f(A) from below."""
 
     def fn(lam):
-        if lam < 0:
-            logger.warning("entropy integrand evaluated at negative node %g", lam)
         a = abs(lam)
         if a < 1e-300:
             return 0.0
@@ -290,10 +285,14 @@ def global_lanczos(
     U_{k-1} from its three-term expansion (_target_norm_sq).  Its
     ||A U_k||^2 is <U_k, A^H A U_k> on A^H A fitted once per run at twice
     a's bond, from step 2 on; U_1 is the identity over its norm, so
-    ||A U_1||^2 = ||A||^2 / ||I||^2.  The step then makes one variational
-    fit of t_k, given ||t_k||^2, at bond cap dmax (None: uncapped), which
-    the fit clips to the residual's exact bond, and evaluates the Gauss
-    rule on the accumulated tridiagonal matrix.  The run's estimate is the
+    ||A U_1||^2 = ||A||^2 / ||I||^2.  ||A U_k|| is the scale against
+    which the step judges alpha_k's imaginary part, before it makes any
+    fit of its own (HermiticityError above 1e-8 of it), and the next step
+    the new block's norm (breakdown below BREAKDOWN_RTOL of it).  The step
+    then makes one variational fit of t_k, given ||t_k||^2, at bond cap
+    dmax (None: uncapped), which the fit clips to the residual's exact
+    bond, and evaluates the Gauss rule on the accumulated tridiagonal
+    matrix.  The run's estimate is the
     last step's, except on a Ritz violation: then it is the step before,
     whose Ritz values still kept the floor (step 1 keeps its own).  Every
     step stays in the records.  The blocks are float64 when a is real,
@@ -321,7 +320,7 @@ def global_lanczos(
     beta1 = math.nan
     u_prev: mp.Mpo | None = None
     a2: mp.Mpo | None = None  # A^H A, compressed
-    v_scale = 0.0  # magnitude of the pre-normalization block, for breakdown detection
+    ln_au = -math.inf  # ln ||A U_{k-1}||
 
     for k in range(1, kmax + 1):
         t0 = time.perf_counter()
@@ -329,7 +328,7 @@ def global_lanczos(
         beta = mp.frobenius_norm(v)
         if k == 1:
             beta1 = beta
-        elif beta <= BREAKDOWN_RTOL * v_scale:
+        elif ln_v <= math.log(BREAKDOWN_RTOL) + ln_au:
             # Krylov space exhausted: T_{k-1} reproduces the operator
             # exactly on the subspace and the last estimate is final
             run.stop_reason = STOP_BREAKDOWN
@@ -353,21 +352,20 @@ def global_lanczos(
                 a2 = multiply_and_optimize(mp.adjoint(a), a, 2 * a.max_bond()).mpo
             # ||A U||^2 = <U, A^H A U>
             au_sq = expectation(a2, u)
+        # ||A U_k||, in log form: the scale of the terms that form the new
+        # residual, against which alpha_k's imaginary part is judged
+        ln_au = 0.5 * (math.log(au_sq[0].real) + au_sq[1]) if au_sq[0].real > 0 else -math.inf
+        if mp._scaled(abs(alpha_c.imag), -ln_au) > 1e-8:
+            raise HermiticityError(
+                f"step {k}: <U, A U> = {alpha_c!r} has a relative imaginary part "
+                f"above 1e-8; the operator is not Hermitian to tolerance"
+            )
         norm_sq = _target_norm_sq(a, u, u_prev, au_sq, alpha, ln_v)
         norm_ms = (time.perf_counter() - t_norm) * 1e3
         # beta_1 is the start norm and never enters the subtraction
         terms = [(-alpha, u)] if u_prev is None else [(-alpha, u), (-beta, u_prev)]
         fit = multiply_and_optimize(a, u, dmax, terms=terms, norm_sq=norm_sq)
         v = fit.mpo
-
-        # ||A U_k|| by the three-term relation: the scale of the terms that
-        # formed the new residual
-        v_scale = math.hypot(abs(alpha_c), beta if k > 1 else 0.0, mp.frobenius_norm(v))
-        if abs(alpha_c.imag) > 1e-8 * max(v_scale, 1e-300):
-            raise HermiticityError(
-                f"step {k}: <U, A U> = {alpha_c!r} has a relative imaginary part "
-                f"above 1e-8; the operator is not Hermitian to tolerance"
-            )
         alphas.append(alpha)
 
         tri = TridiagonalMatrix(tuple(alphas), tuple(betas))

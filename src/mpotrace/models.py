@@ -10,7 +10,6 @@ cut to the bond cap where it is made, so its discarded weight is exact
 (Vidal, PRL 91, 147902 (2003); Zwolak & Vidal, PRL 93, 207205 (2004))."""
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -18,8 +17,6 @@ import numpy as np
 
 from . import mpo as mp
 from .mpo import Mpo
-
-logger = logging.getLogger("mpotrace.models")
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])

@@ -9,17 +9,17 @@ package's one kernel, mp._Target: the warm start, both halves of a
 sweep, and `expectation`, which closes <u, a u> in log form (mp._close).
 
 A caller that knows ||target||^2 passes it (a Lanczos step computes it
-from a compressed A^H A, see lanczos.global_lanczos).  Then the
-objectives and the residual are exact at every bond.  And when u's
-interior bonds already equal the bonds the fit outputs (the cap, clipped
-by the block bond and the chain's natural limits), the sweeps start from
-u itself: a zip-up could not offer them a larger trial space.
-Otherwise the warm start is one left-to-right zip-up of the target
-(`_zipup`): at each site the products' parts sit side by side on the
-right bond, and the package's one truncated split (mp._truncated_split),
-capped at the bond limit, separates them.  It also yields ||target||^2,
-exact when the cap discards nothing and an estimate otherwise, which a
-fit without a known norm works with.
+from a compressed A^H A, see lanczos.global_lanczos).  It offsets the
+objectives and turns the fit's ||x||^2 into the exact residual
+||target||^2 - ||x||^2 at every bond; a fit that truncates and is not
+given it reports no residual.  When u's interior bonds already equal the
+bonds the fit outputs (the cap, clipped by the block bond and the chain's
+natural limits), the sweeps start from u itself: a zip-up could not
+offer them a larger trial space.  Otherwise the warm start is one
+left-to-right zip-up of the target (`_zipup`): at each site the
+products' parts sit side by side on the right bond, and the package's
+one truncated split (mp._truncated_split), capped at the bond limit,
+separates them.
 
 The sweeps are alternating least squares (`_run_sweeps`): the trial
 operator is kept in mixed-canonical gauge, so each local problem is
@@ -33,11 +33,11 @@ A complete cancellation is judged once, after the sweeps.  Each site update
 forms one half-contraction, the left environment absorbed into the
 products' sites, and hands it to both the local tensor and the next
 environment.  The sweeps stop when a sweep lowers the objective by no
-more than rel_tol of ||target||^2, or by no more than a fixed share of
-what the first sweep lowered it by (the truncation plateau of a capped
-fit).  Both are differences of objectives, so the rule holds where
-||target||^2 is only the zip-up's estimate; the residual the fit
-reports does not.
+more than _REL_TOL of the fit's own ||x||^2 after its first sweep, or by
+no more than a fixed share of what the first sweep lowered it by (the
+truncation plateau of a capped fit).  Both are differences of
+objectives, from which ||target||^2 cancels, so the rule does not need
+it.
 """
 from __future__ import annotations
 
@@ -51,7 +51,9 @@ from .errors import DimensionError
 from . import mpo as mp
 from . import tensors
 
-_TINY = 1e-300
+# a sweep that lowers the objective by at most this share of the fit's
+# ||x||^2 after its first sweep has converged
+_REL_TOL = 1e-9
 # a sweep that lowers the objective by at most this share of what the
 # first sweep lowered it by has reached the truncation plateau
 _PLATEAU = 1e-2
@@ -65,13 +67,10 @@ class SweepOptions:
     """Knobs for the alternating sweeps."""
 
     max_sweeps: int = 8
-    rel_tol: float = 1e-9
 
     def __post_init__(self):
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be > 0")
 
 
 @dataclass
@@ -81,11 +80,10 @@ class SweepResult:
     `converged` is true when the objective stopped moving before
     `max_sweeps` (or the fit needed no sweeps), `sweeps` counts the ALS
     sweeps run, and `objectives` is the squared-distance objective after
-    every site update.  `residual` is the squared distance to the target:
-    0 when the cap truncates nothing, else the last objective,
-    ||target||^2 - ||x||^2, floored at 0.  It is exact when the caller
-    passed ||target||^2; without it a truncating fit takes ||target||^2
-    from its zip-up, an estimate (see the module docstring).  `warm_ms`
+    every site update, ||target||^2 - ||x||^2, or -||x||^2 when the caller
+    did not pass ||target||^2.  `residual` is the squared distance to the
+    target: 0 when the cap truncates nothing, else the last objective,
+    floored at 0, and NaN when that objective lacks ||target||^2.  `warm_ms`
     and `sweep_ms` split the fit's wall time between the warm start (the
     zip-up; about 0 for a start from u) and the sweeps, their gauge pass
     over the start included.
@@ -135,13 +133,12 @@ def _run_sweeps(x_sites, target, norm_sq: float, opts: SweepOptions):
     It is a difference of nearly equal numbers, so for an exact fit it
     rounds to either sign; convergence is therefore judged only by the
     change between two sweeps, never by the objective's own size: the
-    sweeps stop when one lowers the objective by at most rel_tol *
-    norm_sq, or by at most _PLATEAU of what the first sweep lowered it by
-    (the fit sits on its truncation plateau).  norm_sq cancels from both
-    gains.
+    sweeps stop when one lowers the objective by at most _REL_TOL of
+    |center|^2 after the first sweep, or by at most _PLATEAU of what the
+    first sweep lowered it by (the fit sits on its truncation plateau).
+    norm_sq, 0 when the caller does not know it, cancels from both gains.
     """
     L = len(x_sites)
-    tol = opts.rel_tol * max(norm_sq, _TINY)
     mirror = target.mirrored()
     # fwd[i]: environment of sites 0..i-1; bwd[j]: of sites L-j..L-1,
     # which is the mirror's left environment of its first j sites
@@ -156,17 +153,18 @@ def _run_sweeps(x_sites, target, norm_sq: float, opts: SweepOptions):
         back[j] = None
     objectives = []
     converged = False
-    prev = first_gain = None
+    prev = tol = first_gain = None
     for sweeps in range(1, opts.max_sweeps + 1):
         _pass(target, fwd, bwd, x_sites, norm_sq, objectives)
         _pass(mirror, bwd, fwd, back, norm_sq, objectives)
         parts = target.parts(target.half(0, fwd[0]), bwd[L - 1])
         t = target.local(0, parts)
         x_sites[0] = t
-        obj = norm_sq - float(np.vdot(t, t).real)
+        xsq = float(np.vdot(t, t).real)
+        obj = norm_sq - xsq
         objectives.append(obj)
         if prev is None:
-            first_gain = objectives[0] - obj
+            tol, first_gain = _REL_TOL * xsq, objectives[0] - obj
         elif prev - obj <= max(tol, _PLATEAU * first_gain):
             converged = True
             break
@@ -191,30 +189,24 @@ def _zipup(target: mp._Target, cap: int):
     side by side, so the carried weights of all of them, a term (c*I)@t
     among them, meet in one factorization.  The kept left singular
     vectors are the site, and the carry is the split's weights, U^H @
-    block (= diag(s) V^H on the kept rows).  Returns (sites, norm_sq):
-    sites left-isometric but the last, which holds the weight; norm_sq,
-    the norm of the last site plus the discarded weight, is ||target||^2,
-    exact when nothing is discarded and an estimate otherwise, because the
-    discarded weights are measured against a right side that is not
-    isometric."""
+    block (= diag(s) V^H on the kept rows).  Returns the sites,
+    left-isometric but the last, which holds the weight."""
     L = len(target.a[0])
     carries = target.boundary()
     sites = []
-    disc2 = 0.0
     for i in range(L):
         o, j, x = target.a[0][i].shape[0], target.u[0][i].shape[1], carries[0].shape[0]
         blocks = target.half(i, carries)
         if i == L - 1:
             # every part's right boundary bond is 1: the site is their sum
             sites.append(target.local(i, blocks))
-            return sites, float(np.vdot(sites[i], sites[i]).real) + disc2
+            return sites
         mat = np.concatenate(blocks, axis=1)
         # the parts are as large as mat: free them, so that no two copies
         # are held through the factorization
         del blocks
-        kept, right, tail2 = mp._truncated_split(mat, cap)
+        kept, right, _ = mp._truncated_split(mat, cap)
         del mat
-        disc2 += tail2
         keep = kept.shape[1]
         sites.append(kept.reshape(x, j, o, keep).transpose(2, 1, 0, 3))
         carries, off = [], 0
@@ -224,18 +216,25 @@ def _zipup(target: mp._Target, cap: int):
             off += ra * ru
 
 
-def _fit_result(x_sites, ls: float, truncated: bool, objectives, converged: bool, sweeps: int,
-                warm_ms: float, sweep_ms: float) -> SweepResult:
+def _fit_result(x_sites, ls: float, truncated: bool, known: bool, objectives, converged: bool,
+                sweeps: int, warm_ms: float, sweep_ms: float) -> SweepResult:
     """Package the swept sites with the output scale exp(ls).  The sweeps
     end with site 0 as the orthogonality center and every other site
     isometric, so ln||x|| is ls plus ln of the center's Frobenius norm.
     A fit whose cap truncates nothing reproduces its target, and its last
-    objective is rounding noise of either sign, so its residual reads 0."""
+    objective is rounding noise of either sign, so its residual reads 0.
+    One that truncates has a residual only when ||target||^2 is known."""
     nsq = float(np.vdot(x_sites[0], x_sites[0]).real)
     x = mp.Mpo(tuple(x_sites), ls, ls + 0.5 * math.log(nsq) if nsq > 0 else -math.inf)
+    if not truncated:
+        residual = 0.0
+    elif known:
+        residual = mp._scaled(max(objectives[-1], 0.0), 2.0 * ls)
+    else:
+        residual = math.nan
     return SweepResult(
         mpo=x,
-        residual=mp._scaled(max(objectives[-1], 0.0), 2.0 * ls) if truncated else 0.0,
+        residual=residual,
         converged=converged,
         sweeps=sweeps,
         objectives=[mp._scaled(o, 2.0 * ls) for o in objectives],
@@ -267,12 +266,13 @@ def multiply_and_optimize(a: mp.Mpo, u: mp.Mpo, dnew: int | None, opts: SweepOpt
     `terms` is a sequence of (c_k, Mpo) pairs; the default () fits the
     plain product.  `norm_sq` is the target's squared norm when the caller
     knows it, in log form (mantissa, log): value = mantissa * exp(log).
-    With it the residual is exact at every bond, and a fit whose u already
-    has the bonds the fit outputs starts its sweeps from u instead of a
-    zip-up (see the module docstring).  Returns a SweepResult whose
-    residual is the final squared Frobenius distance.  With dnew at least
-    the exact bond (D_a * D_u plus the terms' bonds) the fit reproduces
-    the exact operator to numerical precision.
+    A fit whose u already has the bonds the fit outputs starts its sweeps
+    from u instead of a zip-up (see the module docstring).  Returns a
+    SweepResult whose residual is the final squared Frobenius distance,
+    exact at every bond given norm_sq and NaN without it when the cap
+    truncates.  With dnew at least the exact bond (D_a * D_u plus the
+    terms' bonds) the fit reproduces the exact operator to numerical
+    precision.
     """
     opts = opts or SweepOptions()
     terms = list(terms)
@@ -304,28 +304,27 @@ def multiply_and_optimize(a: mp.Mpo, u: mp.Mpo, dnew: int | None, opts: SweepOpt
     exact_bond = max(blocks, default=1)
     cap = exact_bond if dnew is None else min(dnew, exact_bond)
     target = mp._Target(products)
-    if norm_sq is not None:
-        norm_sq = mp._scaled(norm_sq[0], norm_sq[1] - 2.0 * ls)
     # the bonds the fit outputs: the cap, clipped by the block bond and by
     # the chain's natural limit, d^2 per site from either end
-    from_u = norm_sq is not None and u.bond_dims() == [
-        min(cap, b, (d * d) ** min(i + 1, L - 1 - i)) for i, b in enumerate(blocks)]
-    if from_u:
+    if u.bond_dims() == [min(cap, b, (d * d) ** min(i + 1, L - 1 - i))
+                         for i, b in enumerate(blocks)]:
         # a zip-up could not offer the sweeps a larger trial space than u
         # spans; they start from u
         x_sites = list(products[0][1])
     else:
-        x_sites, zip_sq = _zipup(target, cap)
-        norm_sq = zip_sq if norm_sq is None else norm_sq
+        x_sites = _zipup(target, cap)
+    # the objectives' offset: the known ||target||^2 on the fit's scale
+    offset = 0.0 if norm_sq is None else mp._scaled(norm_sq[0], norm_sq[1] - 2.0 * ls)
 
     t1 = time.perf_counter()
-    objectives, converged, sweeps, scale_sq = _run_sweeps(x_sites, target, norm_sq, opts)
+    objectives, converged, sweeps, scale_sq = _run_sweeps(x_sites, target, offset, opts)
     t2 = time.perf_counter()
     # a complete cancellation is judged once, by the norm of the result:
     # a known norm's rounding floor, eps * ||a u||^2, lies far above the
-    # threshold
+    # threshold.  The zero operator's residual is ||target||^2 itself, 0
+    # to rounding when it is not known
     if float(np.vdot(x_sites[0], x_sites[0]).real) <= _CANCELLED * scale_sq:
-        return _zero_result(L, d, mp._scaled(max(norm_sq, 0.0), 2.0 * ls),
+        return _zero_result(L, d, mp._scaled(max(offset, 0.0), 2.0 * ls),
                             (t1 - t0) * 1e3, (t2 - t1) * 1e3)
-    return _fit_result(x_sites, ls, cap < exact_bond, objectives, converged, sweeps,
-                       (t1 - t0) * 1e3, (t2 - t1) * 1e3)
+    return _fit_result(x_sites, ls, cap < exact_bond, norm_sq is not None, objectives, converged,
+                       sweeps, (t1 - t0) * 1e3, (t2 - t1) * 1e3)

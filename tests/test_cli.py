@@ -112,6 +112,8 @@ def test_build_full_state_has_unit_trace(tmp_path):
     assert rc == 0
     rho = mp.load_json(path)
     assert abs(inner(mp.identity_mpo(rho.L), rho) - 1.0) < 1e-10
+    # the squaring fit knows no ||m m^H||^2, so it reports no residual
+    assert "squaring_residual" not in read_json(path)["metadata"]
 
 
 def test_estimate_trace_of_normalized_state(tmp_path):
@@ -178,7 +180,9 @@ def test_estimate_stop_flags(tmp_path, half_state_file):
 
 @pytest.mark.parametrize("flag, value", [("--eps", "nan"), ("--eps", "inf"),
                                          ("--spectrum-floor", "nan"),
-                                         ("--spectrum-floor", "-inf")])
+                                         ("--spectrum-floor", "-inf"),
+                                         ("--function", "poly:nan"),
+                                         ("--function", "poly:inf,1")])
 def test_estimate_rejects_non_finite_flags(tmp_path, capsys, half_state_file, flag, value):
     out = tmp_path / "S.json"
     rc = run_cli("estimate", "--input", half_state_file, "--function", "entropy",
@@ -392,9 +396,11 @@ def test_sweep_rejects_non_finite_dtau(tmp_path):
 
 
 @pytest.mark.parametrize("key,value", [("L", [4.7]), ("L", [True]), ("dmax", [8.9]),
-                                       ("kmax", 4.5), ("kmax", ["4"])])
+                                       ("kmax", 4.5), ("kmax", ["4"]), ("beta", [True]),
+                                       ("beta", ["0.1"]), ("J", "1"), ("h", False)])
 def test_sweep_rejects_non_integral_manifest_values(tmp_path, key, value):
-    # a fraction or a boolean is a usage error, not truncated to an integer
+    # a fraction in an integer key, or a boolean or a string in any key, is
+    # a usage error, not truncated or read as a number
     manifest = str(tmp_path / "m.json")
     cell = {"L": [4], "beta": [0.2], "dmax": [8], "kmax": [4]}
     cell[key] = value

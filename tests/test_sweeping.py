@@ -16,8 +16,6 @@ from conftest import random_mpo, real_part
 def test_options_validation():
     with pytest.raises(ValueError):
         SweepOptions(max_sweeps=0)
-    with pytest.raises(ValueError):
-        SweepOptions(rel_tol=0.0)
     with pytest.raises(DimensionError):
         multiply_and_optimize(mp.identity_mpo(3), mp.identity_mpo(3), 0)
 
@@ -101,12 +99,14 @@ def test_multiply_debug_incremental_matches_scratch(monkeypatch):
 
 
 def test_multiply_zipup_warm_start_path():
-    # exact product bond 16*16 forces the one-pass truncated init, and its
-    # estimate of ||target||^2; with carried terms as well
+    # exact product bond 16*16 forces the one-pass truncated init; with
+    # carried terms as well
     a = random_mpo(6, 16, 1)
     u = random_mpo(6, 16, 2)
     for terms in ([], [(-0.8, u), (0.3, random_mpo(6, 8, 3))]):
-        fit = multiply_and_optimize(a, u, 8, SweepOptions(max_sweeps=3), terms)
+        ref = mp.dense(a) @ mp.dense(u) + sum(c * mp.dense(t) for c, t in terms)
+        fit = multiply_and_optimize(a, u, 8, SweepOptions(max_sweeps=3), terms,
+                                    norm_sq=(np.linalg.norm(ref) ** 2, 0.0))
         assert np.isfinite(fit.residual)
         assert fit.mpo.max_bond() <= 8
         obj = fit.objectives
@@ -286,12 +286,16 @@ def test_fused_fit_objectives_monotone():
             assert obj[j] <= obj[j - 1] + 1e-12 * scale, (seed, j)
 
 
-def test_capped_fit_stops_on_plateau():
-    # rel_tol out of reach: only the plateau rule can stop the sweeps
-    opts = SweepOptions(max_sweeps=40, rel_tol=1e-300)
+def test_capped_fit_stops_on_plateau(monkeypatch):
+    # the noise floor out of reach: only the plateau rule can stop the sweeps
+    from mpotrace import sweeping
+    monkeypatch.setattr(sweeping, "_REL_TOL", 1e-300)
+    opts = SweepOptions(max_sweeps=40)
     for seed in range(3):
         a, u = random_mpo(6, 4, seed), random_mpo(6, 4, 20 + seed)
-        fit = multiply_and_optimize(a, u, 3, opts, terms=[(-0.5, u)])
+        ref = mp.dense(a) @ mp.dense(u) - 0.5 * mp.dense(u)
+        fit = multiply_and_optimize(a, u, 3, opts, terms=[(-0.5, u)],
+                                    norm_sq=(np.linalg.norm(ref) ** 2, 0.0))
         assert fit.converged and fit.sweeps < opts.max_sweeps, seed
         # the last sweep lowered the objective by at most 1e-2 of what the
         # first one did, and the residual it stopped on is far above rounding
@@ -300,6 +304,26 @@ def test_capped_fit_stops_on_plateau():
         prev, last = fit.objectives[-1 - per_sweep], fit.objectives[-1]
         assert prev - last <= 1e-2 * first_gain, seed
         assert fit.residual > 1e-3 * mp.frobenius_norm(fit.mpo) ** 2, seed
+
+
+def test_fit_residual_is_exact_or_absent(thermal_cache):
+    # the Gibbs-state fit of `build-thermal --state full`, m m^H at m's own
+    # bond cap 8: it truncates, and m^H already has the bonds it outputs,
+    # so it starts from m^H.  Without ||target||^2 the fit reports no
+    # residual; given the dense one, it reports the dense ||t - x||^2.  The
+    # norm changes what the fit reports, not what it fits
+    m = thermal_cache(10, 1.0, 8, 0.01)[0]
+    mh = mp.adjoint(m)
+    ref = mp.dense(m) @ mp.dense(mh)
+    blind = multiply_and_optimize(m, mh, 8)
+    known = multiply_and_optimize(m, mh, 8, norm_sq=(np.linalg.norm(ref) ** 2, 0.0))
+    assert math.isnan(blind.residual)
+    dist2 = np.linalg.norm(mp.dense(known.mpo) - ref) ** 2
+    assert dist2 > 1e-9 * np.linalg.norm(ref) ** 2
+    assert abs(known.residual - dist2) <= 1e-6 * dist2
+    assert [np.array_equal(s, t) for s, t in zip(blind.mpo.sites, known.mpo.sites)] == [True] * 10
+    assert blind.sweeps == known.sweeps
+    assert blind.objectives[-1] == pytest.approx(-mp.frobenius_norm(blind.mpo) ** 2, rel=1e-12)
 
 
 def test_lanczos_fits_know_their_target_norm(thermal_cache, monkeypatch):
@@ -410,8 +434,7 @@ def test_sweeps_gauge_their_start(cplx, monkeypatch):
     from mpotrace import sweeping
 
     def gauged_zipup(*args):
-        sites, nsq = _zipup(*args)
-        return _gauged(sites, 9), nsq
+        return _gauged(_zipup(*args), 9)
 
     a, u, u_prev, alpha = _lanczos_operands(cplx)
     small = random_mpo(5, 2, 8) if cplx else real_part(random_mpo(5, 2, 8))

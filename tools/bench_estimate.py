@@ -14,8 +14,8 @@ every time and their minimum, the median wall time of the at-cap Lanczos
 steps (those whose fit reached dmax), the iteration count, the stop reason
 and S, plus the machine facts and git revisions.  With --baseline it also
 records, and prints, per workload whether the two trees computed the same
-numbers: the relative difference of S and whether the iteration counts
-and stop reasons are equal.  The file goes to the root of this checkout.
+numbers: the relative difference of S and whether the iteration counts,
+the stop reasons and every record's sweeps and fit_residual are equal.  The file goes to the root of this checkout.
 """
 from __future__ import annotations
 
@@ -54,8 +54,10 @@ s = time.perf_counter() - t0
 walls = [r.wall_ms for r in run.records]
 # a record's bond is that of its step's fit; the run makes other fits too
 at_cap = [r.wall_ms for r in run.records if r.bond >= dmax]
-print(json.dumps({"s": s, "S": S, "iterations": len(run.records), "stop": run.stop_reason,
-                  "at_cap_steps": len(at_cap), "step_ms": statistics.median(at_cap or walls)}))
+print(json.dumps({"s": s, "S": S, "iterations": len(run.records), "stop_reason": run.stop_reason,
+                  "at_cap_steps": len(at_cap), "step_ms": statistics.median(at_cap or walls),
+                  "sweeps": [r.sweeps for r in run.records],
+                  "fit_residual": [r.fit_residual for r in run.records]}))
 """
 
 
@@ -93,17 +95,17 @@ def main(argv=None) -> int:
                    "all_s": [round(r["s"], 4) for r in rs],
                    "at_cap_step_ms": round(min(r["step_ms"] for r in rs), 2),
                    "at_cap_steps": rs[0]["at_cap_steps"],
-                   "iterations": rs[0]["iterations"], "stop_reason": rs[0]["stop"],
+                   "iterations": rs[0]["iterations"], "stop_reason": rs[0]["stop_reason"],
                    "S": rs[0]["S"]}
             for name, rs in runs[side].items()}}
     if args.baseline is not None:
         doc["same_numbers"] = {}
         for name in WORKLOADS:
-            old, new = (doc["trees"][side]["workloads"][name] for side in ("baseline", "change"))
+            old, new = (runs[side][name][0] for side in ("baseline", "change"))
             doc["same_numbers"][name] = {
                 "S_rel_diff": (new["S"] - old["S"]) / abs(old["S"]),
-                "iterations_equal": new["iterations"] == old["iterations"],
-                "stop_reason_equal": new["stop_reason"] == old["stop_reason"]}
+                **{f"{key}_equal": new[key] == old[key]
+                   for key in ("iterations", "stop_reason", "sweeps", "fit_residual")}}
     (ROOT / "BENCH_estimate.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     print(json.dumps(doc["trees"], indent=1))
     if "same_numbers" in doc:
