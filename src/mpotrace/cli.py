@@ -277,9 +277,10 @@ SWEEP_COLUMNS = (
 
 
 def _as_number(value, name: str) -> float:
-    """A manifest number: a boolean or a string is an error."""
-    if type(value) not in (int, float):
-        raise ValueError(f"manifest key {name!r} must hold numbers, got {value!r}")
+    """A manifest number: a boolean, a string or a non-finite value is an
+    error (an integer past the float range raises OverflowError)."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"manifest key {name!r} must hold finite numbers, got {value!r}")
     return float(value)
 
 
@@ -343,7 +344,7 @@ def cmd_sweep(args) -> int:
         if not cells:
             raise ValueError("manifest produced no cells (need nonempty L and beta)")
         _check_build_flags(args.dbond, args.dtau)
-    except (OSError, json.JSONDecodeError, ValueError, TypeError) as err:
+    except (OSError, json.JSONDecodeError, ValueError, TypeError, OverflowError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
 

@@ -397,10 +397,12 @@ def test_sweep_rejects_non_finite_dtau(tmp_path):
 
 @pytest.mark.parametrize("key,value", [("L", [4.7]), ("L", [True]), ("dmax", [8.9]),
                                        ("kmax", 4.5), ("kmax", ["4"]), ("beta", [True]),
-                                       ("beta", ["0.1"]), ("J", "1"), ("h", False)])
+                                       ("beta", ["0.1"]), ("J", "1"), ("h", False),
+                                       ("beta", [10**400]), ("h", math.nan)])
 def test_sweep_rejects_non_integral_manifest_values(tmp_path, key, value):
-    # a fraction in an integer key, or a boolean or a string in any key, is
-    # a usage error, not truncated or read as a number
+    # a fraction in an integer key, or a boolean, a string or a value
+    # beyond the finite floats in any key, is a usage error, not truncated
+    # or read as a number
     manifest = str(tmp_path / "m.json")
     cell = {"L": [4], "beta": [0.2], "dmax": [8], "kmax": [4]}
     cell[key] = value

@@ -306,17 +306,21 @@ def test_capped_fit_stops_on_plateau(monkeypatch):
         assert fit.residual > 1e-3 * mp.frobenius_norm(fit.mpo) ** 2, seed
 
 
-def test_fit_residual_is_exact_or_absent(thermal_cache):
+def test_fit_residual_is_exact_or_absent(thermal_cache, monkeypatch):
     # the Gibbs-state fit of `build-thermal --state full`, m m^H at m's own
     # bond cap 8: it truncates, and m^H already has the bonds it outputs,
-    # so it starts from m^H.  Without ||target||^2 the fit reports no
-    # residual; given the dense one, it reports the dense ||t - x||^2.  The
-    # norm changes what the fit reports, not what it fits
+    # so it starts from m^H, known norm or not.  Without ||target||^2 the
+    # fit reports no residual; given the dense one, it reports the dense
+    # ||t - x||^2.  The norm changes what the fit reports, not what it fits
+    from mpotrace import sweeping
+    zipups = []
+    monkeypatch.setattr(sweeping, "_zipup", lambda *args: zipups.append(1) or _zipup(*args))
     m = thermal_cache(10, 1.0, 8, 0.01)[0]
     mh = mp.adjoint(m)
     ref = mp.dense(m) @ mp.dense(mh)
     blind = multiply_and_optimize(m, mh, 8)
     known = multiply_and_optimize(m, mh, 8, norm_sq=(np.linalg.norm(ref) ** 2, 0.0))
+    assert zipups == []
     assert math.isnan(blind.residual)
     dist2 = np.linalg.norm(mp.dense(known.mpo) - ref) ** 2
     assert dist2 > 1e-9 * np.linalg.norm(ref) ** 2

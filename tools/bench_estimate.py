@@ -15,7 +15,8 @@ steps (those whose fit reached dmax), the iteration count, the stop reason
 and S, plus the machine facts and git revisions.  With --baseline it also
 records, and prints, per workload whether the two trees computed the same
 numbers: the relative difference of S and whether the iteration counts,
-the stop reasons and every record's sweeps and fit_residual are equal.  The file goes to the root of this checkout.
+the stop reasons and every record's sweeps and fit_residual are equal.
+The file goes to the root of this checkout.
 """
 from __future__ import annotations
 
