@@ -76,7 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--dmax", type=int, default=100,
                    help="bond cap inside the iteration; <= 0 means unlimited")
     e.add_argument("--eps", type=float, default=1e-10, help="convergence threshold")
-    e.add_argument("--window", type=int, default=3, help="outlier detection window")
     e.add_argument("--spectrum-floor", type=float, default=None, dest="spectrum_floor")
     e.add_argument("--out", default=None, help="result JSON path (default: stdout)")
     e.add_argument("--iterations-csv", default=None, dest="iterations_csv",
@@ -190,29 +189,27 @@ def cmd_estimate(args) -> int:
         floor = args.spectrum_floor
         if fspec == "entropy" and floor is None:
             floor = 0.0  # the half-state is psd: a negative Ritz value is a fault
-        stop = lz.StoppingConfig(eps_conv=args.eps, window=args.window, spectrum_floor=floor)
+        stop = lz.StoppingConfig(eps_conv=args.eps, spectrum_floor=floor)
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
     m = mp.load_json(args.input)
+    if fspec == "entropy" and isinstance(m.metadata, dict) and m.metadata.get("state") == "full":
+        print(f"usage error: {args.input} holds a full Gibbs state; the entropy needs the "
+              f"half state M of rho = M^H M / Z (build-thermal --state half)", file=sys.stderr)
+        return 2
     if fspec == "trace":
         # one uncapped step is exact: beta_1^2 alpha_1 = tr(A)
         fspec, kmax, dmax = lz.identity_function(), 1, None
     else:
         kmax, dmax = args.kmax, (args.dmax if args.dmax > 0 else None)
     t0 = time.perf_counter()
-
-    def progress(rec):
-        logger.info("k=%d estimate=%.12g beta=%.6g", rec.k, rec.estimate, rec.beta)
-
     # log_norm keeps what it contracts on m, for the estimator to read
     ln_z2 = 2.0 * mp.log_norm(m) if fspec == "entropy" else None
     if fspec == "entropy":
-        estimate, run = lz.entropy_from_half_state(
-            m, kmax=kmax, dmax=dmax, stop=stop, progress=progress,
-        )
+        estimate, run = lz.entropy_from_half_state(m, kmax=kmax, dmax=dmax, stop=stop)
     else:
-        run = lz.global_lanczos(m, kmax=kmax, dmax=dmax, f=fspec, stop=stop, progress=progress)
+        run = lz.global_lanczos(m, kmax=kmax, dmax=dmax, f=fspec, stop=stop)
         estimate = run.estimate
 
     payload = {
@@ -220,7 +217,7 @@ def cmd_estimate(args) -> int:
         "input": args.input,
         "dtype": m.dtype.name,
         "settings": {
-            "kmax": kmax, "dmax": dmax, "eps": stop.eps_conv, "window": stop.window,
+            "kmax": kmax, "dmax": dmax, "eps": stop.eps_conv,
             "spectrum_floor": stop.spectrum_floor,
         },
         "estimate": estimate,
@@ -239,33 +236,15 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _oracle_entropy(params: models.IsingParams, method: str) -> tuple[float, str]:
-    if method == "auto":
-        method = "dense" if params.L <= 12 else "free-fermion"
-    if method == "dense":
-        return ex.exact_entropy_dense(params), "dense"
-    return ex.exact_entropy_free_fermion(params), "free-fermion"
-
-
 def cmd_exact(args) -> int:
     try:
         params = models.IsingParams(L=args.L, J=args.J, g=args.g, h=args.h, beta=args.beta)
-        if args.method == "free-fermion" and args.h != 0:
-            raise ValueError("free-fermion oracle requires h = 0")
-        if args.method == "auto" and args.L > 12 and args.h != 0:
-            raise ValueError("L > 12 with h != 0 has no available oracle")
-        if args.method == "dense" and args.L > ex.DENSE_L_MAX:
-            raise ValueError(f"the dense oracle is capped at L = {ex.DENSE_L_MAX}")
+        method = ex.oracle_method(params, args.method)
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
-    value, method = _oracle_entropy(params, args.method)
-    _write_json(
-        {"entropy": value, "method": method,
-         "params": {"L": params.L, "J": params.J, "g": params.g,
-                    "h": params.h, "beta": params.beta}},
-        None,
-    )
+    _write_json({"entropy": ex.ORACLES[method](params), "method": method,
+                 "params": asdict(params)}, None)
     return 0
 
 
@@ -299,20 +278,16 @@ def _as_ints(value, name: str) -> list[int]:
 
 def _run_cell(cell, builds, args):
     """One pipeline cell: build (cached), estimate, compare to oracle."""
+    p = cell["params"]
     row = dict.fromkeys(SWEEP_COLUMNS, "")
-    row.update(L=cell["L"], beta=cell["beta"], J=cell["J"], g=cell["g"], h=cell["h"],
-               dbond=args.dbond, dtau=args.dtau, dmax=cell["dmax"], kmax=cell["kmax"])
+    row.update(asdict(p), dbond=args.dbond, dtau=args.dtau, dmax=cell["dmax"], kmax=cell["kmax"])
     t0 = time.perf_counter()
     try:
-        params = models.IsingParams(L=cell["L"], J=cell["J"], g=cell["g"],
-                                    h=cell["h"], beta=cell["beta"])
-        key = (params.L, params.J, params.g, params.h, params.beta)
-        if key not in builds:
-            builds[key] = models.thermal_half_state(params, dbond=args.dbond, dtau=args.dtau)
-        m = builds[key]
+        if p not in builds:
+            builds[p] = models.thermal_half_state(p, dbond=args.dbond, dtau=args.dtau)
         dmax = cell["dmax"] if cell["dmax"] > 0 else None
-        estimate, run = lz.entropy_from_half_state(m, kmax=cell["kmax"], dmax=dmax)
-        oracle, _ = _oracle_entropy(params, "auto")
+        estimate, run = lz.entropy_from_half_state(builds[p], kmax=cell["kmax"], dmax=dmax)
+        oracle = ex.ORACLES[cell["oracle"]](p)
         row.update(
             estimate=f"{estimate:.17g}", oracle=f"{oracle:.17g}",
             rel_error=f"{abs(estimate - oracle) / max(abs(oracle), 1e-300):.6e}",
@@ -335,12 +310,15 @@ def cmd_sweep(args) -> int:
         betas = _as_list(manifest.get("beta", []), "beta")
         dmaxes = _as_ints(manifest.get("dmax", [100]), "dmax")
         kmaxes = _as_ints(manifest.get("kmax", [50]), "kmax")
+        if not all(k >= 1 for k in kmaxes):
+            raise ValueError(f"manifest key 'kmax' must hold integers >= 1, got {kmaxes!r}")
         jj, gg, hh = (_as_number(manifest.get(key, default), key)
                       for key, default in (("J", 1.0), ("g", 1.0), ("h", 0.0)))
-        cells = [
-            {"L": L, "beta": beta, "dmax": dmax, "kmax": kmax, "J": jj, "g": gg, "h": hh}
-            for L in ls for beta in betas for dmax in dmaxes for kmax in kmaxes
-        ]
+        # every chain is checked, and its oracle chosen, before any cell runs
+        chains = [models.IsingParams(L=L, J=jj, g=gg, h=hh, beta=beta)
+                  for L in ls for beta in betas]
+        cells = [{"params": p, "oracle": ex.oracle_method(p), "dmax": dmax, "kmax": kmax}
+                 for p in chains for dmax in dmaxes for kmax in kmaxes]
         if not cells:
             raise ValueError("manifest produced no cells (need nonempty L and beta)")
         _check_build_flags(args.dbond, args.dtau)
@@ -349,16 +327,25 @@ def cmd_sweep(args) -> int:
         return 2
 
     builds: dict = {}
-    rows = [_run_cell(cell, builds, args) for cell in cells]
+    rows = []
+    # the table is opened before the first cell and each row written as its
+    # cell finishes, so a bad --out costs no work and a crash keeps the rows
+    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
+        writer.writeheader()
+        for cell in cells:
+            rows.append(_run_cell(cell, builds, args))
+            writer.writerow(rows[-1])
+            fh.flush()
 
     # soft monotonicity check: at fixed (L, beta, kmax) the error should
     # not grow with dmax; log, never fail
     by_group: dict = {}
-    for cell, row in zip(cells, rows):
+    for row in rows:
         if row["error"]:
             continue
-        by_group.setdefault((cell["L"], cell["beta"], cell["kmax"]), []).append(
-            (cell["dmax"], float(row["rel_error"]))
+        by_group.setdefault((row["L"], row["beta"], row["kmax"]), []).append(
+            (row["dmax"], float(row["rel_error"]))
         )
     for group, pairs in sorted(by_group.items()):
         pairs.sort()
@@ -369,10 +356,6 @@ def cmd_sweep(args) -> int:
                     "to %.3e (dmax=%d)", *group, e1, d1, e2, d2,
                 )
 
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
     succeeded = sum(1 for row in rows if not row["error"])
     logger.info("sweep: %d/%d cells succeeded -> %s", succeeded, len(rows), args.out)
     return 0 if succeeded > 0 else 1

@@ -14,6 +14,7 @@ from .lanczos import TridiagonalMatrix
 from .models import IsingParams
 
 DENSE_L_MAX = 14
+AUTO_DENSE_L_MAX = 12
 LANCZOS_DIM_MAX = 4096
 
 
@@ -83,6 +84,24 @@ def exact_entropy_free_fermion(p: IsingParams) -> float:
     x = p.beta * eps
     per_mode = np.log1p(np.exp(-x)) + x / (np.exp(x) + 1.0)
     return float(np.sum(per_mode))
+
+
+ORACLES = {"dense": exact_entropy_dense, "free-fermion": exact_entropy_free_fermion}
+
+
+def oracle_method(p: IsingParams, method: str = "auto") -> str:
+    """The reference entropy for p under method ("auto", "dense" or
+    "free-fermion"), as a key of ORACLES: "auto" diagonalizes densely up
+    to L = AUTO_DENSE_L_MAX and uses free fermions beyond.  Raises
+    ValueError when that reference does not apply: free fermions need
+    h = 0, and the dense oracle stops at DENSE_L_MAX."""
+    if method == "auto":
+        method = "dense" if p.L <= AUTO_DENSE_L_MAX else "free-fermion"
+    if method == "free-fermion" and p.h != 0:
+        raise ValueError(f"no oracle for L = {p.L}, h = {p.h!r}: free fermions need h = 0")
+    if method == "dense" and p.L > DENSE_L_MAX:
+        raise ValueError(f"the dense oracle is capped at L = {DENSE_L_MAX}, got L = {p.L}")
+    return method
 
 
 def dense_global_lanczos(a: np.ndarray, kmax: int):

@@ -12,6 +12,7 @@ approximates tr f(A) and is exact for polynomials of degree <= 2k-1.
 """
 from __future__ import annotations
 
+import logging
 import math
 import time
 from dataclasses import dataclass, field
@@ -26,6 +27,8 @@ from .sweeping import expectation, multiply_and_optimize
 
 # share of ||A U_{k-1}|| under which a new block norm counts as exact breakdown
 BREAKDOWN_RTOL = 1e-13
+# the sigma-outlier rule compares an estimate with this many before it
+SIGMA_WINDOW = 3
 # beta_1^2 = tr(I) = d^L must stay below the largest float64
 _LN_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 
@@ -35,6 +38,8 @@ STOP_RITZ = "ritz-violation"
 STOP_BOUND = "bound-monotonicity-violation"
 STOP_SIGMA = "sigma-outlier"
 STOP_KMAX = "kmax"
+
+logger = logging.getLogger("mpotrace.lanczos")
 
 
 @dataclass(frozen=True)
@@ -77,9 +82,6 @@ class SpectralFunction:
     fn: Callable[[float], float]
     derivative_sign: int = 0
 
-    def bound_direction(self) -> str:
-        return {1: "lower", -1: "upper"}.get(self.derivative_sign, "none")
-
 
 def identity_function() -> SpectralFunction:
     return SpectralFunction("identity", lambda lam: lam, 0)
@@ -117,7 +119,6 @@ def entropy_integrand() -> SpectralFunction:
 @dataclass(frozen=True)
 class StoppingConfig:
     eps_conv: float = 1e-10
-    window: int = 3
     sigma_mult: float = 3.0
     spectrum_floor: float | None = None
 
@@ -126,8 +127,6 @@ class StoppingConfig:
             raise ValueError("eps_conv must be finite and > 0")
         if self.spectrum_floor is not None and not math.isfinite(self.spectrum_floor):
             raise ValueError("spectrum_floor must be finite")
-        if self.window < 2:
-            raise ValueError("window must be >= 2")
 
 
 @dataclass
@@ -203,11 +202,11 @@ def check_stop(run: QuadratureRun, stop: StoppingConfig, f: SpectralFunction):
     """First satisfied criterion wins, in the fixed order: convergence of
     successive estimates, a Ritz value below the declared spectrum floor
     by more than the tridiagonal eigensolver's rounding (8 k eps
-    max|theta|), violated bound monotonicity (in the direction
-    f.bound_direction() gives, between estimates of at least 2 nodes, so
-    from step 3 on: the 1-node rule is no bound, e.g. for the entropy
-    integrand at a Ritz value above e^(-3/2)), 3-sigma outlier against the
-    trailing window."""
+    max|theta|), violated bound monotonicity (an estimate that moves against
+    f.derivative_sign, between estimates of at least 2 nodes, so from step
+    3 on: the 1-node rule is no bound, e.g. for the entropy integrand at a
+    Ritz value above e^(-3/2)), 3-sigma outlier against the SIGMA_WINDOW
+    estimates before it."""
     ests = run.estimates()
     if not ests:
         return False, None
@@ -221,15 +220,10 @@ def check_stop(run: QuadratureRun, stop: StoppingConfig, f: SpectralFunction):
         slack = 8 * rec.k * np.finfo(float).eps * max(abs(rec.ritz_min), abs(rec.ritz_max))
         if rec.ritz_min < stop.spectrum_floor - slack:
             return True, STOP_RITZ
-    if len(ests) >= 3:
-        direction = f.bound_direction()
-        if direction == "lower" and cur < ests[-2]:
-            return True, STOP_BOUND
-        if direction == "upper" and cur > ests[-2]:
-            return True, STOP_BOUND
-    w = stop.window
-    if len(ests) >= w + 1:
-        prev = np.asarray(ests[-1 - w:-1])
+    if len(ests) >= 3 and f.derivative_sign * (cur - ests[-2]) < 0:
+        return True, STOP_BOUND
+    if len(ests) >= SIGMA_WINDOW + 1:
+        prev = np.asarray(ests[-1 - SIGMA_WINDOW:-1])
         mu = float(prev.mean())
         sd = float(prev.std(ddof=1))
         if sd > 0 and abs(cur - mu) > stop.sigma_mult * sd:
@@ -273,7 +267,6 @@ def global_lanczos(
     f: SpectralFunction | None = None,
     stop: StoppingConfig | None = None,
     keep_basis: bool = False,
-    progress: Callable | None = None,
 ) -> QuadratureRun:
     """Run the global Lanczos iteration on the Hermitian operator a,
     started from the identity, so that beta_1^2 = tr(I) and the Gauss rule
@@ -291,10 +284,11 @@ def global_lanczos(
     the new block's norm (breakdown below BREAKDOWN_RTOL of it).  The step
     then makes one variational fit of t_k, given ||t_k||^2, at bond cap
     dmax (None: uncapped), which the fit clips to the residual's exact
-    bond, and evaluates the Gauss rule on the accumulated tridiagonal
-    matrix.  The run's estimate is the
-    last step's, except on a Ritz violation: then it is the step before,
-    whose Ritz values still kept the floor (step 1 keeps its own).  Every
+    bond, evaluates the Gauss rule on the accumulated tridiagonal matrix,
+    and logs the step (k, estimate, beta) at INFO on mpotrace.lanczos.
+    The run's estimate is the last step's, except on a Ritz violation:
+    then it is the step before, whose Ritz values still kept the floor
+    (step 1 keeps its own).  Every
     step stays in the records.  The blocks are float64 when a is real,
     complex128 otherwise.  alpha_k and the block norms come in log form
     and become floats through one checked step (mp._from_log;
@@ -393,8 +387,7 @@ def global_lanczos(
         run.records.append(rec)
         run.tridiag = tri
         run.beta1 = beta1
-        if progress is not None:
-            progress(rec)
+        logger.info("k=%d estimate=%.12g beta=%.6g", k, est, beta)
         u_prev = u
         halt, reason = check_stop(run, stop, f)
         if halt:
@@ -415,7 +408,6 @@ def entropy_from_half_state(
     kmax: int = 50,
     dmax: int | None = 100,
     stop: StoppingConfig | None = None,
-    progress: Callable | None = None,
 ):
     """Von Neumann entropy of rho = m^H m / tr(m^H m) for Hermitian psd m.
 
@@ -445,6 +437,5 @@ def entropy_from_half_state(
         dmax=dmax,
         f=entropy_integrand(),
         stop=stop or StoppingConfig(spectrum_floor=0.0),
-        progress=progress,
     )
     return float(run.estimate), run

@@ -74,6 +74,7 @@ class Mpo:
     log_scale: float = 0.0
     # ln of the Frobenius norm once known (module docstring); log_norm sets it
     ln_norm: float | None = field(default=None, compare=False)
+    metadata: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         sites = tuple(_as_site(s, i) for i, s in enumerate(self.sites))
@@ -473,10 +474,11 @@ def hermitian_part(a: Mpo) -> Mpo:
 def save_json(a: Mpo, path: str, metadata: dict | None = None) -> None:
     """Write an Mpo to a JSON file.  Every entry is stored as an innermost
     [re, im] pair, the imaginary parts of a real operator as 0.  An
-    optional metadata dict is stored next to the tensors and ignored on
-    load.  The document is encoded in one piece by json.dumps, which runs
-    the C encoder; json.dump on a file streams through the pure-Python one,
-    three times slower on a long chain, for the same bytes."""
+    optional metadata dict is stored next to the tensors; load_json hands
+    it back on the operator's `metadata`.  The document is encoded in one
+    piece by json.dumps, which runs the C encoder; json.dump on a file
+    streams through the pure-Python one, three times slower on a long
+    chain, for the same bytes."""
     doc = {
         "kind": "mpo",
         "L": a.L,
@@ -491,8 +493,9 @@ def save_json(a: Mpo, path: str, metadata: dict | None = None) -> None:
 
 
 def load_json(path: str) -> Mpo:
-    """Read an Mpo written by save_json.  It is float64 when every
-    imaginary part in the file is exactly 0, complex128 otherwise."""
+    """Read an Mpo written by save_json, with the file's metadata (None
+    without any) on its `metadata`.  It is float64 when every imaginary
+    part in the file is exactly 0, complex128 otherwise."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -527,7 +530,7 @@ def load_json(path: str) -> Mpo:
     if not math.isfinite(ls):
         raise NumericError(f"{path}: log_scale is not finite")
     try:
-        obj = Mpo(tuple(sites), ls)
+        obj = Mpo(tuple(sites), ls, metadata=doc.get("metadata"))
     except DimensionError as exc:
         raise NumericError(f"{path}: inconsistent site shapes ({exc})") from exc
     if obj.d != d:

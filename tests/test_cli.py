@@ -14,6 +14,7 @@ from mpotrace import cli
 from mpotrace import lanczos as lz
 from mpotrace import models
 from mpotrace import mpo as mp
+from mpotrace.errors import NumericError
 
 from conftest import inner
 
@@ -116,6 +117,18 @@ def test_build_full_state_has_unit_trace(tmp_path):
     assert "squaring_residual" not in read_json(path)["metadata"]
 
 
+def test_estimate_entropy_rejects_full_state(tmp_path, capsys):
+    # the entropy reads its input as the half state M; on the Gibbs state
+    # rho it would return the entropy of rho^2 / tr rho^2
+    state, out = str(tmp_path / "full.json"), tmp_path / "S.json"
+    assert run_cli("build-thermal", "--L", "6", "--beta", "1", "--state", "full",
+                   "--out", state) == 0
+    capsys.readouterr()
+    rc = run_cli("estimate", "--input", state, "--function", "entropy", "--out", str(out))
+    assert rc == 2 and not out.exists()
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
 def test_estimate_trace_of_normalized_state(tmp_path):
     state = str(tmp_path / "full.json")
     out = str(tmp_path / "trace.json")
@@ -174,7 +187,9 @@ def test_estimate_stop_flags(tmp_path, half_state_file):
     rc, floored = estimate("--spectrum-floor", "1")
     assert rc == 0 and floored["settings"]["spectrum_floor"] == 1.0
     assert (floored["stop_reason"], floored["iterations"]) == ("ritz-violation", 1)
-    assert estimate("--window", "1")[0] == 2
+    # the outlier window is a constant of the estimator: argparse rejects
+    # the flag as unknown
+    assert estimate("--window", "3")[0] == 2
     assert estimate("--eps", "0")[0] == 2
 
 
@@ -365,8 +380,8 @@ def test_sweep_two_cells(tmp_path):
         assert row["stop_reason"]
 
 
-def test_sweep_builds_each_chain_once(tmp_path, monkeypatch):
-    # cells of one chain share one build, distinct chains get their own
+def counted_builds(monkeypatch):
+    """The chain lengths of the thermal states sweep builds, in order."""
     built = []
     real = models.thermal_half_state
 
@@ -375,6 +390,12 @@ def test_sweep_builds_each_chain_once(tmp_path, monkeypatch):
         return real(params, **kwargs)
 
     monkeypatch.setattr(models, "thermal_half_state", counting)
+    return built
+
+
+def test_sweep_builds_each_chain_once(tmp_path, monkeypatch):
+    # cells of one chain share one build, distinct chains get their own
+    built = counted_builds(monkeypatch)
     manifest = str(tmp_path / "m.json")
     out = str(tmp_path / "rows.csv")
     with open(manifest, "w", encoding="utf-8") as fh:
@@ -421,19 +442,51 @@ def test_sweep_empty_manifest(tmp_path):
     assert rc == 2
 
 
-def test_sweep_isolates_failing_cell(tmp_path):
+@pytest.mark.parametrize("cells", [{"kmax": [0]}, {"L": [4, 1]}, {"L": [4, 14], "h": 0.2}])
+def test_sweep_rejects_bad_cells_before_any_build(tmp_path, monkeypatch, capsys, cells):
+    # kmax 0, a one-site chain, and a chain no oracle covers (L > 12 with
+    # h != 0) are usage errors, as in estimate, build-thermal and exact
+    built = counted_builds(monkeypatch)
+    manifest = str(tmp_path / "m.json")
+    with open(manifest, "w", encoding="utf-8") as fh:
+        json.dump({"L": [4], "beta": [0.2], "dmax": [8], "kmax": [4], **cells}, fh)
+    out = tmp_path / "rows.csv"
+    assert run_cli("sweep", "--manifest", manifest, "--out", str(out)) == 2
+    assert built == [] and not out.exists()
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
+def test_sweep_bad_out_fails_before_any_build(tmp_path, monkeypatch):
+    built = counted_builds(monkeypatch)
+    manifest = str(tmp_path / "m.json")
+    with open(manifest, "w", encoding="utf-8") as fh:
+        json.dump({"L": [4, 6], "beta": [0.2], "dmax": [8], "kmax": [4]}, fh)
+    out = str(tmp_path / "missing" / "rows.csv")
+    assert run_cli("sweep", "--manifest", manifest, "--out", out) == 1
+    assert built == []
+
+
+def test_sweep_isolates_failing_cell(tmp_path, monkeypatch):
     manifest = str(tmp_path / "m.json")
     out = str(tmp_path / "rows.csv")
-    # L=14 with h != 0 has no oracle, so that cell fails while L=4 succeeds
+    # the L=14 cell fails at run time while L=4 succeeds
+    real = lz.entropy_from_half_state
+
+    def failing_at_14(m, **kwargs):
+        if m.L == 14:
+            raise NumericError("injected failure")
+        return real(m, **kwargs)
+
+    monkeypatch.setattr(lz, "entropy_from_half_state", failing_at_14)
     with open(manifest, "w", encoding="utf-8") as fh:
-        json.dump({"L": [4, 14], "beta": [0.2], "h": 0.2, "dmax": [16], "kmax": [4]}, fh)
+        json.dump({"L": [4, 14], "beta": [0.2], "dmax": [16], "kmax": [4]}, fh)
     rc = run_cli("sweep", "--manifest", manifest, "--out", out,
                  "--dbond", "12", "--dtau", "0.01")
     assert rc == 0
     with open(out, newline="", encoding="utf-8") as fh:
         rows = {r["L"]: r for r in csv.DictReader(fh)}
     assert rows["4"]["error"] == ""
-    assert rows["14"]["error"] != ""
+    assert rows["14"]["error"] == "NumericError: injected failure"
 
 
 def test_usage_error_on_unknown_command():

@@ -45,10 +45,10 @@ NONE = lz.identity_function()
 
 
 def test_spectral_function_bounds():
-    assert NONE.bound_direction() == "none"
-    assert lz.entropy_integrand().bound_direction() == "lower"
-    assert LOWER.bound_direction() == "lower"
-    assert UPPER.bound_direction() == "upper"
+    # the sign check_stop reads: the entropy's Gauss values are lower
+    # bounds, the identity's and a polynomial's carry no direction
+    assert lz.entropy_integrand().derivative_sign == 1
+    assert NONE.derivative_sign == lz.polynomial_function([1.0, 2.0]).derivative_sign == 0
 
 
 def test_polynomial_function_matches_polyval():
@@ -74,8 +74,8 @@ def test_stopping_config_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             lz.StoppingConfig(spectrum_floor=bad)
-    with pytest.raises(ValueError):
-        lz.StoppingConfig(window=1)
+    with pytest.raises(TypeError):
+        lz.StoppingConfig(window=3)  # the outlier window is lz.SIGMA_WINDOW
 
 
 def test_gauss_quadrature_single_node():
@@ -250,10 +250,15 @@ def test_check_stop_convergence_precedes_everything():
 
 
 def test_check_stop_sigma_outlier():
-    cfg = lz.StoppingConfig(window=3, sigma_mult=3.0)
+    cfg = lz.StoppingConfig(sigma_mult=3.0)
+    assert lz.SIGMA_WINDOW == 3
     base = [1.0, 1.001, 1.002]
     run = make_run(base + [1.5])
     halt, reason = lz.check_stop(run, cfg, NONE)
+    assert halt and reason == lz.STOP_SIGMA
+    # the window is the 3 estimates before the current one: a fourth,
+    # wildly off, falls outside it
+    halt, reason = lz.check_stop(make_run([50.0] + base + [1.5]), cfg, NONE)
     assert halt and reason == lz.STOP_SIGMA
     # identical window (sd = 0) never fires
     run = make_run([1.0, 1.0, 1.0, 2.0])
@@ -261,7 +266,7 @@ def test_check_stop_sigma_outlier():
     assert not halt
     # short history never fires
     run = make_run([1.0, 1.5])
-    halt, reason = lz.check_stop(run, lz.StoppingConfig(window=3, eps_conv=1e-16), NONE)
+    halt, reason = lz.check_stop(run, lz.StoppingConfig(eps_conv=1e-16), NONE)
     assert not halt
 
 
@@ -334,11 +339,14 @@ def test_keep_basis_orthonormal():
             assert abs(ip - want) < 1e-8, (i, j, ip)
 
 
-def test_progress_callback_sees_records():
-    seen = []
+def test_driver_logs_each_step(caplog):
     m = mt.random_hermitian_mpo(4, dbond=2, seed=0)
-    run = lz.global_lanczos(m, kmax=3, dmax=None, progress=seen.append)
-    assert [r.k for r in seen] == [r.k for r in run.records]
+    with caplog.at_level(logging.INFO, logger="mpotrace.lanczos"):
+        run = lz.global_lanczos(m, kmax=3, dmax=None)
+    lines = [r for r in caplog.records if r.name == "mpotrace.lanczos"]
+    assert [r.levelno for r in lines] == [logging.INFO] * len(run.records)
+    for line, rec in zip(lines, run.records):
+        assert line.getMessage() == f"k={rec.k} estimate={rec.estimate:.12g} beta={rec.beta:.6g}"
 
 
 def test_run_estimates_helper():

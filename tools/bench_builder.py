@@ -22,13 +22,10 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# (L, beta, dtau) of bench/run.py's workloads, built at its bond cap 20
-WORKLOADS = {
-    "entropy-l20-d60": (20, 0.1, 0.002),
-    "entropy-l100-d30": (100, 0.1, 0.002),
-    "hard-l10-beta1": (10, 1.0, 0.001),
-}
-BOND_DIM = 20
+# the benchmark's workload table and build bond cap, so the trajectories
+# time what bench/run.py runs
+sys.path.append(str(ROOT / "bench"))
+from run import BOND_DIM, WORKLOADS  # noqa: E402
 CHILD = """
 import json, sys, time
 import mpotrace as mt
@@ -70,8 +67,8 @@ def alternate(trees: dict, workloads: dict, repeat: int, time_one) -> dict:
     return runs
 
 
-def _time_build(tree: Path, params) -> dict:
-    return run_child(tree, CHILD, json.dumps(list(params) + [BOND_DIM]))
+def _time_build(tree: Path, w) -> dict:
+    return run_child(tree, CHILD, json.dumps([w.L, w.beta, w.dtau, BOND_DIM]))
 
 
 def revision(tree: Path) -> str:
@@ -109,8 +106,8 @@ def main(argv=None) -> int:
     }
     for side, tree in trees.items():
         doc["trees"][side] = {"revision": revision(tree), "workloads": {
-            name: {"L": WORKLOADS[name][0], "beta": WORKLOADS[name][1], "dtau": WORKLOADS[name][2],
-                   "min_s": round(min(r["s"] for r in rs), 4),
+            name: {"L": WORKLOADS[name].L, "beta": WORKLOADS[name].beta,
+                   "dtau": WORKLOADS[name].dtau, "min_s": round(min(r["s"] for r in rs), 4),
                    "all_s": [round(r["s"], 4) for r in rs],
                    "layers": rs[0]["layers"], "max_bond": rs[0]["max_bond"]}
             for name, rs in runs[side].items()}}

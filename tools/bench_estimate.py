@@ -26,15 +26,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bench_builder import ROOT, alternate, machine, revision, run_child
+from bench_builder import BOND_DIM, ROOT, WORKLOADS, alternate, machine, revision, run_child
 
-# (L, beta, dtau, kmax, dmax) of bench/run.py's workloads, built at bond cap 20
-WORKLOADS = {
-    "entropy-l20-d60": (20, 0.1, 0.002, 20, 60),
-    "entropy-l100-d30": (100, 0.1, 0.002, 12, 30),
-    "hard-l10-beta1": (10, 1.0, 0.001, 50, 40),
-}
-BOND_DIM = 20
 BUILD = """
 import json, sys
 import mpotrace as mt
@@ -73,10 +66,10 @@ def main(argv=None) -> int:
         states = {}
         for side, tree in trees.items():
             states[tree] = {}
-            for name, (L, beta, dtau, kmax, dmax) in WORKLOADS.items():
+            for name, w in WORKLOADS.items():
                 path = str(Path(tmp) / f"{side}-{name}.json")
-                run_child(tree, BUILD, json.dumps([L, beta, dtau, BOND_DIM, path]))
-                states[tree][name] = (path, kmax, dmax)
+                run_child(tree, BUILD, json.dumps([w.L, w.beta, w.dtau, BOND_DIM, path]))
+                states[tree][name] = (path, w.kmax, w.dmax)
         runs = alternate(trees, {name: name for name in WORKLOADS}, args.repeat,
                          lambda tree, name: run_child(tree, CHILD, json.dumps(states[tree][name])))
     doc = {
@@ -90,8 +83,9 @@ def main(argv=None) -> int:
     }
     for side, tree in trees.items():
         doc["trees"][side] = {"revision": revision(tree), "workloads": {
-            name: {"L": WORKLOADS[name][0], "beta": WORKLOADS[name][1], "dtau": WORKLOADS[name][2],
-                   "kmax": WORKLOADS[name][3], "dmax": WORKLOADS[name][4],
+            name: {"L": WORKLOADS[name].L, "beta": WORKLOADS[name].beta,
+                   "dtau": WORKLOADS[name].dtau, "kmax": WORKLOADS[name].kmax,
+                   "dmax": WORKLOADS[name].dmax,
                    "min_s": round(min(r["s"] for r in rs), 4),
                    "all_s": [round(r["s"], 4) for r in rs],
                    "at_cap_step_ms": round(min(r["step_ms"] for r in rs), 2),

@@ -28,15 +28,9 @@ import tempfile
 import time
 from pathlib import Path
 
-from bench_builder import ROOT, alternate, child_env, machine, revision, run_child
+from bench_builder import (BOND_DIM, ROOT, WORKLOADS, alternate, child_env, machine, revision,
+                           run_child)
 
-# (L, beta, dtau) of bench/run.py's workloads, built at its bond cap 20
-WORKLOADS = {
-    "entropy-l20-d60": (20, 0.1, 0.002),
-    "entropy-l100-d30": (100, 0.1, 0.002),
-    "hard-l10-beta1": (10, 1.0, 0.001),
-}
-BOND_DIM = 20
 IMPORT = """
 import json, sys
 import mpotrace.cli
@@ -91,9 +85,9 @@ def main(argv=None) -> int:
     trees = {"change": ROOT} if args.baseline is None else {"baseline": args.baseline, "change": ROOT}
     with tempfile.TemporaryDirectory() as tmp:
         states = {}
-        for name, params in WORKLOADS.items():
+        for name, w in WORKLOADS.items():
             states[name] = Path(tmp) / f"{name}.json"
-            run_child(ROOT, BUILD, json.dumps(list(params) + [BOND_DIM, str(states[name])]))
+            run_child(ROOT, BUILD, json.dumps([w.L, w.beta, w.dtau, BOND_DIM, str(states[name])]))
         imports = alternate(trees, {"import": None}, args.repeat, _time_import)
         saves = alternate(trees, states, args.repeat, lambda tree, path: run_child(
             tree, SAVE, str(path), str(Path(tmp) / "out.json")))
