@@ -469,24 +469,24 @@ def test_sweep_bad_out_fails_before_any_build(tmp_path, monkeypatch):
 def test_sweep_isolates_failing_cell(tmp_path, monkeypatch):
     manifest = str(tmp_path / "m.json")
     out = str(tmp_path / "rows.csv")
-    # the L=14 cell fails at run time while L=4 succeeds
+    # the L=6 cell fails at run time while L=4 succeeds
     real = lz.entropy_from_half_state
 
-    def failing_at_14(m, **kwargs):
-        if m.L == 14:
+    def failing_at_6(m, **kwargs):
+        if m.L == 6:
             raise NumericError("injected failure")
         return real(m, **kwargs)
 
-    monkeypatch.setattr(lz, "entropy_from_half_state", failing_at_14)
+    monkeypatch.setattr(lz, "entropy_from_half_state", failing_at_6)
     with open(manifest, "w", encoding="utf-8") as fh:
-        json.dump({"L": [4, 14], "beta": [0.2], "dmax": [16], "kmax": [4]}, fh)
+        json.dump({"L": [4, 6], "beta": [0.2], "dmax": [16], "kmax": [4]}, fh)
     rc = run_cli("sweep", "--manifest", manifest, "--out", out,
                  "--dbond", "12", "--dtau", "0.01")
     assert rc == 0
     with open(out, newline="", encoding="utf-8") as fh:
         rows = {r["L"]: r for r in csv.DictReader(fh)}
     assert rows["4"]["error"] == ""
-    assert rows["14"]["error"] == "NumericError: injected failure"
+    assert rows["6"]["error"] == "NumericError: injected failure"
 
 
 def test_usage_error_on_unknown_command():
