@@ -9,6 +9,14 @@ beta_2..beta_k) defines a k-node Gauss rule: with T_k = V diag(theta) V^T,
     G_k f = beta_1^2 * sum_j |V[0, j]|^2 f(theta_j)
 
 approximates tr f(A) and is exact for polynomials of degree <= 2k-1.
+
+A step makes one variational fit, of t_k = A U_k - alpha_k U_k - beta_k
+U_{k-1}, and two closing passes over U_k: alpha_k = <U_k, A U_k> and
+||A U_k||^2 = <U_k, A^H A U_k>.  The other terms of ||t_k||^2 are
+overlaps of U_k with U_{k-1}, which the previous step's fit returns from
+its last local solve, so no pass runs over U_{k-1}.  The same fit gives
+the drift of the blocks, |<U_k, U_{k-1}>| and |<U_k, U_{k-2}>|, which
+the records carry and no stop rule reads.
 """
 from __future__ import annotations
 
@@ -134,15 +142,19 @@ class IterationRecord:
     """One Lanczos step.  The step makes one fit; `fit_residual`,
     `sweeps` and `converged` are that fit's squared residual, exact at
     every bond (the driver passes the fit ||t_k||^2), ALS sweep count and
-    whether its objective stopped moving before max_sweeps, `warm_ms` /
-    `sweep_ms` split its wall time between the warm start (a zip-up on a
-    step that grows the bond; about 0 at the cap, whose sweeps start from
-    U_k and gauge it themselves) and the sweeps, and `bond` is the max
-    bond of the fitted block.  `alpha_ms`
-    times the exact contraction of alpha, `norm_ms` the contractions of
-    ||t_k||^2 (step 2's includes fitting the compressed A^H A once), and
-    `quad_ms` the Gauss rule; with the fit they make up most of
-    `wall_ms`."""
+    whether it stopped on the plateau rule before max_sweeps (one sweep
+    when the first right-to-left half gains no more than the rule allows),
+    `warm_ms` / `sweep_ms` split its wall time between the warm start (a
+    zip-up on a step that grows the bond; about 0 at the cap, whose sweeps
+    start from U_k and gauge it themselves) and the sweeps, and `bond` is
+    the max bond of the fitted block.  `drift_1` and `drift_2` are
+    |<U_k, U_{k-1}>| and |<U_k, U_{k-2}>|, the loss of orthogonality that
+    truncation brings, from the previous step's fit; U_0 = U_{-1} = 0, so
+    both are 0 at step 1 and drift_2 is 0 at step 2.  `alpha_ms` times the
+    exact contraction of alpha, `norm_ms` that of ||A U_k||^2 (step 2's
+    includes fitting the compressed A^H A once; the overlaps with U_{k-1}
+    come from the previous fit), and `quad_ms` the Gauss rule; with the
+    fit they make up most of `wall_ms`."""
 
     k: int
     alpha: float
@@ -157,6 +169,8 @@ class IterationRecord:
     warm_ms: float = 0.0
     sweep_ms: float = 0.0
     bond: int = 0
+    drift_1: float = 0.0
+    drift_2: float = 0.0
     alpha_ms: float = 0.0
     norm_ms: float = 0.0
     quad_ms: float = 0.0
@@ -231,29 +245,29 @@ def check_stop(run: QuadratureRun, stop: StoppingConfig, f: SpectralFunction):
     return False, None
 
 
-def _target_norm_sq(a: mp.Mpo, u: mp.Mpo, u_prev: mp.Mpo | None, au_sq, alpha: float,
-                    ln_beta: float) -> tuple[float, float]:
+def _target_norm_sq(au_sq, alpha: float, ln_beta: float, overlaps) -> tuple[float, float]:
     """||t_k||^2 for the step's target t_k = A U_k - alpha_k U_k - beta_k
     U_{k-1}, with U_k and U_{k-1} of unit norm and alpha_k = <U_k, A U_k>:
 
         ||A U_k||^2 - alpha_k^2 + beta_k^2 - 2 beta_k Re<U_{k-1}, A U_k>
             + 2 alpha_k beta_k Re<U_k, U_{k-1}>.
 
-    au_sq is ||A U_k||^2 and ln_beta is ln beta_k, both in log form; the
-    two overlaps close in one pass over U_{k-1}.  u_prev None is step 1,
-    where the beta terms vanish.  Every magnitude stays a log until the
-    fit rebases it onto its own scale, so the result is in log form too:
-    (mantissa, log), value = mantissa * exp(log)."""
+    au_sq is ||A U_k||^2 and ln_beta is ln beta_k, both in log form.  The
+    two overlaps are fit k-1's, which made x = beta_k U_k from the
+    products (A, U_{k-1}) and (I, U_{k-1}), first in `overlaps`: for
+    Hermitian A, beta_k <U_{k-1}, A U_k> = conj<x, A U_{k-1}> and beta_k
+    <U_k, U_{k-1}> = <x, U_{k-1}>, so no contraction runs here.
+    overlaps None is step 1, where the beta terms vanish.  Every magnitude
+    stays a log until the fit rebases it onto its own scale, so the result
+    is in log form too: (mantissa, log), value = mantissa * exp(log)."""
     terms = [(au_sq[0].real, au_sq[1])]
     if alpha != 0:
         terms.append((-1.0, 2.0 * math.log(abs(alpha))))
-    if u_prev is not None:
-        target = mp._Target([(a.sites, u.sites), (mp._eye_sites(a.L, a.d), u.sites)])
-        (m_au, m_u), log = mp._close(target, u_prev.sites)
-        log += u.log_scale + u_prev.log_scale + ln_beta
-        terms += [(1.0, 2.0 * ln_beta), (-2.0 * m_au.real, log + a.log_scale)]
+    if overlaps is not None:
+        (m_au, log_au), (m_u, log_u) = overlaps[:2]
+        terms += [(1.0, 2.0 * ln_beta), (-2.0 * m_au.real, log_au)]
         if alpha != 0:
-            terms.append((math.copysign(2.0, alpha) * m_u.real, log + math.log(abs(alpha))))
+            terms.append((math.copysign(2.0, alpha) * m_u.real, log_u + math.log(abs(alpha))))
     top = max(log for _, log in terms)
     if top == -math.inf:
         return 0.0, 0.0
@@ -275,7 +289,8 @@ def global_lanczos(
     Each step normalizes the previous residual block U_k, computes alpha_k
     = <U_k, A U_k> exactly (one closing pass over a and U_k), and the
     squared norm of the new residual t_k = A U_k - alpha_k U_k - beta_k
-    U_{k-1} from its three-term expansion (_target_norm_sq).  Its
+    U_{k-1} from its three-term expansion (_target_norm_sq), whose
+    overlaps with U_{k-1} the previous step's fit returned.  Its
     ||A U_k||^2 is <U_k, A^H A U_k> on A^H A fitted once per run at twice
     a's bond, from step 2 on; U_1 is the identity over its norm, so
     ||A U_1||^2 = ||A||^2 / ||I||^2.  ||A U_k|| is the scale against
@@ -313,6 +328,9 @@ def global_lanczos(
     betas: list[float] = []
     beta1 = math.nan
     u_prev: mp.Mpo | None = None
+    # the last fit's overlaps: <V_k, A U_{k-1}>, <V_k, U_{k-1}> and, from
+    # step 3 on, <V_k, U_{k-2}>, V_k = beta_k U_k being that fit's output
+    overlaps: list | None = None
     a2: mp.Mpo | None = None  # A^H A, compressed
     ln_au = -math.inf  # ln ||A U_{k-1}||
 
@@ -354,8 +372,11 @@ def global_lanczos(
                 f"step {k}: <U, A U> = {alpha_c!r} has a relative imaginary part "
                 f"above 1e-8; the operator is not Hermitian to tolerance"
             )
-        norm_sq = _target_norm_sq(a, u, u_prev, au_sq, alpha, ln_v)
+        norm_sq = _target_norm_sq(au_sq, alpha, ln_v, overlaps)
         norm_ms = (time.perf_counter() - t_norm) * 1e3
+        # |<U_k, U_{k-1}>| and |<U_k, U_{k-2}>|; U_0 = U_{-1} = 0
+        drift = [mp._scaled(abs(m), log - ln_v) for m, log in (overlaps or [])[1:]]
+        drift += [0.0] * (2 - len(drift))
         # beta_1 is the start norm and never enters the subtraction
         terms = [(-alpha, u)] if u_prev is None else [(-alpha, u), (-beta, u_prev)]
         fit = multiply_and_optimize(a, u, dmax, terms=terms, norm_sq=norm_sq)
@@ -380,6 +401,8 @@ def global_lanczos(
             warm_ms=fit.warm_ms,
             sweep_ms=fit.sweep_ms,
             bond=v.max_bond(),
+            drift_1=drift[0],
+            drift_2=drift[1],
             alpha_ms=alpha_ms,
             norm_ms=norm_ms,
             quad_ms=quad_ms,
@@ -388,7 +411,7 @@ def global_lanczos(
         run.tridiag = tri
         run.beta1 = beta1
         logger.info("k=%d estimate=%.12g beta=%.6g", k, est, beta)
-        u_prev = u
+        u_prev, overlaps = u, fit.overlaps
         halt, reason = check_stop(run, stop, f)
         if halt:
             run.stop_reason = reason

@@ -182,23 +182,21 @@ def exact_multiply(a: Mpo, b: Mpo) -> Mpo:
     return Mpo(tuple(sites), a.log_scale + b.log_scale)
 
 
-def _eye_sites(L: int, d: int) -> list:
-    """The identity's bond-1 sites, unscaled: eye(d) at every site."""
-    return [np.eye(d).reshape(d, d, 1, 1)] * L
-
-
 def _flip(sites):
     """The chain read right to left: sites reversed, bond legs swapped."""
     return [s.transpose(0, 1, 3, 2) for s in reversed(sites)]
 
 
 class _Target:
-    """Environments of <x, sum_k a_k@u_k> over a list of operator products:
-    the package's one contraction kernel.  The fit's own product is
-    (a, u); a carried term c*t enters as (c*I, t), with I the bond-1
-    identity sites, and <a, b> is the target [(I, b)] closed over x = a
-    (`_close`).  Environments are lists with one (x, a_k, u_k) bond tensor
-    per product, and local tensors sum the products' parts.
+    """Environments of <x, sum_k w_k a_k@u_k> over a list of operator
+    products and their weights (all 1 by default): the package's one
+    contraction kernel.  The fit's own product is (a, u); a carried term
+    c*t enters as (None, t) with weight c, None standing for the identity,
+    and <a, b> is the target [(None, b)] closed over x = a (`_close`).
+    Environments are lists with one (x, a_k, u_k) bond tensor per product,
+    the identity's bond being 1, unweighted, and local tensors sum the
+    products' parts with their weights, so a part, <x, a_k@u_k> at a
+    closing solve, survives a weight of 0.
 
     The kernel holds no state: a caller forms the half-contraction at a
     site once, `half(i, E)`, and passes it to `parts` and `env`.  It
@@ -209,13 +207,15 @@ class _Target:
     at each call: every step stays inside BLAS, and no copy of a whole
     operand is held."""
 
-    def __init__(self, products):
+    def __init__(self, products, weights=None):
         self.a = [a for a, _ in products]
         self.u = [u for _, u in products]
+        self.w = [1.0] * len(self.a) if weights is None else list(weights)
 
     def mirrored(self) -> "_Target":
         """The same target on the chain read right to left."""
-        return _Target([(_flip(a), _flip(u)) for a, u in zip(self.a, self.u)])
+        return _Target([(None if a is None else _flip(a), _flip(u))
+                        for a, u in zip(self.a, self.u)], self.w)
 
     def boundary(self):
         return [np.ones((1, 1, 1)) for _ in self.a]
@@ -225,17 +225,25 @@ class _Target:
         (lx*j*o, ra*ru)."""
         out = []
         for a, u, e in zip(self.a, self.u, E):
-            o, c, la, ra = a[i].shape
-            j, lu, ru = u[i].shape[1:]
-            lx = e.shape[0]
+            c, j, lu, ru = u[i].shape
+            lx, la = e.shape[:2]
             # E: (lx, la, lu) @ u_i as (lu, c*j*ru) -> (lx, la, c, j, ru)
             ul = u[i].transpose(2, 0, 1, 3).reshape(lu, c * j * ru)
-            t = (e.reshape(lx * la, lu) @ ul).reshape(lx, la, c, j, ru)
+            t = e.reshape(lx * la, lu) @ ul
+            if a is None:
+                # the identity: o = c, and its bonds are 1
+                out.append(t.reshape(lx, c, j, ru).transpose(0, 2, 1, 3).reshape(lx * j * c, ru))
+                continue
+            o, ra = a[i].shape[0], a[i].shape[3]
             # contract (la, c) with a_i as (la*c, o*ra) -> (lx, j, ru, o, ra)
-            t = t.transpose(0, 3, 4, 1, 2).reshape(lx * j * ru, la * c)
+            t = t.reshape(lx, la, c, j, ru).transpose(0, 3, 4, 1, 2).reshape(lx * j * ru, la * c)
             t = (t @ a[i].transpose(2, 1, 0, 3).reshape(la * c, o * ra)).reshape(lx, j, ru, o, ra)
             out.append(t.transpose(0, 1, 3, 4, 2).reshape(lx * j * o, ra * ru))
         return out
+
+    def bonds(self, i):
+        """Per product, its right bond at site i, ra*ru."""
+        return [(1 if a is None else a[i].shape[3]) * u[i].shape[3] for a, u in zip(self.a, self.u)]
 
     def parts(self, half, F):
         """Per product, its part of the local tensor at a site, as an
@@ -246,10 +254,15 @@ class _Target:
 
     def local(self, i, parts):
         """The target's local tensor at site i, (o, j, lx, rx): the sum of
-        the products' parts there."""
-        t = sum(parts[1:], parts[0])
-        o, j = self.a[0][i].shape[0], self.u[0][i].shape[1]
-        return t.reshape(-1, j, o, t.shape[1]).transpose(2, 1, 0, 3)
+        the products' parts there, weighted."""
+        return self.site(i, sum(w * p for w, p in zip(self.w, parts)))
+
+    def site(self, i, t):
+        """An (lx*j*o, rx) matrix at site i, the layout of the parts, as a
+        site tensor (o, j, lx, rx): a view, whose transpose(2, 1, 0, 3)
+        is t again."""
+        d = self.u[0][i].shape[1]
+        return t.reshape(-1, d, d, t.shape[1]).transpose(2, 1, 0, 3)
 
     def env(self, i, half, xq):
         """The environment right of site i, from its half-contraction
@@ -257,8 +270,7 @@ class _Target:
         o, j, lx, rx = xq.shape
         # xq: (o, j, lx, rx); contract lx, j, o -> (rx, ra, ru) per product
         xc = xq.conj().transpose(3, 2, 1, 0).reshape(rx, lx * j * o)
-        return [(xc @ h).reshape(rx, a[i].shape[3], u[i].shape[3])
-                for h, a, u in zip(half, self.a, self.u)]
+        return [(xc @ h).reshape(rx, -1, u[i].shape[3]) for h, u in zip(half, self.u)]
 
 
 def _close(target: _Target, x_sites) -> tuple[list, float]:
@@ -297,10 +309,11 @@ def _from_log(mant, log: float, what: str):
 
 def inner_product_scaled(a: Mpo, b: Mpo) -> tuple[complex, float]:
     """Frobenius inner product <a, b> = tr(a^H b), closed as the target
-    [(I, b)] over x = a, never densified, as (mantissa, log): value =
-    mantissa * exp(log).  The mantissa is a float when both are real."""
+    [(None, b)], the identity times b, over x = a, never densified, as
+    (mantissa, log): value = mantissa * exp(log).  The mantissa is a float
+    when both are real."""
     _check_compatible(a, b)
-    (mant,), log = _close(_Target([(_eye_sites(b.L, b.d), b.sites)]), a.sites)
+    (mant,), log = _close(_Target([(None, b.sites)]), a.sites)
     return mant, log + a.log_scale + b.log_scale
 
 
@@ -310,7 +323,7 @@ def log_norm(a: Mpo) -> float:
     a.ln_norm, so that later calls read it."""
     if a.ln_norm is None:
         # the kernel itself: a norm is one public call, not two
-        (mant,), log = _close(_Target([(_eye_sites(a.L, a.d), a.sites)]), a.sites)
+        (mant,), log = _close(_Target([(None, a.sites)]), a.sites)
         # mant can round to <= 0 only when the norm is lost in roundoff
         ln = 0.5 * (math.log(mant.real) + log) + a.log_scale if mant.real > 0 else -math.inf
         object.__setattr__(a, "ln_norm", ln)
@@ -507,7 +520,8 @@ def load_json(path: str) -> Mpo:
         d = int(doc["d"])
         ls = float(doc["log_scale"])
         raw = doc["sites"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # a number past the float range, such as "L": 1e999, loads as inf
         raise NumericError(f"{path}: missing or malformed field ({exc})") from exc
     if kind != "mpo":
         raise NumericError(f"{path}: unknown kind {kind!r}")

@@ -2,11 +2,14 @@
 
 `multiply_and_optimize` fits an MPO with capped bonds to the target
 a@u + sum_k c_k t_k.  A Lanczos step is one such fit: A U_k - alpha U_k
-- beta U_{k-1}.  The target is held as one list of operator products:
-the fit's own (a, u), and (c_k*I, t_k) for each carried term, with I the
-bond-1 identity sites.  Every contraction here runs through the
-package's one kernel, mp._Target: the warm start, both halves of a
-sweep, and `expectation`, which closes <u, a u> in log form (mp._close).
+- beta U_{k-1}.  The target is held as one list of operator products
+and their weights: the fit's own (a, u), and the identity times t_k,
+(None, t_k), with weight c_k for each carried term.  The weights enter
+only where the products' parts are summed, so each product's part, and
+its overlap with the fit, survives a weight of 0.  Every contraction here
+runs through the package's one kernel, mp._Target: the warm start, both
+halves of a sweep, and `expectation`, which closes <u, a u> in log form
+(mp._close).
 
 A caller that knows ||target||^2 passes it (a Lanczos step computes it
 from a compressed A^H A, see lanczos.global_lanczos).  It offsets the
@@ -32,12 +35,22 @@ target, whose left environments are the forward right environments.
 A complete cancellation is judged once, after the sweeps.  Each site update
 forms one half-contraction, the left environment absorbed into the
 products' sites, and hands it to both the local tensor and the next
-environment.  The sweeps stop when a sweep lowers the objective by no
-more than _REL_TOL of the fit's own ||x||^2 after its first sweep, or by
-no more than a fixed share of what the first sweep lowered it by (the
-truncation plateau of a capped fit).  Both are differences of
-objectives, from which ||target||^2 cancels, so the rule does not need
-it.
+environment.  The plateau is judged at half-sweep granularity: the
+sweeps stop after a sweep whose right-to-left half lowered the objective
+by no more than _REL_TOL of the fit's own ||x||^2 after its first sweep,
+or by no more than a fixed share of what the first sweep's left-to-right
+half lowered it by (the truncation plateau of a capped fit).  A fit
+whose first half-sweep already reaches the plateau, as a Lanczos step's
+does on a thermal state, ends after one sweep; random operators at a
+small cap go on sweeping.  Both gains are differences of objectives,
+from which ||target||^2 cancels, so the rule does not need it.
+
+The sweeps end on an exact local solve at site 0, with every other site
+isometric.  There the fit's overlap with each product of its target is
+the inner product of the center with that product's part, so the fit
+returns <x, a@u> and <x, t_k> at no cost (`SweepResult.overlaps`): the
+next Lanczos step takes its ||t_k||^2 overlaps and the drift of its
+blocks from them.
 """
 from __future__ import annotations
 
@@ -83,10 +96,13 @@ class SweepResult:
     every site update, ||target||^2 - ||x||^2, or -||x||^2 when the caller
     did not pass ||target||^2.  `residual` is the squared distance to the
     target: 0 when the cap truncates nothing, else the last objective,
-    floored at 0, and NaN when that objective lacks ||target||^2.  `warm_ms`
-    and `sweep_ms` split the fit's wall time between the warm start (the
-    zip-up; about 0 for a start from u) and the sweeps, their gauge pass
-    over the start included.
+    floored at 0, and NaN when that objective lacks ||target||^2.
+    `overlaps` holds <x, a@u> and then <x, t_k> per term, each in log form
+    (mantissa, log): the fit's overlap with each product of its target,
+    without the product's coefficient, exact also for a coefficient of 0.
+    `warm_ms` and `sweep_ms` split the fit's wall time between the warm
+    start (the zip-up; about 0 for a start from u) and the sweeps, their
+    gauge pass over the start included.
     """
 
     mpo: mp.Mpo
@@ -94,6 +110,7 @@ class SweepResult:
     converged: bool
     sweeps: int = 0
     objectives: list = field(default_factory=list)
+    overlaps: list = field(default_factory=list)
     warm_ms: float = 0.0
     sweep_ms: float = 0.0
 
@@ -126,17 +143,21 @@ def _run_sweeps(x_sites, target, norm_sq: float, opts: SweepOptions):
     read, because the first local solve overwrites it.  A sweep is a
     left-to-right pass over the target and one over its mirror, which is
     the right-to-left pass of the chain, and a last solve at site 0.
-    Returns (objectives, converged, sweeps run, scale_sq), scale_sq being
-    the parts' scale at that last solve (_scale_sq).  The objective after a
+    Returns (objectives, converged, sweeps run, parts), parts being the
+    products' unweighted parts at that last solve.  The objective after a
     site update is norm_sq - |center|^2, which is exact given exact
     environments because the local optimum equals the environment tensor.
     It is a difference of nearly equal numbers, so for an exact fit it
-    rounds to either sign; convergence is therefore judged only by the
-    change between two sweeps, never by the objective's own size: the
-    sweeps stop when one lowers the objective by at most _REL_TOL of
-    |center|^2 after the first sweep, or by at most _PLATEAU of what the
-    first sweep lowered it by (the fit sits on its truncation plateau).
-    norm_sq, 0 when the caller does not know it, cancels from both gains.
+    rounds to either sign; convergence is therefore judged only by
+    changes of the objective, never by its own size, at half-sweep
+    granularity: the sweeps stop after a sweep whose right-to-left half
+    (from the end of its left-to-right pass to the last solve at site 0)
+    lowered the objective by at most _REL_TOL of |center|^2 after the
+    first sweep, or by at most _PLATEAU of what the first sweep's
+    left-to-right half lowered it by (the fit sits on its truncation
+    plateau).  So a fit whose first half-sweep already reached the
+    plateau stops after one sweep.  norm_sq, 0 when the caller does not
+    know it, cancels from every gain.
     """
     L = len(x_sites)
     mirror = target.mirrored()
@@ -153,9 +174,11 @@ def _run_sweeps(x_sites, target, norm_sq: float, opts: SweepOptions):
         back[j] = None
     objectives = []
     converged = False
-    prev = tol = first_gain = None
     for sweeps in range(1, opts.max_sweeps + 1):
         _pass(target, fwd, bwd, x_sites, norm_sq, objectives)
+        # the objective where the right-to-left half starts; a one-site
+        # chain has no pass, and its one solve is compared across sweeps
+        mid = objectives[-1] if objectives else math.inf
         _pass(mirror, bwd, fwd, back, norm_sq, objectives)
         parts = target.parts(target.half(0, fwd[0]), bwd[L - 1])
         t = target.local(0, parts)
@@ -163,43 +186,38 @@ def _run_sweeps(x_sites, target, norm_sq: float, opts: SweepOptions):
         xsq = float(np.vdot(t, t).real)
         obj = norm_sq - xsq
         objectives.append(obj)
-        if prev is None:
-            tol, first_gain = _REL_TOL * xsq, objectives[0] - obj
-        elif prev - obj <= max(tol, _PLATEAU * first_gain):
+        if sweeps == 1:
+            tol = max(_REL_TOL * xsq, _PLATEAU * (objectives[0] - mid))
+        if mid - obj <= tol:
             converged = True
             break
-        prev = obj
     # the mirror pass wrote sites 1..L-1 last
     x_sites[1:] = mp._flip(back)[1:]
-    return objectives, converged, sweeps, _scale_sq(parts)
-
-
-def _scale_sq(parts) -> float:
-    """The squared sum of the norms of the target's parts at one site,
-    against which a cancellation of the whole target is judged."""
-    return sum(math.sqrt(float(np.vdot(p, p).real)) for p in parts) ** 2
+    return objectives, converged, sweeps, parts
 
 
 def _zipup(target: mp._Target, cap: int):
-    """One left-to-right pass over the target sum_k a_k@u_k, split at
+    """One left-to-right pass over the target sum_k w_k a_k@u_k, split at
     every bond by the truncated split mp._truncated_split capped at cap.
 
     The carries are the target's left environments, and each site's block
     is its half-contraction: the products' parts (right bonds ra*ru) sit
-    side by side, so the carried weights of all of them, a term (c*I)@t
+    side by side, so the carried weights of all of them, a carried term
     among them, meet in one factorization.  The kept left singular
     vectors are the site, and the carry is the split's weights, U^H @
     block (= diag(s) V^H on the kept rows).  Returns the sites,
     left-isometric but the last, which holds the weight."""
-    L = len(target.a[0])
+    L = len(target.u[0])
     carries = target.boundary()
     sites = []
     for i in range(L):
-        o, j, x = target.a[0][i].shape[0], target.u[0][i].shape[1], carries[0].shape[0]
         blocks = target.half(i, carries)
+        if i == 0:
+            # the products' weights enter once, here, and ride in the carries
+            blocks = [w * b for w, b in zip(target.w, blocks)]
         if i == L - 1:
             # every part's right boundary bond is 1: the site is their sum
-            sites.append(target.local(i, blocks))
+            sites.append(target.site(i, sum(blocks[1:], blocks[0])))
             return sites
         mat = np.concatenate(blocks, axis=1)
         # the parts are as large as mat: free them, so that no two copies
@@ -207,17 +225,15 @@ def _zipup(target: mp._Target, cap: int):
         del blocks
         kept, right, _ = mp._truncated_split(mat, cap)
         del mat
-        keep = kept.shape[1]
-        sites.append(kept.reshape(x, j, o, keep).transpose(2, 1, 0, 3))
+        sites.append(target.site(i, kept))
         carries, off = [], 0
-        for a, u in zip(target.a, target.u):
-            ra, ru = a[i].shape[3], u[i].shape[3]
-            carries.append(right[:, off:off + ra * ru].reshape(keep, ra, ru))
-            off += ra * ru
+        for b, u in zip(target.bonds(i), target.u):
+            carries.append(right[:, off:off + b].reshape(kept.shape[1], -1, u[i].shape[3]))
+            off += b
 
 
 def _fit_result(x_sites, ls: float, truncated: bool, known: bool, objectives, converged: bool,
-                sweeps: int, warm_ms: float, sweep_ms: float) -> SweepResult:
+                sweeps: int, overlaps: list, warm_ms: float, sweep_ms: float) -> SweepResult:
     """Package the swept sites with the output scale exp(ls).  The sweeps
     end with site 0 as the orthogonality center and every other site
     isometric, so ln||x|| is ls plus ln of the center's Frobenius norm.
@@ -238,15 +254,17 @@ def _fit_result(x_sites, ls: float, truncated: bool, known: bool, objectives, co
         converged=converged,
         sweeps=sweeps,
         objectives=[mp._scaled(o, 2.0 * ls) for o in objectives],
+        overlaps=overlaps,
         warm_ms=warm_ms,
         sweep_ms=sweep_ms,
     )
 
 
-def _zero_result(L: int, d: int, residual: float = 0.0, warm_ms: float = 0.0,
+def _zero_result(L: int, d: int, products: int, residual: float = 0.0, warm_ms: float = 0.0,
                  sweep_ms: float = 0.0) -> SweepResult:
     return SweepResult(mpo=mp.zero_mpo(L, d), residual=residual, converged=True,
-                       objectives=[residual], warm_ms=warm_ms, sweep_ms=sweep_ms)
+                       objectives=[residual], overlaps=[(0.0, -math.inf)] * products,
+                       warm_ms=warm_ms, sweep_ms=sweep_ms)
 
 
 def expectation(a: mp.Mpo, u: mp.Mpo) -> tuple[complex, float]:
@@ -272,7 +290,9 @@ def multiply_and_optimize(a: mp.Mpo, u: mp.Mpo, dnew: int | None, opts: SweepOpt
     exact at every bond given norm_sq and NaN without it when the cap
     truncates.  With dnew at least the exact bond (D_a * D_u plus the
     terms' bonds) the fit reproduces the exact operator to numerical
-    precision.
+    precision.  Its `overlaps` come free from the last local solve, at
+    site 0 with every other site isometric: there <x, product> is the
+    inner product of the center with the product's part.
     """
     opts = opts or SweepOptions()
     terms = list(terms)
@@ -282,49 +302,55 @@ def multiply_and_optimize(a: mp.Mpo, u: mp.Mpo, dnew: int | None, opts: SweepOpt
         raise DimensionError("dnew must be >= 1")
     L, d = a.L, a.d
     t0 = time.perf_counter()
-    # the target is a list of products: (a, u), and (c_k*I, t_k) per term.
-    # Work with unit-norm operands (unscaled eye sites act as the identity
-    # on a unit t_k); every product's true magnitude, rebased onto the
-    # largest one, folds into its site 0, and that common scale rides on
-    # the output log_scale, so nothing downstream sees compounded scales
-    eye = (mp._eye_sites(L, d), 0.0)
+    # the target is a list of products: (a, u), and (None, t_k) per term,
+    # the identity times t_k, with weight c_k.  Work with unit-norm
+    # operands; every product's true magnitude, rebased onto the largest
+    # one, is its weight, and that common scale rides on the output
+    # log_scale, so nothing downstream sees compounded scales
+    eye = (None, 0.0)
     factors = [(1.0, mp._unit_sites(a), mp._unit_sites(u))] + [
         (c, eye, mp._unit_sites(t)) for c, t in terms]
     log_mags = [la + lu + math.log(abs(c)) if c != 0 else -math.inf
                 for c, (_, la), (_, lu) in factors]
     ls = max(log_mags)
     if ls == -math.inf:
-        return _zero_result(L, d)
-    products = []
-    for (c, (a_sites, _), (u_sites, _)), lm in zip(factors, log_mags):
-        w = c / abs(c) * math.exp(lm - ls) if lm != -math.inf else 0.0
-        products.append(([a_sites[0] * w] + a_sites[1:], u_sites))
-
-    blocks = [sum(ak[i].shape[3] * uk[i].shape[3] for ak, uk in products) for i in range(L - 1)]
+        return _zero_result(L, d, len(factors))
+    weights = [c / abs(c) * math.exp(lm - ls) if lm != -math.inf else 0.0
+               for (c, _, _), lm in zip(factors, log_mags)]
+    target = mp._Target([(a_sites, u_sites) for _, (a_sites, _), (u_sites, _) in factors],
+                        weights)
+    blocks = [sum(target.bonds(i)) for i in range(L - 1)]
     exact_bond = max(blocks, default=1)
     cap = exact_bond if dnew is None else min(dnew, exact_bond)
-    target = mp._Target(products)
     # the bonds the fit outputs: the cap, clipped by the block bond and by
     # the chain's natural limit, d^2 per site from either end
     if u.bond_dims() == [min(cap, b, (d * d) ** min(i + 1, L - 1 - i))
                          for i, b in enumerate(blocks)]:
         # a zip-up could not offer the sweeps a larger trial space than u
         # spans; they start from u
-        x_sites = list(products[0][1])
+        x_sites = list(target.u[0])
     else:
         x_sites = _zipup(target, cap)
     # the objectives' offset: the known ||target||^2 on the fit's scale
     offset = 0.0 if norm_sq is None else mp._scaled(norm_sq[0], norm_sq[1] - 2.0 * ls)
 
     t1 = time.perf_counter()
-    objectives, converged, sweeps, scale_sq = _run_sweeps(x_sites, target, offset, opts)
+    objectives, converged, sweeps, parts = _run_sweeps(x_sites, target, offset, opts)
     t2 = time.perf_counter()
-    # a complete cancellation is judged once, by the norm of the result:
-    # a known norm's rounding floor, eps * ||a u||^2, lies far above the
-    # threshold.  The zero operator's residual is ||target||^2 itself, 0
-    # to rounding when it is not known
+    # a complete cancellation is judged once, by the norm of the result
+    # against the squared sum of the weighted parts' norms: a known norm's
+    # rounding floor, eps * ||a u||^2, lies far above the threshold.  The
+    # zero operator's residual is ||target||^2 itself, 0 to rounding when
+    # it is not known
+    scale_sq = sum(abs(w) * math.sqrt(float(np.vdot(p, p).real))
+                   for w, p in zip(weights, parts)) ** 2
     if float(np.vdot(x_sites[0], x_sites[0]).real) <= _CANCELLED * scale_sq:
-        return _zero_result(L, d, mp._scaled(max(offset, 0.0), 2.0 * ls),
+        return _zero_result(L, d, len(parts), mp._scaled(max(offset, 0.0), 2.0 * ls),
                             (t1 - t0) * 1e3, (t2 - t1) * 1e3)
+    # the center in the parts' layout; each overlap on the true scales of
+    # x and of the product's operands
+    center = x_sites[0].transpose(2, 1, 0, 3).reshape(parts[0].shape)
+    overlaps = [(np.vdot(center, p).item(), ls + la + lu)
+                for p, (_, (_, la), (_, lu)) in zip(parts, factors)]
     return _fit_result(x_sites, ls, cap < exact_bond, norm_sq is not None, objectives, converged,
-                       sweeps, (t1 - t0) * 1e3, (t2 - t1) * 1e3)
+                       sweeps, overlaps, (t1 - t0) * 1e3, (t2 - t1) * 1e3)

@@ -231,6 +231,21 @@ def test_estimate_malformed_state_fails_cleanly(tmp_path, capsys):
     assert "ragged.json" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field", ["L", "d"])
+def test_estimate_header_past_float_range_fails_cleanly(tmp_path, capsys, field):
+    # 1e999 loads as inf, which is no integer: a NumericError naming the
+    # file, not a bare OverflowError
+    src = tmp_path / "far.json"
+    mp.save_json(mp.identity_mpo(4), str(src))
+    text = src.read_text(encoding="utf-8")
+    old = f'"{field}": {4 if field == "L" else 2},'
+    assert old in text
+    src.write_text(text.replace(old, f'"{field}": 1e999,'), encoding="utf-8")
+    assert run_cli("estimate", "--input", str(src), "--function", "trace") == 1
+    err = capsys.readouterr().err
+    assert "error: NumericError" in err and "far.json" in err and "Traceback" not in err
+
+
 def test_estimate_overflow_fails_cleanly(tmp_path, capsys):
     # tr(e^800 I) overflows float64: a NumericError, not a traceback
     src = str(tmp_path / "huge.json")
@@ -267,9 +282,12 @@ def test_estimate_iterations_csv_header(tmp_path, half_state_file):
     fit_cols = [cli.CSV_COLUMNS.index(c) for c in ("sweeps", "converged")]
     assert [[int(r[c]) for c in fit_cols] for r in rows[1:]] == \
         [[rec["sweeps"], int(rec["converged"])] for rec in records]
-    assert all(rec["sweeps"] >= 2 for rec in records)
+    # the cap keeps (about) every singular value: each fit sees its plateau,
+    # a right-to-left half that gains nothing, after one sweep
+    assert all(rec["sweeps"] == 1 and rec["converged"] for rec in records)
     # the step's one fit: residual, bond and the split of the step's time
-    for name in ("fit_residual", "bond", "alpha_ms", "norm_ms", "warm_ms", "sweep_ms", "quad_ms"):
+    for name in ("fit_residual", "bond", "drift_1", "drift_2", "alpha_ms", "norm_ms", "warm_ms",
+                 "sweep_ms", "quad_ms"):
         col = cli.CSV_COLUMNS.index(name)
         assert [float(r[col]) for r in rows[1:]] == [rec[name] for rec in records], name
     assert all(0 < rec["warm_ms"] + rec["sweep_ms"] < rec["wall_ms"] for rec in records)
@@ -285,7 +303,8 @@ def test_iterations_csv_columns_match_record_dict():
     rec = lz.IterationRecord(k=1, alpha=0.5, beta=1.0, ritz_min=0.5, ritz_max=0.5,
                              estimate=2.0, wall_ms=3.0, fit_residual=1e-9, sweeps=5,
                              converged=False, warm_ms=1.0, sweep_ms=2.0, bond=7,
-                             alpha_ms=0.5, norm_ms=0.3, quad_ms=0.1)
+                             drift_1=1e-12, drift_2=1e-13, alpha_ms=0.5, norm_ms=0.3,
+                             quad_ms=0.1)
     assert cli.CSV_COLUMNS == tuple(asdict(rec))
 
 

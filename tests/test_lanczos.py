@@ -12,7 +12,7 @@ from mpotrace.errors import EvaluationError, HermiticityError, NumericError
 
 from mpotrace.sweeping import multiply_and_optimize
 
-from conftest import inner, random_mpo
+from conftest import inner, random_mpo, real_part
 
 
 def make_run(estimates, ritz_min=0.5, ritz_max=1.5):
@@ -451,22 +451,93 @@ def test_real_and_complex_arithmetic_agree(thermal_cache):
 
 
 def test_records_count_sweeps(thermal_l6, monkeypatch):
+    # one fit per step, and each record reports its fit's sweeps and flag.
+    # A fit stops after the first sweep whose right-to-left half lowered
+    # the objective by at most 1e-9 of ||x||^2 or 1e-2 of what sweep 1's
+    # left-to-right half did, so one sweep can be enough
+    fits = []
+
+    def recording(a, u, dnew, opts=None, terms=(), norm_sq=None):
+        fit = multiply_and_optimize(a, u, dnew, opts, terms, norm_sq)
+        if norm_sq is not None:
+            # a step's fit, not the run's one fit of A^H A
+            fits.append(fit)
+        return fit
+
+    def met_rule(fit, L=6):
+        # a sweep makes 2L - 1 updates, its left-to-right half the first L - 1
+        obj, last = fit.objectives, fit.objectives[1 - 2 * L:]
+        tol = max(1e-9 * mp.frobenius_norm(fit.mpo) ** 2, 1e-2 * (obj[0] - obj[L - 2]))
+        return last[L - 2] - last[-1] <= tol
+
+    monkeypatch.setattr(lz, "multiply_and_optimize", recording)
     _, run = lz.entropy_from_half_state(thermal_l6, kmax=4, dmax=8)
-    # one fit per step, and every fit sweeps at least twice: one sweep to
-    # fit, one to see that the objective stopped moving
-    assert all(r.sweeps >= 2 for r in run.records)
+    assert [(r.sweeps, r.converged) for r in run.records] == [(f.sweeps, f.converged) for f in fits]
+    assert all(f.converged and met_rule(f) for f in fits)
+    assert run.records[0].sweeps == 1
 
-    # with one sweep per fit no fit can see that
+    # with one sweep per fit, a fit is converged exactly when that sweep
+    # met the rule
     def one_sweep(a, u, dnew, opts=None, terms=(), norm_sq=None):
-        return multiply_and_optimize(a, u, dnew, mt.SweepOptions(max_sweeps=1),
-                                     terms, norm_sq)
+        return recording(a, u, dnew, mt.SweepOptions(max_sweeps=1), terms, norm_sq)
 
+    fits.clear()
     monkeypatch.setattr(lz, "multiply_and_optimize", one_sweep)
     capped = lz.global_lanczos(thermal_l6, kmax=3, dmax=4,
                                f=lz.polynomial_function([0.0] * 9 + [1.0]),
                                stop=lz.StoppingConfig(eps_conv=1e-300, sigma_mult=math.inf))
     assert [r.sweeps for r in capped.records] == [1, 1, 1]
-    assert not any(r.converged for r in capped.records)
+    assert [r.converged for r in capped.records] == [met_rule(f) for f in fits]
+    assert not all(r.converged for r in capped.records)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_overlaps_come_from_the_previous_fit(cplx, monkeypatch):
+    # A = diag(1, -1, 1, -1) (x) B on d = 4 is Hermitian and traceless, and
+    # the identity's sites eye/2 make alpha_1 = 0 exactly: step 1's term
+    # -alpha_1 U_1 has weight 0.  Each fit's overlaps with the products of
+    # its target match the dense inner products, the weight-0 product's
+    # included; the next step builds ||t_k||^2 from them, and records
+    # |<U_k, U_{k-1}>| and |<U_k, U_{k-2}>|.  B has bond 2, so A^H A is
+    # exact at twice A's bond, and so is ||A U_k||^2
+    b = mt.random_hermitian_mpo(3, d=4, dbond=2, seed=3)
+    if not cplx:
+        # the real parts of the sites of M + M^H are those of M_r + M_r^T
+        b = real_part(b)
+    a = mp.Mpo((np.diag([1.0, -1.0, 1.0, -1.0]).reshape(4, 4, 1, 1),) + b.sites, b.log_scale)
+    steps = []
+
+    def recording(a_, u, dnew, opts=None, terms=(), norm_sq=None):
+        fit = multiply_and_optimize(a_, u, dnew, opts, terms, norm_sq)
+        if norm_sq is not None:
+            steps.append((u, list(terms), norm_sq, fit))
+        return fit
+
+    monkeypatch.setattr(lz, "multiply_and_optimize", recording)
+    run = lz.global_lanczos(a, kmax=6, dmax=4, f=lz.polynomial_function([0.0] * 9 + [1.0]),
+                            stop=lz.StoppingConfig(eps_conv=1e-300, sigma_mult=math.inf),
+                            keep_basis=True)
+    assert len(run.records) == 6
+    assert run.records[0].alpha == 0.0 and steps[0][1][0][0] == 0.0
+    dense_a = mp.dense(a)
+    for k, (u, terms, norm_sq, fit) in enumerate(steps, 1):
+        x = mp.dense(fit.mpo)
+        au = dense_a @ mp.dense(u)
+        t = au + sum(c * mp.dense(v) for c, v in terms)
+        refs = [np.vdot(x, au)] + [np.vdot(x, mp.dense(v)) for _, v in terms]
+        assert len(fit.overlaps) == len(refs), k
+        for (mant, log), ref in zip(fit.overlaps, refs):
+            scale = np.linalg.norm(x) * np.linalg.norm(au)
+            assert abs(mant * math.exp(log) - ref) <= 1e-12 * scale, k
+        assert abs(norm_sq[0] * math.exp(norm_sq[1]) - np.linalg.norm(t) ** 2) \
+            <= 1e-12 * np.linalg.norm(au) ** 2, k
+    # the cap truncates from some step on
+    assert max(fit.residual for *_, fit in steps) > 1e-6
+    units = [mp.dense(v) for v in run.basis]
+    for k, rec in enumerate(run.records):
+        want = [abs(np.vdot(units[k], units[k - j])) if k >= j else 0.0 for j in (1, 2)]
+        assert abs(rec.drift_1 - want[0]) <= 1e-12 and abs(rec.drift_2 - want[1]) <= 1e-12, k
+    assert run.records[0].drift_1 == run.records[0].drift_2 == run.records[1].drift_2 == 0.0
 
 
 def test_one_fit_per_step(thermal_l6, monkeypatch):

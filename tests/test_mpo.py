@@ -78,16 +78,17 @@ def test_close_returns_each_products_value(cplx):
                        random_mpo(5, 3, 4))
     if not cplx:
         a, u, u_prev, x = map(real_part, (a, u, u_prev, x))
-    eye = mp._eye_sites(5, 2)
-    products = [(a.sites, u.sites), ([eye[0] * -0.8] + eye[1:], u.sites),
-                ([eye[0] * 0.3] + eye[1:], u_prev.sites)]
-    mants, log = mp._close(mp._Target(products), x.sites)
+    # a carried term is the identity, None, times its block; the weights
+    # enter only where a fit sums the parts, not in the closed values
+    products = [(a.sites, u.sites), (None, u.sites), (None, u_prev.sites)]
+    mants, log = mp._close(mp._Target(products, [1.0, -0.8, 0.3]), x.sites)
     assert len(mants) == 3
     for mant, (a_k, u_k) in zip(mants, products):
         assert isinstance(mant, float) == (not cplx)
         got = mant * math.exp(log)
         (alone,), log_alone = mp._close(mp._Target([(a_k, u_k)]), x.sites)
-        ref = np.vdot(mp.dense(x), mp.dense(mp.Mpo(tuple(a_k))) @ mp.dense(mp.Mpo(tuple(u_k))))
+        op = np.eye(32) if a_k is None else mp.dense(mp.Mpo(tuple(a_k)))
+        ref = np.vdot(mp.dense(x), op @ mp.dense(mp.Mpo(tuple(u_k))))
         assert abs(got - alone * math.exp(log_alone)) <= 1e-12 * abs(ref)
         assert abs(got - ref) <= 1e-12 * abs(ref)
 

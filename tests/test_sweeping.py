@@ -230,10 +230,14 @@ def test_fit_reports_sweeps():
     fit = multiply_and_optimize(a, u, 4, SweepOptions(max_sweeps=3))
     # one sweep makes 2L - 1 local updates
     assert fit.sweeps == len(fit.objectives) // 9 and 1 <= fit.sweeps <= 3
-    # an exact fit still takes a second sweep to confirm convergence: its
-    # first objective is rounding noise of either sign
+    # an exact fit reaches its optimum in the left-to-right half of its
+    # first sweep: the right-to-left half lowers the objective by no more
+    # than 1e-9 of ||x||^2, so it stops after one sweep
     exact = multiply_and_optimize(a, u, None)
-    assert exact.converged and exact.sweeps == 2
+    assert exact.converged and exact.sweeps == 1
+    obj = exact.objectives
+    assert len(obj) == 9
+    assert obj[3] - obj[-1] <= 1e-9 * mp.frobenius_norm(exact.mpo) ** 2
     zero = multiply_and_optimize(mp.zero_mpo(5), u, 4)
     assert zero.converged and zero.sweeps == 0
 
@@ -271,7 +275,34 @@ def test_fused_fit_unconstrained_matches_dense(cplx):
     ref = mp.dense(a) @ mp.dense(u) - alpha * mp.dense(u) - beta * mp.dense(u_prev)
     assert np.linalg.norm(mp.dense(fit.mpo) - ref) < 1e-10 * max(np.linalg.norm(ref), 1.0)
     assert fit.mpo.dtype == (np.complex128 if cplx else np.float64)
-    assert fit.converged and fit.sweeps == 2
+    # exact after the first half-sweep: one sweep sees the plateau
+    assert fit.converged and fit.sweeps == 1
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_fit_overlaps_match_close_and_dense(cplx):
+    # the fit's overlap with each product of its target, read from its last
+    # local solve, against a closing pass over x (mp._close) and the dense
+    # inner product: at a cap that truncates, and with a coefficient of 0,
+    # whose product adds nothing to the target but keeps its overlap
+    a, u, u_prev, alpha = _lanczos_operands(cplx)
+    eye = mp.identity_mpo(5)
+    operands = ((a, u), (eye, u), (eye, u_prev))
+    products = [mp.dense(op) @ mp.dense(v) for op, v in operands]
+    for coeffs in ((-alpha, -0.7), (0.0, -0.7), (-alpha, 0.0)):
+        fit = multiply_and_optimize(a, u, 3, terms=[(coeffs[0], u), (coeffs[1], u_prev)])
+        x = fit.mpo
+        ref = products[0] + sum(c * p for c, p in zip(coeffs, products[1:]))
+        assert np.linalg.norm(mp.dense(x) - ref) ** 2 > 1e-6 * np.linalg.norm(ref) ** 2
+        assert len(fit.overlaps) == 3
+        for (mant, log), (op, v), p in zip(fit.overlaps, operands, products):
+            got = mant * math.exp(log)
+            scale = mp.frobenius_norm(x) * np.linalg.norm(p)
+            (want,), wlog = mp._close(mp._Target([(op.sites, v.sites)]), x.sites)
+            want *= math.exp(wlog + x.log_scale + op.log_scale + v.log_scale)
+            assert abs(got - want) <= 1e-12 * scale, coeffs
+            assert abs(got - np.vdot(mp.dense(x), p)) <= 1e-12 * scale, coeffs
+            assert isinstance(mant, float) == (not cplx)
 
 
 def test_fused_fit_objectives_monotone():
@@ -297,13 +328,47 @@ def test_capped_fit_stops_on_plateau(monkeypatch):
         fit = multiply_and_optimize(a, u, 3, opts, terms=[(-0.5, u)],
                                     norm_sq=(np.linalg.norm(ref) ** 2, 0.0))
         assert fit.converged and fit.sweeps < opts.max_sweeps, seed
-        # the last sweep lowered the objective by at most 1e-2 of what the
-        # first one did, and the residual it stopped on is far above rounding
-        per_sweep = len(fit.objectives) // fit.sweeps
-        first_gain = fit.objectives[0] - fit.objectives[per_sweep - 1]
-        prev, last = fit.objectives[-1 - per_sweep], fit.objectives[-1]
-        assert prev - last <= 1e-2 * first_gain, seed
+        # the last sweep's right-to-left half lowered the objective by at
+        # most 1e-2 of what sweep 1's left-to-right half did, and every
+        # sweep before it by more; the residual it stopped on is far above
+        # rounding
+        gains, first_gain = _half_gains(fit.objectives, 6)
+        assert len(gains) == fit.sweeps, seed
+        assert gains[-1] <= 1e-2 * first_gain, seed
+        assert all(g > 1e-2 * first_gain for g in gains[:-1]), seed
         assert fit.residual > 1e-3 * mp.frobenius_norm(fit.mpo) ** 2, seed
+
+
+def _half_gains(objectives, L):
+    """The gain of every sweep's right-to-left half, from the end of its
+    left-to-right pass (L - 1 updates) to its last solve at site 0, and
+    the gain of sweep 1's left-to-right half."""
+    per_sweep = 2 * L - 1
+    sweeps = [objectives[s:s + per_sweep] for s in range(0, len(objectives), per_sweep)]
+    return [sw[L - 2] - sw[-1] for sw in sweeps], objectives[0] - objectives[L - 2]
+
+
+def test_capped_fits_sweep_while_the_second_half_gains():
+    # random operators at a small cap: their fits keep sweeping while a
+    # right-to-left half still gains more than the plateau share, and no
+    # fit ends after one sweep that way
+    from mpotrace import sweeping
+    ones = 0
+    for seed in range(12):
+        a, u = random_mpo(6, 4, seed), random_mpo(6, 4, 40 + seed)
+        ref = mp.dense(a) @ mp.dense(u) - 0.5 * mp.dense(u)
+        fit = multiply_and_optimize(a, u, 3, SweepOptions(max_sweeps=40), terms=[(-0.5, u)],
+                                    norm_sq=(np.linalg.norm(ref) ** 2, 0.0))
+        gains, first_gain = _half_gains(fit.objectives, 6)
+        tol = max(sweeping._REL_TOL * mp.frobenius_norm(fit.mpo) ** 2,
+                  sweeping._PLATEAU * first_gain)
+        assert fit.converged and len(gains) == fit.sweeps, seed
+        # the rule, sweep by sweep: it stops on the first half that gained
+        # at most the plateau share (the norm's rounding aside)
+        assert gains[-1] <= tol * (1 + 1e-9), seed
+        assert all(g > tol * (1 - 1e-9) for g in gains[:-1]), seed
+        ones += fit.sweeps == 1
+    assert ones == 0
 
 
 def test_fit_residual_is_exact_or_absent(thermal_cache, monkeypatch):
@@ -378,10 +443,11 @@ def test_target_mirror_matches_forward(cplx):
                        random_mpo(5, 3, 4))
     if not cplx:
         a, u, u_prev, x = map(real_part, (a, u, u_prev, x))
+    # the carried terms as a fit holds them: the identity, None, times
+    # their blocks, with their coefficients as weights
+    products = [(list(a.sites), list(u.sites)), (None, list(u.sites)), (None, list(u_prev.sites))]
+    target = _Target(products, [1.0, -0.8, 0.3])
     eye = [np.eye(2).reshape(2, 2, 1, 1)] * 5
-    products = [(list(a.sites), list(u.sites)), ([eye[0] * -0.8] + eye[1:], list(u.sites)),
-                ([eye[0] * 0.3] + eye[1:], list(u_prev.sites))]
-    target = _Target(products)
     mirror = target.mirrored()
     back = _flip(list(x.sites))
     # fwd[i]: environment of sites 0..i-1; bwd[j]: the mirror's of its
@@ -396,7 +462,7 @@ def test_target_mirror_matches_forward(cplx):
     # a plain einsum of x^*, a_k, u_k and the next one, from the right end
     ref = target.boundary()
     for i in range(4, -1, -1):
-        ref = [np.einsum("ojxy,ocab,cjuv,ybv->xau", x.sites[i].conj(), ak[i], uk[i], f)
+        ref = [np.einsum("ojxy,ocab,cjuv,ybv->xau", x.sites[i].conj(), (ak or eye)[i], uk[i], f)
                for (ak, uk), f in zip(products, ref)]
         for got, want in zip(bwd[5 - i], ref):
             assert got.shape == want.shape

@@ -1,7 +1,7 @@
-"""Time the entropy estimate in-process, min of N, on the parameters of the
-three benchmark workloads, and write BENCH_estimate.json.
+"""Time the entropy estimate in-process, N runs per tree, on the parameters
+of the three benchmark workloads, and write BENCH_estimate.json.
 
-    python3 tools/bench_estimate.py --repeat 5 [--baseline DIR]
+    python3 tools/bench_estimate.py [--repeat 10] [--baseline DIR]
 
 Each tree builds each workload's state once, at bond cap 20, with its own
 builder, and saves it to a temporary file.  Each timing then loads the
@@ -10,9 +10,10 @@ under `<tree>/src`, and runs `entropy_from_half_state` at the workload's
 kmax and dmax.  With --baseline, the child runs alternate between DIR
 (another checkout, e.g. the parent commit) and this checkout, as
 tools/bench_builder.py does.  The file records, per tree and workload,
-every time and their minimum, the median wall time of the at-cap Lanczos
-steps (those whose fit reached dmax), the iteration count, the stop reason
-and S, plus the machine facts and git revisions.  With --baseline it also
+every time with their minimum, median and quartiles (the minimum alone
+did not resolve gaps of 30 % on a shared host), the median wall time of
+the at-cap Lanczos steps (those whose fit reached dmax), the iteration
+count, the stop reason and S, plus the machine facts and git revisions.  With --baseline it also
 records, and prints, per workload whether the two trees computed the same
 numbers: the relative difference of S and whether the iteration counts,
 the stop reasons and every record's sweeps and fit_residual are equal.
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import tempfile
 from pathlib import Path
@@ -55,9 +57,16 @@ print(json.dumps({"s": s, "S": S, "iterations": len(run.records), "stop_reason":
 """
 
 
+def _summary(times: list) -> dict:
+    """The minimum, median and quartiles of a tree's times, and all of them."""
+    q1, _, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
+    return {"min_s": round(min(times), 4), "median_s": round(statistics.median(times), 4),
+            "quartiles_s": [round(q1, 4), round(q3, 4)], "all_s": [round(t, 4) for t in times]}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--repeat", type=int, default=5, help="timings per tree and workload")
+    ap.add_argument("--repeat", type=int, default=10, help="timings per tree and workload")
     ap.add_argument("--baseline", type=Path, default=None, help="checkout to compare with")
     args = ap.parse_args(argv)
     trees = {"change": ROOT} if args.baseline is None else {"baseline": args.baseline, "change": ROOT}
@@ -74,10 +83,11 @@ def main(argv=None) -> int:
                          lambda tree, name: run_child(tree, CHILD, json.dumps(states[tree][name])))
     doc = {
         "topic": "entropy estimate, in-process wall time of entropy_from_half_state",
-        "method": f"min of {args.repeat} child processes per tree and workload, alternating "
-                  f"trees, state built once per tree at bond cap {BOND_DIM}, one BLAS thread "
-                  f"(tools/bench_estimate.py); at_cap_step_ms is the smallest per-run median "
-                  f"wall time of the steps whose fit reached dmax",
+        "method": f"{args.repeat} child processes per tree and workload, alternating trees, "
+                  f"state built once per tree at bond cap {BOND_DIM}, one BLAS thread "
+                  f"(tools/bench_estimate.py); min_s, median_s and quartiles_s (25th and 75th "
+                  f"percentiles) summarize all_s; at_cap_step_ms is the smallest per-run "
+                  f"median wall time of the steps whose fit reached dmax",
         "machine": machine(),
         "trees": {},
     }
@@ -86,8 +96,7 @@ def main(argv=None) -> int:
             name: {"L": WORKLOADS[name].L, "beta": WORKLOADS[name].beta,
                    "dtau": WORKLOADS[name].dtau, "kmax": WORKLOADS[name].kmax,
                    "dmax": WORKLOADS[name].dmax,
-                   "min_s": round(min(r["s"] for r in rs), 4),
-                   "all_s": [round(r["s"], 4) for r in rs],
+                   **_summary([r["s"] for r in rs]),
                    "at_cap_step_ms": round(min(r["step_ms"] for r in rs), 2),
                    "at_cap_steps": rs[0]["at_cap_steps"],
                    "iterations": rs[0]["iterations"], "stop_reason": rs[0]["stop_reason"],
