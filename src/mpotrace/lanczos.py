@@ -144,10 +144,9 @@ class IterationRecord:
     every bond (the driver passes the fit ||t_k||^2), ALS sweep count and
     whether it stopped on the plateau rule before max_sweeps (one sweep
     when the first right-to-left half gains no more than the rule allows),
-    `warm_ms` / `sweep_ms` split its wall time between the warm start (a
-    zip-up on a step that grows the bond; about 0 at the cap, whose sweeps
-    start from U_k and gauge it themselves) and the sweeps, and `bond` is
-    the max bond of the fitted block.  `drift_1` and `drift_2` are
+    `sweep_ms` is its wall time (its sweeps start from U_k and grow the
+    bonds of a step below the cap in their first pass), and `bond` is the
+    max bond of the fitted block.  `drift_1` and `drift_2` are
     |<U_k, U_{k-1}>| and |<U_k, U_{k-2}>|, the loss of orthogonality that
     truncation brings, from the previous step's fit; U_0 = U_{-1} = 0, so
     both are 0 at step 1 and drift_2 is 0 at step 2.  `alpha_ms` times the
@@ -166,7 +165,6 @@ class IterationRecord:
     fit_residual: float = 0.0
     sweeps: int = 0
     converged: bool = True
-    warm_ms: float = 0.0
     sweep_ms: float = 0.0
     bond: int = 0
     drift_1: float = 0.0
@@ -398,7 +396,6 @@ def global_lanczos(
             fit_residual=fit.residual,
             sweeps=fit.sweeps,
             converged=fit.converged,
-            warm_ms=fit.warm_ms,
             sweep_ms=fit.sweep_ms,
             bond=v.max_bond(),
             drift_1=drift[0],

@@ -9,11 +9,11 @@ rides in log_scale.  The identity is built balanced, and the gauge and
 fit kernels balance their operands first (`_unit_sites`), so none
 multiplies out or squares a norm.
 
-One contraction kernel, `_Target`, serves the package: the fit's zip-up
-and sweeps, and every closed contraction (inner products, norms,
-<u, a u>).  `_close` runs it once along the chain with a running scale,
-so a closed value comes back in log form, (mantissa, log), and becomes a
-float only through one checked step (`_from_log`).
+One contraction kernel, `_Target`, serves the package: the fit's sweeps,
+their bond growth included, and every closed contraction (inner
+products, norms, <u, a u>).  `_close` runs it once along the chain with
+a running scale, so a closed value comes back in log form, (mantissa,
+log), and becomes a float only through one checked step (`_from_log`).
 
 Every operator has one dtype, fixed when it is built: float64 unless
 some site is complex, and then complex128 for every site.  The kernels
@@ -199,7 +199,9 @@ class _Target:
     closing solve, survives a weight of 0.
 
     The kernel holds no state: a caller forms the half-contraction at a
-    site once, `half(i, E)`, and passes it to `parts` and `env`.  It
+    site once, `half(i, E)`, and passes it to `parts` and `env`, and a
+    sweep that grows the bond right of the site to the growth as well
+    (sweeping._grow), which sets the weighted halves side by side.  It
     contracts left to right only; a pass right to left runs over
     `mirrored()`, the target on the chain read right to left, whose left
     environments are this target's right environments.  The contractions
@@ -457,8 +459,10 @@ def truncate_svd(a: Mpo, dmax: int | None = None) -> tuple[Mpo, float]:
     the discarded singular values relative to the norm of a.  A single
     sweep from a right-canonical form; the discarded pieces at different
     bonds are mutually orthogonal, so the reported error equals the true
-    relative distance (up to roundoff).  The pipeline no longer calls it;
-    it is the reference the fit tests compare against.
+    relative distance (up to roundoff).  The fit starts from it when its
+    operand u has a bond above the ones the fit outputs
+    (sweeping.multiply_and_optimize), and the fit tests compare against
+    it.
     """
     if dmax is not None and dmax < 1:
         raise DimensionError("dmax must be >= 1")

@@ -7,22 +7,26 @@ and their weights: the fit's own (a, u), and the identity times t_k,
 (None, t_k), with weight c_k for each carried term.  The weights enter
 only where the products' parts are summed, so each product's part, and
 its overlap with the fit, survives a weight of 0.  Every contraction here
-runs through the package's one kernel, mp._Target: the warm start, both
-halves of a sweep, and `expectation`, which closes <u, a u> in log form
-(mp._close).
+runs through the package's one kernel, mp._Target: both halves of a
+sweep, and `expectation`, which closes <u, a u> in log form (mp._close).
 
 A caller that knows ||target||^2 passes it (a Lanczos step computes it
 from a compressed A^H A, see lanczos.global_lanczos).  It offsets the
 objectives and turns the fit's ||x||^2 into the exact residual
 ||target||^2 - ||x||^2 at every bond; a fit that truncates and is not
-given it reports no residual.  When u's interior bonds already equal the
-bonds the fit outputs (the cap, clipped by the block bond and the chain's
-natural limits), the sweeps start from u itself: a zip-up could not
-offer them a larger trial space.  Otherwise the warm start is one
-left-to-right zip-up of the target (`_zipup`): at each site the
-products' parts sit side by side on the right bond, and the package's
-one truncated split (mp._truncated_split), capped at the bond limit,
-separates them.
+given it reports no residual.
+
+Every fit starts from u.  Its output bonds are the cap, clipped by the
+block bond and by the chain's natural limits; a u with a bond above them
+is truncated to the cap first (mp.truncate_svd).  A bond of the start
+below its output bond grows inside the first left-to-right pass, as
+single-site DMRG's subspace expansion does: the products'
+half-contractions at that site, weighted and side by side, with the
+solved site's span projected out, give the new directions, their leading
+left singular vectors (`_grow`).  They turn with any unitary change of a
+bond basis, so the growth does not depend on the orthonormal basis that
+rounding picked.  A start that already has its output bonds grows
+nothing, and its pass is the pass of every later sweep.
 
 The sweeps are alternating least squares (`_run_sweeps`): the trial
 operator is kept in mixed-canonical gauge, so each local problem is
@@ -39,11 +43,13 @@ environment.  The plateau is judged at half-sweep granularity: the
 sweeps stop after a sweep whose right-to-left half lowered the objective
 by no more than _REL_TOL of the fit's own ||x||^2 after its first sweep,
 or by no more than a fixed share of what the first sweep's left-to-right
-half lowered it by (the truncation plateau of a capped fit).  A fit
-whose first half-sweep already reaches the plateau, as a Lanczos step's
-does on a thermal state, ends after one sweep; random operators at a
-small cap go on sweeping.  Both gains are differences of objectives,
-from which ||target||^2 cancels, so the rule does not need it.
+half lowered it by (the truncation plateau of a capped fit).  A growing
+first pass ends with a local solve at site L-1, so that its half counts
+the growth of the last bond.  A fit whose first half-sweep already
+reaches the plateau, as a Lanczos step's does on a thermal state, ends
+after one sweep; random operators at a small cap go on sweeping.  Both
+gains are differences of objectives, from which ||target||^2 cancels, so
+the rule does not need it.
 
 The sweeps end on an exact local solve at site 0, with every other site
 isometric.  There the fit's overlap with each product of its target is
@@ -100,9 +106,8 @@ class SweepResult:
     `overlaps` holds <x, a@u> and then <x, t_k> per term, each in log form
     (mantissa, log): the fit's overlap with each product of its target,
     without the product's coefficient, exact also for a coefficient of 0.
-    `warm_ms` and `sweep_ms` split the fit's wall time between the warm
-    start (the zip-up; about 0 for a start from u) and the sweeps, their
-    gauge pass over the start included.
+    `sweep_ms` is the fit's wall time, its start and the sweeps' gauge
+    pass over it included.
     """
 
     mpo: mp.Mpo
@@ -111,29 +116,59 @@ class SweepResult:
     sweeps: int = 0
     objectives: list = field(default_factory=list)
     overlaps: list = field(default_factory=list)
-    warm_ms: float = 0.0
     sweep_ms: float = 0.0
 
 
-def _pass(target, lenvs, renvs, sites, norm_sq: float, objectives: list) -> None:
+def _pass(target, lenvs, renvs, sites, norm_sq: float, objectives: list, bonds=None) -> None:
     """One left-to-right pass of local solves over sites 0..L-2 of
     target's chain, in place.  lenvs[i] is the environment left of site
     i, renvs[j] the one right of site L-1-j (lenvs of the mirrored
     target); each solved site is split into an isometry, sites[i], and the
-    environment right of it, lenvs[i + 1]."""
+    environment right of it, lenvs[i + 1].  Given `bonds`, the output bond
+    right of every site, an isometry with fewer columns grows towards it
+    (`_grow`), and a pass that grew a bond ends with the local solve at
+    site L-1, whose objective counts the growth of the last bond."""
     L = len(sites)
+    grew = False
     for i in range(L - 1):
         half = target.half(i, lenvs[i])
         t = target.local(i, target.parts(half, renvs[L - 1 - i]))
         objectives.append(norm_sq - float(np.vdot(t, t).real))
         q, _ = mp._split_left(t)
+        if bonds is not None and q.shape[3] < bonds[i]:
+            b = q.shape[3]
+            q = _grow(target, i, half, q, bonds[i])
+            grew = grew or q.shape[3] > b
         sites[i] = q
         lenvs[i + 1] = target.env(i, half, q)
         # drop it before the next site forms its own: two are never held
         del half
+    if grew:
+        t = target.local(L - 1, target.parts(target.half(L - 1, lenvs[L - 1]), renvs[0]))
+        objectives.append(norm_sq - float(np.vdot(t, t).real))
 
 
-def _run_sweeps(x_sites, target, norm_sq: float, opts: SweepOptions):
+def _grow(target, i, half, q, bond: int):
+    """The isometry q at site i with at most bond - b columns appended, b
+    being its own: the leading left singular vectors of the products'
+    weighted half-contractions, side by side, with q's span projected out.
+    Of those, it keeps the ones the package's keep rule (mp.TRUNC_EPS)
+    keeps when the dropped tail is measured against the half-contractions'
+    whole squared weight, so that directions at rounding level stay out."""
+    h = np.concatenate([w * p for w, p in zip(target.w, half)], axis=1)
+    o, j, lx, b = q.shape
+    # q in the parts' layout
+    qm = q.transpose(2, 1, 0, 3).reshape(lx * j * o, b)
+    left, s = tensors.svd(h - qm @ (qm.conj().T @ h))
+    tail2 = np.cumsum((s * s)[::-1])[::-1]  # tail2[k] = sum of s[k:]**2
+    budget = mp.TRUNC_EPS * mp.TRUNC_EPS * float(np.vdot(h, h).real)
+    keep = min(int(np.count_nonzero(tail2 > budget)), bond - b)
+    if keep == 0:
+        return q
+    return target.site(i, np.concatenate([qm, left[:, :keep]], axis=1))
+
+
+def _run_sweeps(x_sites, target, norm_sq: float, opts: SweepOptions, bonds: list):
     """Alternate local solves over the chain; x_sites is modified in place.
 
     x_sites is the start, in any gauge: the pass that closes the right
@@ -143,7 +178,8 @@ def _run_sweeps(x_sites, target, norm_sq: float, opts: SweepOptions):
     read, because the first local solve overwrites it.  A sweep is a
     left-to-right pass over the target and one over its mirror, which is
     the right-to-left pass of the chain, and a last solve at site 0.
-    Returns (objectives, converged, sweeps run, parts), parts being the
+    Sweep 1's left-to-right pass grows the start's bonds below the output
+    bonds, `bonds` (`_pass`).  Returns (objectives, converged, sweeps run, parts), parts being the
     products' unweighted parts at that last solve.  The objective after a
     site update is norm_sq - |center|^2, which is exact given exact
     environments because the local optimum equals the environment tensor.
@@ -175,7 +211,7 @@ def _run_sweeps(x_sites, target, norm_sq: float, opts: SweepOptions):
     objectives = []
     converged = False
     for sweeps in range(1, opts.max_sweeps + 1):
-        _pass(target, fwd, bwd, x_sites, norm_sq, objectives)
+        _pass(target, fwd, bwd, x_sites, norm_sq, objectives, bonds if sweeps == 1 else None)
         # the objective where the right-to-left half starts; a one-site
         # chain has no pass, and its one solve is compared across sweeps
         mid = objectives[-1] if objectives else math.inf
@@ -196,44 +232,8 @@ def _run_sweeps(x_sites, target, norm_sq: float, opts: SweepOptions):
     return objectives, converged, sweeps, parts
 
 
-def _zipup(target: mp._Target, cap: int):
-    """One left-to-right pass over the target sum_k w_k a_k@u_k, split at
-    every bond by the truncated split mp._truncated_split capped at cap.
-
-    The carries are the target's left environments, and each site's block
-    is its half-contraction: the products' parts (right bonds ra*ru) sit
-    side by side, so the carried weights of all of them, a carried term
-    among them, meet in one factorization.  The kept left singular
-    vectors are the site, and the carry is the split's weights, U^H @
-    block (= diag(s) V^H on the kept rows).  Returns the sites,
-    left-isometric but the last, which holds the weight."""
-    L = len(target.u[0])
-    carries = target.boundary()
-    sites = []
-    for i in range(L):
-        blocks = target.half(i, carries)
-        if i == 0:
-            # the products' weights enter once, here, and ride in the carries
-            blocks = [w * b for w, b in zip(target.w, blocks)]
-        if i == L - 1:
-            # every part's right boundary bond is 1: the site is their sum
-            sites.append(target.site(i, sum(blocks[1:], blocks[0])))
-            return sites
-        mat = np.concatenate(blocks, axis=1)
-        # the parts are as large as mat: free them, so that no two copies
-        # are held through the factorization
-        del blocks
-        kept, right, _ = mp._truncated_split(mat, cap)
-        del mat
-        sites.append(target.site(i, kept))
-        carries, off = [], 0
-        for b, u in zip(target.bonds(i), target.u):
-            carries.append(right[:, off:off + b].reshape(kept.shape[1], -1, u[i].shape[3]))
-            off += b
-
-
 def _fit_result(x_sites, ls: float, truncated: bool, known: bool, objectives, converged: bool,
-                sweeps: int, overlaps: list, warm_ms: float, sweep_ms: float) -> SweepResult:
+                sweeps: int, overlaps: list, sweep_ms: float) -> SweepResult:
     """Package the swept sites with the output scale exp(ls).  The sweeps
     end with site 0 as the orthogonality center and every other site
     isometric, so ln||x|| is ls plus ln of the center's Frobenius norm.
@@ -255,16 +255,15 @@ def _fit_result(x_sites, ls: float, truncated: bool, known: bool, objectives, co
         sweeps=sweeps,
         objectives=[mp._scaled(o, 2.0 * ls) for o in objectives],
         overlaps=overlaps,
-        warm_ms=warm_ms,
         sweep_ms=sweep_ms,
     )
 
 
-def _zero_result(L: int, d: int, products: int, residual: float = 0.0, warm_ms: float = 0.0,
+def _zero_result(L: int, d: int, products: int, residual: float = 0.0,
                  sweep_ms: float = 0.0) -> SweepResult:
     return SweepResult(mpo=mp.zero_mpo(L, d), residual=residual, converged=True,
                        objectives=[residual], overlaps=[(0.0, -math.inf)] * products,
-                       warm_ms=warm_ms, sweep_ms=sweep_ms)
+                       sweep_ms=sweep_ms)
 
 
 def expectation(a: mp.Mpo, u: mp.Mpo) -> tuple[complex, float]:
@@ -284,8 +283,8 @@ def multiply_and_optimize(a: mp.Mpo, u: mp.Mpo, dnew: int | None, opts: SweepOpt
     `terms` is a sequence of (c_k, Mpo) pairs; the default () fits the
     plain product.  `norm_sq` is the target's squared norm when the caller
     knows it, in log form (mantissa, log): value = mantissa * exp(log).
-    A fit whose u already has the bonds the fit outputs starts its sweeps
-    from u instead of a zip-up (see the module docstring).  Returns a
+    The sweeps start from u and grow its bonds below the ones the fit
+    outputs in their first pass (see the module docstring).  Returns a
     SweepResult whose residual is the final squared Frobenius distance,
     exact at every bond given norm_sq and NaN without it when the cap
     truncates.  With dnew at least the exact bond (D_a * D_u plus the
@@ -324,19 +323,16 @@ def multiply_and_optimize(a: mp.Mpo, u: mp.Mpo, dnew: int | None, opts: SweepOpt
     cap = exact_bond if dnew is None else min(dnew, exact_bond)
     # the bonds the fit outputs: the cap, clipped by the block bond and by
     # the chain's natural limit, d^2 per site from either end
-    if u.bond_dims() == [min(cap, b, (d * d) ** min(i + 1, L - 1 - i))
-                         for i, b in enumerate(blocks)]:
-        # a zip-up could not offer the sweeps a larger trial space than u
-        # spans; they start from u
+    bonds = [min(cap, b, (d * d) ** min(i + 1, L - 1 - i)) for i, b in enumerate(blocks)]
+    # the sweeps start from u, truncated where it exceeds those bonds
+    if all(b <= c for b, c in zip(u.bond_dims(), bonds)):
         x_sites = list(target.u[0])
     else:
-        x_sites = _zipup(target, cap)
+        x_sites = list(mp.truncate_svd(u, cap)[0].sites)
     # the objectives' offset: the known ||target||^2 on the fit's scale
     offset = 0.0 if norm_sq is None else mp._scaled(norm_sq[0], norm_sq[1] - 2.0 * ls)
-
-    t1 = time.perf_counter()
-    objectives, converged, sweeps, parts = _run_sweeps(x_sites, target, offset, opts)
-    t2 = time.perf_counter()
+    objectives, converged, sweeps, parts = _run_sweeps(x_sites, target, offset, opts, bonds)
+    sweep_ms = (time.perf_counter() - t0) * 1e3
     # a complete cancellation is judged once, by the norm of the result
     # against the squared sum of the weighted parts' norms: a known norm's
     # rounding floor, eps * ||a u||^2, lies far above the threshold.  The
@@ -345,12 +341,11 @@ def multiply_and_optimize(a: mp.Mpo, u: mp.Mpo, dnew: int | None, opts: SweepOpt
     scale_sq = sum(abs(w) * math.sqrt(float(np.vdot(p, p).real))
                    for w, p in zip(weights, parts)) ** 2
     if float(np.vdot(x_sites[0], x_sites[0]).real) <= _CANCELLED * scale_sq:
-        return _zero_result(L, d, len(parts), mp._scaled(max(offset, 0.0), 2.0 * ls),
-                            (t1 - t0) * 1e3, (t2 - t1) * 1e3)
+        return _zero_result(L, d, len(parts), mp._scaled(max(offset, 0.0), 2.0 * ls), sweep_ms)
     # the center in the parts' layout; each overlap on the true scales of
     # x and of the product's operands
     center = x_sites[0].transpose(2, 1, 0, 3).reshape(parts[0].shape)
     overlaps = [(np.vdot(center, p).item(), ls + la + lu)
                 for p, (_, (_, la), (_, lu)) in zip(parts, factors)]
     return _fit_result(x_sites, ls, cap < exact_bond, norm_sq is not None, objectives, converged,
-                       sweeps, overlaps, (t1 - t0) * 1e3, (t2 - t1) * 1e3)
+                       sweeps, overlaps, sweep_ms)

@@ -7,8 +7,9 @@ rest of the package has one place for factorization and the tridiagonal
 eigensolver.
 
 There is one SVD, `svd`, and it returns only the left factor and the
-singular values: every caller cuts it through mpo._truncated_split,
-which forms the kept rows of the right factor by one matrix product.
+singular values: mpo._truncated_split cuts it and forms the kept rows of
+the right factor by one matrix product, and the fit's bond growth
+(sweeping._grow) keeps left singular vectors only.
 There is one QR, `qr`, and no LQ: a gauge step to the left is a QR step
 on the mirrored chain (mpo._flip).
 

@@ -286,15 +286,15 @@ def test_estimate_iterations_csv_header(tmp_path, half_state_file):
     # a right-to-left half that gains nothing, after one sweep
     assert all(rec["sweeps"] == 1 and rec["converged"] for rec in records)
     # the step's one fit: residual, bond and the split of the step's time
-    for name in ("fit_residual", "bond", "drift_1", "drift_2", "alpha_ms", "norm_ms", "warm_ms",
-                 "sweep_ms", "quad_ms"):
+    for name in ("fit_residual", "bond", "drift_1", "drift_2", "alpha_ms", "norm_ms", "sweep_ms",
+                 "quad_ms"):
         col = cli.CSV_COLUMNS.index(name)
         assert [float(r[col]) for r in rows[1:]] == [rec[name] for rec in records], name
-    assert all(0 < rec["warm_ms"] + rec["sweep_ms"] < rec["wall_ms"] for rec in records)
+    assert all(0 < rec["sweep_ms"] < rec["wall_ms"] for rec in records)
     assert all(rec["alpha_ms"] > 0 and rec["norm_ms"] > 0 and rec["quad_ms"] > 0
                for rec in records)
-    assert all(rec["alpha_ms"] + rec["norm_ms"] + rec["warm_ms"] + rec["sweep_ms"]
-               + rec["quad_ms"] <= rec["wall_ms"] for rec in records)
+    assert all(rec["alpha_ms"] + rec["norm_ms"] + rec["sweep_ms"] + rec["quad_ms"]
+               <= rec["wall_ms"] for rec in records)
     assert all(1 <= rec["bond"] <= 40 for rec in records)
 
 
@@ -302,7 +302,7 @@ def test_iterations_csv_columns_match_record_dict():
     # the CSV and the result JSON records carry the same fields, in order
     rec = lz.IterationRecord(k=1, alpha=0.5, beta=1.0, ritz_min=0.5, ritz_max=0.5,
                              estimate=2.0, wall_ms=3.0, fit_residual=1e-9, sweeps=5,
-                             converged=False, warm_ms=1.0, sweep_ms=2.0, bond=7,
+                             converged=False, sweep_ms=2.0, bond=7,
                              drift_1=1e-12, drift_2=1e-13, alpha_ms=0.5, norm_ms=0.3,
                              quad_ms=0.1)
     assert cli.CSV_COLUMNS == tuple(asdict(rec))

@@ -7,7 +7,7 @@ import pytest
 
 import mpotrace as mt
 from mpotrace import mpo as mp
-from mpotrace.sweeping import SweepOptions, _zipup, expectation, multiply_and_optimize
+from mpotrace.sweeping import SweepOptions, _grow, expectation, multiply_and_optimize
 from mpotrace.errors import DimensionError
 
 from conftest import random_mpo, real_part
@@ -24,6 +24,31 @@ def _scale_into_sites(a, e):
     """a with every site tensor scaled by exp(e) and log_scale compensating,
     so the value is unchanged but the magnitude sits in the tensors."""
     return mp.Mpo(tuple(s * math.exp(e) for s in a.sites), a.log_scale - e * a.L)
+
+
+def _growth(monkeypatch):
+    """The columns every bond growth of the sweeps appends, in order,
+    recorded through a wrapped sweeping._grow; 0 for a growth that keeps
+    nothing."""
+    from mpotrace import sweeping
+    grown = []
+
+    def recording(target, i, half, q, bond):
+        out = _grow(target, i, half, q, bond)
+        grown.append(out.shape[3] - q.shape[3])
+        return out
+
+    monkeypatch.setattr(sweeping, "_grow", recording)
+    return grown
+
+
+def _output_bonds(a, u, terms, cap):
+    """The bonds a fit of a@u + sum_k c_k t_k outputs at cap: the cap,
+    clipped by the block bond and by d^2 per site from either end."""
+    L, d = u.L, u.d
+    blocks = [ba * bu + sum(t.bond_dims()[i] for _, t in terms)
+              for i, (ba, bu) in enumerate(zip(a.bond_dims(), u.bond_dims()))]
+    return [min(cap, b, (d * d) ** min(i + 1, L - 1 - i)) for i, b in enumerate(blocks)]
 
 
 def test_multiply_identity_operand():
@@ -57,35 +82,37 @@ def test_multiply_rank_one_times_rank_one():
 
 
 def test_multiply_objectives_monotone():
+    # a u above the cap of 3, and one of bond 2 below it, whose first sweep
+    # grows its bonds
     for seed in range(5):
         a = random_mpo(4, 4, seed)
-        u = random_mpo(4, 4, 40 + seed)
-        fit = multiply_and_optimize(a, u, 3, SweepOptions(max_sweeps=4))
-        obj = fit.objectives
-        for j in range(1, len(obj)):
-            assert obj[j] <= obj[j - 1] + 1e-12 * max(abs(obj[0]), 1.0), (seed, j)
+        for bond in (4, 2):
+            u = random_mpo(4, bond, 40 + seed)
+            fit = multiply_and_optimize(a, u, 3, SweepOptions(max_sweeps=4))
+            assert fit.mpo.bond_dims() == [3, 3, 3]
+            obj = fit.objectives
+            for j in range(1, len(obj)):
+                assert obj[j] <= obj[j - 1] + 1e-12 * max(abs(obj[0]), 1.0), (seed, bond, j)
 
 
 def test_multiply_debug_incremental_matches_scratch(monkeypatch):
     # given ||target||^2, the incrementally tracked objective equals the
     # squared distance to the exact target, recomputed from scratch, at a
-    # capped bond: the product, and the product with terms.  A u of bond 3
-    # below the cap of 4 starts the sweeps from a zip-up; a u of bond 4,
-    # the bond the fit outputs, starts them from u itself
-    from mpotrace import sweeping
-    zipups = []
-    monkeypatch.setattr(sweeping, "_zipup", lambda *args: zipups.append(1) or _zipup(*args))
+    # capped bond: the product, and the product with terms.  The sweeps of
+    # a u of bond 3, below the cap of 4, grow its bonds to the ones the fit
+    # outputs; a u of bond 4, those bonds, grows nothing
+    grown = _growth(monkeypatch)
     a = random_mpo(4, 3, 2)
     u_prev = random_mpo(4, 2, 10)
-    for bond, calls in ((3, 1), (4, 0)):
+    for bond in (3, 4):
         u = random_mpo(4, bond, 9)
         for terms in ([], [(-0.8, u), (0.3, u_prev)]):
             ref = mp.dense(a) @ mp.dense(u) + sum(c * mp.dense(t) for c, t in terms)
-            zipups.clear()
+            grown.clear()
             fit = multiply_and_optimize(a, u, 4, terms=terms,
                                         norm_sq=(np.linalg.norm(ref) ** 2, 0.0))
-            assert len(zipups) == calls, (bond, terms)
-            assert fit.mpo.max_bond() == 4
+            assert grown == ([1, 1, 1] if bond == 3 else []), (bond, terms)
+            assert fit.mpo.bond_dims() == _output_bonds(a, u, terms, 4) == [4, 4, 4]
             dist2 = np.linalg.norm(mp.dense(fit.mpo) - ref) ** 2
             assert dist2 > 1e-6
             assert abs(fit.residual - dist2) < 1e-8 * dist2, (bond, terms)
@@ -98,17 +125,21 @@ def test_multiply_debug_incremental_matches_scratch(monkeypatch):
             assert abs(big.residual * math.exp(-600.0) - dist2) < 1e-8 * dist2, (bond, terms)
 
 
-def test_multiply_zipup_warm_start_path():
-    # exact product bond 16*16 forces the one-pass truncated init; with
-    # carried terms as well
+def test_multiply_over_cap_start_path(monkeypatch):
+    # u's bond 16 above the cap of 8 starts the sweeps from u truncated
+    # (mp.truncate_svd); with carried terms as well
+    truncate, starts = mp.truncate_svd, []
+    monkeypatch.setattr(mp, "truncate_svd", lambda *args: starts.append(args[1:]) or truncate(*args))
     a = random_mpo(6, 16, 1)
     u = random_mpo(6, 16, 2)
     for terms in ([], [(-0.8, u), (0.3, random_mpo(6, 8, 3))]):
         ref = mp.dense(a) @ mp.dense(u) + sum(c * mp.dense(t) for c, t in terms)
+        starts.clear()
         fit = multiply_and_optimize(a, u, 8, SweepOptions(max_sweeps=3), terms,
                                     norm_sq=(np.linalg.norm(ref) ** 2, 0.0))
+        assert starts == [(8,)]
         assert np.isfinite(fit.residual)
-        assert fit.mpo.max_bond() <= 8
+        assert fit.mpo.bond_dims() == _output_bonds(a, u, terms, 8)
         obj = fit.objectives
         for j in range(1, len(obj)):
             assert obj[j] <= obj[j - 1] + 1e-10 * max(abs(obj[0]), 1.0), (terms, j)
@@ -157,13 +188,13 @@ def test_sum_cancellation_gives_zero():
     fit = _fit_sum(u, [(-1.0, u)], 5)
     assert mp.frobenius_norm(fit.mpo) == 0.0
     assert fit.converged
-    # at cap 3, u's bond, a fit given ||target||^2 starts from u without a
-    # zip-up and judges the cancellation by its own norm, whatever the
-    # known norm's rounding: 0, or eps times the parts' scale
+    # at cap 3, u's bond, a fit given ||target||^2 grows nothing and judges
+    # the cancellation by its own norm, whatever the known norm's
+    # rounding: 0, or eps times the parts' scale
     nrm2 = mp.frobenius_norm(u) ** 2
     for known in (0.0, 1e-16 * nrm2, -1e-16 * nrm2):
         fit = _fit_sum(u, [(-1.0, u)], 3, norm_sq=(known, 0.0))
-        # the sweeps ran: a zip-up would have judged it before them
+        # the sweeps ran: the cancellation is judged after them
         assert mp.frobenius_norm(fit.mpo) == 0.0 and fit.sweep_ms > 0, known
         assert fit.converged and fit.residual == pytest.approx(max(known, 0.0), rel=1e-12), known
 
@@ -210,8 +241,10 @@ def test_sum_discards_negligible_term():
 
 def test_fits_follow_operand_dtype():
     a, u = real_part(random_mpo(5, 3, 0)), real_part(random_mpo(5, 3, 1))
-    # zip-up starts (block bonds 9 and 144), and a start from u, whose
-    # bond 3 is the cap, given a target norm (its value does not matter here)
+    # fits that grow u's bond 3 to the cap of 4, one whose u of bond 12 is
+    # truncated to the natural limit 4 at the ends and grows to 16 inside,
+    # and a start from u, whose bond 3 is the cap, given a target norm (its
+    # value does not matter here)
     big = real_part(random_mpo(5, 12, 2))
     fits = [multiply_and_optimize(a, u, 4), multiply_and_optimize(big, big, 20),
             _fit_sum(u, [(-0.5, a)], 4), multiply_and_optimize(a, u, 3, norm_sq=(1.0, 0.0))]
@@ -228,16 +261,19 @@ def test_fits_follow_operand_dtype():
 def test_fit_reports_sweeps():
     a, u = random_mpo(5, 3, 0), random_mpo(5, 3, 1)
     fit = multiply_and_optimize(a, u, 4, SweepOptions(max_sweeps=3))
-    # one sweep makes 2L - 1 local updates
+    # one sweep makes 2L - 1 local updates, and the first one, which grows
+    # u's bond 3 to the cap, one more solve, at site L - 1
     assert fit.sweeps == len(fit.objectives) // 9 and 1 <= fit.sweeps <= 3
-    # an exact fit reaches its optimum in the left-to-right half of its
-    # first sweep: the right-to-left half lowers the objective by no more
-    # than 1e-9 of ||x||^2, so it stops after one sweep
+    # an exact fit: its growth pass chooses the last bond's directions from
+    # the products' bond basis, not from the target's, and ends short of
+    # the optimum; the right-to-left half closes the gap, and the next
+    # one lowers the objective by no more than 1e-9 of ||x||^2, so it stops
+    # after two sweeps
     exact = multiply_and_optimize(a, u, None)
-    assert exact.converged and exact.sweeps == 1
+    assert exact.converged and exact.sweeps == 2
     obj = exact.objectives
-    assert len(obj) == 9
-    assert obj[3] - obj[-1] <= 1e-9 * mp.frobenius_norm(exact.mpo) ** 2
+    assert len(obj) == 10 + 9
+    assert obj[-6] - obj[-1] <= 1e-9 * mp.frobenius_norm(exact.mpo) ** 2
     zero = multiply_and_optimize(mp.zero_mpo(5), u, 4)
     assert zero.converged and zero.sweeps == 0
 
@@ -374,18 +410,18 @@ def test_capped_fits_sweep_while_the_second_half_gains():
 def test_fit_residual_is_exact_or_absent(thermal_cache, monkeypatch):
     # the Gibbs-state fit of `build-thermal --state full`, m m^H at m's own
     # bond cap 8: it truncates, and m^H already has the bonds it outputs,
-    # so it starts from m^H, known norm or not.  Without ||target||^2 the
-    # fit reports no residual; given the dense one, it reports the dense
-    # ||t - x||^2.  The norm changes what the fit reports, not what it fits
-    from mpotrace import sweeping
-    zipups = []
-    monkeypatch.setattr(sweeping, "_zipup", lambda *args: zipups.append(1) or _zipup(*args))
+    # so its sweeps grow nothing, known norm or not.  Without ||target||^2
+    # the fit reports no residual; given the dense one, it reports the
+    # dense ||t - x||^2.  The norm changes what the fit reports, not what
+    # it fits
+    grown = _growth(monkeypatch)
     m = thermal_cache(10, 1.0, 8, 0.01)[0]
     mh = mp.adjoint(m)
     ref = mp.dense(m) @ mp.dense(mh)
     blind = multiply_and_optimize(m, mh, 8)
     known = multiply_and_optimize(m, mh, 8, norm_sq=(np.linalg.norm(ref) ** 2, 0.0))
-    assert zipups == []
+    assert grown == []
+    assert mh.bond_dims() == blind.mpo.bond_dims() == _output_bonds(m, mh, [], 8)
     assert math.isnan(blind.residual)
     dist2 = np.linalg.norm(mp.dense(known.mpo) - ref) ** 2
     assert dist2 > 1e-9 * np.linalg.norm(ref) ** 2
@@ -400,22 +436,22 @@ def test_lanczos_fits_know_their_target_norm(thermal_cache, monkeypatch):
     # bonds.  The driver passes each fit ||t_k||^2, from the three-term
     # expansion on a compressed A^H A: it matches the dense value, so the
     # reported residual is the dense ||t - x||^2 wherever ||t||^2 stands
-    # clear of the expansion's rounding floor, eps ||A U||^2.  A step whose
-    # U_k sits at the cap starts its sweeps from U_k and makes no zip-up; a
-    # step that grows the bond makes one.
-    from mpotrace import lanczos as lz, sweeping
-    zipups, steps = [], []
-    monkeypatch.setattr(sweeping, "_zipup", lambda *args: zipups.append(1) or _zipup(*args))
+    # clear of the expansion's rounding floor, eps ||A U||^2.  Every fit
+    # outputs the bonds of the rule; one whose U_k sits at the cap grows
+    # nothing, and one below it grows its bonds in its first sweep.
+    from mpotrace import lanczos as lz
+    grown, steps = _growth(monkeypatch), []
 
     def checked(a, u, dnew, opts=None, terms=(), norm_sq=None):
-        zipups.clear()
+        grown.clear()
         fit = multiply_and_optimize(a, u, dnew, opts, terms, norm_sq)
+        assert fit.mpo.bond_dims() == _output_bonds(a, u, terms, dnew)
         if norm_sq is None:
             # the run's one fit of A^H A
             return fit
         au = mp.dense(a) @ mp.dense(u)
         ref = au + sum(c * mp.dense(t) for c, t in terms)
-        steps.append((u.max_bond() == dnew, len(zipups), np.linalg.norm(au) ** 2,
+        steps.append((u.max_bond() == dnew, sum(grown), np.linalg.norm(au) ** 2,
                       np.linalg.norm(ref) ** 2, norm_sq[0] * math.exp(norm_sq[1]),
                       np.linalg.norm(mp.dense(fit.mpo) - ref) ** 2, fit.residual))
         return fit
@@ -425,8 +461,8 @@ def test_lanczos_fits_know_their_target_norm(thermal_cache, monkeypatch):
     lz.entropy_from_half_state(m, kmax=30, dmax=12)
     at_cap = [s for s in steps if s[0]]
     assert len(at_cap) >= 10 and len(steps) > len(at_cap)
-    for k, (cap, calls, au2, t2, known, res, reported) in enumerate(steps, 1):
-        assert calls == (0 if cap else 1), k
+    for k, (cap, columns, au2, t2, known, res, reported) in enumerate(steps, 1):
+        assert (columns == 0) == cap, k
         assert abs(known - t2) <= 1e-12 * au2, k
         if t2 > 1e-6 * au2:
             assert abs(reported - res) <= 1e-8 * t2, k
@@ -481,15 +517,20 @@ def test_target_mirror_matches_forward(cplx):
         assert obj[j] <= obj[j - 1] + 1e-12 * max(abs(obj[0]), 1.0), j
 
 
-def _gauged(sites, seed):
+def _gauged(sites, seed, unitary=False):
     """The same chain in another gauge: a random invertible matrix on the
     right bond of every site but the last, its inverse on the next left
-    bond."""
+    bond.  With `unitary`, the matrix is a random rotation of the bond
+    basis, complex for complex sites."""
     rng = np.random.default_rng(seed)
     sites = list(sites)
     for i in range(len(sites) - 1):
         dr = sites[i].shape[3]
         g = np.eye(dr) + 0.3 * rng.standard_normal((dr, dr))
+        if unitary:
+            if np.iscomplexobj(sites[i]):
+                g = g + 1j * rng.standard_normal((dr, dr))
+            g = np.linalg.qr(g)[0]
         sites[i] = sites[i] @ g
         sites[i + 1] = np.einsum("ab,ojbc->ojac", np.linalg.inv(g), sites[i + 1])
     return sites
@@ -499,27 +540,21 @@ def _gauged(sites, seed):
 def test_sweeps_gauge_their_start(cplx, monkeypatch):
     # the sweeps take their start in any gauge: a start with a random
     # gauge on every bond gives the fit of the start itself.  At the cap,
-    # bond 3, the start is u; a fit that grows the bond of a bond-2 u
-    # starts from its zip-up
-    from mpotrace import sweeping
-
-    def gauged_zipup(*args):
-        return _gauged(_zipup(*args), 9)
-
+    # bond 3, the start is u.  A bond-2 start grows its bonds in the first
+    # sweep, from singular vectors of the half-contractions, which turn
+    # with the bond basis: in a random unitary gauge it gives the same fit
+    grown = _growth(monkeypatch)
     a, u, u_prev, alpha = _lanczos_operands(cplx)
     small = random_mpo(5, 2, 8) if cplx else real_part(random_mpo(5, 2, 8))
     for start in (u, small):
         terms = [(-alpha, start), (-0.7, u_prev)]
         ref = mp.dense(a) @ mp.dense(start) + sum(c * mp.dense(t) for c, t in terms)
         norm_sq = (np.linalg.norm(ref) ** 2, 0.0)
+        grown.clear()
         plain = multiply_and_optimize(a, start, 3, terms=terms, norm_sq=norm_sq)
-        if start is u:
-            gauged = mp.Mpo(tuple(_gauged(u.sites, 7)), u.log_scale)
-            moved = multiply_and_optimize(a, gauged, 3, terms=terms, norm_sq=norm_sq)
-        else:
-            with monkeypatch.context() as m:
-                m.setattr(sweeping, "_zipup", gauged_zipup)
-                moved = multiply_and_optimize(a, start, 3, terms=terms, norm_sq=norm_sq)
+        assert (sum(grown) > 0) == (start is small)
+        gauged = mp.Mpo(tuple(_gauged(start.sites, 7, unitary=start is small)), start.log_scale)
+        moved = multiply_and_optimize(a, gauged, 3, terms=terms, norm_sq=norm_sq)
         want = mp.dense(plain.mpo)
         # the fits truncate
         assert np.linalg.norm(want - ref) ** 2 > 1e-6 * norm_sq[0]

@@ -12,8 +12,10 @@ kmax and dmax.  With --baseline, the child runs alternate between DIR
 tools/bench_builder.py does.  The file records, per tree and workload,
 every time with their minimum, median and quartiles (the minimum alone
 did not resolve gaps of 30 % on a shared host), the median wall time of
-the at-cap Lanczos steps (those whose fit reached dmax), the iteration
-count, the stop reason and S, plus the machine facts and git revisions.  With --baseline it also
+the at-cap Lanczos steps (those whose fit reached dmax) and of the
+growing steps (those whose incoming block, the previous step's fit, is
+below dmax, 1 at step 1), the iteration count, the stop reason and S,
+plus the machine facts and git revisions.  With --baseline it also
 records, and prints, per workload whether the two trees computed the same
 numbers: the relative difference of S and whether the iteration counts,
 the stop reasons and every record's sweeps and fit_residual are equal.
@@ -50,8 +52,11 @@ s = time.perf_counter() - t0
 walls = [r.wall_ms for r in run.records]
 # a record's bond is that of its step's fit; the run makes other fits too
 at_cap = [r.wall_ms for r in run.records if r.bond >= dmax]
+incoming = [1] + [r.bond for r in run.records[:-1]]
+growing = [r.wall_ms for r, b in zip(run.records, incoming) if b < dmax]
 print(json.dumps({"s": s, "S": S, "iterations": len(run.records), "stop_reason": run.stop_reason,
                   "at_cap_steps": len(at_cap), "step_ms": statistics.median(at_cap or walls),
+                  "growing_steps": len(growing), "growing_ms": statistics.median(growing),
                   "sweeps": [r.sweeps for r in run.records],
                   "fit_residual": [r.fit_residual for r in run.records]}))
 """
@@ -87,7 +92,9 @@ def main(argv=None) -> int:
                   f"state built once per tree at bond cap {BOND_DIM}, one BLAS thread "
                   f"(tools/bench_estimate.py); min_s, median_s and quartiles_s (25th and 75th "
                   f"percentiles) summarize all_s; at_cap_step_ms is the smallest per-run "
-                  f"median wall time of the steps whose fit reached dmax",
+                  f"median wall time of the steps whose fit reached dmax, growing_step_ms "
+                  f"that of the steps whose incoming block (the previous step's bond, 1 at "
+                  f"step 1) is below dmax",
         "machine": machine(),
         "trees": {},
     }
@@ -99,6 +106,8 @@ def main(argv=None) -> int:
                    **_summary([r["s"] for r in rs]),
                    "at_cap_step_ms": round(min(r["step_ms"] for r in rs), 2),
                    "at_cap_steps": rs[0]["at_cap_steps"],
+                   "growing_step_ms": round(min(r["growing_ms"] for r in rs), 2),
+                   "growing_steps": rs[0]["growing_steps"],
                    "iterations": rs[0]["iterations"], "stop_reason": rs[0]["stop_reason"],
                    "S": rs[0]["S"]}
             for name, rs in runs[side].items()}}
