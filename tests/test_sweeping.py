@@ -129,7 +129,8 @@ def test_multiply_over_cap_start_path(monkeypatch):
     # u's bond 16 above the cap of 8 starts the sweeps from u truncated
     # (mp.truncate_svd); with carried terms as well
     truncate, starts = mp.truncate_svd, []
-    monkeypatch.setattr(mp, "truncate_svd", lambda *args: starts.append(args[1:]) or truncate(*args))
+    monkeypatch.setattr(mp, "truncate_svd",
+                        lambda *args: starts.append(args[1:]) or truncate(*args))
     a = random_mpo(6, 16, 1)
     u = random_mpo(6, 16, 2)
     for terms in ([], [(-0.8, u), (0.3, random_mpo(6, 8, 3))]):
