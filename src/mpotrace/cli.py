@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
 import logging
 import math
@@ -31,6 +32,25 @@ from .sweeping import multiply_and_optimize
 logger = logging.getLogger("mpotrace.cli")
 
 CSV_COLUMNS = tuple(f.name for f in fields(lz.IterationRecord))
+# glibc's mallopt parameters, and the values the process fixes them at
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_BYTES, _MMAP_BYTES = 128 << 20, 32 << 20
+
+
+def _keep_heap_mapped() -> None:
+    """Keep freed memory mapped.  glibc otherwise trims and unmaps the
+    multi-MB temporaries that every site update frees, and the next one
+    faults the same pages in again (glibc 2.36: 92 000 minor faults in
+    the L = 10, beta = 1 estimate, 2 000 with the heap kept).  Both
+    thresholds are fixed: fixing one turns glibc's dynamic threshold off
+    and more than doubles the faults.  Nothing happens where libc has no
+    mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)
 
 
 def _configure_logging() -> None:
@@ -362,6 +382,7 @@ def cmd_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
+    _keep_heap_mapped()
     _configure_logging()
     parser = _build_parser()
     try:

@@ -11,8 +11,9 @@ beta_2..beta_k) defines a k-node Gauss rule: with T_k = V diag(theta) V^T,
 approximates tr f(A) and is exact for polynomials of degree <= 2k-1.
 
 A step makes one variational fit, of t_k = A U_k - alpha_k U_k - beta_k
-U_{k-1}, and two closing passes over U_k: alpha_k = <U_k, A U_k> and
-||A U_k||^2 = <U_k, A^H A U_k>.  The other terms of ||t_k||^2 are
+U_{k-1}, and one closing pass over U_k, ||A U_k||^2 = <U_k, A^H A U_k>.
+alpha_k = <U_k, A U_k> comes from the fit's gauge pass over its start
+U_k, before its first local solve.  The other terms of ||t_k||^2 are
 overlaps of U_k with U_{k-1}, which the previous step's fit returns from
 its last local solve, so no pass runs over U_{k-1}.  The same fit gives
 the drift of the blocks, |<U_k, U_{k-1}>| and |<U_k, U_{k-2}>|, which
@@ -144,16 +145,15 @@ class IterationRecord:
     every bond (the driver passes the fit ||t_k||^2), ALS sweep count and
     whether it stopped on the plateau rule before max_sweeps (one sweep
     when the first right-to-left half gains no more than the rule allows),
-    `sweep_ms` is its wall time (its sweeps start from U_k and grow the
-    bonds of a step below the cap in their first pass), and `bond` is the
-    max bond of the fitted block.  `drift_1` and `drift_2` are
-    |<U_k, U_{k-1}>| and |<U_k, U_{k-2}>|, the loss of orthogonality that
-    truncation brings, from the previous step's fit; U_0 = U_{-1} = 0, so
-    both are 0 at step 1 and drift_2 is 0 at step 2.  `alpha_ms` times the
-    exact contraction of alpha, `norm_ms` that of ||A U_k||^2 (step 2's
-    includes fitting the compressed A^H A once; the overlaps with U_{k-1}
-    come from the previous fit), and `quad_ms` the Gauss rule; with the
-    fit they make up most of `wall_ms`."""
+    `sweep_ms` is its wall time (its sweeps start from U_k, read alpha_k
+    from their gauge pass over it and grow the bonds of a step below the
+    cap in their first pass), and `bond` is the max bond of the fitted
+    block.  `drift_1` and `drift_2` are |<U_k, U_{k-1}>| and
+    |<U_k, U_{k-2}>|, the loss of orthogonality that truncation brings,
+    from the previous step's fit; U_0 = U_{-1} = 0, so both are 0 at step
+    1 and drift_2 is 0 at step 2.  `norm_ms` times the contraction of
+    ||A U_k||^2 (step 2's includes fitting A^H A once), and `quad_ms` the
+    Gauss rule; with the fit they make up most of `wall_ms`."""
 
     k: int
     alpha: float
@@ -169,7 +169,6 @@ class IterationRecord:
     bond: int = 0
     drift_1: float = 0.0
     drift_2: float = 0.0
-    alpha_ms: float = 0.0
     norm_ms: float = 0.0
     quad_ms: float = 0.0
 
@@ -284,31 +283,30 @@ def global_lanczos(
     started from the identity, so that beta_1^2 = tr(I) and the Gauss rule
     approximates tr f(a).
 
-    Each step normalizes the previous residual block U_k, computes alpha_k
-    = <U_k, A U_k> exactly (one closing pass over a and U_k), and the
-    squared norm of the new residual t_k = A U_k - alpha_k U_k - beta_k
-    U_{k-1} from its three-term expansion (_target_norm_sq), whose
-    overlaps with U_{k-1} the previous step's fit returned.  Its
-    ||A U_k||^2 is <U_k, A^H A U_k> on A^H A fitted once per run at twice
-    a's bond, from step 2 on; U_1 is the identity over its norm, so
-    ||A U_1||^2 = ||A||^2 / ||I||^2.  ||A U_k|| is the scale against
-    which the step judges alpha_k's imaginary part, before it makes any
-    fit of its own (HermiticityError above 1e-8 of it), and the next step
-    the new block's norm (breakdown below BREAKDOWN_RTOL of it).  The step
-    then makes one variational fit of t_k, given ||t_k||^2, at bond cap
-    dmax (None: uncapped), which the fit clips to the residual's exact
-    bond, evaluates the Gauss rule on the accumulated tridiagonal matrix,
-    and logs the step (k, estimate, beta) at INFO on mpotrace.lanczos.
-    The run's estimate is the last step's, except on a Ritz violation:
-    then it is the step before, whose Ritz values still kept the floor
-    (step 1 keeps its own).  Every
-    step stays in the records.  The blocks are float64 when a is real,
-    complex128 otherwise.  alpha_k and the block norms come in log form
-    and become floats through one checked step (mp._from_log;
-    mp.frobenius_norm for the norms), which raises NumericError naming the
-    quantity when it overflows; ||t_k||^2 stays in log form.  The Gauss
-    rule needs beta_1^2 = d^L as a float64, so longer chains (L >= 1024
-    at d = 2) raise NumericError.
+    Each step normalizes the previous residual block U_k and contracts
+    ||A U_k||^2 = <U_k, A^H A U_k>, on A^H A fitted once per run at twice
+    a's bond and cut to its numerical rank (from step 2 on; U_1 is the
+    identity over its norm, so ||A U_1||^2 = ||A||^2 / ||I||^2).  It then
+    makes one variational fit of t_k = A U_k - alpha_k U_k - beta_k
+    U_{k-1} at bond cap dmax (None: uncapped), which the fit clips to the
+    residual's exact bond.  The fit's gauge pass over its start U_k gives
+    alpha_k = <U_k, A U_k>, before any local solve: alpha_k's imaginary
+    part is judged against ||A U_k|| there (HermiticityError above 1e-8
+    of it), and ||t_k||^2 follows from its three-term expansion
+    (_target_norm_sq), whose overlaps with U_{k-1} the previous step's
+    fit returned.  The next step judges the new block's norm against
+    ||A U_k|| (breakdown below BREAKDOWN_RTOL of it).  The step evaluates
+    the Gauss rule on the accumulated tridiagonal matrix and logs (k,
+    estimate, beta) at INFO on mpotrace.lanczos.  The run's estimate is
+    the last step's, except on a Ritz violation: then it is the step
+    before, whose Ritz values still kept the floor (step 1 keeps its
+    own).  Every step stays in the records.  The blocks are float64 when
+    a is real, complex128 otherwise.  alpha_k and the block norms come in
+    log form and become floats through one checked step (mp._from_log;
+    mp.frobenius_norm for the norms), which raises NumericError naming
+    the quantity when it overflows; ||t_k||^2 stays in log form.  The
+    Gauss rule needs beta_1^2 = d^L as a float64, so longer chains (L >=
+    1024 at d = 2) raise NumericError.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
@@ -349,37 +347,38 @@ def global_lanczos(
         if keep_basis:
             run.basis.append(u)
 
-        t_alpha = time.perf_counter()
-        alpha_c = mp._from_log(*expectation(a, u), f"alpha_{k}")
-        alpha_ms = (time.perf_counter() - t_alpha) * 1e3
-        alpha = float(alpha_c.real)
         t_norm = time.perf_counter()
         if u_prev is None:
             # U_1 = I / ||I||
             au_sq = (1.0, 2.0 * (mp.log_norm(a) - ln_v))
         else:
-            if a2 is None:
-                a2 = multiply_and_optimize(mp.adjoint(a), a, 2 * a.max_bond()).mpo
+            if a2 is None:  # fitted at twice a's bond, cut to its numerical rank
+                a2 = mp.truncate_svd(multiply_and_optimize(mp.adjoint(a), a, 2 * a.max_bond()).mpo)[0]
             # ||A U||^2 = <U, A^H A U>
             au_sq = expectation(a2, u)
         # ||A U_k||, in log form: the scale of the terms that form the new
         # residual, against which alpha_k's imaginary part is judged
         ln_au = 0.5 * (math.log(au_sq[0].real) + au_sq[1]) if au_sq[0].real > 0 else -math.inf
-        if mp._scaled(abs(alpha_c.imag), -ln_au) > 1e-8:
-            raise HermiticityError(
-                f"step {k}: <U, A U> = {alpha_c!r} has a relative imaginary part "
-                f"above 1e-8; the operator is not Hermitian to tolerance"
-            )
-        norm_sq = _target_norm_sq(au_sq, alpha, ln_v, overlaps)
         norm_ms = (time.perf_counter() - t_norm) * 1e3
         # |<U_k, U_{k-1}>| and |<U_k, U_{k-2}>|; U_0 = U_{-1} = 0
         drift = [mp._scaled(abs(m), log - ln_v) for m, log in (overlaps or [])[1:]]
         drift += [0.0] * (2 - len(drift))
         # beta_1 is the start norm and never enters the subtraction
-        terms = [(-alpha, u)] if u_prev is None else [(-alpha, u), (-beta, u_prev)]
-        fit = multiply_and_optimize(a, u, dmax, terms=terms, norm_sq=norm_sq)
+        terms = [(None, u)] if u_prev is None else [(None, u), (None, u_prev)]
+
+        def coefficients(start):
+            # start[0] = <U_k, A U_k>, closed by the fit's gauge pass over U_k
+            alpha_c = mp._from_log(*start[0], f"alpha_{k}")
+            if mp._scaled(abs(alpha_c.imag), -ln_au) > 1e-8:
+                raise HermiticityError(f"step {k}: <U, A U> = {alpha_c!r} has a relative "
+                                       f"imaginary part above 1e-8; the operator is not "
+                                       f"Hermitian to tolerance")
+            alphas.append(float(alpha_c.real))
+            norm_sq = _target_norm_sq(au_sq, alphas[-1], ln_v, overlaps)
+            return [-alphas[-1], -beta][:len(terms)], norm_sq
+
+        fit = multiply_and_optimize(a, u, dmax, terms=terms, coefficients=coefficients)
         v = fit.mpo
-        alphas.append(alpha)
 
         tri = TridiagonalMatrix(tuple(alphas), tuple(betas))
         t_quad = time.perf_counter()
@@ -387,7 +386,7 @@ def global_lanczos(
         quad_ms = (time.perf_counter() - t_quad) * 1e3
         rec = IterationRecord(
             k=k,
-            alpha=alpha,
+            alpha=alphas[-1],
             beta=beta,
             ritz_min=ritz[0],
             ritz_max=ritz[-1],
@@ -400,7 +399,6 @@ def global_lanczos(
             bond=v.max_bond(),
             drift_1=drift[0],
             drift_2=drift[1],
-            alpha_ms=alpha_ms,
             norm_ms=norm_ms,
             quad_ms=quad_ms,
         )

@@ -237,10 +237,11 @@ class _Target:
                 out.append(t.reshape(lx, c, j, ru).transpose(0, 2, 1, 3).reshape(lx * j * c, ru))
                 continue
             o, ra = a[i].shape[0], a[i].shape[3]
-            # contract (la, c) with a_i as (la*c, o*ra) -> (lx, j, ru, o, ra)
-            t = t.reshape(lx, la, c, j, ru).transpose(0, 3, 4, 1, 2).reshape(lx * j * ru, la * c)
-            t = (t @ a[i].transpose(2, 1, 0, 3).reshape(la * c, o * ra)).reshape(lx, j, ru, o, ra)
-            out.append(t.transpose(0, 1, 3, 4, 2).reshape(lx * j * o, ra * ru))
+            # contract (la, c) with a_i as (o*ra, la*c), one product per (lx, j)
+            # on a view, straight into the parts' layout (lx, j, o, ra, ru)
+            t = np.matmul(a[i].transpose(0, 3, 2, 1).reshape(o * ra, la * c),
+                          t.reshape(lx, la * c, j, ru).transpose(0, 2, 1, 3))
+            out.append(t.reshape(lx * j * o, ra * ru))
         return out
 
     def bonds(self, i):
@@ -293,11 +294,12 @@ def _close(target: _Target, x_sites) -> tuple[list, float]:
 
 
 def _scaled(v, log: float):
-    """v * exp(log), saturating to +-inf instead of raising."""
+    """v * exp(log), saturating to +-inf instead of raising.  A small v
+    can bring back into range what exp(log) alone overflows."""
     try:
         return v * math.exp(log) if v != 0 else v
     except OverflowError:
-        return v * math.inf
+        return _scaled(v / abs(v), log + math.log(abs(v))) if abs(v) < 1 else v * math.inf
 
 
 def _from_log(mant, log: float, what: str):

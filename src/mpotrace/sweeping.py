@@ -10,11 +10,12 @@ its overlap with the fit, survives a weight of 0.  Every contraction here
 runs through the package's one kernel, mp._Target: both halves of a
 sweep, and `expectation`, which closes <u, a u> in log form (mp._close).
 
-A caller that knows ||target||^2 passes it (a Lanczos step computes it
-from a compressed A^H A, see lanczos.global_lanczos).  It offsets the
-objectives and turns the fit's ||x||^2 into the exact residual
-||target||^2 - ||x||^2 at every bond; a fit that truncates and is not
-given it reports no residual.
+A caller that knows ||target||^2 passes it.  It offsets the objectives
+and turns the fit's ||x||^2 into the exact residual ||target||^2 -
+||x||^2 at every bond; a fit that truncates and is not given it reports
+no residual.  A Lanczos step knows its c_k and ||t_k||^2 only once it
+knows alpha_k = <U_k, A U_k>, so it passes a function of the start's
+overlaps instead (`coefficients`, see lanczos.global_lanczos).
 
 Every fit starts from u.  Its output bonds are the cap, clipped by the
 block bond and by the chain's natural limits; a u with a bond above them
@@ -39,24 +40,18 @@ target, whose left environments are the forward right environments.
 A complete cancellation is judged once, after the sweeps.  Each site update
 forms one half-contraction, the left environment absorbed into the
 products' sites, and hands it to both the local tensor and the next
-environment.  The plateau is judged at half-sweep granularity: the
-sweeps stop after a sweep whose right-to-left half lowered the objective
-by no more than _REL_TOL of the fit's own ||x||^2 after its first sweep,
-or by no more than a fixed share of what the first sweep's left-to-right
-half lowered it by (the truncation plateau of a capped fit).  A growing
-first pass ends with a local solve at site L-1, so that its half counts
-the growth of the last bond.  A fit whose first half-sweep already
+environment.  The sweeps stop on a plateau rule judged at half-sweep
+granularity (`_run_sweeps`): a fit whose first half-sweep already
 reaches the plateau, as a Lanczos step's does on a thermal state, ends
-after one sweep; random operators at a small cap go on sweeping.  Both
-gains are differences of objectives, from which ||target||^2 cancels, so
-the rule does not need it.
+after one sweep; random operators at a small cap go on sweeping.
 
-The sweeps end on an exact local solve at site 0, with every other site
-isometric.  There the fit's overlap with each product of its target is
-the inner product of the center with that product's part, so the fit
-returns <x, a@u> and <x, t_k> at no cost (`SweepResult.overlaps`): the
-next Lanczos step takes its ||t_k||^2 overlaps and the drift of its
-blocks from them.
+The gauge pass leaves the start, and the sweeps' last exact solve
+leaves x, with the center at site 0 and every other site isometric.
+There the overlap with each product of the target is the inner product
+of the center with the product's part: a Lanczos step reads its
+alpha_k = <u, a@u> from the start's before any local solve, and the
+next step its ||t_k||^2 overlaps and the drift of its blocks from the
+fit's (`SweepResult.overlaps`).
 """
 from __future__ import annotations
 
@@ -168,32 +163,29 @@ def _grow(target, i, half, q, bond: int):
     return target.site(i, np.concatenate([qm, left[:, :keep]], axis=1))
 
 
-def _run_sweeps(x_sites, target, norm_sq: float, opts: SweepOptions, bonds: list):
+def _run_sweeps(x_sites, target, weigh, opts: SweepOptions, bonds: list):
     """Alternate local solves over the chain; x_sites is modified in place.
 
-    x_sites is the start, in any gauge: the pass that closes the right
-    environments runs over the mirrored chain and QR-splits each site
-    before it closes that site's environment (mp._move_center), so the
-    start is right-canonical from site 1 on; its center, site 0, is never
-    read, because the first local solve overwrites it.  A sweep is a
-    left-to-right pass over the target and one over its mirror, which is
-    the right-to-left pass of the chain, and a last solve at site 0.
-    Sweep 1's left-to-right pass grows the start's bonds below the output
-    bonds, `bonds` (`_pass`).  Returns (objectives, converged, sweeps run, parts), parts being the
-    products' unweighted parts at that last solve.  The objective after a
-    site update is norm_sq - |center|^2, which is exact given exact
-    environments because the local optimum equals the environment tensor.
-    It is a difference of nearly equal numbers, so for an exact fit it
-    rounds to either sign; convergence is therefore judged only by
-    changes of the objective, never by its own size, at half-sweep
-    granularity: the sweeps stop after a sweep whose right-to-left half
-    (from the end of its left-to-right pass to the last solve at site 0)
-    lowered the objective by at most _REL_TOL of |center|^2 after the
-    first sweep, or by at most _PLATEAU of what the first sweep's
-    left-to-right half lowered it by (the fit sits on its truncation
-    plateau).  So a fit whose first half-sweep already reached the
-    plateau stops after one sweep.  norm_sq, 0 when the caller does not
-    know it, cancels from every gain.
+    x_sites is the start, in any gauge: the gauge pass closes the right
+    environments over the mirrored chain and QR-splits each site before
+    it closes that site's environment (mp._move_center).  weigh(overlaps)
+    gets the start's overlap with each product, its center at site 0
+    against the products' parts, and returns the weights and norm_sq
+    before the first local solve.  A sweep is a left-to-right pass over
+    the target, one over its mirror (the chain's right-to-left pass), and
+    a last solve at site 0; sweep 1's first pass grows the start's bonds
+    below `bonds` (`_pass`).  Returns (objectives, converged, sweeps run,
+    parts), parts being the products' unweighted parts at that last solve.
+    The objective after a site update, norm_sq - |center|^2, is exact
+    given exact environments, but a difference of nearly equal numbers,
+    so only its changes are judged, at half-sweep granularity: the sweeps
+    stop after a sweep whose right-to-left half (from the end of its
+    left-to-right pass to the last solve at site 0) lowered it by at most
+    _REL_TOL of |center|^2 after the first sweep, or by at most _PLATEAU
+    of what sweep 1's left-to-right half lowered it by (the truncation
+    plateau), or of what all of sweep 1 did where that half is one solve
+    (two sites, no growth).  norm_sq, 0 when unknown, cancels from every
+    gain.
     """
     L = len(x_sites)
     mirror = target.mirrored()
@@ -208,6 +200,10 @@ def _run_sweeps(x_sites, target, norm_sq: float, opts: SweepOptions, bonds: list
         mp._move_center(back, j)
         bwd[j + 1] = mirror.env(j, mirror.half(j, bwd[j]), back[j])
         back[j] = None
+    parts = target.parts(target.half(0, fwd[0]), bwd[L - 1])
+    center = mp._flip(back[L - 1:])[0].transpose(2, 1, 0, 3).reshape(parts[0].shape)
+    target.w, norm_sq = weigh([np.vdot(center, p).item() for p in parts])
+    mirror.w = target.w
     objectives = []
     converged = False
     for sweeps in range(1, opts.max_sweeps + 1):
@@ -223,7 +219,9 @@ def _run_sweeps(x_sites, target, norm_sq: float, opts: SweepOptions, bonds: list
         obj = norm_sq - xsq
         objectives.append(obj)
         if sweeps == 1:
-            tol = max(_REL_TOL * xsq, _PLATEAU * (objectives[0] - mid))
+            # sweep 1's left-to-right half made len(objectives) - L solves
+            gain = objectives[0] - (obj if len(objectives) == L + 1 else mid)
+            tol = max(_REL_TOL * xsq, _PLATEAU * gain)
         if mid - obj <= tol:
             converged = True
             break
@@ -234,12 +232,11 @@ def _run_sweeps(x_sites, target, norm_sq: float, opts: SweepOptions, bonds: list
 
 def _fit_result(x_sites, ls: float, truncated: bool, known: bool, objectives, converged: bool,
                 sweeps: int, overlaps: list, sweep_ms: float) -> SweepResult:
-    """Package the swept sites with the output scale exp(ls).  The sweeps
-    end with site 0 as the orthogonality center and every other site
-    isometric, so ln||x|| is ls plus ln of the center's Frobenius norm.
-    A fit whose cap truncates nothing reproduces its target, and its last
-    objective is rounding noise of either sign, so its residual reads 0.
-    One that truncates has a residual only when ||target||^2 is known."""
+    """Package the swept sites with the output scale exp(ls).  Site 0 is
+    their center, so ln||x|| is ls plus ln of its Frobenius norm.  A fit
+    whose cap truncates nothing reproduces its target, and its last
+    objective is rounding noise of either sign, so its residual reads 0;
+    one that truncates has a residual only when ||target||^2 is known."""
     nsq = float(np.vdot(x_sites[0], x_sites[0]).real)
     x = mp.Mpo(tuple(x_sites), ls, ls + 0.5 * math.log(nsq) if nsq > 0 else -math.inf)
     if not truncated:
@@ -248,15 +245,9 @@ def _fit_result(x_sites, ls: float, truncated: bool, known: bool, objectives, co
         residual = mp._scaled(max(objectives[-1], 0.0), 2.0 * ls)
     else:
         residual = math.nan
-    return SweepResult(
-        mpo=x,
-        residual=residual,
-        converged=converged,
-        sweeps=sweeps,
-        objectives=[mp._scaled(o, 2.0 * ls) for o in objectives],
-        overlaps=overlaps,
-        sweep_ms=sweep_ms,
-    )
+    return SweepResult(mpo=x, residual=residual, converged=converged, sweeps=sweeps,
+                       objectives=[mp._scaled(o, 2.0 * ls) for o in objectives],
+                       overlaps=overlaps, sweep_ms=sweep_ms)
 
 
 def _zero_result(L: int, d: int, products: int, residual: float = 0.0,
@@ -277,21 +268,23 @@ def expectation(a: mp.Mpo, u: mp.Mpo) -> tuple[complex, float]:
 
 
 def multiply_and_optimize(a: mp.Mpo, u: mp.Mpo, dnew: int | None, opts: SweepOptions | None = None,
-                          terms=(), norm_sq: tuple[float, float] | None = None) -> SweepResult:
+                          terms=(), norm_sq: tuple[float, float] | None = None,
+                          coefficients=None) -> SweepResult:
     """Best bond-dnew approximation of a @ u + sum_k c_k * t_k.
 
     `terms` is a sequence of (c_k, Mpo) pairs; the default () fits the
     plain product.  `norm_sq` is the target's squared norm when the caller
     knows it, in log form (mantissa, log): value = mantissa * exp(log).
-    The sweeps start from u and grow its bonds below the ones the fit
-    outputs in their first pass (see the module docstring).  Returns a
-    SweepResult whose residual is the final squared Frobenius distance,
-    exact at every bond given norm_sq and NaN without it when the cap
-    truncates.  With dnew at least the exact bond (D_a * D_u plus the
-    terms' bonds) the fit reproduces the exact operator to numerical
-    precision.  Its `overlaps` come free from the last local solve, at
-    site 0 with every other site isometric: there <x, product> is the
-    inner product of the center with the product's part.
+    `coefficients`, given, replaces both (each c_k then None): called once
+    before any local solve with the start's overlaps, <x0, a@u> and
+    <x0, t_k> per term in log form, it returns the c_k and norm_sq.  The
+    start x0 is u, truncated first where its bonds exceed the ones the fit
+    outputs; the sweeps grow those below them (see the module docstring).
+    Returns a SweepResult whose residual is the final squared Frobenius
+    distance, exact at every bond given norm_sq and NaN without it when
+    the cap truncates.  With dnew at least the exact bond (D_a * D_u plus
+    the terms' bonds) the fit reproduces the exact operator to numerical
+    precision.  Its `overlaps` come free from the last local solve.
     """
     opts = opts or SweepOptions()
     terms = list(terms)
@@ -302,36 +295,44 @@ def multiply_and_optimize(a: mp.Mpo, u: mp.Mpo, dnew: int | None, opts: SweepOpt
     L, d = a.L, a.d
     t0 = time.perf_counter()
     # the target is a list of products: (a, u), and (None, t_k) per term,
-    # the identity times t_k, with weight c_k.  Work with unit-norm
-    # operands; every product's true magnitude, rebased onto the largest
-    # one, is its weight, and that common scale rides on the output
-    # log_scale, so nothing downstream sees compounded scales
-    eye = (None, 0.0)
-    factors = [(1.0, mp._unit_sites(a), mp._unit_sites(u))] + [
-        (c, eye, mp._unit_sites(t)) for c, t in terms]
-    log_mags = [la + lu + math.log(abs(c)) if c != 0 else -math.inf
-                for c, (_, la), (_, lu) in factors]
-    ls = max(log_mags)
-    if ls == -math.inf:
+    # the identity times t_k, on unit-norm operands; each product's true
+    # magnitude, its coefficient's included, rebased onto the largest one,
+    # is its weight, and that common scale rides on the output log_scale
+    factors = [(mp._unit_sites(a), mp._unit_sites(u))] + [
+        ((None, 0.0), mp._unit_sites(t)) for _, t in terms]
+    logs = [la + lu for (_, la), (_, lu) in factors]
+    if max(logs) == -math.inf:
         return _zero_result(L, d, len(factors))
-    weights = [c / abs(c) * math.exp(lm - ls) if lm != -math.inf else 0.0
-               for (c, _, _), lm in zip(factors, log_mags)]
-    target = mp._Target([(a_sites, u_sites) for _, (a_sites, _), (u_sites, _) in factors],
-                        weights)
+    target = mp._Target([(a_sites, u_sites) for (a_sites, _), (u_sites, _) in factors])
     blocks = [sum(target.bonds(i)) for i in range(L - 1)]
     exact_bond = max(blocks, default=1)
     cap = exact_bond if dnew is None else min(dnew, exact_bond)
     # the bonds the fit outputs: the cap, clipped by the block bond and by
     # the chain's natural limit, d^2 per site from either end
     bonds = [min(cap, b, (d * d) ** min(i + 1, L - 1 - i)) for i, b in enumerate(blocks)]
-    # the sweeps start from u, truncated where it exceeds those bonds
+    # the start, exp(lx) times x_sites: u, truncated where it exceeds them
     if all(b <= c for b, c in zip(u.bond_dims(), bonds)):
-        x_sites = list(target.u[0])
+        x_sites, lx = list(target.u[0]), factors[0][1][1]
     else:
-        x_sites = list(mp.truncate_svd(u, cap)[0].sites)
-    # the objectives' offset: the known ||target||^2 on the fit's scale
-    offset = 0.0 if norm_sq is None else mp._scaled(norm_sq[0], norm_sq[1] - 2.0 * ls)
-    objectives, converged, sweeps, parts = _run_sweeps(x_sites, target, offset, opts, bonds)
+        x0 = mp.truncate_svd(u, cap)[0]
+        x_sites, lx = list(x0.sites), x0.log_scale
+    rule = coefficients or (lambda _: ([c for c, _ in terms], norm_sq))
+    ls = offset = 0.0
+
+    def weigh(start):
+        # the weights, the fit's scale exp(ls) and the objectives' offset
+        nonlocal ls, offset, norm_sq
+        cs, norm_sq = rule([(m, lx + lg) for m, lg in zip(start, logs)])
+        cs = [1.0] + list(cs)
+        log_mags = [lg + math.log(abs(c)) if c != 0 else -math.inf for c, lg in zip(cs, logs)]
+        # a target whose every weight is 0 keeps the unit scale
+        ls = max(log_mags) if max(log_mags) > -math.inf else 0.0
+        if norm_sq is not None:
+            offset = mp._scaled(norm_sq[0], norm_sq[1] - 2.0 * ls)
+        return [c / abs(c) * math.exp(lm - ls) if lm != -math.inf else 0.0
+                for c, lm in zip(cs, log_mags)], offset
+
+    objectives, converged, sweeps, parts = _run_sweeps(x_sites, target, weigh, opts, bonds)
     sweep_ms = (time.perf_counter() - t0) * 1e3
     # a complete cancellation is judged once, by the norm of the result
     # against the squared sum of the weighted parts' norms: a known norm's
@@ -339,13 +340,12 @@ def multiply_and_optimize(a: mp.Mpo, u: mp.Mpo, dnew: int | None, opts: SweepOpt
     # zero operator's residual is ||target||^2 itself, 0 to rounding when
     # it is not known
     scale_sq = sum(abs(w) * math.sqrt(float(np.vdot(p, p).real))
-                   for w, p in zip(weights, parts)) ** 2
+                   for w, p in zip(target.w, parts)) ** 2
     if float(np.vdot(x_sites[0], x_sites[0]).real) <= _CANCELLED * scale_sq:
         return _zero_result(L, d, len(parts), mp._scaled(max(offset, 0.0), 2.0 * ls), sweep_ms)
     # the center in the parts' layout; each overlap on the true scales of
     # x and of the product's operands
     center = x_sites[0].transpose(2, 1, 0, 3).reshape(parts[0].shape)
-    overlaps = [(np.vdot(center, p).item(), ls + la + lu)
-                for p, (_, (_, la), (_, lu)) in zip(parts, factors)]
+    overlaps = [(np.vdot(center, p).item(), ls + lg) for p, lg in zip(parts, logs)]
     return _fit_result(x_sites, ls, cap < exact_bond, norm_sq is not None, objectives, converged,
                        sweeps, overlaps, sweep_ms)

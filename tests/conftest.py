@@ -56,6 +56,19 @@ def random_mpo(L, dbond, seed, d=2):
     return mp.Mpo(tuple(sites))
 
 
+def noting(coefficients, given):
+    """A fit's `coefficients` function wrapped so that each (c_k, norm_sq)
+    it returns is appended to given; None stays None."""
+    if coefficients is None:
+        return None
+
+    def noted(start):
+        given.append(coefficients(start))
+        return given[-1]
+
+    return noted
+
+
 def real_part(m):
     """The operator whose site tensors are the real parts of m's."""
     return mp.Mpo(tuple(s.real for s in m.sites), m.log_scale)

@@ -8,11 +8,12 @@ import pytest
 import mpotrace as mt
 from mpotrace import mpo as mp
 from mpotrace import lanczos as lz
+from mpotrace import sweeping
 from mpotrace.errors import EvaluationError, HermiticityError, NumericError
 
-from mpotrace.sweeping import multiply_and_optimize
+from mpotrace.sweeping import _pass as real_pass, multiply_and_optimize
 
-from conftest import inner, random_mpo, real_part
+from conftest import inner, noting, random_mpo, real_part
 
 
 def make_run(estimates, ritz_min=0.5, ritz_max=1.5):
@@ -316,14 +317,16 @@ def test_driver_matches_dense_recurrence():
 
 def test_driver_rejects_non_hermitian(monkeypatch):
     # complex, generically non-Hermitian: alpha_1 = tr(r) / tr(I) already
-    # has an imaginary part, and the driver raises before it fits anything
-    fits = []
+    # has an imaginary part.  The step's fit closes it in its gauge pass
+    # over U_1, and the driver raises before the fit solves any site
+    fits, solves = [], []
     monkeypatch.setattr(lz, "multiply_and_optimize",
                         lambda *args, **kw: fits.append(1) or multiply_and_optimize(*args, **kw))
+    monkeypatch.setattr(sweeping, "_pass", lambda *args: solves.append(1) or real_pass(*args))
     r = random_mpo(4, 3, 5)
     with pytest.raises(HermiticityError):
         lz.global_lanczos(r, kmax=3, dmax=None)
-    assert fits == []
+    assert fits == [1] and solves == []
 
 
 def test_keep_basis_orthonormal():
@@ -457,9 +460,9 @@ def test_records_count_sweeps(thermal_l6, monkeypatch):
     # left-to-right half did, so one sweep can be enough
     fits = []
 
-    def recording(a, u, dnew, opts=None, terms=(), norm_sq=None):
-        fit = multiply_and_optimize(a, u, dnew, opts, terms, norm_sq)
-        if norm_sq is not None:
+    def recording(a, u, dnew, opts=None, terms=(), norm_sq=None, coefficients=None):
+        fit = multiply_and_optimize(a, u, dnew, opts, terms, norm_sq, coefficients)
+        if coefficients is not None:
             # a step's fit, not the run's one fit of A^H A
             fits.append(fit)
         return fit
@@ -478,8 +481,8 @@ def test_records_count_sweeps(thermal_l6, monkeypatch):
 
     # with one sweep per fit, a fit is converged exactly when that sweep
     # met the rule
-    def one_sweep(a, u, dnew, opts=None, terms=(), norm_sq=None):
-        return recording(a, u, dnew, mt.SweepOptions(max_sweeps=1), terms, norm_sq)
+    def one_sweep(a, u, dnew, opts=None, terms=(), norm_sq=None, coefficients=None):
+        return recording(a, u, dnew, mt.SweepOptions(max_sweeps=1), terms, norm_sq, coefficients)
 
     fits.clear()
     monkeypatch.setattr(lz, "multiply_and_optimize", one_sweep)
@@ -507,10 +510,13 @@ def test_overlaps_come_from_the_previous_fit(cplx, monkeypatch):
     a = mp.Mpo((np.diag([1.0, -1.0, 1.0, -1.0]).reshape(4, 4, 1, 1),) + b.sites, b.log_scale)
     steps = []
 
-    def recording(a_, u, dnew, opts=None, terms=(), norm_sq=None):
-        fit = multiply_and_optimize(a_, u, dnew, opts, terms, norm_sq)
-        if norm_sq is not None:
-            steps.append((u, list(terms), norm_sq, fit))
+    def recording(a_, u, dnew, opts=None, terms=(), norm_sq=None, coefficients=None):
+        given = []
+        fit = multiply_and_optimize(a_, u, dnew, opts, terms, norm_sq, noting(coefficients, given))
+        if coefficients is not None:
+            # the coefficients and ||t_k||^2 the step read from the fit's start
+            (cs, norm_sq), = given
+            steps.append((u, [(c, t) for c, (_, t) in zip(cs, terms)], norm_sq, fit))
         return fit
 
     monkeypatch.setattr(lz, "multiply_and_optimize", recording)
@@ -538,6 +544,28 @@ def test_overlaps_come_from_the_previous_fit(cplx, monkeypatch):
         want = [abs(np.vdot(units[k], units[k - j])) if k >= j else 0.0 for j in (1, 2)]
         assert abs(rec.drift_1 - want[0]) <= 1e-12 and abs(rec.drift_2 - want[1]) <= 1e-12, k
     assert run.records[0].drift_1 == run.records[0].drift_2 == run.records[1].drift_2 == 0.0
+
+
+@pytest.mark.parametrize("state, bonds", [("thermal_l10", (16, 11)),
+                                          ("thermal_l10_beta1", (40, 40))])
+def test_rank_cut_a2_keeps_the_block_norms(state, bonds, request):
+    # A^H A, fitted at twice A's bond and cut to its numerical rank as the
+    # driver cuts it, gives ||A U||^2 = <U, A^H A U> of the run's blocks as
+    # the uncut fit does, to the expansion's rounding floor: at beta = 0.1
+    # the cut drops a third of the bond, at beta = 1 none of it
+    from mpotrace.sweeping import expectation
+    m = request.getfixturevalue(state)
+    a = mp.shift_log_scale(m, -mp.log_norm(m))
+    full = multiply_and_optimize(mp.adjoint(a), a, 2 * a.max_bond()).mpo
+    cut = mp.truncate_svd(full)[0]
+    assert (full.max_bond(), cut.max_bond()) == bonds
+    run = lz.global_lanczos(a, kmax=5, dmax=40, keep_basis=True,
+                            f=lz.polynomial_function([0.0] * 9 + [1.0]),
+                            stop=lz.StoppingConfig(eps_conv=1e-300, sigma_mult=math.inf))
+    assert len(run.basis) == 5
+    for k, u in enumerate(run.basis, 1):
+        want, got = (mant * math.exp(log) for mant, log in (expectation(full, u), expectation(cut, u)))
+        assert abs(got - want) <= 1e-13 * want, k
 
 
 def test_one_fit_per_step(thermal_l6, monkeypatch):

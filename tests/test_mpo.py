@@ -71,6 +71,33 @@ def test_inner_product_conjugate_symmetry():
 
 
 @pytest.mark.parametrize("cplx", [False, True])
+def test_half_matches_einsum(cplx):
+    # the half-contraction of every product, a general one and the
+    # identity's, in the parts' layout (lx*j*o, ra*ru), on the target and
+    # on its mirror, whose sites are transposed views
+    rng = np.random.default_rng(3)
+    a, u, t = random_mpo(4, 3, 1), random_mpo(4, 2, 2), random_mpo(4, 3, 3)
+    if not cplx:
+        a, u, t = real_part(a), real_part(u), real_part(t)
+    target = mp._Target([(list(a.sites), list(u.sites)), (None, list(t.sites))], [1.0, -0.5])
+    for tg in (target, target.mirrored()):
+        asites, usites, tsites = tg.a[0], tg.u[0], tg.u[1]
+        for i in range(4):
+            lx = 1 + i
+            envs = [rng.standard_normal((lx, asites[i].shape[2], usites[i].shape[2])),
+                    rng.standard_normal((lx, 1, tsites[i].shape[2]))]
+            if cplx:
+                envs = [e + 1j * rng.standard_normal(e.shape) for e in envs]
+            half = tg.half(i, envs)
+            o, _, _, ra = asites[i].shape
+            ref = np.einsum("xlu,oclr,cjuv->xjorv", envs[0], asites[i], usites[i])
+            assert np.allclose(half[0], ref.reshape(lx * 2 * o, -1), rtol=0, atol=1e-13)
+            ref = np.einsum("xu,cjuv->xjcv", envs[1][:, 0], tsites[i])
+            assert np.allclose(half[1], ref.reshape(lx * 2 * 2, -1), rtol=0, atol=1e-13)
+            assert half[0].dtype == half[1].dtype == (np.complex128 if cplx else np.float64)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
 def test_close_returns_each_products_value(cplx):
     # a target with carried terms, as a Lanczos step holds it, closed over
     # a trial operator at another bond

@@ -10,7 +10,7 @@ from mpotrace import mpo as mp
 from mpotrace.sweeping import SweepOptions, _grow, expectation, multiply_and_optimize
 from mpotrace.errors import DimensionError
 
-from conftest import random_mpo, real_part
+from conftest import inner, noting, random_mpo, real_part
 
 
 def test_options_validation():
@@ -316,6 +316,66 @@ def test_fused_fit_unconstrained_matches_dense(cplx):
     assert fit.converged and fit.sweeps == 1
 
 
+def _in_gauge(m, seed):
+    """m with a random non-unitary G_i and its inverse on every bond: the
+    same operator in another gauge."""
+    rng = np.random.default_rng(seed)
+    sites = list(m.sites)
+    for i in range(m.L - 1):
+        b = sites[i].shape[3]
+        g = np.eye(b) + 0.4 * rng.standard_normal((b, b))
+        sites[i] = sites[i] @ g
+        sites[i + 1] = np.einsum("ab,ojbc->ojac", np.linalg.inv(g), sites[i + 1])
+    return mp.Mpo(tuple(sites), m.log_scale)
+
+
+@pytest.mark.parametrize("dnew", [3, None])
+@pytest.mark.parametrize("cplx", [False, True])
+def test_start_overlaps_match_closing_passes(cplx, dnew):
+    # the fit's start overlaps, read from its gauge pass over u, are the
+    # closing passes' <u, a u> (a Lanczos step's alpha), <u, u> and
+    # <u, u_prev>, whatever gauge u comes in; coefficients is called once
+    # per fit
+    a, u, u_prev, alpha = _lanczos_operands(cplx)
+    starts = []
+
+    def coefficients(start):
+        starts.append(start)
+        return [-alpha, -0.7], None
+
+    for v in (u, _in_gauge(u, 7)):
+        assert np.linalg.norm(mp.dense(v) - mp.dense(u)) < 1e-12
+        multiply_and_optimize(a, v, dnew, terms=[(None, v), (None, u_prev)],
+                              coefficients=coefficients)
+    assert len(starts) == 2
+    for start in starts:
+        (m_a, l_a), (m_u, l_u), (m_p, l_p) = start
+        assert abs(m_a * math.exp(l_a) - alpha) <= 1e-13 * abs(alpha)
+        assert abs(m_u * math.exp(l_u) - 1.0) <= 1e-13
+        want = inner(u, u_prev)
+        assert abs(m_p * math.exp(l_p) - want) <= 1e-13 * mp.frobenius_norm(u_prev)
+        assert isinstance(m_a, float) == (not cplx)
+
+
+def test_two_site_fits_judge_the_plateau_by_their_first_sweep():
+    # on two sites, sweep 1's left-to-right half is a single solve and
+    # gains nothing against itself: the plateau share is taken of what
+    # the whole first sweep gained, so a capped fit stops on the first
+    # right-to-left half that gains at most that share, after few sweeps
+    from mpotrace import sweeping
+    for seed in range(8):
+        a, u = random_mpo(2, 2, seed), random_mpo(2, 2, 10 + seed)
+        fit = multiply_and_optimize(a, u, 2, SweepOptions(max_sweeps=40), terms=[(0.5, u)])
+        # three solves a sweep, and none grows: u has the output bond 2
+        assert len(fit.objectives) == 3 * fit.sweeps and u.bond_dims() == [2]
+        gains = [fit.objectives[s] - fit.objectives[s + 2] for s in range(0, len(fit.objectives), 3)]
+        tol = max(sweeping._REL_TOL * mp.frobenius_norm(fit.mpo) ** 2,
+                  sweeping._PLATEAU * gains[0])
+        assert fit.converged and fit.sweeps <= 3, seed
+        assert gains[-1] <= tol * (1 + 1e-9), seed
+        assert all(g > tol * (1 - 1e-9) for g in gains[:-1]), seed
+
+
 @pytest.mark.parametrize("cplx", [False, True])
 def test_fit_overlaps_match_close_and_dense(cplx):
     # the fit's overlap with each product of its target, read from its last
@@ -443,13 +503,17 @@ def test_lanczos_fits_know_their_target_norm(thermal_cache, monkeypatch):
     from mpotrace import lanczos as lz
     grown, steps = _growth(monkeypatch), []
 
-    def checked(a, u, dnew, opts=None, terms=(), norm_sq=None):
+    def checked(a, u, dnew, opts=None, terms=(), norm_sq=None, coefficients=None):
         grown.clear()
-        fit = multiply_and_optimize(a, u, dnew, opts, terms, norm_sq)
+        given = []
+        fit = multiply_and_optimize(a, u, dnew, opts, terms, norm_sq, noting(coefficients, given))
         assert fit.mpo.bond_dims() == _output_bonds(a, u, terms, dnew)
-        if norm_sq is None:
+        if coefficients is None:
             # the run's one fit of A^H A
             return fit
+        # the coefficients and ||t_k||^2 the step read from the fit's start
+        (cs, norm_sq), = given
+        terms = [(c, t) for c, (_, t) in zip(cs, terms)]
         au = mp.dense(a) @ mp.dense(u)
         ref = au + sum(c * mp.dense(t) for c, t in terms)
         steps.append((u.max_bond() == dnew, sum(grown), np.linalg.norm(au) ** 2,

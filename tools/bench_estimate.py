@@ -6,20 +6,22 @@ of the three benchmark workloads, and write BENCH_estimate.json.
 Each tree builds each workload's state once, at bond cap 20, with its own
 builder, and saves it to a temporary file.  Each timing then loads the
 tree's state in a fresh child process with one BLAS thread, on the sources
-under `<tree>/src`, and runs `entropy_from_half_state` at the workload's
-kmax and dmax.  With --baseline, the child runs alternate between DIR
-(another checkout, e.g. the parent commit) and this checkout, as
-tools/bench_builder.py does.  The file records, per tree and workload,
-every time with their minimum, median and quartiles (the minimum alone
-did not resolve gaps of 30 % on a shared host), the median wall time of
-the at-cap Lanczos steps (those whose fit reached dmax) and of the
-growing steps (those whose incoming block, the previous step's fit, is
-below dmax, 1 at step 1), the iteration count, the stop reason and S,
-plus the machine facts and git revisions.  With --baseline it also
-records, and prints, per workload whether the two trees computed the same
-numbers: the relative difference of S and whether the iteration counts,
-the stop reasons and every record's sweeps and fit_residual are equal.
-The file goes to the root of this checkout.
+under `<tree>/src`, sets up the heap as the command line does at its start
+(a tree without that step runs without it), and runs
+`entropy_from_half_state` at the workload's kmax and dmax.  With
+--baseline, the child runs alternate between DIR (another checkout, e.g.
+the parent commit) and this checkout, as tools/bench_builder.py does.  The
+file records, per tree and workload, every time with their minimum, median
+and quartiles (the minimum alone did not resolve gaps of 30 % on a shared
+host), the median wall time of the at-cap Lanczos steps (those whose fit
+reached dmax) and of the growing steps (those whose incoming block, the
+previous step's fit, is below dmax, 1 at step 1), the median count of
+minor page faults during the estimate, the iteration count, the stop
+reason and S, plus the machine facts and git revisions.  With --baseline
+it also records, and prints, per workload whether the two trees computed
+the same numbers: the relative difference of S and whether the iteration
+counts, the stop reasons and every record's sweeps and fit_residual are
+equal.  The file goes to the root of this checkout.
 """
 from __future__ import annotations
 
@@ -42,19 +44,24 @@ mp.save_json(mt.thermal_half_state(p, dbond=bond, dtau=dtau), path)
 print("{}")
 """
 CHILD = """
-import json, statistics, sys, time
-from mpotrace import lanczos as lz, mpo as mp
+import json, resource, statistics, sys, time
+from mpotrace import cli, lanczos as lz, mpo as mp
+# the heap set-up of the command line's start, where the tree has one
+getattr(cli, "_keep_heap_mapped", lambda: None)()
 path, kmax, dmax = json.loads(sys.argv[1])
 m = mp.load_json(path)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 t0 = time.perf_counter()
 S, run = lz.entropy_from_half_state(m, kmax=kmax, dmax=dmax)
 s = time.perf_counter() - t0
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 walls = [r.wall_ms for r in run.records]
 # a record's bond is that of its step's fit; the run makes other fits too
 at_cap = [r.wall_ms for r in run.records if r.bond >= dmax]
 incoming = [1] + [r.bond for r in run.records[:-1]]
 growing = [r.wall_ms for r, b in zip(run.records, incoming) if b < dmax]
-print(json.dumps({"s": s, "S": S, "iterations": len(run.records), "stop_reason": run.stop_reason,
+print(json.dumps({"s": s, "S": S, "minor_faults": faults,
+                  "iterations": len(run.records), "stop_reason": run.stop_reason,
                   "at_cap_steps": len(at_cap), "step_ms": statistics.median(at_cap or walls),
                   "growing_steps": len(growing), "growing_ms": statistics.median(growing),
                   "sweeps": [r.sweeps for r in run.records],
@@ -94,7 +101,10 @@ def main(argv=None) -> int:
                   f"percentiles) summarize all_s; at_cap_step_ms is the smallest per-run "
                   f"median wall time of the steps whose fit reached dmax, growing_step_ms "
                   f"that of the steps whose incoming block (the previous step's bond, 1 at "
-                  f"step 1) is below dmax",
+                  f"step 1) is below dmax; minor_faults is the median count of minor page "
+                  f"faults during the estimate (ru_minflt).  The child sets up the heap as "
+                  f"the command line does at its start (cli._keep_heap_mapped), where the "
+                  f"tree has that step",
         "machine": machine(),
         "trees": {},
     }
@@ -108,6 +118,7 @@ def main(argv=None) -> int:
                    "at_cap_steps": rs[0]["at_cap_steps"],
                    "growing_step_ms": round(min(r["growing_ms"] for r in rs), 2),
                    "growing_steps": rs[0]["growing_steps"],
+                   "minor_faults": round(statistics.median(r["minor_faults"] for r in rs)),
                    "iterations": rs[0]["iterations"], "stop_reason": rs[0]["stop_reason"],
                    "S": rs[0]["S"]}
             for name, rs in runs[side].items()}}
