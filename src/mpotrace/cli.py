@@ -84,8 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--state", choices=("half", "full"), default="half",
                    help="half: exp(-beta/2 H); full: trace-normalized Gibbs state")
     b.add_argument("--trunc-warn", type=float, default=1e-6, dest="trunc_warn",
-                   help="warn when a Trotter layer's gate cuts discard more relative "
-                        "weight (root-sum-square over the layer) than this")
+                   help="warn when a gate layer's cuts discard more relative weight "
+                        "than this (root-sum-square), or a product fit truncates unmeasured")
     b.add_argument("--out", required=True, help="output JSON path")
 
     e = sub.add_parser("estimate", help="estimate tr f(A) for a stored MPO")
@@ -145,15 +145,16 @@ def cmd_build_thermal(args) -> int:
         return 2
     t0 = time.perf_counter()
     m, meta = models.thermal_half_state_report(params, dbond=args.bond_dim, dtau=args.dtau)
-    alarmed = [l for l in meta["layers"] if l["discarded"] > args.trunc_warn]
-    if alarmed:
-        worst = max(alarmed, key=lambda l: l["discarded"])
+    alarmed = [l for l in meta["layers"] if (l["discarded"] or 0.0) > args.trunc_warn]
+    unmeasured = sum(l["discarded"] is None for l in meta["layers"])
+    if alarmed or unmeasured:
+        worst = max(alarmed, key=lambda l: l["discarded"], default=None)
         logger.warning(
-            "%d of %d layers discarded relative weight above %.1e; worst: step %d "
-            "layer %s, %.3e (per-layer weights in the state file's layers)",
-            len(alarmed), len(meta["layers"]), args.trunc_warn,
-            worst["step"], worst["layer"], worst["discarded"],
-        )
+            "%d of %d layers discarded relative weight above %.1e, %d carry no measure%s "
+            "(per-layer weights in the state file's layers)",
+            len(alarmed), len(meta["layers"]), args.trunc_warn, unmeasured,
+            f"; worst: step {worst['step']} layer {worst['layer']}, {worst['discarded']:.3e}"
+            if worst else "")
     if args.state == "full":
         rho = multiply_and_optimize(m, mp.adjoint(m), args.bond_dim).mpo
         # tr rho = <I, rho> = mant * exp(ln_tr), kept in log form

@@ -38,8 +38,6 @@ from .sweeping import expectation, multiply_and_optimize
 BREAKDOWN_RTOL = 1e-13
 # the sigma-outlier rule compares an estimate with this many before it
 SIGMA_WINDOW = 3
-# beta_1^2 = tr(I) = d^L must stay below the largest float64
-_LN_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 
 STOP_CONVERGED = "converged"
 STOP_BREAKDOWN = "breakdown"
@@ -305,8 +303,8 @@ def global_lanczos(
     log form and become floats through one checked step (mp._from_log;
     mp.frobenius_norm for the norms), which raises NumericError naming
     the quantity when it overflows; ||t_k||^2 stays in log form.  The
-    Gauss rule needs beta_1^2 = d^L as a float64, so longer chains (L >=
-    1024 at d = 2) raise NumericError.
+    Gauss rule needs beta_1^2 = d^L as a float64, so longer chains (L >
+    mp._chain_limit(d), 1023 at d = 2) raise NumericError.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
@@ -314,10 +312,10 @@ def global_lanczos(
         raise ValueError("dmax must be >= 1")
     f = f or identity_function()
     stop = stop or StoppingConfig()
-    v = mp.identity_mpo(a.L, a.d)
-    if 2.0 * mp.log_norm(v) >= _LN_FLOAT_MAX:
+    if a.L > mp._chain_limit(a.d):
         raise NumericError(f"beta_1^2 = tr(I) = {a.d}^{a.L} overflows float64; the Gauss rule "
-                           f"needs L <= {math.ceil(_LN_FLOAT_MAX / math.log(a.d)) - 1}")
+                           f"needs L <= {mp._chain_limit(a.d)}")
+    v = mp.identity_mpo(a.L, a.d)
 
     run = QuadratureRun(basis=[] if keep_basis else None)
     alphas: list[float] = []

@@ -334,6 +334,11 @@ def log_norm(a: Mpo) -> float:
     return a.ln_norm
 
 
+def _chain_limit(d: int) -> int:
+    """The longest chain whose d^L = tr(I) is a float64: 1023 at d = 2."""
+    return math.ceil(math.log(np.finfo(np.float64).max) / math.log(d)) - 1
+
+
 def frobenius_norm(a: Mpo) -> float:
     return _from_log(1.0, log_norm(a), "Frobenius norm")
 

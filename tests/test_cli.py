@@ -91,6 +91,29 @@ def test_build_trunc_warn_counts_alarmed_layers(tmp_path, caplog):
     assert counts[20] == 0
 
 
+def test_build_trunc_warn_skips_fits_without_a_measure(tmp_path, caplog):
+    # 100 steps are powered: 3 gate layers, 6 squarings and 2 products; a
+    # fit that truncates records no discarded weight (null), which the
+    # alarm and max_discarded skip and the warning counts
+    path = str(tmp_path / "powered.json")
+    assert run_cli("build-thermal", "--L", "6", "--beta", "1", "--dtau", "0.005",
+                   "--bond-dim", "3", "--out", path) == 0
+    meta = read_json(path)["metadata"]
+    layers = meta["layers"]
+    assert [l["layer"] for l in layers].count("square") == 6 and len(layers) == 11
+    assert all(set(l) == {"step", "layer", "discarded", "max_bond"} for l in layers)
+    unmeasured = sum(l["discarded"] is None for l in layers)
+    assert unmeasured > 0
+    measured = [l["discarded"] for l in layers if l["discarded"] is not None]
+    assert meta["max_discarded"] == max(measured)
+    assert meta["alarmed_layers"] == sum(d > 1e-6 for d in measured)
+    # one line, also when no measured record is above the threshold
+    warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warned) == 1
+    assert warned[0].startswith(f"{meta['alarmed_layers']} of 11 layers ")
+    assert f", {unmeasured} carry no measure" in warned[0]
+
+
 def test_build_long_chain_keeps_norm_in_log_scale(tmp_path):
     # at L = 1100 the identity's network norm 2^550, squared, overflows;
     # the build keeps every magnitude in log_scale, which equals the norm

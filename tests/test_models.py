@@ -6,7 +6,9 @@ import pytest
 import scipy.linalg as sla
 
 import mpotrace as mt
+from mpotrace import models
 from mpotrace import mpo as mp
+from mpotrace.errors import NumericError
 from mpotrace.models import _bond_gate
 
 
@@ -102,6 +104,72 @@ def test_thermal_layer_schedule():
         names = [l["layer"] for l in meta["layers"]]
         assert len(names) == 2 * n + 1
         assert names == ["even-half"] + ["odd-full", "even-full"] * (n - 1) + ["odd-full", "even-half"]
+
+
+@pytest.mark.parametrize("beta, dtau", [(1.0, 0.005), (2.0, 0.001)])
+def test_powered_build_matches_linear_uncapped(monkeypatch, beta, dtau):
+    # uncapped, powering forms the same S(tau)^n as the gate layers
+    p = mt.IsingParams(L=6, beta=beta)
+    m, meta = mt.thermal_half_state_report(p, dbond=None, dtau=dtau)
+    assert meta["steps"] > models.POWER_STEPS
+    assert {l["layer"] for l in meta["layers"][3:]} == {"square", "product"}
+    monkeypatch.setattr(models, "POWER_STEPS", meta["steps"])
+    ref, ref_meta = mt.thermal_half_state_report(p, dbond=None, dtau=dtau)
+    assert len(ref_meta["layers"]) == 2 * meta["steps"] + 1
+    a, b = mp.dense(m), mp.dense(ref)
+    assert np.linalg.norm(a - b) <= 1e-11 * np.linalg.norm(b)
+    # a fit that truncates nothing knows its discarded weight
+    assert all(l["discarded"] is not None for l in meta["layers"])
+
+
+@pytest.mark.parametrize("nsteps", [64, 65, 100, 500])
+def test_powered_build_records(nsteps):
+    # 3 base layers, then floor(log2 n) squarings and popcount(n) - 1
+    # products, each recording the power it formed; 64 steps stay linear
+    p = mt.IsingParams(L=4, beta=2.0 * nsteps * 1e-3)
+    m, meta = mt.thermal_half_state_report(p, dbond=3, dtau=1e-3)
+    assert meta["steps"] == nsteps
+    layers = meta["layers"]
+    if nsteps <= models.POWER_STEPS:
+        assert len(layers) == 2 * nsteps + 1
+        return
+    assert [l["layer"] for l in layers[:3]] == ["even-half", "odd-full", "even-half"]
+    names = [l["layer"] for l in layers[3:]]
+    assert names.count("square") == nsteps.bit_length() - 1
+    assert names.count("product") == bin(nsteps).count("1") - 1
+    squares = [l["step"] for l in layers[3:] if l["layer"] == "square"]
+    assert squares == [2 ** j for j in range(1, nsteps.bit_length())]
+    assert layers[-1]["step"] == nsteps
+    assert layers[-1]["max_bond"] == m.max_bond() <= 3
+    # a fit that truncates knows no target norm: no discarded weight, and
+    # max_discarded reads the measured records only
+    assert any(l["discarded"] is None for l in layers)
+    measured = [l["discarded"] for l in layers if l["discarded"] is not None]
+    assert meta["max_discarded"] == max(measured)
+
+
+def test_powering_needs_the_float_chain_range(monkeypatch):
+    # d^L = tr(I) must be a float64: L <= 1023 at d = 2
+    assert mp._chain_limit(2) == 1023
+    ln_max = math.log(np.finfo(float).max)
+    assert mp._chain_limit(3) * math.log(3) < ln_max < (mp._chain_limit(3) + 1) * math.log(3)
+    # past it a build stays linear, whatever its step count
+    monkeypatch.setattr(models, "POWER_STEPS", 1)
+    _, meta = mt.thermal_half_state_report(mt.IsingParams(L=1100, beta=0.1), dbond=4, dtau=0.025)
+    assert meta["steps"] == 2
+    assert [l["layer"] for l in meta["layers"]] == ["even-half", "odd-full", "even-full",
+                                                    "odd-full", "even-half"]
+
+
+def test_powering_past_the_chain_limit_raises():
+    # at L = 1100, ||S(tau)^2||^2 ~ 2^-1100 underflows inside the fit,
+    # which then returns the zero operator: powering raises instead
+    p = mt.IsingParams(L=1100, beta=0.01)
+    step = mt.thermal_half_state(p, dbond=8, dtau=1.0)
+    layers = []
+    with pytest.raises(NumericError, match="L <= 1023"):
+        models._power(step, 100, 8, layers)
+    assert layers == []
 
 
 def test_thermal_state_infinite_temperature_limit():

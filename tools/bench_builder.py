@@ -1,13 +1,15 @@
-"""Time the thermal builder in-process, min of N, on the build parameters
-of the three benchmark workloads, and write BENCH_builder.json.
+"""Time the thermal builder in-process, N runs per tree, on the build
+parameters of the three benchmark workloads, and write BENCH_builder.json.
 
-    python3 tools/bench_builder.py --repeat 5 [--baseline DIR]
+    python3 tools/bench_builder.py [--repeat 10] [--baseline DIR]
 
 Each timing runs `thermal_half_state_report` in a fresh child process with
 one BLAS thread, on the sources under `<tree>/src`.  With --baseline, the
 child runs alternate between DIR (another checkout, e.g. the parent
 commit) and this checkout, so both see the same machine state.  The file
-records, per tree and workload, every time, their minimum, the layer
+records, per tree and workload, every time with their minimum, median and
+quartiles, the record count (gate layers plus product fits), the count of
+product fits (records whose layer is "square" or "product"), the step
 count and the max bond, plus the machine facts and git revisions.  The
 file goes to the root of this checkout.
 """
@@ -17,6 +19,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -34,7 +37,8 @@ p = mt.IsingParams(L=L, J=1.0, g=1.0, h=0.0, beta=beta)
 t0 = time.perf_counter()
 m, meta = mt.thermal_half_state_report(p, dbond=bond, dtau=dtau)
 print(json.dumps({"s": time.perf_counter() - t0, "layers": len(meta["layers"]),
-                  "max_bond": m.max_bond()}))
+                  "fits": sum(l["layer"] in ("square", "product") for l in meta["layers"]),
+                  "steps": meta["steps"], "max_bond": m.max_bond()}))
 """
 
 
@@ -71,6 +75,13 @@ def _time_build(tree: Path, w) -> dict:
     return run_child(tree, CHILD, json.dumps([w.L, w.beta, w.dtau, BOND_DIM]))
 
 
+def summary(times: list) -> dict:
+    """The minimum, median and quartiles of a tree's times, and all of them."""
+    q1, _, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
+    return {"min_s": round(min(times), 4), "median_s": round(statistics.median(times), 4),
+            "quartiles_s": [round(q1, 4), round(q3, 4)], "all_s": [round(t, 4) for t in times]}
+
+
 def revision(tree: Path) -> str:
     out = subprocess.run(["git", "-C", str(tree), "rev-parse", "HEAD"],
                          capture_output=True, text=True)
@@ -92,24 +103,26 @@ def machine() -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--repeat", type=int, default=5, help="timings per tree and workload")
+    ap.add_argument("--repeat", type=int, default=10, help="timings per tree and workload")
     ap.add_argument("--baseline", type=Path, default=None, help="checkout to compare with")
     args = ap.parse_args(argv)
     trees = {"change": ROOT} if args.baseline is None else {"baseline": args.baseline, "change": ROOT}
     runs = alternate(trees, WORKLOADS, args.repeat, _time_build)
     doc = {
         "topic": "thermal builder, in-process wall time of thermal_half_state_report",
-        "method": f"min of {args.repeat} child processes per tree and workload, alternating "
-                  f"trees, bond cap {BOND_DIM}, one BLAS thread (tools/bench_builder.py)",
+        "method": f"{args.repeat} child processes per tree and workload, alternating trees, "
+                  f"bond cap {BOND_DIM}, one BLAS thread (tools/bench_builder.py); min_s, "
+                  f"median_s and quartiles_s (25th and 75th percentiles) summarize all_s; "
+                  f"layers counts the build's records, fits those of product fits",
         "machine": machine(),
         "trees": {},
     }
     for side, tree in trees.items():
         doc["trees"][side] = {"revision": revision(tree), "workloads": {
             name: {"L": WORKLOADS[name].L, "beta": WORKLOADS[name].beta,
-                   "dtau": WORKLOADS[name].dtau, "min_s": round(min(r["s"] for r in rs), 4),
-                   "all_s": [round(r["s"], 4) for r in rs],
-                   "layers": rs[0]["layers"], "max_bond": rs[0]["max_bond"]}
+                   "dtau": WORKLOADS[name].dtau, **summary([r["s"] for r in rs]),
+                   "steps": rs[0]["steps"], "layers": rs[0]["layers"], "fits": rs[0]["fits"],
+                   "max_bond": rs[0]["max_bond"]}
             for name, rs in runs[side].items()}}
     (ROOT / "BENCH_builder.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     print(json.dumps(doc["trees"], indent=1))

@@ -32,7 +32,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bench_builder import BOND_DIM, ROOT, WORKLOADS, alternate, machine, revision, run_child
+from bench_builder import (BOND_DIM, ROOT, WORKLOADS, alternate, machine, revision, run_child,
+                           summary)
 
 BUILD = """
 import json, sys
@@ -67,13 +68,6 @@ print(json.dumps({"s": s, "S": S, "minor_faults": faults,
                   "sweeps": [r.sweeps for r in run.records],
                   "fit_residual": [r.fit_residual for r in run.records]}))
 """
-
-
-def _summary(times: list) -> dict:
-    """The minimum, median and quartiles of a tree's times, and all of them."""
-    q1, _, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
-    return {"min_s": round(min(times), 4), "median_s": round(statistics.median(times), 4),
-            "quartiles_s": [round(q1, 4), round(q3, 4)], "all_s": [round(t, 4) for t in times]}
 
 
 def main(argv=None) -> int:
@@ -113,7 +107,7 @@ def main(argv=None) -> int:
             name: {"L": WORKLOADS[name].L, "beta": WORKLOADS[name].beta,
                    "dtau": WORKLOADS[name].dtau, "kmax": WORKLOADS[name].kmax,
                    "dmax": WORKLOADS[name].dmax,
-                   **_summary([r["s"] for r in rs]),
+                   **summary([r["s"] for r in rs]),
                    "at_cap_step_ms": round(min(r["step_ms"] for r in rs), 2),
                    "at_cap_steps": rs[0]["at_cap_steps"],
                    "growing_step_ms": round(min(r["growing_ms"] for r in rs), 2),
