@@ -145,7 +145,7 @@ def thermal_half_state_report(
 
     A build of more than POWER_STEPS steps (L <= mpo._chain_limit(2))
     powers one Trotter step S(tau) (_power): 13 fits, one record each, for
-    500 steps.  One BLAS thread on 2 vCPUs: L = 10 1.15 -> 0.12 s, L = 100
+    500 steps.  One BLAS thread on 2 vCPUs: L = 10 1.13 -> 0.09 s, L = 100
     at 25 / 100 steps 0.30 / 1.17 -> 0.29 / 0.36 s, but the powered state
     keeps singular values near 1e-14 relative that gate cuts drop: bond
     10, not 8, at 25 steps, and a 36 % slower L = 100 estimate, so the
