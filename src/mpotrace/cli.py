@@ -27,7 +27,7 @@ from . import exact as ex
 from . import lanczos as lz
 from . import models
 from . import mpo as mp
-from .sweeping import multiply_and_optimize
+from .sweeping import product
 
 logger = logging.getLogger("mpotrace.cli")
 
@@ -145,6 +145,18 @@ def cmd_build_thermal(args) -> int:
         return 2
     t0 = time.perf_counter()
     m, meta = models.thermal_half_state_report(params, dbond=args.bond_dim, dtau=args.dtau)
+    if args.state == "full":
+        # rho = M M^H, one more product fit, recorded as the builder records its own
+        rho, disc = product(m, mp.adjoint(m), args.bond_dim)
+        meta["layers"].append({"step": meta["steps"], "layer": "gibbs", "discarded": disc,
+                               "max_bond": rho.max_bond()})
+        meta["max_discarded"] = models._max_discarded(meta["layers"])
+        # tr rho = <I, rho> = mant * exp(ln_tr), kept in log form
+        mant, ln_tr = mp.inner_product_scaled(mp.identity_mpo(rho.L, rho.d), rho)
+        if not mant.real > 0:
+            print(f"error: Gibbs state trace {mant!r} * e^{ln_tr!r} is not positive", file=sys.stderr)
+            return 1
+        m = mp.shift_log_scale(rho, -(math.log(mant.real) + ln_tr))
     alarmed = [l for l in meta["layers"] if (l["discarded"] or 0.0) > args.trunc_warn]
     unmeasured = sum(l["discarded"] is None for l in meta["layers"])
     if alarmed or unmeasured:
@@ -155,14 +167,6 @@ def cmd_build_thermal(args) -> int:
             len(alarmed), len(meta["layers"]), args.trunc_warn, unmeasured,
             f"; worst: step {worst['step']} layer {worst['layer']}, {worst['discarded']:.3e}"
             if worst else "")
-    if args.state == "full":
-        rho = multiply_and_optimize(m, mp.adjoint(m), args.bond_dim).mpo
-        # tr rho = <I, rho> = mant * exp(ln_tr), kept in log form
-        mant, ln_tr = mp.inner_product_scaled(mp.identity_mpo(rho.L, rho.d), rho)
-        if not mant.real > 0:
-            print(f"error: Gibbs state trace {mant!r} * e^{ln_tr!r} is not positive", file=sys.stderr)
-            return 1
-        m = mp.shift_log_scale(rho, -(math.log(mant.real) + ln_tr))
     meta.update(
         state=args.state,
         params={"L": params.L, "J": params.J, "g": params.g, "h": params.h,

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import EvaluationError, HermiticityError, NumericError
 from . import mpo as mp
 from . import tensors
-from .sweeping import expectation, multiply_and_optimize
+from .sweeping import expectation, multiply_and_optimize, product
 
 # share of ||A U_{k-1}|| under which a new block norm counts as exact breakdown
 BREAKDOWN_RTOL = 1e-13
@@ -138,15 +138,15 @@ class StoppingConfig:
 
 @dataclass
 class IterationRecord:
-    """One Lanczos step.  The step makes one fit; `fit_residual`,
-    `sweeps` and `converged` are that fit's squared residual, exact at
-    every bond (the driver passes the fit ||t_k||^2), ALS sweep count and
-    whether it stopped on the plateau rule before max_sweeps (one sweep
-    when the first right-to-left half gains no more than the rule allows),
-    `sweep_ms` is its wall time (its sweeps start from U_k, read alpha_k
-    from their gauge pass over it and grow the bonds of a step below the
-    cap in their first pass), and `bond` is the max bond of the fitted
-    block.  `drift_1` and `drift_2` are |<U_k, U_{k-1}>| and
+    """One Lanczos step.  The step makes one fit; `fit_residual`, `sweeps`
+    and `converged` are that fit's squared residual, exact at every bond
+    (||t_k||^2 - ||V_{k+1}||^2 where the fit truncated, else 0), ALS sweep
+    count and whether it stopped on the plateau rule before max_sweeps (one
+    sweep when the first right-to-left half gains no more than the rule
+    allows), `sweep_ms` is its wall time (its sweeps start from U_k, read
+    alpha_k from their gauge pass over it and grow the bonds of a step
+    below the cap in their first pass), and `bond` is the max bond of the
+    fitted block.  `drift_1` and `drift_2` are |<U_k, U_{k-1}>| and
     |<U_k, U_{k-2}>|, the loss of orthogonality that truncation brings,
     from the previous step's fit; U_0 = U_{-1} = 0, so both are 0 at step
     1 and drift_2 is 0 at step 2.  `norm_ms` times the contraction of
@@ -253,7 +253,7 @@ def _target_norm_sq(au_sq, alpha: float, ln_beta: float, overlaps) -> tuple[floa
     Hermitian A, beta_k <U_{k-1}, A U_k> = conj<x, A U_{k-1}> and beta_k
     <U_k, U_{k-1}> = <x, U_{k-1}>, so no contraction runs here.
     overlaps None is step 1, where the beta terms vanish.  Every magnitude
-    stays a log until the fit rebases it onto its own scale, so the result
+    stays a log until the driver subtracts the fit's ||x||^2, so the result
     is in log form too: (mantissa, log), value = mantissa * exp(log)."""
     terms = [(au_sq[0].real, au_sq[1])]
     if alpha != 0:
@@ -290,15 +290,17 @@ def global_lanczos(
     residual's exact bond.  The fit's gauge pass over its start U_k gives
     alpha_k = <U_k, A U_k>, before any local solve: alpha_k's imaginary
     part is judged against ||A U_k|| there (HermiticityError above 1e-8
-    of it), and ||t_k||^2 follows from its three-term expansion
+    of it).  Where the fit truncated, its residual is ||t_k||^2 -
+    ||V_{k+1}||^2, ||t_k||^2 following from its three-term expansion
     (_target_norm_sq), whose overlaps with U_{k-1} the previous step's
-    fit returned.  The next step judges the new block's norm against
-    ||A U_k|| (breakdown below BREAKDOWN_RTOL of it).  The step evaluates
-    the Gauss rule on the accumulated tridiagonal matrix and logs (k,
-    estimate, beta) at INFO on mpotrace.lanczos.  The run's estimate is
-    the last step's, except on a Ritz violation: then it is the step
-    before, whose Ritz values still kept the floor (step 1 keeps its
-    own).  Every step stays in the records.  The blocks are float64 when
+    fit returned; where it did not, the residual is 0.  The next step
+    judges the new block's norm against ||A U_k|| (breakdown below
+    BREAKDOWN_RTOL of it).  The step evaluates the Gauss rule on the
+    accumulated tridiagonal matrix and logs (k, estimate, beta) at INFO
+    on mpotrace.lanczos.  The run's estimate is the last step's, except on
+    a Ritz violation: then it is the step before, whose Ritz values still
+    kept the floor (step 1 keeps its own).  Every step stays in the
+    records.  The blocks are float64 when
     a is real, complex128 otherwise.  alpha_k and the block norms come in
     log form and become floats through one checked step (mp._from_log;
     mp.frobenius_norm for the norms), which raises NumericError naming
@@ -351,7 +353,7 @@ def global_lanczos(
             au_sq = (1.0, 2.0 * (mp.log_norm(a) - ln_v))
         else:
             if a2 is None:  # fitted at twice a's bond, cut to its numerical rank
-                a2 = mp.truncate_svd(multiply_and_optimize(mp.adjoint(a), a, 2 * a.max_bond()).mpo)[0]
+                a2 = product(mp.adjoint(a), a, 2 * a.max_bond())[0]
             # ||A U||^2 = <U, A^H A U>
             au_sq = expectation(a2, u)
         # ||A U_k||, in log form: the scale of the terms that form the new
@@ -372,11 +374,13 @@ def global_lanczos(
                                        f"imaginary part above 1e-8; the operator is not "
                                        f"Hermitian to tolerance")
             alphas.append(float(alpha_c.real))
-            norm_sq = _target_norm_sq(au_sq, alphas[-1], ln_v, overlaps)
-            return [-alphas[-1], -beta][:len(terms)], norm_sq
+            return [-alphas[-1], -beta][:len(terms)]
 
         fit = multiply_and_optimize(a, u, dmax, terms=terms, coefficients=coefficients)
-        v = fit.mpo
+        v, fit_residual = fit.mpo, 0.0
+        if fit.truncated:  # its last local solve leaves V_{k+1} the projection of t_k
+            mant, log = _target_norm_sq(au_sq, alphas[-1], ln_v, overlaps)
+            fit_residual = mp._scaled(max(mant - mp._scaled(1.0, 2.0 * v.ln_norm - log), 0.0), log)
 
         tri = TridiagonalMatrix(tuple(alphas), tuple(betas))
         t_quad = time.perf_counter()
@@ -390,7 +394,7 @@ def global_lanczos(
             ritz_max=ritz[-1],
             estimate=est,
             wall_ms=(time.perf_counter() - t0) * 1e3,
-            fit_residual=fit.residual,
+            fit_residual=fit_residual,
             sweeps=fit.sweeps,
             converged=fit.converged,
             sweep_ms=fit.sweep_ms,

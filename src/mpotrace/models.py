@@ -8,7 +8,8 @@ physical-out legs at the orthogonality center, and each gate's product is
 split back by the package's one truncated split (mpo._truncated_split),
 cut to the bond cap where it is made, so its discarded weight is exact
 (Vidal, PRL 91, 147902 (2003); Zwolak & Vidal, PRL 93, 207205 (2004)).  A
-long build powers one step by product fits (Chen et al., PRX 8, 031082 (2018))."""
+long build powers one step by product fits, sweeping.product (Chen et al.,
+PRX 8, 031082 (2018))."""
 from __future__ import annotations
 
 import math
@@ -18,7 +19,6 @@ import numpy as np
 
 from . import mpo as mp
 from . import sweeping
-from .errors import NumericError
 from .mpo import Mpo
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -95,27 +95,25 @@ def _apply_gate(left, right, gate, dbond):
 
 
 def _power(step: Mpo, n: int, dbond: int | None, layers: list) -> Mpo:
-    """step^n by right-to-left square-and-multiply, each product a fit
-    (sweeping.multiply_and_optimize) cut by mpo.truncate_svd and recorded
-    with the power it formed; a fit that truncates knows no target norm:
-    its "discarded" is None.  Past mpo._chain_limit a fit's ||x @ y||^2 ~
-    d^-L underflows, and a product that vanishes raises NumericError."""
-    def product(x, y, layer, power):
-        fit = sweeping.multiply_and_optimize(x, y, dbond)
-        out, disc = mp.truncate_svd(fit.mpo, dbond)
-        if mp.log_norm(out) == -math.inf and min(mp.log_norm(x), mp.log_norm(y)) > -math.inf:
-            raise NumericError(f"a product fit returned the zero operator at L = {x.L}: its squared "
-                               f"norm underflows float64 past L <= {mp._chain_limit(x.d)}")
-        layers.append({"step": power, "layer": layer,
-                       "discarded": None if math.isnan(fit.residual) else disc, "max_bond": out.max_bond()})
+    """step^n by right-to-left square-and-multiply, each product a
+    sweeping.product at dbond, recorded with the power it formed and the
+    weight its cut discarded (None where the fit truncated)."""
+    def times(x, y, layer, power):
+        out, disc = sweeping.product(x, y, dbond)
+        layers.append({"step": power, "layer": layer, "discarded": disc, "max_bond": out.max_bond()})
         return out
 
     acc = step if n & 1 else None
     for j in range(1, n.bit_length()):
-        step = product(step, step, "square", 1 << j)
+        step = times(step, step, "square", 1 << j)
         if n >> j & 1:
-            acc = step if acc is None else product(acc, step, "product", n & ((2 << j) - 1))
+            acc = step if acc is None else times(acc, step, "product", n & ((2 << j) - 1))
     return acc
+
+
+def _max_discarded(layers: list) -> float:
+    """The largest discarded weight among the records that carry one."""
+    return max((l["discarded"] or 0.0 for l in layers), default=0.0)
 
 
 def thermal_half_state_report(
@@ -201,13 +199,13 @@ def thermal_half_state_report(
         )
     # a unit center among isometries: the norm is exp(log_scale)
     m = Mpo(tuple(sites), log_scale, log_scale)
-    m = mp.canonicalize(_power(m, nsteps, dbond, layers) if gated < nsteps else m, center=0)
+    m = mp.canonicalize(_power(m, nsteps, dbond, layers) if gated < nsteps else m)
     meta = {
         "steps": nsteps,
         "dtau": tau,
         "dbond": dbond,
         "layers": layers,
-        "max_discarded": max((l["discarded"] or 0.0 for l in layers), default=0.0),
+        "max_discarded": _max_discarded(layers),
     }
     return m, meta
 

@@ -168,20 +168,6 @@ def exact_add(a: Mpo, b: Mpo, coeff: complex = 1.0) -> Mpo:
     return Mpo(tuple(sites), ls)
 
 
-def exact_multiply(a: Mpo, b: Mpo) -> Mpo:
-    """Operator product a @ b; interior bonds multiply exactly.  The
-    pipeline fits its products instead (sweeping.multiply_and_optimize);
-    this is the exact reference the tests build and compare against."""
-    _check_compatible(a, b)
-    sites = []
-    for sa, sb in zip(a.sites, b.sites):
-        # o c la ra / c i lb rb -> o i la lb ra rb
-        t = np.einsum("ocxy,cizw->oixzyw", sa, sb)
-        d = sa.shape[0]
-        sites.append(t.reshape(d, d, sa.shape[2] * sb.shape[2], sa.shape[3] * sb.shape[3]))
-    return Mpo(tuple(sites), a.log_scale + b.log_scale)
-
-
 def _flip(sites):
     """The chain read right to left: sites reversed, bond legs swapped."""
     return [s.transpose(0, 1, 3, 2) for s in reversed(sites)]
@@ -429,29 +415,23 @@ def _unit_sites(a: Mpo):
     return [s * f for s in a.sites], ln_full
 
 
-def canonicalize(a: Mpo, center: int = 0) -> Mpo:
-    """Bring to mixed-canonical form with the orthogonality center at
-    `center` (0-based).  Sites left of the center become left-isometries,
-    sites right of it right-isometries, and the center is rescaled to unit
-    norm with the norm moved into log_scale.  The dense value is unchanged.
-    The gauge steps run on balanced sites, so the center stays O(1).
+def canonicalize(a: Mpo) -> Mpo:
+    """Bring to right-canonical form: every site but site 0 becomes a
+    right-isometry, and site 0, the center, is rescaled to unit norm with
+    the norm moved into log_scale.  The dense value is unchanged.  The
+    gauge steps run on balanced sites, so the center stays O(1); they are
+    a left-to-right pass over the mirrored chain, whose left isometries
+    are right isometries here.
     """
-    L = a.L
-    if not 0 <= center < L:
-        raise DimensionError(f"center {center} out of range for L={L}")
     sites, ln = _unit_sites(a)
     ls = ln if ln > -math.inf else a.log_scale
-    for i in range(center):
-        _move_center(sites, i)
-    # the sites right of the center, gauged as a left-to-right pass over
-    # their mirror: its left isometries are right isometries here
-    right = _flip(sites[center:])
-    for i in range(L - 1 - center):
+    right = _flip(sites)
+    for i in range(a.L - 1):
         _move_center(right, i)
-    sites[center:] = _flip(right)
-    nrm = np.linalg.norm(sites[center])
+    sites = _flip(right)
+    nrm = np.linalg.norm(sites[0])
     if nrm > 0:
-        sites[center] = sites[center] / nrm
+        sites[0] = sites[0] / nrm
         ls += math.log(nrm)
         # unit center surrounded by isometries: the norm is exp(ls) exactly
         return Mpo(tuple(sites), ls, ls)
@@ -473,7 +453,7 @@ def truncate_svd(a: Mpo, dmax: int | None = None) -> tuple[Mpo, float]:
     """
     if dmax is not None and dmax < 1:
         raise DimensionError("dmax must be >= 1")
-    w = canonicalize(a, center=0)
+    w = canonicalize(a)
     sites = list(w.sites)
     L = w.L
     disc2 = 0.0

@@ -10,12 +10,13 @@ its overlap with the fit, survives a weight of 0.  Every contraction here
 runs through the package's one kernel, mp._Target: both halves of a
 sweep, and `expectation`, which closes <u, a u> in log form (mp._close).
 
-A caller that knows ||target||^2 passes it.  It offsets the objectives
-and turns the fit's ||x||^2 into the exact residual ||target||^2 -
-||x||^2 at every bond; a fit that truncates and is not given it reports
-no residual.  A Lanczos step knows its c_k and ||t_k||^2 only once it
-knows alpha_k = <U_k, A U_k>, so it passes a function of the start's
-overlaps instead (`coefficients`, see lanczos.global_lanczos).
+The fit returns what it alone knows, and whether its cap truncates
+(`SweepResult.truncated`).  Its last local solve leaves x the projection
+of the target, so a caller that knows ||target||^2 has the residual
+||target||^2 - ||x||^2 (lanczos.global_lanczos).  A Lanczos step knows
+its c_k only once it knows alpha_k = <U_k, A U_k>, so it passes a
+function of the start's overlaps (`coefficients`).  Plain products go
+through `product`.
 
 Every fit starts from u.  Its output bonds are the cap, clipped by the
 block bond and by the chain's natural limits; a u with a bond above them
@@ -61,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, NumericError
 from . import mpo as mp
 from . import tensors
 
@@ -93,20 +94,19 @@ class SweepResult:
 
     `converged` is true when the objective stopped moving before
     `max_sweeps` (or the fit needed no sweeps), `sweeps` counts the ALS
-    sweeps run, and `objectives` is the squared-distance objective after
-    every site update, ||target||^2 - ||x||^2, or -||x||^2 when the caller
-    did not pass ||target||^2.  `residual` is the squared distance to the
-    target: 0 when the cap truncates nothing, else the last objective,
-    floored at 0, and NaN when that objective lacks ||target||^2.
-    `overlaps` holds <x, a@u> and then <x, t_k> per term, each in log form
-    (mantissa, log): the fit's overlap with each product of its target,
-    without the product's coefficient, exact also for a coefficient of 0.
+    sweeps run, and `objectives` is -||x||^2 after every local solve: the
+    squared distance to the target less ||target||^2.  `truncated` is true
+    when the cap lies below the target's exact bond; a fit that is not
+    truncated reproduces its target.  `overlaps` holds <x, a@u> and then
+    <x, t_k> per term, each in log form (mantissa, log): the fit's overlap
+    with each product of its target, without the product's coefficient,
+    exact also for a coefficient of 0.
     `sweep_ms` is the fit's wall time, its start and the sweeps' gauge
     pass over it included.
     """
 
     mpo: mp.Mpo
-    residual: float
+    truncated: bool
     converged: bool
     sweeps: int = 0
     objectives: list = field(default_factory=list)
@@ -114,7 +114,7 @@ class SweepResult:
     sweep_ms: float = 0.0
 
 
-def _pass(target, lenvs, renvs, sites, norm_sq: float, objectives: list, bonds=None) -> None:
+def _pass(target, lenvs, renvs, sites, objectives: list, bonds=None) -> None:
     """One left-to-right pass of local solves over sites 0..L-2 of
     target's chain, in place.  lenvs[i] is the environment left of site
     i, renvs[j] the one right of site L-1-j (lenvs of the mirrored
@@ -128,7 +128,7 @@ def _pass(target, lenvs, renvs, sites, norm_sq: float, objectives: list, bonds=N
     for i in range(L - 1):
         half = target.half(i, lenvs[i])
         t = target.local(i, target.parts(half, renvs[L - 1 - i]))
-        objectives.append(norm_sq - float(np.vdot(t, t).real))
+        objectives.append(-float(np.vdot(t, t).real))
         q, _ = mp._split_left(t)
         if bonds is not None and q.shape[3] < bonds[i]:
             b = q.shape[3]
@@ -140,7 +140,7 @@ def _pass(target, lenvs, renvs, sites, norm_sq: float, objectives: list, bonds=N
         del half
     if grew:
         t = target.local(L - 1, target.parts(target.half(L - 1, lenvs[L - 1]), renvs[0]))
-        objectives.append(norm_sq - float(np.vdot(t, t).real))
+        objectives.append(-float(np.vdot(t, t).real))
 
 
 def _grow(target, i, half, q, bond: int):
@@ -170,22 +170,21 @@ def _run_sweeps(x_sites, target, weigh, opts: SweepOptions, bonds: list):
     environments over the mirrored chain and QR-splits each site before
     it closes that site's environment (mp._move_center).  weigh(overlaps)
     gets the start's overlap with each product, its center at site 0
-    against the products' parts, and returns the weights and norm_sq
-    before the first local solve.  A sweep is a left-to-right pass over
-    the target, one over its mirror (the chain's right-to-left pass), and
+    against the products' parts, and returns the weights before the
+    first local solve.  A sweep is a left-to-right pass over the target,
+    one over its mirror (the chain's right-to-left pass), and
     a last solve at site 0; sweep 1's first pass grows the start's bonds
     below `bonds` (`_pass`).  Returns (objectives, converged, sweeps run,
     parts), parts being the products' unweighted parts at that last solve.
-    The objective after a site update, norm_sq - |center|^2, is exact
-    given exact environments, but a difference of nearly equal numbers,
-    so only its changes are judged, at half-sweep granularity: the sweeps
-    stop after a sweep whose right-to-left half (from the end of its
+    The objective after a site update, -|center|^2, is the squared
+    distance to the target less ||target||^2, so only its changes are
+    judged, at half-sweep granularity: the sweeps stop after a sweep
+    whose right-to-left half (from the end of its
     left-to-right pass to the last solve at site 0) lowered it by at most
     _REL_TOL of |center|^2 after the first sweep, or by at most _PLATEAU
     of what sweep 1's left-to-right half lowered it by (the truncation
     plateau), or of what all of sweep 1 did where that half is one solve
-    (two sites, no growth).  norm_sq, 0 when unknown, cancels from every
-    gain.
+    (two sites, no growth).
     """
     L = len(x_sites)
     mirror = target.mirrored()
@@ -202,21 +201,21 @@ def _run_sweeps(x_sites, target, weigh, opts: SweepOptions, bonds: list):
         back[j] = None
     parts = target.parts(target.half(0, fwd[0]), bwd[L - 1])
     center = mp._flip(back[L - 1:])[0].transpose(2, 1, 0, 3).reshape(parts[0].shape)
-    target.w, norm_sq = weigh([np.vdot(center, p).item() for p in parts])
+    target.w = weigh([np.vdot(center, p).item() for p in parts])
     mirror.w = target.w
     objectives = []
     converged = False
     for sweeps in range(1, opts.max_sweeps + 1):
-        _pass(target, fwd, bwd, x_sites, norm_sq, objectives, bonds if sweeps == 1 else None)
+        _pass(target, fwd, bwd, x_sites, objectives, bonds if sweeps == 1 else None)
         # the objective where the right-to-left half starts; a one-site
         # chain has no pass, and its one solve is compared across sweeps
         mid = objectives[-1] if objectives else math.inf
-        _pass(mirror, bwd, fwd, back, norm_sq, objectives)
+        _pass(mirror, bwd, fwd, back, objectives)
         parts = target.parts(target.half(0, fwd[0]), bwd[L - 1])
         t = target.local(0, parts)
         x_sites[0] = t
         xsq = float(np.vdot(t, t).real)
-        obj = norm_sq - xsq
+        obj = -xsq
         objectives.append(obj)
         if sweeps == 1:
             # sweep 1's left-to-right half made len(objectives) - L solves
@@ -230,30 +229,10 @@ def _run_sweeps(x_sites, target, weigh, opts: SweepOptions, bonds: list):
     return objectives, converged, sweeps, parts
 
 
-def _fit_result(x_sites, ls: float, truncated: bool, known: bool, objectives, converged: bool,
-                sweeps: int, overlaps: list, sweep_ms: float) -> SweepResult:
-    """Package the swept sites with the output scale exp(ls).  Site 0 is
-    their center, so ln||x|| is ls plus ln of its Frobenius norm.  A fit
-    whose cap truncates nothing reproduces its target, and its last
-    objective is rounding noise of either sign, so its residual reads 0;
-    one that truncates has a residual only when ||target||^2 is known."""
-    nsq = float(np.vdot(x_sites[0], x_sites[0]).real)
-    x = mp.Mpo(tuple(x_sites), ls, ls + 0.5 * math.log(nsq) if nsq > 0 else -math.inf)
-    if not truncated:
-        residual = 0.0
-    elif known:
-        residual = mp._scaled(max(objectives[-1], 0.0), 2.0 * ls)
-    else:
-        residual = math.nan
-    return SweepResult(mpo=x, residual=residual, converged=converged, sweeps=sweeps,
-                       objectives=[mp._scaled(o, 2.0 * ls) for o in objectives],
-                       overlaps=overlaps, sweep_ms=sweep_ms)
-
-
-def _zero_result(L: int, d: int, products: int, residual: float = 0.0,
+def _zero_result(L: int, d: int, products: int, truncated: bool = False,
                  sweep_ms: float = 0.0) -> SweepResult:
-    return SweepResult(mpo=mp.zero_mpo(L, d), residual=residual, converged=True,
-                       objectives=[residual], overlaps=[(0.0, -math.inf)] * products,
+    return SweepResult(mpo=mp.zero_mpo(L, d), truncated=truncated, converged=True,
+                       objectives=[0.0], overlaps=[(0.0, -math.inf)] * products,
                        sweep_ms=sweep_ms)
 
 
@@ -268,23 +247,19 @@ def expectation(a: mp.Mpo, u: mp.Mpo) -> tuple[complex, float]:
 
 
 def multiply_and_optimize(a: mp.Mpo, u: mp.Mpo, dnew: int | None, opts: SweepOptions | None = None,
-                          terms=(), norm_sq: tuple[float, float] | None = None,
-                          coefficients=None) -> SweepResult:
+                          terms=(), coefficients=None) -> SweepResult:
     """Best bond-dnew approximation of a @ u + sum_k c_k * t_k.
 
     `terms` is a sequence of (c_k, Mpo) pairs; the default () fits the
-    plain product.  `norm_sq` is the target's squared norm when the caller
-    knows it, in log form (mantissa, log): value = mantissa * exp(log).
-    `coefficients`, given, replaces both (each c_k then None): called once
-    before any local solve with the start's overlaps, <x0, a@u> and
-    <x0, t_k> per term in log form, it returns the c_k and norm_sq.  The
-    start x0 is u, truncated first where its bonds exceed the ones the fit
-    outputs; the sweeps grow those below them (see the module docstring).
-    Returns a SweepResult whose residual is the final squared Frobenius
-    distance, exact at every bond given norm_sq and NaN without it when
-    the cap truncates.  With dnew at least the exact bond (D_a * D_u plus
-    the terms' bonds) the fit reproduces the exact operator to numerical
-    precision.  Its `overlaps` come free from the last local solve.
+    plain product.  `coefficients`, given, replaces the c_k (each then
+    None): called once before any local solve with the start's overlaps,
+    <x0, a@u> and <x0, t_k> per term in log form (mantissa, log): value =
+    mantissa * exp(log), it returns the c_k.  The start x0 is u, truncated
+    first where its bonds exceed the ones the fit outputs; the sweeps grow
+    those below them (see the module docstring).  With dnew at least the
+    exact bond (D_a * D_u plus the terms' bonds) the fit is not
+    `truncated` and reproduces the exact operator to numerical precision.
+    Its `overlaps` come free from the last local solve.
     """
     opts = opts or SweepOptions()
     terms = list(terms)
@@ -316,36 +291,49 @@ def multiply_and_optimize(a: mp.Mpo, u: mp.Mpo, dnew: int | None, opts: SweepOpt
     else:
         x0 = mp.truncate_svd(u, cap)[0]
         x_sites, lx = list(x0.sites), x0.log_scale
-    rule = coefficients or (lambda _: ([c for c, _ in terms], norm_sq))
-    ls = offset = 0.0
+    rule = coefficients or (lambda _: [c for c, _ in terms])
+    ls = 0.0
 
     def weigh(start):
-        # the weights, the fit's scale exp(ls) and the objectives' offset
-        nonlocal ls, offset, norm_sq
-        cs, norm_sq = rule([(m, lx + lg) for m, lg in zip(start, logs)])
-        cs = [1.0] + list(cs)
+        # the weights, and the fit's scale exp(ls)
+        nonlocal ls
+        cs = [1.0] + list(rule([(m, lx + lg) for m, lg in zip(start, logs)]))
         log_mags = [lg + math.log(abs(c)) if c != 0 else -math.inf for c, lg in zip(cs, logs)]
         # a target whose every weight is 0 keeps the unit scale
         ls = max(log_mags) if max(log_mags) > -math.inf else 0.0
-        if norm_sq is not None:
-            offset = mp._scaled(norm_sq[0], norm_sq[1] - 2.0 * ls)
         return [c / abs(c) * math.exp(lm - ls) if lm != -math.inf else 0.0
-                for c, lm in zip(cs, log_mags)], offset
+                for c, lm in zip(cs, log_mags)]
 
     objectives, converged, sweeps, parts = _run_sweeps(x_sites, target, weigh, opts, bonds)
     sweep_ms = (time.perf_counter() - t0) * 1e3
+    truncated = cap < exact_bond
     # a complete cancellation is judged once, by the norm of the result
-    # against the squared sum of the weighted parts' norms: a known norm's
-    # rounding floor, eps * ||a u||^2, lies far above the threshold.  The
-    # zero operator's residual is ||target||^2 itself, 0 to rounding when
-    # it is not known
+    # against the squared sum of the weighted parts' norms
     scale_sq = sum(abs(w) * math.sqrt(float(np.vdot(p, p).real))
                    for w, p in zip(target.w, parts)) ** 2
-    if float(np.vdot(x_sites[0], x_sites[0]).real) <= _CANCELLED * scale_sq:
-        return _zero_result(L, d, len(parts), mp._scaled(max(offset, 0.0), 2.0 * ls), sweep_ms)
+    nsq = float(np.vdot(x_sites[0], x_sites[0]).real)
+    if nsq <= _CANCELLED * scale_sq:
+        return _zero_result(L, d, len(parts), truncated, sweep_ms)
     # the center in the parts' layout; each overlap on the true scales of
-    # x and of the product's operands
+    # x and of the product's operands.  Site 0 is the center, so ln||x|| is
+    # ls plus ln of its Frobenius norm
     center = x_sites[0].transpose(2, 1, 0, 3).reshape(parts[0].shape)
     overlaps = [(np.vdot(center, p).item(), ls + lg) for p, lg in zip(parts, logs)]
-    return _fit_result(x_sites, ls, cap < exact_bond, norm_sq is not None, objectives, converged,
-                       sweeps, overlaps, sweep_ms)
+    return SweepResult(mpo=mp.Mpo(tuple(x_sites), ls, ls + 0.5 * math.log(nsq)), truncated=truncated,
+                       converged=converged, sweeps=sweeps,
+                       objectives=[mp._scaled(o, 2.0 * ls) for o in objectives],
+                       overlaps=overlaps, sweep_ms=sweep_ms)
+
+
+def product(x: mp.Mpo, y: mp.Mpo, cap: int | None) -> tuple[mp.Mpo, float | None]:
+    """x @ y fitted at bond cap and cut to its numerical rank
+    (mp.truncate_svd), with the cut's relative discarded weight, or None
+    where the fit truncated and its own error is not known.  A product of
+    nonzero operators that vanishes raises NumericError: past
+    mp._chain_limit a fit's ||x @ y||^2 ~ d^-L underflows."""
+    fit = multiply_and_optimize(x, y, cap)
+    out, disc = mp.truncate_svd(fit.mpo, cap)
+    if out.ln_norm == -math.inf and min(mp.log_norm(x), mp.log_norm(y)) > -math.inf:
+        raise NumericError(f"a product of nonzero operators fitted as zero at L = {x.L} (its squared "
+                           f"norm underflows float64 past L <= {mp._chain_limit(x.d)})")
+    return out, None if fit.truncated else disc

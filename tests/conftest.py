@@ -56,8 +56,22 @@ def random_mpo(L, dbond, seed, d=2):
     return mp.Mpo(tuple(sites))
 
 
+def exact_multiply(a, b):
+    """Operator product a @ b; interior bonds multiply exactly.  The
+    package fits its products instead (sweeping.product); this is the
+    exact reference the tests build and compare against."""
+    mp._check_compatible(a, b)
+    sites = []
+    for sa, sb in zip(a.sites, b.sites):
+        # o c la ra / c i lb rb -> o i la lb ra rb
+        t = np.einsum("ocxy,cizw->oixzyw", sa, sb)
+        d = sa.shape[0]
+        sites.append(t.reshape(d, d, sa.shape[2] * sb.shape[2], sa.shape[3] * sb.shape[3]))
+    return mp.Mpo(tuple(sites), a.log_scale + b.log_scale)
+
+
 def noting(coefficients, given):
-    """A fit's `coefficients` function wrapped so that each (c_k, norm_sq)
+    """A fit's `coefficients` function wrapped so that each list of c_k
     it returns is appended to given; None stays None."""
     if coefficients is None:
         return None

@@ -140,6 +140,45 @@ def test_build_full_state_has_unit_trace(tmp_path):
     assert "squaring_residual" not in read_json(path)["metadata"]
 
 
+def test_build_full_state_records_its_gibbs_fit(tmp_path, caplog, monkeypatch):
+    # rho = M M^H is one more product fit, recorded after the builder's
+    # own: at L = 4 bond 256 lies above its block bond, and the record
+    # carries the weight its rank cut discarded; bond 20 lies below it,
+    # and the record carries none, which the warning counts
+    for bond in (256, 20):
+        path = str(tmp_path / f"full{bond}.json")
+        caplog.clear()
+        assert run_cli("build-thermal", "--L", "4", "--beta", "0.1", "--state", "full",
+                       "--bond-dim", str(bond), "--out", path) == 0
+        meta = read_json(path)["metadata"]
+        layers = meta["layers"]
+        gibbs = layers[-1]
+        assert (gibbs["step"], gibbs["layer"]) == (meta["steps"], "gibbs"), bond
+        assert gibbs["max_bond"] == mp.load_json(path).max_bond(), bond
+        measured = [l["discarded"] for l in layers if l["discarded"] is not None]
+        assert meta["max_discarded"] == max(measured), bond
+        assert meta["alarmed_layers"] == sum(d > 1e-6 for d in measured), bond
+        warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        if bond == 256:
+            assert 0.0 <= gibbs["discarded"] < 1e-13 and warned == []
+        else:
+            assert gibbs["discarded"] is None
+            assert len(warned) == 1 and ", 1 carry no measure" in warned[0]
+    # a Gibbs fit whose cut drops more than every gate layer: the alarm,
+    # its count and max_discarded all read it
+    fit = cli.product
+    monkeypatch.setattr(cli, "product", lambda x, y, cap: (fit(x, y, cap)[0], 1e-3))
+    path = str(tmp_path / "alarmed.json")
+    caplog.clear()
+    assert run_cli("build-thermal", "--L", "4", "--beta", "0.1", "--state", "full",
+                   "--bond-dim", "256", "--out", path) == 0
+    meta = read_json(path)["metadata"]
+    assert meta["layers"][-1]["discarded"] == meta["max_discarded"] == 1e-3
+    assert meta["alarmed_layers"] == 1
+    warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warned) == 1 and "layer gibbs, 1.000e-03" in warned[0]
+
+
 def test_estimate_entropy_rejects_full_state(tmp_path, capsys):
     # the entropy reads its input as the half state M; on the Gibbs state
     # rho it would return the entropy of rho^2 / tr rho^2

@@ -11,9 +11,9 @@ from mpotrace import lanczos as lz
 from mpotrace import sweeping
 from mpotrace.errors import EvaluationError, HermiticityError, NumericError
 
-from mpotrace.sweeping import _pass as real_pass, multiply_and_optimize
+from mpotrace.sweeping import _pass as real_pass, multiply_and_optimize, product
 
-from conftest import inner, noting, random_mpo, real_part
+from conftest import exact_multiply, inner, noting, random_mpo, real_part
 
 
 def make_run(estimates, ritz_min=0.5, ritz_max=1.5):
@@ -297,7 +297,7 @@ def test_trace_of_positive_examples():
     assert abs(trace(a) - 96.0) < 1e-10
     for seed in range(3):
         r = random_mpo(6, 3, seed)
-        m = mp.hermitian_part(mp.exact_multiply(mp.adjoint(r), r))
+        m = mp.hermitian_part(exact_multiply(mp.adjoint(r), r))
         ref = float(np.trace(mp.dense(m)).real)
         assert abs(trace(m) - ref) < 1e-10 * max(abs(ref), 1.0), seed
 
@@ -460,12 +460,10 @@ def test_records_count_sweeps(thermal_l6, monkeypatch):
     # left-to-right half did, so one sweep can be enough
     fits = []
 
-    def recording(a, u, dnew, opts=None, terms=(), norm_sq=None, coefficients=None):
-        fit = multiply_and_optimize(a, u, dnew, opts, terms, norm_sq, coefficients)
-        if coefficients is not None:
-            # a step's fit, not the run's one fit of A^H A
-            fits.append(fit)
-        return fit
+    def recording(a, u, dnew, opts=None, terms=(), coefficients=None):
+        # a step's fit: the run's one fit of A^H A goes through product
+        fits.append(multiply_and_optimize(a, u, dnew, opts, terms, coefficients))
+        return fits[-1]
 
     def met_rule(fit, L=6):
         # a sweep makes 2L - 1 updates, its left-to-right half the first L - 1
@@ -481,8 +479,8 @@ def test_records_count_sweeps(thermal_l6, monkeypatch):
 
     # with one sweep per fit, a fit is converged exactly when that sweep
     # met the rule
-    def one_sweep(a, u, dnew, opts=None, terms=(), norm_sq=None, coefficients=None):
-        return recording(a, u, dnew, mt.SweepOptions(max_sweeps=1), terms, norm_sq, coefficients)
+    def one_sweep(a, u, dnew, opts=None, terms=(), coefficients=None):
+        return recording(a, u, dnew, mt.SweepOptions(max_sweeps=1), terms, coefficients)
 
     fits.clear()
     monkeypatch.setattr(lz, "multiply_and_optimize", one_sweep)
@@ -500,7 +498,8 @@ def test_overlaps_come_from_the_previous_fit(cplx, monkeypatch):
     # the identity's sites eye/2 make alpha_1 = 0 exactly: step 1's term
     # -alpha_1 U_1 has weight 0.  Each fit's overlaps with the products of
     # its target match the dense inner products, the weight-0 product's
-    # included; the next step builds ||t_k||^2 from them, and records
+    # included; the driver builds ||t_k||^2 from them where the fit
+    # truncates (from step 2 on), and the next step records
     # |<U_k, U_{k-1}>| and |<U_k, U_{k-2}>|.  B has bond 2, so A^H A is
     # exact at twice A's bond, and so is ||A U_k||^2
     b = mt.random_hermitian_mpo(3, d=4, dbond=2, seed=3)
@@ -508,25 +507,32 @@ def test_overlaps_come_from_the_previous_fit(cplx, monkeypatch):
         # the real parts of the sites of M + M^H are those of M_r + M_r^T
         b = real_part(b)
     a = mp.Mpo((np.diag([1.0, -1.0, 1.0, -1.0]).reshape(4, 4, 1, 1),) + b.sites, b.log_scale)
-    steps = []
+    steps, norms = [], {}
 
-    def recording(a_, u, dnew, opts=None, terms=(), norm_sq=None, coefficients=None):
+    def recording(a_, u, dnew, opts=None, terms=(), coefficients=None):
         given = []
-        fit = multiply_and_optimize(a_, u, dnew, opts, terms, norm_sq, noting(coefficients, given))
-        if coefficients is not None:
-            # the coefficients and ||t_k||^2 the step read from the fit's start
-            (cs, norm_sq), = given
-            steps.append((u, [(c, t) for c, (_, t) in zip(cs, terms)], norm_sq, fit))
+        fit = multiply_and_optimize(a_, u, dnew, opts, terms, noting(coefficients, given))
+        # the coefficients the step read from the fit's start
+        cs, = given
+        steps.append((u, [(c, t) for c, (_, t) in zip(cs, terms)], fit))
         return fit
 
+    def noted_norm(*args, target_norm_sq=lz._target_norm_sq):
+        # ||t_k||^2, formed after step k's fit
+        norms[len(steps)] = target_norm_sq(*args)
+        return norms[len(steps)]
+
     monkeypatch.setattr(lz, "multiply_and_optimize", recording)
+    monkeypatch.setattr(lz, "_target_norm_sq", noted_norm)
     run = lz.global_lanczos(a, kmax=6, dmax=4, f=lz.polynomial_function([0.0] * 9 + [1.0]),
                             stop=lz.StoppingConfig(eps_conv=1e-300, sigma_mult=math.inf),
                             keep_basis=True)
     assert len(run.records) == 6
     assert run.records[0].alpha == 0.0 and steps[0][1][0][0] == 0.0
     dense_a = mp.dense(a)
-    for k, (u, terms, norm_sq, fit) in enumerate(steps, 1):
+    assert sorted(norms) == [k for k, (*_, fit) in enumerate(steps, 1) if fit.truncated] \
+        == list(range(2, 7))
+    for k, (u, terms, fit) in enumerate(steps, 1):
         x = mp.dense(fit.mpo)
         au = dense_a @ mp.dense(u)
         t = au + sum(c * mp.dense(v) for c, v in terms)
@@ -535,10 +541,11 @@ def test_overlaps_come_from_the_previous_fit(cplx, monkeypatch):
         for (mant, log), ref in zip(fit.overlaps, refs):
             scale = np.linalg.norm(x) * np.linalg.norm(au)
             assert abs(mant * math.exp(log) - ref) <= 1e-12 * scale, k
-        assert abs(norm_sq[0] * math.exp(norm_sq[1]) - np.linalg.norm(t) ** 2) \
-            <= 1e-12 * np.linalg.norm(au) ** 2, k
+        if k in norms:
+            assert abs(norms[k][0] * math.exp(norms[k][1]) - np.linalg.norm(t) ** 2) \
+                <= 1e-12 * np.linalg.norm(au) ** 2, k
     # the cap truncates from some step on
-    assert max(fit.residual for *_, fit in steps) > 1e-6
+    assert max(rec.fit_residual for rec in run.records) > 1e-6
     units = [mp.dense(v) for v in run.basis]
     for k, rec in enumerate(run.records):
         want = [abs(np.vdot(units[k], units[k - j])) if k >= j else 0.0 for j in (1, 2)]
@@ -577,7 +584,15 @@ def test_one_fit_per_step(thermal_l6, monkeypatch):
         bonds.append(fit.mpo.max_bond())
         return fit
 
+    def counting_product(x, y, cap):
+        # the run's one fit of A^H A
+        calls.append(cap)
+        out = product(x, y, cap)
+        bonds.append(out[0].max_bond())
+        return out
+
     monkeypatch.setattr(lz, "multiply_and_optimize", counting)
+    monkeypatch.setattr(lz, "product", counting_product)
     run = lz.global_lanczos(thermal_l6, kmax=6, dmax=12,
                             f=lz.polynomial_function([0.0] * 9 + [1.0]),
                             stop=lz.StoppingConfig(eps_conv=1e-300, sigma_mult=math.inf))

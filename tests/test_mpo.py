@@ -10,7 +10,7 @@ from mpotrace import mpo as mp
 from mpotrace.sweeping import multiply_and_optimize
 from mpotrace.errors import CapacityError, DimensionError, NumericError
 
-from conftest import inner, random_mpo, real_part, with_spectrum
+from conftest import exact_multiply, inner, random_mpo, real_part, with_spectrum
 
 
 def test_identity_dense_small():
@@ -43,14 +43,14 @@ def test_identity_is_balanced_past_float_range():
 def test_canonicalize_long_chain_keeps_norm_in_log_scale():
     # 600 sites of 2 I: the network norm (2 sqrt 2)^600 squared overflows
     site = 2.0 * np.eye(2).reshape(2, 2, 1, 1)
-    g = mp.canonicalize(mp.Mpo(tuple(site for _ in range(600))), center=300)
+    g = mp.canonicalize(mp.Mpo(tuple(site for _ in range(600))))
     want = 600 * math.log(2.0 * math.sqrt(2.0))
     assert abs(g.log_scale - want) < 1e-10 * want
     assert g.ln_norm == g.log_scale
     assert all(np.all(np.isfinite(s)) for s in g.sites)
     assert abs(mp.log_norm(mp.Mpo(g.sites)) - 0.0) < 1e-10
     # a huge identity is already balanced
-    big = mp.canonicalize(mp.identity_mpo(1030), center=0)
+    big = mp.canonicalize(mp.identity_mpo(1030))
     assert abs(big.log_scale - 515 * math.log(2.0)) < 1e-10
 
 
@@ -169,54 +169,51 @@ def test_exact_add_dense_oracle():
 
 def test_exact_multiply_identity():
     m = random_mpo(4, 3, 9)
-    out = mp.exact_multiply(mp.identity_mpo(4), m)
+    out = exact_multiply(mp.identity_mpo(4), m)
     assert np.allclose(mp.dense(out), mp.dense(m), atol=1e-12)
 
 
 def test_exact_multiply_bond_arithmetic():
     a = random_mpo(5, 3, 0)
     b = random_mpo(5, 4, 1)
-    assert mp.exact_multiply(a, b).bond_dims() == [12, 12, 12, 12]
+    assert exact_multiply(a, b).bond_dims() == [12, 12, 12, 12]
 
 
 def test_exact_multiply_dense_oracle():
     for seed in range(5):
         a = random_mpo(4, 3, seed)
         b = random_mpo(4, 3, 70 + seed)
-        assert np.allclose(mp.dense(mp.exact_multiply(a, b)), mp.dense(a) @ mp.dense(b), atol=1e-12)
+        assert np.allclose(mp.dense(exact_multiply(a, b)), mp.dense(a) @ mp.dense(b), atol=1e-12)
 
 
 def test_canonicalize_value_and_isometries():
-    # every center, on a real and on a complex operand
+    # on a real and on a complex operand: a unit center at site 0 and
+    # right-isometries after it
     cplx = random_mpo(5, 4, 3)
-    for m, center in [(m, c) for m in (real_part(cplx), cplx) for c in range(5)]:
+    for m in (real_part(cplx), cplx):
         ref = mp.dense(m)
-        g = mp.canonicalize(m, center=center)
-        where = (m.dtype, center)
+        g = mp.canonicalize(m)
+        where = m.dtype
         assert g.dtype == m.dtype, where
         assert np.allclose(mp.dense(g), ref, atol=1e-10 * np.max(np.abs(ref))), where
-        assert abs(np.linalg.norm(g.sites[center]) - 1.0) < 1e-12, where
+        assert abs(np.linalg.norm(g.sites[0]) - 1.0) < 1e-12, where
         assert abs(g.ln_norm - math.log(np.linalg.norm(ref))) < 1e-12, where
-        for i, s in enumerate(g.sites):
+        for i, s in enumerate(g.sites[1:], 1):
             d1, d2, dl, dr = s.shape
-            if i < center:
-                mat = s.reshape(d1 * d2 * dl, dr)
-                assert np.linalg.norm(mat.conj().T @ mat - np.eye(dr)) < 1e-12, (where, i, "left")
-            elif i > center:
-                mat = s.transpose(2, 0, 1, 3).reshape(dl, d1 * d2 * dr)
-                assert np.linalg.norm(mat @ mat.conj().T - np.eye(dl)) < 1e-12, (where, i, "right")
+            mat = s.transpose(2, 0, 1, 3).reshape(dl, d1 * d2 * dr)
+            assert np.linalg.norm(mat @ mat.conj().T - np.eye(dl)) < 1e-12, (where, i, "right")
 
 
 def test_canonicalize_idempotent():
     m = random_mpo(5, 3, 8)
-    once = mp.canonicalize(m, 2)
-    twice = mp.canonicalize(once, 2)
+    once = mp.canonicalize(m)
+    twice = mp.canonicalize(once)
     assert np.allclose(mp.dense(once), mp.dense(twice), atol=1e-12)
 
 
 def test_canonicalize_center_of_unit_norm_carries_log_scale():
     m = random_mpo(4, 3, 2)
-    g = mp.canonicalize(m, 0)
+    g = mp.canonicalize(m)
     # all norm lives in log_scale, tensor network has unit norm
     assert abs(mp.log_norm(mp.Mpo(g.sites)) - 0.0) < 1e-10
 
@@ -320,12 +317,12 @@ def test_ln_norm_matches_contraction_where_set():
     mp.log_norm(memo)
     made = {
         "identity": mp.identity_mpo(7, d=3),
-        "adjoint": mp.adjoint(mp.canonicalize(m, center=1)),
+        "adjoint": mp.adjoint(mp.canonicalize(m)),
         "zero": mp.zero_mpo(5),
         "memoized log_norm": memo,
-        "canonicalize": mp.canonicalize(m, center=2),
+        "canonicalize": mp.canonicalize(m),
         "truncate_svd": mp.truncate_svd(m, dmax=3)[0],
-        "shift_log_scale": mp.shift_log_scale(mp.canonicalize(m, 0), -7.5),
+        "shift_log_scale": mp.shift_log_scale(mp.canonicalize(m), -7.5),
         "multiply_and_optimize": multiply_and_optimize(a, u, 4).mpo,
         "multiply_and_optimize with terms": multiply_and_optimize(a, u, 4, terms=[(-0.5, u)]).mpo,
     }
@@ -436,8 +433,8 @@ def test_dtype_rule_construction():
 
 def test_dtype_rule_real_stays_float64():
     a, b = real_part(random_mpo(5, 3, 0)), real_part(random_mpo(5, 4, 1))
-    outs = [mp.exact_add(a, b, -0.5), mp.exact_multiply(a, b), mp.canonicalize(a, center=2),
-            mp.truncate_svd(mp.exact_multiply(a, b), dmax=5)[0], mp.adjoint(a),
+    outs = [mp.exact_add(a, b, -0.5), exact_multiply(a, b), mp.canonicalize(a),
+            mp.truncate_svd(exact_multiply(a, b), dmax=5)[0], mp.adjoint(a),
             mp.shift_log_scale(a, math.log(2.0))]
     for out in outs:
         assert [s.dtype for s in out.sites] == [np.float64] * 5
@@ -449,9 +446,9 @@ def test_dtype_rule_real_stays_float64():
 
 def test_dtype_rule_complex_stays_complex128():
     a, b = random_mpo(5, 3, 0), real_part(random_mpo(5, 4, 1))
-    outs = [mp.exact_add(a, b), mp.exact_add(b, b, 1j), mp.exact_multiply(a, b),
-            mp.exact_multiply(b, a), mp.canonicalize(a, center=2),
-            mp.truncate_svd(mp.exact_multiply(a, b), dmax=5)[0]]
+    outs = [mp.exact_add(a, b), mp.exact_add(b, b, 1j), exact_multiply(a, b),
+            exact_multiply(b, a), mp.canonicalize(a),
+            mp.truncate_svd(exact_multiply(a, b), dmax=5)[0]]
     for out in outs:
         assert [s.dtype for s in out.sites] == [np.complex128] * 5
 

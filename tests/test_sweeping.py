@@ -7,10 +7,10 @@ import pytest
 
 import mpotrace as mt
 from mpotrace import mpo as mp
-from mpotrace.sweeping import SweepOptions, _grow, expectation, multiply_and_optimize
-from mpotrace.errors import DimensionError
+from mpotrace.sweeping import SweepOptions, _grow, expectation, multiply_and_optimize, product
+from mpotrace.errors import DimensionError, NumericError
 
-from conftest import inner, noting, random_mpo, real_part
+from conftest import exact_multiply, inner, noting, random_mpo, real_part
 
 
 def test_options_validation():
@@ -42,6 +42,15 @@ def _growth(monkeypatch):
     return grown
 
 
+def _residual(norm_sq, x):
+    """||t||^2 - ||x||^2 for a fit x of a target t, ||t||^2 given in log
+    form (mantissa, log), as a mantissa on that log: value = mantissa *
+    exp(log).  The fit's last local solve leaves x the projection of t,
+    so this is ||t - x||^2."""
+    mant, log = norm_sq
+    return mant - math.exp(2.0 * mp.log_norm(x) - log)
+
+
 def _output_bonds(a, u, terms, cap):
     """The bonds a fit of a@u + sum_k c_k t_k outputs at cap: the cap,
     clipped by the block bond and by d^2 per site from either end."""
@@ -58,7 +67,7 @@ def test_multiply_identity_operand():
         ref, ref_err = mp.truncate_svd(u, dmax=4)
         # as good as plain truncation or better
         nrm2 = mp.frobenius_norm(u) ** 2
-        assert fit.residual <= (ref_err**2) * nrm2 + 1e-10 * max(nrm2, 1.0)
+        assert _residual((nrm2, 0.0), fit.mpo) <= (ref_err**2) * nrm2 + 1e-10 * max(nrm2, 1.0)
 
 
 def test_multiply_unconstrained_matches_exact():
@@ -68,7 +77,8 @@ def test_multiply_unconstrained_matches_exact():
         fit = multiply_and_optimize(a, u, a.max_bond() * u.max_bond())
         dist = np.linalg.norm(mp.dense(fit.mpo) - mp.dense(a) @ mp.dense(u))
         assert dist < 1e-10, (seed, dist)
-        assert fit.residual < 1e-10
+        # a fit that reproduces its target: its residual is 0
+        assert not fit.truncated
 
 
 def test_multiply_rank_one_times_rank_one():
@@ -78,7 +88,9 @@ def test_multiply_rank_one_times_rank_one():
         sites = tuple(rng.standard_normal((2, 2, 1, 1)) + 1j * rng.standard_normal((2, 2, 1, 1)) for _ in range(4))
         ops.append(mp.Mpo(sites))
     fit = multiply_and_optimize(ops[0], ops[1], 1)
-    assert fit.residual < 1e-10
+    ref = mp.dense(ops[0]) @ mp.dense(ops[1])
+    assert not fit.truncated
+    assert np.linalg.norm(mp.dense(fit.mpo) - ref) < 1e-10 * np.linalg.norm(ref)
 
 
 def test_multiply_objectives_monotone():
@@ -96,9 +108,9 @@ def test_multiply_objectives_monotone():
 
 
 def test_multiply_debug_incremental_matches_scratch(monkeypatch):
-    # given ||target||^2, the incrementally tracked objective equals the
-    # squared distance to the exact target, recomputed from scratch, at a
-    # capped bond: the product, and the product with terms.  The sweeps of
+    # ||target||^2 - ||x||^2 equals the squared distance to the exact
+    # target, recomputed from scratch, at a capped bond: the product, and
+    # the product with terms.  The sweeps of
     # a u of bond 3, below the cap of 4, grow its bonds to the ones the fit
     # outputs; a u of bond 4, those bonds, grows nothing
     grown = _growth(monkeypatch)
@@ -109,20 +121,20 @@ def test_multiply_debug_incremental_matches_scratch(monkeypatch):
         for terms in ([], [(-0.8, u), (0.3, u_prev)]):
             ref = mp.dense(a) @ mp.dense(u) + sum(c * mp.dense(t) for c, t in terms)
             grown.clear()
-            fit = multiply_and_optimize(a, u, 4, terms=terms,
-                                        norm_sq=(np.linalg.norm(ref) ** 2, 0.0))
+            fit = multiply_and_optimize(a, u, 4, terms=terms)
             assert grown == ([1, 1, 1] if bond == 3 else []), (bond, terms)
             assert fit.mpo.bond_dims() == _output_bonds(a, u, terms, 4) == [4, 4, 4]
             dist2 = np.linalg.norm(mp.dense(fit.mpo) - ref) ** 2
-            assert dist2 > 1e-6
-            assert abs(fit.residual - dist2) < 1e-8 * dist2, (bond, terms)
+            assert dist2 > 1e-6 and fit.truncated
+            assert abs(_residual((np.linalg.norm(ref) ** 2, 0.0), fit.mpo) - dist2) < 1e-8 * dist2, \
+                (bond, terms)
             # the norm's log form meets the fit's scale: e^600 ||ref||^2
             # is finite, its factors e^600 and e^300 ||a|| ||u|| are not
             # all within reach of a float's square
             big = multiply_and_optimize(mp.shift_log_scale(a, 300.0), u, 4, terms=[
-                (c * math.exp(300.0), t) for c, t in terms],
-                norm_sq=(np.linalg.norm(ref) ** 2, 600.0))
-            assert abs(big.residual * math.exp(-600.0) - dist2) < 1e-8 * dist2, (bond, terms)
+                (c * math.exp(300.0), t) for c, t in terms])
+            assert abs(_residual((np.linalg.norm(ref) ** 2, 600.0), big.mpo) - dist2) < 1e-8 * dist2, \
+                (bond, terms)
 
 
 def test_multiply_over_cap_start_path(monkeypatch):
@@ -136,10 +148,9 @@ def test_multiply_over_cap_start_path(monkeypatch):
     for terms in ([], [(-0.8, u), (0.3, random_mpo(6, 8, 3))]):
         ref = mp.dense(a) @ mp.dense(u) + sum(c * mp.dense(t) for c, t in terms)
         starts.clear()
-        fit = multiply_and_optimize(a, u, 8, SweepOptions(max_sweeps=3), terms,
-                                    norm_sq=(np.linalg.norm(ref) ** 2, 0.0))
+        fit = multiply_and_optimize(a, u, 8, SweepOptions(max_sweeps=3), terms)
         assert starts == [(8,)]
-        assert np.isfinite(fit.residual)
+        assert fit.truncated and np.isfinite(_residual((np.linalg.norm(ref) ** 2, 0.0), fit.mpo))
         assert fit.mpo.bond_dims() == _output_bonds(a, u, terms, 8)
         obj = fit.objectives
         for j in range(1, len(obj)):
@@ -168,20 +179,20 @@ def test_multiply_zero_operand():
     a = random_mpo(4, 3, 0)
     fit = multiply_and_optimize(a, mp.zero_mpo(4), 4)
     assert mp.log_norm(fit.mpo) == -math.inf
-    assert fit.residual == 0.0
+    assert not fit.truncated
 
 
-def _fit_sum(u, terms, dnew, opts=None, norm_sq=None):
+def _fit_sum(u, terms, dnew, opts=None):
     """u + sum_k c_k t_k, fitted as identity @ u plus the terms."""
-    return multiply_and_optimize(mp.identity_mpo(u.L, u.d), u, dnew, opts, terms, norm_sq)
+    return multiply_and_optimize(mp.identity_mpo(u.L, u.d), u, dnew, opts, terms)
 
 
 def test_sum_empty_terms_is_truncation():
     u = random_mpo(5, 6, 3)
     nrm2 = mp.frobenius_norm(u) ** 2
-    fit = _fit_sum(u, [], 3, norm_sq=(nrm2, 0.0))
+    fit = _fit_sum(u, [], 3)
     _, terr = mp.truncate_svd(u, dmax=3)
-    assert fit.residual <= (terr**2) * nrm2 * (1.0 + 1e-6) + 1e-12
+    assert _residual((nrm2, 0.0), fit.mpo) <= (terr**2) * nrm2 * (1.0 + 1e-6) + 1e-12
 
 
 def test_sum_cancellation_gives_zero():
@@ -189,15 +200,13 @@ def test_sum_cancellation_gives_zero():
     fit = _fit_sum(u, [(-1.0, u)], 5)
     assert mp.frobenius_norm(fit.mpo) == 0.0
     assert fit.converged
-    # at cap 3, u's bond, a fit given ||target||^2 grows nothing and judges
-    # the cancellation by its own norm, whatever the known norm's
-    # rounding: 0, or eps times the parts' scale
-    nrm2 = mp.frobenius_norm(u) ** 2
-    for known in (0.0, 1e-16 * nrm2, -1e-16 * nrm2):
-        fit = _fit_sum(u, [(-1.0, u)], 3, norm_sq=(known, 0.0))
-        # the sweeps ran: the cancellation is judged after them
-        assert mp.frobenius_norm(fit.mpo) == 0.0 and fit.sweep_ms > 0, known
-        assert fit.converged and fit.residual == pytest.approx(max(known, 0.0), rel=1e-12), known
+    # at cap 3, u's bond, the fit grows nothing and judges the cancellation
+    # by its own norm; its cap lies below the target's exact bond 6, and
+    # the zero operator keeps that verdict
+    fit = _fit_sum(u, [(-1.0, u)], 3)
+    # the sweeps ran: the cancellation is judged after them
+    assert mp.frobenius_norm(fit.mpo) == 0.0 and fit.sweep_ms > 0
+    assert fit.converged and fit.truncated
 
 
 def test_sum_unconstrained_matches_exact_add():
@@ -244,17 +253,16 @@ def test_fits_follow_operand_dtype():
     a, u = real_part(random_mpo(5, 3, 0)), real_part(random_mpo(5, 3, 1))
     # fits that grow u's bond 3 to the cap of 4, one whose u of bond 12 is
     # truncated to the natural limit 4 at the ends and grows to 16 inside,
-    # and a start from u, whose bond 3 is the cap, given a target norm (its
-    # value does not matter here)
+    # and a start from u, whose bond 3 is the cap
     big = real_part(random_mpo(5, 12, 2))
     fits = [multiply_and_optimize(a, u, 4), multiply_and_optimize(big, big, 20),
-            _fit_sum(u, [(-0.5, a)], 4), multiply_and_optimize(a, u, 3, norm_sq=(1.0, 0.0))]
+            _fit_sum(u, [(-0.5, a)], 4), multiply_and_optimize(a, u, 3)]
     for fit in fits:
         assert [s.dtype for s in fit.mpo.sites] == [np.float64] * 5
     c = random_mpo(5, 3, 3)
     fits = [multiply_and_optimize(a, c, 4), multiply_and_optimize(c, u, 4),
             _fit_sum(u, [(-0.5, c)], 4), _fit_sum(c, [(2.0, u)], 4),
-            multiply_and_optimize(c, u, 3, norm_sq=(1.0, 0.0))]
+            multiply_and_optimize(c, u, 3)]
     for fit in fits:
         assert [s.dtype for s in fit.mpo.sites] == [np.complex128] * 5
 
@@ -341,7 +349,7 @@ def test_start_overlaps_match_closing_passes(cplx, dnew):
 
     def coefficients(start):
         starts.append(start)
-        return [-alpha, -0.7], None
+        return [-alpha, -0.7]
 
     for v in (u, _in_gauge(u, 7)):
         assert np.linalg.norm(mp.dense(v) - mp.dense(u)) < 1e-12
@@ -422,8 +430,7 @@ def test_capped_fit_stops_on_plateau(monkeypatch):
     for seed in range(3):
         a, u = random_mpo(6, 4, seed), random_mpo(6, 4, 20 + seed)
         ref = mp.dense(a) @ mp.dense(u) - 0.5 * mp.dense(u)
-        fit = multiply_and_optimize(a, u, 3, opts, terms=[(-0.5, u)],
-                                    norm_sq=(np.linalg.norm(ref) ** 2, 0.0))
+        fit = multiply_and_optimize(a, u, 3, opts, terms=[(-0.5, u)])
         assert fit.converged and fit.sweeps < opts.max_sweeps, seed
         # the last sweep's right-to-left half lowered the objective by at
         # most 1e-2 of what sweep 1's left-to-right half did, and every
@@ -433,7 +440,8 @@ def test_capped_fit_stops_on_plateau(monkeypatch):
         assert len(gains) == fit.sweeps, seed
         assert gains[-1] <= 1e-2 * first_gain, seed
         assert all(g > 1e-2 * first_gain for g in gains[:-1]), seed
-        assert fit.residual > 1e-3 * mp.frobenius_norm(fit.mpo) ** 2, seed
+        assert _residual((np.linalg.norm(ref) ** 2, 0.0), fit.mpo) \
+            > 1e-3 * mp.frobenius_norm(fit.mpo) ** 2, seed
 
 
 def _half_gains(objectives, L):
@@ -453,9 +461,7 @@ def test_capped_fits_sweep_while_the_second_half_gains():
     ones = 0
     for seed in range(12):
         a, u = random_mpo(6, 4, seed), random_mpo(6, 4, 40 + seed)
-        ref = mp.dense(a) @ mp.dense(u) - 0.5 * mp.dense(u)
-        fit = multiply_and_optimize(a, u, 3, SweepOptions(max_sweeps=40), terms=[(-0.5, u)],
-                                    norm_sq=(np.linalg.norm(ref) ** 2, 0.0))
+        fit = multiply_and_optimize(a, u, 3, SweepOptions(max_sweeps=40), terms=[(-0.5, u)])
         gains, first_gain = _half_gains(fit.objectives, 6)
         tol = max(sweeping._REL_TOL * mp.frobenius_norm(fit.mpo) ** 2,
                   sweeping._PLATEAU * first_gain)
@@ -471,68 +477,114 @@ def test_capped_fits_sweep_while_the_second_half_gains():
 def test_fit_residual_is_exact_or_absent(thermal_cache, monkeypatch):
     # the Gibbs-state fit of `build-thermal --state full`, m m^H at m's own
     # bond cap 8: it truncates, and m^H already has the bonds it outputs,
-    # so its sweeps grow nothing, known norm or not.  Without ||target||^2
-    # the fit reports no residual; given the dense one, it reports the
-    # dense ||t - x||^2.  The norm changes what the fit reports, not what
-    # it fits
+    # so its sweeps grow nothing.  The fit reports no residual, only that
+    # it truncated; ||t||^2 - ||x||^2 is the dense ||t - x||^2, and the
+    # objective is -||x||^2
     grown = _growth(monkeypatch)
     m = thermal_cache(10, 1.0, 8, 0.01)[0]
     mh = mp.adjoint(m)
     ref = mp.dense(m) @ mp.dense(mh)
-    blind = multiply_and_optimize(m, mh, 8)
-    known = multiply_and_optimize(m, mh, 8, norm_sq=(np.linalg.norm(ref) ** 2, 0.0))
+    fit = multiply_and_optimize(m, mh, 8)
     assert grown == []
-    assert mh.bond_dims() == blind.mpo.bond_dims() == _output_bonds(m, mh, [], 8)
-    assert math.isnan(blind.residual)
-    dist2 = np.linalg.norm(mp.dense(known.mpo) - ref) ** 2
+    assert mh.bond_dims() == fit.mpo.bond_dims() == _output_bonds(m, mh, [], 8)
+    assert fit.truncated
+    dist2 = np.linalg.norm(mp.dense(fit.mpo) - ref) ** 2
     assert dist2 > 1e-9 * np.linalg.norm(ref) ** 2
-    assert abs(known.residual - dist2) <= 1e-6 * dist2
-    assert [np.array_equal(s, t) for s, t in zip(blind.mpo.sites, known.mpo.sites)] == [True] * 10
-    assert blind.sweeps == known.sweeps
-    assert blind.objectives[-1] == pytest.approx(-mp.frobenius_norm(blind.mpo) ** 2, rel=1e-12)
+    assert abs(_residual((np.linalg.norm(ref) ** 2, 0.0), fit.mpo) - dist2) <= 1e-6 * dist2
+    assert fit.objectives[-1] == pytest.approx(-mp.frobenius_norm(fit.mpo) ** 2, rel=1e-12)
 
 
 def test_lanczos_fits_know_their_target_norm(thermal_cache, monkeypatch):
     # The Lanczos steps of a thermal state at a cap far below their block
-    # bonds.  The driver passes each fit ||t_k||^2, from the three-term
-    # expansion on a compressed A^H A: it matches the dense value, so the
-    # reported residual is the dense ||t - x||^2 wherever ||t||^2 stands
-    # clear of the expansion's rounding floor, eps ||A U||^2.  Every fit
-    # outputs the bonds of the rule; one whose U_k sits at the cap grows
-    # nothing, and one below it grows its bonds in its first sweep.
+    # bonds.  The driver forms ||t_k||^2 from the three-term expansion on a
+    # compressed A^H A after each fit that truncates: it matches the dense
+    # value, so the record's residual ||t_k||^2 - ||x||^2 is the dense
+    # ||t - x||^2 wherever ||t||^2 stands clear of the expansion's rounding
+    # floor, eps ||A U||^2.  Every fit outputs the bonds of the rule; one
+    # whose U_k sits at the cap grows nothing, and one below it grows its
+    # bonds in its first sweep.
     from mpotrace import lanczos as lz
-    grown, steps = _growth(monkeypatch), []
+    grown, steps, norms = _growth(monkeypatch), [], {}
 
-    def checked(a, u, dnew, opts=None, terms=(), norm_sq=None, coefficients=None):
+    def checked(a, u, dnew, opts=None, terms=(), coefficients=None):
         grown.clear()
         given = []
-        fit = multiply_and_optimize(a, u, dnew, opts, terms, norm_sq, noting(coefficients, given))
+        fit = multiply_and_optimize(a, u, dnew, opts, terms, noting(coefficients, given))
         assert fit.mpo.bond_dims() == _output_bonds(a, u, terms, dnew)
-        if coefficients is None:
-            # the run's one fit of A^H A
-            return fit
-        # the coefficients and ||t_k||^2 the step read from the fit's start
-        (cs, norm_sq), = given
+        # the coefficients the step read from the fit's start
+        cs, = given
         terms = [(c, t) for c, (_, t) in zip(cs, terms)]
         au = mp.dense(a) @ mp.dense(u)
         ref = au + sum(c * mp.dense(t) for c, t in terms)
         steps.append((u.max_bond() == dnew, sum(grown), np.linalg.norm(au) ** 2,
-                      np.linalg.norm(ref) ** 2, norm_sq[0] * math.exp(norm_sq[1]),
-                      np.linalg.norm(mp.dense(fit.mpo) - ref) ** 2, fit.residual))
+                      np.linalg.norm(ref) ** 2, np.linalg.norm(mp.dense(fit.mpo) - ref) ** 2,
+                      fit.truncated))
         return fit
 
+    def noted_norm(*args, target_norm_sq=lz._target_norm_sq):
+        # ||t_k||^2, formed after step k's fit
+        norms[len(steps)] = target_norm_sq(*args)
+        return norms[len(steps)]
+
     monkeypatch.setattr(lz, "multiply_and_optimize", checked)
+    monkeypatch.setattr(lz, "_target_norm_sq", noted_norm)
     m = thermal_cache(8, 1.0, 20, 0.01)[0]
-    lz.entropy_from_half_state(m, kmax=30, dmax=12)
+    _, run = lz.entropy_from_half_state(m, kmax=30, dmax=12)
     at_cap = [s for s in steps if s[0]]
-    assert len(at_cap) >= 10 and len(steps) > len(at_cap)
-    for k, (cap, columns, au2, t2, known, res, reported) in enumerate(steps, 1):
+    assert len(at_cap) >= 10 and len(steps) > len(at_cap) and len(steps) == len(run.records)
+    assert sorted(norms) == [k for k, s in enumerate(steps, 1) if s[5]]
+    for k, ((cap, columns, au2, t2, res, truncated), rec) in enumerate(zip(steps, run.records), 1):
         assert (columns == 0) == cap, k
+        if not truncated:
+            assert rec.fit_residual == 0.0, k
+            continue
+        known = norms[k][0] * math.exp(norms[k][1])
         assert abs(known - t2) <= 1e-12 * au2, k
         if t2 > 1e-6 * au2:
-            assert abs(reported - res) <= 1e-8 * t2, k
+            assert abs(rec.fit_residual - res) <= 1e-8 * t2, k
     # the at-cap fits truncate: their residuals are far from 0
-    assert max(s[5] / s[3] for s in at_cap) > 0.1
+    assert all(s[5] for s in at_cap)
+    assert max(s[4] / s[3] for s in at_cap) > 0.1
+
+
+def test_product_measures_its_cut_unless_the_fit_truncates(thermal_cache):
+    # x @ y at caps around the block bond, the largest product of the
+    # operands' bonds: below it the fit truncates and the product reports
+    # no weight; at it, and uncapped, the product is the fit cut to its
+    # numerical rank (mp.truncate_svd at the cap), and reports that cut's
+    # weight, the relative distance to the exact product
+    m = thermal_cache(6, 1.0, 20, 0.01)[0]
+    block = max(b * b for b in m.bond_dims())
+    ref = mp.dense(m) @ mp.dense(m)
+    for cap in (block - 1, block, None):
+        out, disc = product(m, m, cap)
+        fit = multiply_and_optimize(m, m, cap)
+        assert (disc is None) == fit.truncated == (cap == block - 1), cap
+        cut, weight = mp.truncate_svd(fit.mpo, cap)
+        assert [np.array_equal(s, t) for s, t in zip(out.sites, cut.sites)] == [True] * 6
+        assert out.max_bond() <= fit.mpo.max_bond()
+        if disc is not None:
+            assert disc == weight, cap
+            rel = np.linalg.norm(mp.dense(out) - ref) / np.linalg.norm(ref)
+            assert abs(rel - disc) <= 1e-12, cap
+
+
+def test_product_raises_where_it_vanishes():
+    # a product of nonzero operators that comes back as the zero operator:
+    # the unit-norm identities of 1100 sites, whose product's squared norm
+    # 2^-1100 underflows inside the fit, and an exactly vanishing product,
+    # |0><0| @ |1><1| on site 0
+    eye = mp.identity_mpo(1100)
+    with pytest.raises(NumericError, match="L <= 1023"):
+        product(mp.shift_log_scale(eye, -eye.ln_norm), mp.shift_log_scale(eye, -eye.ln_norm), 4)
+    up, down = (mp.Mpo((np.diag(v).reshape(2, 2, 1, 1),) + mp.identity_mpo(4).sites[1:])
+                for v in ([1.0, 0.0], [0.0, 1.0]))
+    assert mp.log_norm(up) > -math.inf and mp.log_norm(down) > -math.inf
+    with pytest.raises(NumericError):
+        product(up, down, 4)
+    # a zero operand gives the zero operator
+    out, disc = product(up, mp.zero_mpo(4), 4)
+    assert mp.log_norm(out) == -math.inf and disc == 0.0
 
 
 @pytest.mark.parametrize("cplx", [False, True])
@@ -614,15 +666,14 @@ def test_sweeps_gauge_their_start(cplx, monkeypatch):
     for start in (u, small):
         terms = [(-alpha, start), (-0.7, u_prev)]
         ref = mp.dense(a) @ mp.dense(start) + sum(c * mp.dense(t) for c, t in terms)
-        norm_sq = (np.linalg.norm(ref) ** 2, 0.0)
         grown.clear()
-        plain = multiply_and_optimize(a, start, 3, terms=terms, norm_sq=norm_sq)
+        plain = multiply_and_optimize(a, start, 3, terms=terms)
         assert (sum(grown) > 0) == (start is small)
         gauged = mp.Mpo(tuple(_gauged(start.sites, 7, unitary=start is small)), start.log_scale)
-        moved = multiply_and_optimize(a, gauged, 3, terms=terms, norm_sq=norm_sq)
+        moved = multiply_and_optimize(a, gauged, 3, terms=terms)
         want = mp.dense(plain.mpo)
         # the fits truncate
-        assert np.linalg.norm(want - ref) ** 2 > 1e-6 * norm_sq[0]
+        assert np.linalg.norm(want - ref) ** 2 > 1e-6 * np.linalg.norm(ref) ** 2
         dist = np.linalg.norm(mp.dense(moved.mpo) - want)
         assert dist <= 1e-12 * np.linalg.norm(want), (start.max_bond(), dist)
         assert moved.sweeps == plain.sweeps and moved.mpo.bond_dims() == plain.mpo.bond_dims()

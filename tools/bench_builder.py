@@ -9,9 +9,10 @@ child runs alternate between DIR (another checkout, e.g. the parent
 commit) and this checkout, so both see the same machine state.  The file
 records, per tree and workload, every time with their minimum, median and
 quartiles, the record count (gate layers plus product fits), the count of
-product fits (records whose layer is "square" or "product"), the step
-count and the max bond, plus the machine facts and git revisions.  The
-file goes to the root of this checkout.
+product fits (records whose layer is "square" or "product"), the count of
+records without a measured weight (discarded null: a fit that
+truncated), the step count and the max bond, plus the machine facts and
+git revisions.  The file goes to the root of this checkout.
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ t0 = time.perf_counter()
 m, meta = mt.thermal_half_state_report(p, dbond=bond, dtau=dtau)
 print(json.dumps({"s": time.perf_counter() - t0, "layers": len(meta["layers"]),
                   "fits": sum(l["layer"] in ("square", "product") for l in meta["layers"]),
+                  "unmeasured": sum(l["discarded"] is None for l in meta["layers"]),
                   "steps": meta["steps"], "max_bond": m.max_bond()}))
 """
 
@@ -113,7 +115,8 @@ def main(argv=None) -> int:
         "method": f"{args.repeat} child processes per tree and workload, alternating trees, "
                   f"bond cap {BOND_DIM}, one BLAS thread (tools/bench_builder.py); min_s, "
                   f"median_s and quartiles_s (25th and 75th percentiles) summarize all_s; "
-                  f"layers counts the build's records, fits those of product fits",
+                  f"layers counts the build's records, fits those of product fits, "
+                  f"unmeasured those whose discarded weight is null",
         "machine": machine(),
         "trees": {},
     }
@@ -122,7 +125,7 @@ def main(argv=None) -> int:
             name: {"L": WORKLOADS[name].L, "beta": WORKLOADS[name].beta,
                    "dtau": WORKLOADS[name].dtau, **summary([r["s"] for r in rs]),
                    "steps": rs[0]["steps"], "layers": rs[0]["layers"], "fits": rs[0]["fits"],
-                   "max_bond": rs[0]["max_bond"]}
+                   "unmeasured": rs[0]["unmeasured"], "max_bond": rs[0]["max_bond"]}
             for name, rs in runs[side].items()}}
     (ROOT / "BENCH_builder.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     print(json.dumps(doc["trees"], indent=1))

@@ -19,9 +19,10 @@ previous step's fit, is below dmax, 1 at step 1), the median count of
 minor page faults during the estimate, the iteration count, the stop
 reason and S, plus the machine facts and git revisions.  With --baseline
 it also records, and prints, per workload whether the two trees computed
-the same numbers: the relative difference of S and whether the iteration
-counts, the stop reasons and every record's sweeps and fit_residual are
-equal.  The file goes to the root of this checkout.
+the same numbers: whether the saved states are equal byte for byte, the
+relative difference of S and whether the iteration counts, the stop
+reasons and every record's sweeps and fit_residual are equal.  The file
+goes to the root of this checkout.
 """
 from __future__ import annotations
 
@@ -87,6 +88,8 @@ def main(argv=None) -> int:
                 states[tree][name] = (path, w.kmax, w.dmax)
         runs = alternate(trees, {name: name for name in WORKLOADS}, args.repeat,
                          lambda tree, name: run_child(tree, CHILD, json.dumps(states[tree][name])))
+        state_bytes = {name: len({Path(states[tree][name][0]).read_bytes() for tree in states}) == 1
+                       for name in WORKLOADS}
     doc = {
         "topic": "entropy estimate, in-process wall time of entropy_from_half_state",
         "method": f"{args.repeat} child processes per tree and workload, alternating trees, "
@@ -121,6 +124,7 @@ def main(argv=None) -> int:
         for name in WORKLOADS:
             old, new = (runs[side][name][0] for side in ("baseline", "change"))
             doc["same_numbers"][name] = {
+                "state_bytes_equal": state_bytes[name],
                 "S_rel_diff": (new["S"] - old["S"]) / abs(old["S"]),
                 **{f"{key}_equal": new[key] == old[key]
                    for key in ("iterations", "stop_reason", "sweeps", "fit_residual")}}
