@@ -10,7 +10,7 @@ from mpotrace import mpo as mp
 from mpotrace.sweeping import SweepOptions, _grow, expectation, multiply_and_optimize, product
 from mpotrace.errors import DimensionError, NumericError
 
-from conftest import exact_multiply, inner, noting, random_mpo, real_part
+from conftest import inner, noting, random_mpo, real_part
 
 
 def test_options_validation():
