@@ -253,7 +253,7 @@ def _target_norm_sq(au_sq, alpha: float, ln_beta: float, overlaps) -> tuple[floa
     Hermitian A, beta_k <U_{k-1}, A U_k> = conj<x, A U_{k-1}> and beta_k
     <U_k, U_{k-1}> = <x, U_{k-1}>, so no contraction runs here.
     overlaps None is step 1, where the beta terms vanish.  Every magnitude
-    stays a log until the driver subtracts the fit's ||x||^2, so the result
+    stays a log until global_lanczos subtracts the fit's ||x||^2, so the result
     is in log form too: (mantissa, log), value = mantissa * exp(log)."""
     terms = [(au_sq[0].real, au_sq[1])]
     if alpha != 0:

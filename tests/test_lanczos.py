@@ -498,7 +498,7 @@ def test_overlaps_come_from_the_previous_fit(cplx, monkeypatch):
     # the identity's sites eye/2 make alpha_1 = 0 exactly: step 1's term
     # -alpha_1 U_1 has weight 0.  Each fit's overlaps with the products of
     # its target match the dense inner products, the weight-0 product's
-    # included; the driver builds ||t_k||^2 from them where the fit
+    # included; global_lanczos builds ||t_k||^2 from them where the fit
     # truncates (from step 2 on), and the next step records
     # |<U_k, U_{k-1}>| and |<U_k, U_{k-2}>|.  B has bond 2, so A^H A is
     # exact at twice A's bond, and so is ||A U_k||^2

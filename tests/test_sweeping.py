@@ -496,7 +496,7 @@ def test_fit_residual_is_exact_or_absent(thermal_cache, monkeypatch):
 
 def test_lanczos_fits_know_their_target_norm(thermal_cache, monkeypatch):
     # The Lanczos steps of a thermal state at a cap far below their block
-    # bonds.  The driver forms ||t_k||^2 from the three-term expansion on a
+    # bonds.  global_lanczos forms ||t_k||^2 from the three-term expansion on a
     # compressed A^H A after each fit that truncates: it matches the dense
     # value, so the record's residual ||t_k||^2 - ||x||^2 is the dense
     # ||t - x||^2 wherever ||t||^2 stands clear of the expansion's rounding
