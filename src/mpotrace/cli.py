@@ -126,18 +126,10 @@ def _write_json(payload: dict, path: str | None) -> None:
             fh.write(text + "\n")
 
 
-def _check_build_flags(bond: int, dtau: float) -> None:
-    """The input-build flags of build-thermal and sweep."""
-    if bond < 1:
-        raise ValueError("the bond cap must be >= 1")
-    if not (dtau > 0 and math.isfinite(dtau)):
-        raise ValueError("--dtau must be finite and > 0")
-
-
 def cmd_build_thermal(args) -> int:
     try:
         params = models.IsingParams(L=args.L, J=args.J, g=args.g, h=args.h, beta=args.beta)
-        _check_build_flags(args.bond_dim, args.dtau)
+        models._check_build_flags(args.bond_dim, args.dtau)
         if not math.isfinite(args.trunc_warn):
             raise ValueError("--trunc-warn must be finite")
     except ValueError as err:
@@ -346,7 +338,7 @@ def cmd_sweep(args) -> int:
                  for p in chains for dmax in dmaxes for kmax in kmaxes]
         if not cells:
             raise ValueError("manifest produced no cells (need nonempty L and beta)")
-        _check_build_flags(args.dbond, args.dtau)
+        models._check_build_flags(args.dbond, args.dtau)
     except (OSError, json.JSONDecodeError, ValueError, TypeError, OverflowError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2

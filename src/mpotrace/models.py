@@ -116,6 +116,14 @@ def _max_discarded(layers: list) -> float:
     return max((l["discarded"] or 0.0 for l in layers), default=0.0)
 
 
+def _check_build_flags(dbond: int | None, dtau: float) -> None:
+    """ValueError unless dbond is None or >= 1 and dtau is finite and > 0."""
+    if not (dtau > 0 and math.isfinite(dtau)):
+        raise ValueError(f"need a finite dtau > 0, got {dtau}")
+    if dbond is not None and dbond < 1:
+        raise ValueError(f"need dbond >= 1, got {dbond}")
+
+
 def thermal_half_state_report(
     p: IsingParams, dbond: int | None = 20, dtau: float = 0.01
 ):
@@ -155,10 +163,7 @@ def thermal_half_state_report(
     the sites stay O(1) at any chain length.  The returned MPO is
     canonical: unit tensors, and log_scale = ln_norm = ln of M's norm.
     """
-    if not (dtau > 0 and math.isfinite(dtau)):
-        raise ValueError(f"need a finite dtau > 0, got {dtau}")
-    if dbond is not None and dbond < 1:
-        raise ValueError(f"need dbond >= 1, got {dbond}")
+    _check_build_flags(dbond, dtau)
     half_beta = 0.5 * p.beta
     nsteps = max(1, math.ceil(half_beta / dtau))
     tau = half_beta / nsteps

@@ -21,6 +21,10 @@ take their dtype from their operands by numpy's promotion, so an
 operator built from real data is contracted and factorized in real
 arithmetic throughout.
 
+One keep rule, `_truncation_rank`, serves every cut: the truncated split
+and the fit's bond growth and cancellation test drop the longest tail of
+squared weight at most TRUNC_EPS**2 of the whole.
+
 An operator carries `ln_norm`, its ln Frobenius norm, once it is known:
 from the code that made it (the identity, zero, an adjoint, a canonical
 form, a truncation, a fit, a rescale), or from `log_norm`, which keeps
@@ -38,7 +42,7 @@ from .errors import CapacityError, DimensionError, NumericError
 from . import tensors
 
 DENSE_MAX_DIM = 2 ** 14
-# relative tail weight a truncated split drops even below its bond cap
+# relative tail weight the keep rule (_truncation_rank) drops even below a cap
 TRUNC_EPS = 1e-14
 
 
@@ -320,9 +324,10 @@ def log_norm(a: Mpo) -> float:
     return a.ln_norm
 
 
-def _chain_limit(d: int) -> int:
-    """The longest chain whose d^L = tr(I) is a float64: 1023 at d = 2."""
-    return math.ceil(math.log(np.finfo(np.float64).max) / math.log(d)) - 1
+def _chain_limit(d: int) -> float:
+    """The longest chain whose d^L = tr(I) is a float64: 1023 at d = 2, and
+    no limit (inf) at d = 1, where tr(I) = 1 at any L."""
+    return math.inf if d == 1 else math.ceil(math.log(np.finfo(np.float64).max) / math.log(d)) - 1
 
 
 def frobenius_norm(a: Mpo) -> float:
@@ -369,25 +374,24 @@ def _move_center(sites: list, i: int) -> None:
     sites[i + 1] = _into_left_bond(r, sites[i + 1])
 
 
-def _truncation_rank(s: np.ndarray, dmax: int | None) -> tuple[int, float]:
-    """The keep rule of every truncated split.  Of the descending singular
-    values s, keep the fewest whose dropped tail carries at most
-    TRUNC_EPS**2 of the total squared weight, then at most dmax, and at
-    least one.
+def _truncation_rank(s: np.ndarray, dmax: int | None, total2: float | None = None) -> tuple[int, float]:
+    """The package's one keep rule (_truncated_split, sweeping).  Of the
+    descending singular values s, keep the fewest whose dropped tail
+    carries at most TRUNC_EPS**2 of the whole squared weight, total2 or
+    else sum(s**2), then at most dmax: none where all of s fits in that
+    budget, as an all-zero s does.
 
     Returns (keep, squared weight of the dropped tail)."""
-    tot2 = float(s @ s)
-    if tot2 == 0.0:
-        return 1, 0.0
     tail2 = np.concatenate([np.cumsum((s * s)[::-1])[::-1], [0.0]])  # tail2[k] = sum of s[k:]**2
-    keep = max(int(np.searchsorted(-tail2, -(TRUNC_EPS * TRUNC_EPS) * tot2)), 1)  # smallest k with tail2[k] <= budget
+    budget = TRUNC_EPS * TRUNC_EPS * (float(s @ s) if total2 is None else total2)
+    keep = int(np.searchsorted(-tail2, -budget))  # smallest k with tail2[k] <= budget
     if dmax is not None:
         keep = min(keep, dmax)
     return keep, float(tail2[keep])
 
 
 def _truncated_split(mat: np.ndarray, dmax: int | None):
-    """The one truncated split: mat ~ u @ c, cut by _truncation_rank.
+    """The one truncated split: mat ~ u @ c, cut by _truncation_rank to one column at least.
 
     u holds the kept left singular vectors (orthonormal columns, a copy,
     so that it does not keep the full factor alive) and c = u^H @ mat their
@@ -396,7 +400,7 @@ def _truncated_split(mat: np.ndarray, dmax: int | None):
     ||mat - u @ c||^2 = tail2."""
     u, s = tensors.svd(mat)
     keep, tail2 = _truncation_rank(s, dmax)
-    u = u[:, :keep].copy()
+    u = u[:, :max(keep, 1)].copy()
     return u, u.conj().T @ mat, tail2
 
 
@@ -507,15 +511,16 @@ def load_json(path: str) -> Mpo:
         raise NumericError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
     try:
         kind = doc["kind"]
-        L = int(doc["L"])
-        d = int(doc["d"])
+        L, d = doc["L"], doc["d"]
         ls = float(doc["log_scale"])
         raw = doc["sites"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        # a number past the float range, such as "L": 1e999, loads as inf
+        # an integer log_scale past the float range overflows float()
         raise NumericError(f"{path}: missing or malformed field ({exc})") from exc
     if kind != "mpo":
         raise NumericError(f"{path}: unknown kind {kind!r}")
+    if type(L) is not int or type(d) is not int:
+        raise NumericError(f"{path}: header L and d must be integers, got {L!r} and {d!r}")
     if not isinstance(raw, list) or len(raw) != L:
         raise NumericError(f"{path}: L={L} but sites is not a list of {L} site tensors")
     sites = []

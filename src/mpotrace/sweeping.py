@@ -25,10 +25,12 @@ below its output bond grows inside the first left-to-right pass, as
 single-site DMRG's subspace expansion does: the products'
 half-contractions at that site, weighted and side by side, with the
 solved site's span projected out, give the new directions, their leading
-left singular vectors (`_grow`).  They turn with any unitary change of a
-bond basis, so the growth does not depend on the orthonormal basis that
-rounding picked.  A start that already has its output bonds grows
-nothing, and its pass is the pass of every later sweep.
+left singular vectors, as many as the package's one keep rule
+(mp._truncation_rank) keeps against the half-contractions' whole weight
+(`_grow`).  They turn with any unitary change of a bond basis, so the
+growth does not depend on the orthonormal basis that rounding picked.  A
+start that already has its output bonds grows nothing, and its pass is
+the pass of every later sweep.
 
 The sweeps are alternating least squares (`_run_sweeps`): the trial
 operator is kept in mixed-canonical gauge, so each local problem is
@@ -38,7 +40,9 @@ They take their start in any gauge.  The kernel contracts left to right
 only: the right-to-left half of a sweep, and the sweeps' gauge pass over
 their start, are left-to-right passes over the mirrored chain and
 target, whose left environments are the forward right environments.
-A complete cancellation is judged once, after the sweeps.  Each site update
+A target that vanishes, by cancellation or through a zero operand, is
+judged once, after the sweeps, by the same keep rule's budget, and leaves
+by one exit, the zero operator.  Each site update
 forms one half-contraction, the left environment absorbed into the
 products' sites, and hands it to both the local tensor and the next
 environment.  The sweeps stop on a plateau rule judged at half-sweep
@@ -72,9 +76,6 @@ _REL_TOL = 1e-9
 # a sweep that lowers the objective by at most this share of what the
 # first sweep lowered it by has reached the truncation plateau
 _PLATEAU = 1e-2
-# a target whose squared norm is at most this share of its parts' squared
-# scale has cancelled completely: the zero operator is the exact optimum
-_CANCELLED = 1e-28
 
 
 @dataclass
@@ -147,17 +148,16 @@ def _grow(target, i, half, q, bond: int):
     """The isometry q at site i with at most bond - b columns appended, b
     being its own: the leading left singular vectors of the products'
     weighted half-contractions, side by side, with q's span projected out.
-    Of those, it keeps the ones the package's keep rule (mp.TRUNC_EPS)
-    keeps when the dropped tail is measured against the half-contractions'
-    whole squared weight, so that directions at rounding level stay out."""
+    Of those, it keeps the ones the package's keep rule
+    (mp._truncation_rank) keeps when the dropped tail is measured against
+    the half-contractions' whole squared weight ||H||^2, so that
+    directions at rounding level stay out, and all-zero halves add none."""
     h = np.concatenate([w * p for w, p in zip(target.w, half)], axis=1)
     o, j, lx, b = q.shape
     # q in the parts' layout
     qm = q.transpose(2, 1, 0, 3).reshape(lx * j * o, b)
     left, s = tensors.svd(h - qm @ (qm.conj().T @ h))
-    tail2 = np.cumsum((s * s)[::-1])[::-1]  # tail2[k] = sum of s[k:]**2
-    budget = mp.TRUNC_EPS * mp.TRUNC_EPS * float(np.vdot(h, h).real)
-    keep = min(int(np.count_nonzero(tail2 > budget)), bond - b)
+    keep, _ = mp._truncation_rank(s, bond - b, float(np.vdot(h, h).real))
     if keep == 0:
         return q
     return target.site(i, np.concatenate([qm, left[:, :keep]], axis=1))
@@ -229,13 +229,6 @@ def _run_sweeps(x_sites, target, weigh, opts: SweepOptions, bonds: list):
     return objectives, converged, sweeps, parts
 
 
-def _zero_result(L: int, d: int, products: int, truncated: bool = False,
-                 sweep_ms: float = 0.0) -> SweepResult:
-    return SweepResult(mpo=mp.zero_mpo(L, d), truncated=truncated, converged=True,
-                       objectives=[0.0], overlaps=[(0.0, -math.inf)] * products,
-                       sweep_ms=sweep_ms)
-
-
 def expectation(a: mp.Mpo, u: mp.Mpo) -> tuple[complex, float]:
     """<u, a@u> = tr(u^H a u), closed over x = u by the package's one
     kernel (mp._close), as (mantissa, log): value = mantissa * exp(log).
@@ -259,7 +252,8 @@ def multiply_and_optimize(a: mp.Mpo, u: mp.Mpo, dnew: int | None, opts: SweepOpt
     those below them (see the module docstring).  With dnew at least the
     exact bond (D_a * D_u plus the terms' bonds) the fit is not
     `truncated` and reproduces the exact operator to numerical precision.
-    Its `overlaps` come free from the last local solve.
+    Its `overlaps` come free from the last local solve.  A target that
+    vanishes, a zero operand's too, leaves by one exit: the zero operator.
     """
     opts = opts or SweepOptions()
     terms = list(terms)
@@ -276,8 +270,6 @@ def multiply_and_optimize(a: mp.Mpo, u: mp.Mpo, dnew: int | None, opts: SweepOpt
     factors = [(mp._unit_sites(a), mp._unit_sites(u))] + [
         ((None, 0.0), mp._unit_sites(t)) for _, t in terms]
     logs = [la + lu for (_, la), (_, lu) in factors]
-    if max(logs) == -math.inf:
-        return _zero_result(L, d, len(factors))
     target = mp._Target([(a_sites, u_sites) for (a_sites, _), (u_sites, _) in factors])
     blocks = [sum(target.bonds(i)) for i in range(L - 1)]
     exact_bond = max(blocks, default=1)
@@ -307,13 +299,16 @@ def multiply_and_optimize(a: mp.Mpo, u: mp.Mpo, dnew: int | None, opts: SweepOpt
     objectives, converged, sweeps, parts = _run_sweeps(x_sites, target, weigh, opts, bonds)
     sweep_ms = (time.perf_counter() - t0) * 1e3
     truncated = cap < exact_bond
-    # a complete cancellation is judged once, by the norm of the result
-    # against the squared sum of the weighted parts' norms
+    # a vanished target is judged once, by the keep rule's budget: the
+    # result's squared norm against the squared sum of the weighted parts'
+    # norms.  Weights all 0, as a zero operand's are, give 0 <= 0
     scale_sq = sum(abs(w) * math.sqrt(float(np.vdot(p, p).real))
                    for w, p in zip(target.w, parts)) ** 2
     nsq = float(np.vdot(x_sites[0], x_sites[0]).real)
-    if nsq <= _CANCELLED * scale_sq:
-        return _zero_result(L, d, len(parts), truncated, sweep_ms)
+    if nsq <= mp.TRUNC_EPS * mp.TRUNC_EPS * scale_sq:
+        return SweepResult(mpo=mp.zero_mpo(L, d), truncated=truncated, converged=True,
+                           objectives=[0.0], overlaps=[(0.0, -math.inf)] * len(parts),
+                           sweep_ms=sweep_ms)
     # the center in the parts' layout; each overlap on the true scales of
     # x and of the product's operands.  Site 0 is the center, so ln||x|| is
     # ls plus ln of its Frobenius norm

@@ -220,6 +220,17 @@ def test_estimate_poly_identity_is_trace(tmp_path):
     assert abs(read_json(out)["estimate"] - ref) < 1e-8 * max(abs(ref), 1.0)
 
 
+def test_estimate_one_dimensional_sites(tmp_path):
+    # d = 1: tr(I) = 1 at any L, so the chain has no length limit; the
+    # operator is the number 2^4
+    src = str(tmp_path / "d1.json")
+    mp.save_json(mp.Mpo(tuple(np.full((1, 1, 1, 1), 2.0) for _ in range(4))), src)
+    for function, ref in (("trace", 16.0), ("poly:0,0,1", 256.0), ("entropy", 0.0)):
+        out = str(tmp_path / "est.json")
+        assert run_cli("estimate", "--input", src, "--function", function, "--out", out) == 0
+        assert read_json(out)["estimate"] == pytest.approx(ref, rel=1e-12, abs=1e-12), function
+
+
 def test_estimate_entropy_small_chain(tmp_path, half_state_file):
     out = str(tmp_path / "S.json")
     rc = run_cli("estimate", "--input", half_state_file, "--function", "entropy",

@@ -267,6 +267,24 @@ def test_truncated_split(shape, cplx):
         assert abs(dist2 - tail2) <= 1e-12 * np.linalg.norm(mat) ** 2, (seed, dist2, tail2)
 
 
+def test_truncation_rank_against_a_given_total():
+    s = np.array([1e-15, 1e-30])
+    # against its own weight the rule drops the tail 1e-60; against a
+    # total of 1 the whole spectrum, 1e-30, fits in the budget 1e-28, and
+    # the rule keeps none
+    assert mp._truncation_rank(s, None) == (1, 1e-30 * 1e-30)
+    assert mp._truncation_rank(s, 5, 1e-30) == (1, 1e-30 * 1e-30)
+    keep, tail2 = mp._truncation_rank(s, None, 1.0)
+    assert keep == 0 and tail2 == pytest.approx(1e-30)
+    # an all-zero spectrum keeps none, as a bond growth sees it, but the
+    # truncated split of a zero matrix still returns one column of weight 0
+    assert mp._truncation_rank(np.zeros(3), 2, 0.0) == (0, 0.0)
+    assert mp._truncation_rank(np.zeros(3), None) == (0, 0.0)
+    u, c, tail2 = mp._truncated_split(np.zeros((6, 4)), None)
+    assert u.shape == (6, 1) and c.shape == (1, 4)
+    assert np.linalg.norm(u) == pytest.approx(1.0) and not np.any(c) and tail2 == 0.0
+
+
 def test_hermitian_part_cases():
     h = random_mpo(4, 3, 1)
     herm = mp.exact_add(h, mp.adjoint(h))
@@ -416,6 +434,21 @@ def test_load_malformed_file_names_path(tmp_path):
         with pytest.raises(NumericError) as exc:
             mp.load_json(bad)
         assert name in str(exc.value)
+
+
+@pytest.mark.parametrize("L, d, key, value", [(4, 2, "L", 4.7), (4, 2, "L", "4"), (1, 2, "L", True),
+                                          (4, 2, "d", 2.0), (4, 1, "d", True)])
+def test_load_rejects_non_integer_header(tmp_path, L, d, key, value):
+    # each header names the file's own count, but not as a JSON integer
+    path = os.path.join(tmp_path, "header.json")
+    mp.save_json(mp.identity_mpo(L, d), path)
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc[key] = value
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(NumericError, match="header.json"):
+        mp.load_json(path)
 
 
 def test_dtype_rule_construction():

@@ -7,6 +7,7 @@ import pytest
 
 import mpotrace as mt
 from mpotrace import mpo as mp
+from mpotrace import tensors
 from mpotrace.sweeping import SweepOptions, _grow, expectation, multiply_and_optimize, product
 from mpotrace.errors import DimensionError, NumericError
 
@@ -175,11 +176,49 @@ def test_multiply_huge_log_scale_is_stable():
         assert np.linalg.norm(mp.dense(fit3.mpo) - ref) < 1e-10 * np.linalg.norm(ref), e
 
 
-def test_multiply_zero_operand():
+def test_multiply_zero_operand(monkeypatch):
     a = random_mpo(4, 3, 0)
+    grown = _growth(monkeypatch)
     fit = multiply_and_optimize(a, mp.zero_mpo(4), 4)
     assert mp.log_norm(fit.mpo) == -math.inf
     assert not fit.truncated
+    # the fit runs, and leaves by the cancellation exit: each bond 1 of the
+    # start lies below its output bond 3, and each growth, whose products'
+    # weights are all 0, keeps nothing
+    assert grown == [0, 0, 0]
+    assert fit.converged and fit.overlaps == [(0.0, -math.inf)]
+
+
+def test_growth_keeps_what_the_count_rule_keeps(monkeypatch):
+    # the columns each growth appends, against the count of the directions
+    # whose tail outweighs TRUNC_EPS^2 of ||H||^2, H the weighted halves
+    # side by side, capped at what the bond has room for
+    from mpotrace import sweeping
+    pairs = []
+
+    def recording(target, i, half, q, bond):
+        out = _grow(target, i, half, q, bond)
+        h = np.concatenate([w * p for w, p in zip(target.w, half)], axis=1)
+        qm = q.transpose(2, 1, 0, 3).reshape(-1, q.shape[3])
+        _, s = tensors.svd(h - qm @ (qm.conj().T @ h))
+        tail2 = np.cumsum((s * s)[::-1])[::-1]
+        budget = mp.TRUNC_EPS * mp.TRUNC_EPS * float(np.vdot(h, h).real)
+        room = bond - q.shape[3]
+        pairs.append((out.shape[3] - q.shape[3], min(int(np.count_nonzero(tail2 > budget)), room), room))
+        return out
+
+    monkeypatch.setattr(sweeping, "_grow", recording)
+    for seed in range(4):
+        a, u = random_mpo(6, 3, seed), random_mpo(6, 2, 10 + seed)
+        for cap in (3, 5, None):
+            multiply_and_optimize(a, u, cap)
+        # u + (-u) + t: a target of rank t's bond, below the output bond
+        t = random_mpo(6, 2, 20 + seed)
+        _fit_sum(u, [(-1.0, u), (1.0, t)], 6)
+    assert all(grown == count for grown, count, _ in pairs), pairs
+    # both the rank and the room bind somewhere
+    assert any(0 < count < room for _, count, room in pairs)
+    assert any(0 < count == room for _, count, room in pairs)
 
 
 def _fit_sum(u, terms, dnew, opts=None):
