@@ -120,15 +120,20 @@ def _pass(target, lenvs, renvs, sites, objectives: list, bonds=None) -> None:
     target's chain, in place.  lenvs[i] is the environment left of site
     i, renvs[j] the one right of site L-1-j (lenvs of the mirrored
     target); each solved site is split into an isometry, sites[i], and the
-    environment right of it, lenvs[i + 1].  Given `bonds`, the output bond
-    right of every site, an isometry with fewer columns grows towards it
-    (`_grow`), and a pass that grew a bond ends with the local solve at
-    site L-1, whose objective counts the growth of the last bond."""
+    environment right of it, lenvs[i + 1].  Each renvs[L-1-i] is dropped
+    once read, so that the pass leaves renvs its boundary, renvs[0], alone:
+    a pass over the mirror writes the rest again before any is read, and
+    the two lists together hold one environment per site, not two.  Given
+    `bonds`, the output bond right of every site, an isometry with fewer
+    columns grows towards it (`_grow`), and a pass that grew a bond ends
+    with the local solve at site L-1, whose objective counts the growth of
+    the last bond."""
     L = len(sites)
     grew = False
     for i in range(L - 1):
         half = target.half(i, lenvs[i])
         t = target.local(i, target.parts(half, renvs[L - 1 - i]))
+        renvs[L - 1 - i] = None
         objectives.append(-float(np.vdot(t, t).real))
         q, _ = mp._split_left(t)
         if bonds is not None and q.shape[3] < bonds[i]:
@@ -174,8 +179,12 @@ def _run_sweeps(x_sites, target, weigh, opts: SweepOptions, bonds: list):
     first local solve.  A sweep is a left-to-right pass over the target,
     one over its mirror (the chain's right-to-left pass), and
     a last solve at site 0; sweep 1's first pass grows the start's bonds
-    below `bonds` (`_pass`).  Returns (objectives, converged, sweeps run,
-    parts), parts being the products' unweighted parts at that last solve.
+    below `bonds` (`_pass`).  The result takes site 0 from the last solve
+    and sites 1..L-1 from the last mirror pass, so each pass starts by
+    dropping the isometries the pass before the previous one wrote: the
+    sweeps hold one site set and one environment per site.  Returns
+    (objectives, converged, sweeps run, parts), parts being the products'
+    unweighted parts at that last solve.
     The objective after a site update, -|center|^2, is the squared
     distance to the target less ||target||^2, so only its changes are
     judged, at half-sweep granularity: the sweeps stop after a sweep
@@ -206,10 +215,12 @@ def _run_sweeps(x_sites, target, weigh, opts: SweepOptions, bonds: list):
     objectives = []
     converged = False
     for sweeps in range(1, opts.max_sweeps + 1):
+        back[:] = [None] * L
         _pass(target, fwd, bwd, x_sites, objectives, bonds if sweeps == 1 else None)
         # the objective where the right-to-left half starts; a one-site
         # chain has no pass, and its one solve is compared across sweeps
         mid = objectives[-1] if objectives else math.inf
+        x_sites[:] = [None] * L
         _pass(mirror, bwd, fwd, back, objectives)
         parts = target.parts(target.half(0, fwd[0]), bwd[L - 1])
         t = target.local(0, parts)
@@ -225,7 +236,7 @@ def _run_sweeps(x_sites, target, weigh, opts: SweepOptions, bonds: list):
             converged = True
             break
     # the mirror pass wrote sites 1..L-1 last
-    x_sites[1:] = mp._flip(back)[1:]
+    x_sites[1:] = mp._flip(back[:L - 1])
     return objectives, converged, sweeps, parts
 
 
