@@ -29,6 +29,10 @@ An operator carries `ln_norm`, its ln Frobenius norm, once it is known:
 from the code that made it (the identity, zero, an adjoint, a canonical
 form, a truncation, a fit, a rescale), or from `log_norm`, which keeps
 what it contracts.  So a norm is contracted at most once per operator.
+The identity, `canonicalize` and the fit (sweeping.multiply_and_optimize)
+build it equal to log_scale: their site data have unit norm.  The
+balancing step (`_unit_sites`) hands such an operand's own sites back,
+and scales copies of any other's.
 """
 from __future__ import annotations
 
@@ -410,12 +414,17 @@ def _unit_sites(a: Mpo):
     read from a known norm (log_norm), for canonicalize and the fit's
     operands; every intermediate that multiplies balanced sites stays O(1).
     (A closed contraction needs none: `_close` carries a running scale.)
-    Returns (sites unscaled, -inf) when the norm is 0."""
+    Where that factor is exactly 1, as for an operand whose ln_norm is its
+    log_scale (a canonical form, a fit's output, the identity), it returns
+    a's own site arrays, not copies.  Returns (sites unscaled, -inf) when
+    the norm is 0."""
     ln_full = log_norm(a)
     if ln_full == -math.inf:
         return [s.copy() for s in a.sites], -math.inf
     # log of the raw tensor-network norm, spread evenly across the sites
     f = math.exp(-(ln_full - a.log_scale) / a.L)
+    if f == 1.0:
+        return list(a.sites), ln_full
     return [s * f for s in a.sites], ln_full
 
 

@@ -57,6 +57,15 @@ of the center with the product's part: a Lanczos step reads its
 alpha_k = <u, a@u> from the start's before any local solve, and the
 next step its ||t_k||^2 overlaps and the drift of its blocks from the
 fit's (`SweepResult.overlaps`).
+
+A fit holds only what it still needs.  Its operands enter with their own
+sites where they are canonical (mp._unit_sites copies only the others).
+The sweeps hold one environment per site, since a pass drops each right
+environment once it has read it, and one site set, since a pass drops
+the isometries of the pass before the previous one.  Its output is
+canonical, as canonicalize's is: the center, site 0, divided by its norm,
+right isometries after it, and log_scale == ln_norm.  So the blocks of a
+Lanczos step, rescaled fit outputs, enter the next fit without copies.
 """
 from __future__ import annotations
 
@@ -93,10 +102,12 @@ class SweepOptions:
 class SweepResult:
     """Outcome of a variational fit.
 
-    `converged` is true when the objective stopped moving before
-    `max_sweeps` (or the fit needed no sweeps), `sweeps` counts the ALS
-    sweeps run, and `objectives` is -||x||^2 after every local solve: the
-    squared distance to the target less ||target||^2.  `truncated` is true
+    `mpo` is in canonical form: a unit center at site 0, right isometries
+    after it, and log_scale == ln_norm.  `converged` is true when the
+    objective stopped moving before `max_sweeps` (or the fit needed no
+    sweeps), `sweeps` counts the ALS sweeps run, and `objectives` is
+    -||x||^2 after every local solve: the squared distance to the target
+    less ||target||^2.  `truncated` is true
     when the cap lies below the target's exact bond; a fit that is not
     truncated reproduces its target.  `overlaps` holds <x, a@u> and then
     <x, t_k> per term, each in log form (mantissa, log): the fit's overlap
@@ -263,8 +274,10 @@ def multiply_and_optimize(a: mp.Mpo, u: mp.Mpo, dnew: int | None, opts: SweepOpt
     those below them (see the module docstring).  With dnew at least the
     exact bond (D_a * D_u plus the terms' bonds) the fit is not
     `truncated` and reproduces the exact operator to numerical precision.
-    Its `overlaps` come free from the last local solve.  A target that
-    vanishes, a zero operand's too, leaves by one exit: the zero operator.
+    Its `overlaps` come free from the last local solve.  The output is
+    canonical (`SweepResult.mpo`), its norm exp(log_scale) = exp(ln_norm).
+    A target that vanishes, a zero operand's too, leaves by one exit: the
+    zero operator.
     """
     opts = opts or SweepOptions()
     terms = list(terms)
@@ -321,11 +334,14 @@ def multiply_and_optimize(a: mp.Mpo, u: mp.Mpo, dnew: int | None, opts: SweepOpt
                            objectives=[0.0], overlaps=[(0.0, -math.inf)] * len(parts),
                            sweep_ms=sweep_ms)
     # the center in the parts' layout; each overlap on the true scales of
-    # x and of the product's operands.  Site 0 is the center, so ln||x|| is
-    # ls plus ln of its Frobenius norm
+    # x and of the product's operands
     center = x_sites[0].transpose(2, 1, 0, 3).reshape(parts[0].shape)
     overlaps = [(np.vdot(center, p).item(), ls + lg) for p, lg in zip(parts, logs)]
-    return SweepResult(mpo=mp.Mpo(tuple(x_sites), ls, ls + 0.5 * math.log(nsq)), truncated=truncated,
+    # canonical form: site 0, the center, divided by its norm, which moves
+    # into log_scale; the isometries around it make that ln||x|| exactly
+    ln = ls + 0.5 * math.log(nsq)
+    x_sites[0] = x_sites[0] / math.sqrt(nsq)
+    return SweepResult(mpo=mp.Mpo(tuple(x_sites), ln, ln), truncated=truncated,
                        converged=converged, sweeps=sweeps,
                        objectives=[mp._scaled(o, 2.0 * ls) for o in objectives],
                        overlaps=overlaps, sweep_ms=sweep_ms)

@@ -204,6 +204,23 @@ def test_canonicalize_value_and_isometries():
             assert np.linalg.norm(mat @ mat.conj().T - np.eye(dl)) < 1e-12, (where, i, "right")
 
 
+def test_unit_sites_copies_only_non_canonical_operands():
+    # an operand whose norm is its log_scale, as canonicalize and the
+    # identity build it and a rescale keeps it, needs no balancing: its own
+    # sites come back.  Any other operand's come back scaled, as copies
+    cplx = random_mpo(5, 3, 6)
+    for m in (real_part(cplx), cplx):
+        g = mp.canonicalize(m)
+        for op in (g, mp.shift_log_scale(g, -g.ln_norm), mp.identity_mpo(5)):
+            sites, ln = mp._unit_sites(op)
+            assert ln == op.ln_norm
+            assert all(s is t for s, t in zip(sites, op.sites))
+        sites, ln = mp._unit_sites(m)
+        assert ln == mp.log_norm(m)
+        assert not any(np.shares_memory(s, t) for s, t in zip(sites, m.sites))
+        assert abs(mp.log_norm(mp.Mpo(tuple(sites)))) < 1e-12
+
+
 def test_canonicalize_idempotent():
     m = random_mpo(5, 3, 8)
     once = mp.canonicalize(m)

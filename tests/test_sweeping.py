@@ -716,3 +716,54 @@ def test_sweeps_gauge_their_start(cplx, monkeypatch):
         dist = np.linalg.norm(mp.dense(moved.mpo) - want)
         assert dist <= 1e-12 * np.linalg.norm(want), (start.max_bond(), dist)
         assert moved.sweeps == plain.sweeps and moved.mpo.bond_dims() == plain.mpo.bond_dims()
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_capped_fit_output_is_canonical(cplx):
+    # a fit returns canonicalize's form, from a start at the cap (u) and
+    # from one that grows (bond 2): a unit center at site 0,
+    # right-isometries after it, and its norm in log_scale, equal to
+    # ln_norm.  So the balancing step hands back its own sites
+    a, u, u_prev, alpha = _lanczos_operands(cplx)
+    small = random_mpo(5, 2, 8) if cplx else real_part(random_mpo(5, 2, 8))
+    for start in (u, small):
+        fit = multiply_and_optimize(a, start, 3, terms=[(-alpha, start), (-0.7, u_prev)])
+        x = fit.mpo
+        assert fit.truncated and x.dtype == a.dtype
+        assert x.log_scale == x.ln_norm
+        assert abs(np.linalg.norm(x.sites[0]) - 1.0) < 1e-14
+        for i, s in enumerate(x.sites[1:], 1):
+            d1, d2, dl, dr = s.shape
+            mat = s.transpose(2, 0, 1, 3).reshape(dl, d1 * d2 * dr)
+            assert np.linalg.norm(mat @ mat.conj().T - np.eye(dl)) < 1e-12, i
+        assert abs(mp.log_norm(mp.Mpo(x.sites, x.log_scale)) - x.ln_norm) < 1e-12
+        sites, ln = mp._unit_sites(x)
+        assert ln == x.ln_norm and all(s is t for s, t in zip(sites, x.sites))
+
+
+def test_fit_holds_one_environment_set_and_one_site_set():
+    # the tracemalloc peak of one capped three-product fit, as a Lanczos
+    # step makes it on canonical operands, against a bound from the
+    # shapes: one environment per site for each product, one site set of
+    # the output, and four half-contractions of the largest site for the
+    # temporaries of one site update
+    import tracemalloc
+    L, D, d, item = 40, 16, 2, 8
+    a, u, u_prev = (mp.canonicalize(mp.truncate_svd(real_part(random_mpo(L, D, s)))[0])
+                    for s in range(3))
+    terms = [(-0.4, u), (0.3, u_prev)]
+    bx = [1] + _output_bonds(a, u, terms, D) + [1]
+    ba, bu, bp = ([1] + m.bond_dims() + [1] for m in (a, u, u_prev))
+    # (x, a, u) for the fit's own product, (x, u) and (x, u_prev) for the terms
+    per_bond = [ba[i] * bu[i] + bu[i] + bp[i] for i in range(L + 1)]
+    envs = sum(bx[i] * per_bond[i] for i in range(1, L)) * item
+    sites = sum(d * d * bx[i] * bx[i + 1] for i in range(L)) * item
+    half = max(bx[i] * d * d * per_bond[i + 1] for i in range(L)) * item
+    tracemalloc.start()
+    try:
+        fit = multiply_and_optimize(a, u, D, terms=terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.truncated and fit.mpo.bond_dims() == bx[1:-1]
+    assert peak < envs + sites + 4 * half, (peak, envs, sites, half)
