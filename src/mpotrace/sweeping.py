@@ -104,11 +104,11 @@ class SweepResult:
 
     `mpo` is in canonical form: a unit center at site 0, right isometries
     after it, and log_scale == ln_norm.  `converged` is true when the
-    objective stopped moving before `max_sweeps` (or the fit needed no
-    sweeps), `sweeps` counts the ALS sweeps run, and `objectives` is
-    -||x||^2 after every local solve: the squared distance to the target
-    less ||target||^2.  `truncated` is true
-    when the cap lies below the target's exact bond; a fit that is not
+    objective stopped moving before `max_sweeps`, `sweeps` counts the ALS
+    sweeps run, and `objectives` is -||x||^2 after every local solve: the
+    squared distance to the target less ||target||^2.  A fit whose target
+    vanished reports these of the sweeps it ran.  `truncated` is true when
+    the cap lies below the target's exact bond; a fit that is not
     truncated reproduces its target.  `overlaps` holds <x, a@u> and then
     <x, t_k> per term, each in log form (mantissa, log): the fit's overlap
     with each product of its target, without the product's coefficient,
@@ -276,8 +276,9 @@ def multiply_and_optimize(a: mp.Mpo, u: mp.Mpo, dnew: int | None, opts: SweepOpt
     `truncated` and reproduces the exact operator to numerical precision.
     Its `overlaps` come free from the last local solve.  The output is
     canonical (`SweepResult.mpo`), its norm exp(log_scale) = exp(ln_norm).
-    A target that vanishes, a zero operand's too, leaves by one exit: the
-    zero operator.
+    A target that vanishes, a zero operand's too, leaves by one exit after
+    the sweeps: the zero operator, with the sweeps run, their objectives
+    and their verdict.
     """
     opts = opts or SweepOptions()
     terms = list(terms)
@@ -329,10 +330,11 @@ def multiply_and_optimize(a: mp.Mpo, u: mp.Mpo, dnew: int | None, opts: SweepOpt
     scale_sq = sum(abs(w) * math.sqrt(float(np.vdot(p, p).real))
                    for w, p in zip(target.w, parts)) ** 2
     nsq = float(np.vdot(x_sites[0], x_sites[0]).real)
+    objectives = [mp._scaled(o, 2.0 * ls) for o in objectives]
     if nsq <= mp.TRUNC_EPS * mp.TRUNC_EPS * scale_sq:
-        return SweepResult(mpo=mp.zero_mpo(L, d), truncated=truncated, converged=True,
-                           objectives=[0.0], overlaps=[(0.0, -math.inf)] * len(parts),
-                           sweep_ms=sweep_ms)
+        return SweepResult(mpo=mp.zero_mpo(L, d), truncated=truncated, converged=converged,
+                           sweeps=sweeps, objectives=objectives,
+                           overlaps=[(0.0, -math.inf)] * len(parts), sweep_ms=sweep_ms)
     # the center in the parts' layout; each overlap on the true scales of
     # x and of the product's operands
     center = x_sites[0].transpose(2, 1, 0, 3).reshape(parts[0].shape)
@@ -342,8 +344,7 @@ def multiply_and_optimize(a: mp.Mpo, u: mp.Mpo, dnew: int | None, opts: SweepOpt
     ln = ls + 0.5 * math.log(nsq)
     x_sites[0] = x_sites[0] / math.sqrt(nsq)
     return SweepResult(mpo=mp.Mpo(tuple(x_sites), ln, ln), truncated=truncated,
-                       converged=converged, sweeps=sweeps,
-                       objectives=[mp._scaled(o, 2.0 * ls) for o in objectives],
+                       converged=converged, sweeps=sweeps, objectives=objectives,
                        overlaps=overlaps, sweep_ms=sweep_ms)
 
 

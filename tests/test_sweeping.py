@@ -8,7 +8,8 @@ import pytest
 import mpotrace as mt
 from mpotrace import mpo as mp
 from mpotrace import tensors
-from mpotrace.sweeping import SweepOptions, _grow, expectation, multiply_and_optimize, product
+from mpotrace.sweeping import (SweepOptions, _grow, _run_sweeps, expectation, multiply_and_optimize,
+                                product)
 from mpotrace.errors import DimensionError, NumericError
 
 from conftest import inner, noting, random_mpo, real_part
@@ -248,6 +249,29 @@ def test_sum_cancellation_gives_zero():
     assert fit.converged and fit.truncated
 
 
+def test_cancellation_reports_the_sweeps_it_ran(monkeypatch):
+    # identity @ u - u at u's bond: the target vanishes, and the sweeps run
+    # on rounding noise before the cancellation exit judges it.  The fit
+    # reports the sweeps that ran, their objectives on its scale and their
+    # own verdict
+    from mpotrace import sweeping
+    ran = []
+
+    def recording(*args):
+        ran.append(_run_sweeps(*args))
+        return ran[-1]
+
+    monkeypatch.setattr(sweeping, "_run_sweeps", recording)
+    u = random_mpo(4, 3, 8)
+    fit = _fit_sum(u, [(-1.0, u)], 3)
+    (objectives, converged, sweeps, _), = ran
+    assert mp.log_norm(fit.mpo) == -math.inf
+    assert sweeps > 1 and fit.sweeps == sweeps and fit.converged == converged
+    # the fit's scale is its own product's weight, ||I|| ||u||
+    ls = mp.log_norm(mp.identity_mpo(4)) + mp.log_norm(u)
+    assert fit.objectives == [mp._scaled(o, 2.0 * ls) for o in objectives]
+
+
 def test_sum_unconstrained_matches_exact_add():
     for seed in range(6):
         u = random_mpo(4, 3, seed)
@@ -322,8 +346,10 @@ def test_fit_reports_sweeps():
     obj = exact.objectives
     assert len(obj) == 10 + 9
     assert obj[-6] - obj[-1] <= 1e-9 * mp.frobenius_norm(exact.mpo) ** 2
+    # a zero operand's weights are all 0: its first sweep gains nothing,
+    # and the fit stops after that one sweep of 9 updates and reports it
     zero = multiply_and_optimize(mp.zero_mpo(5), u, 4)
-    assert zero.converged and zero.sweeps == 0
+    assert zero.converged and zero.sweeps == 1 and len(zero.objectives) == 9
 
 
 def _lanczos_operands(cplx):
