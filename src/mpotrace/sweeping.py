@@ -61,8 +61,8 @@ fit's (`SweepResult.overlaps`).
 A fit holds only what it still needs.  Its operands enter with their own
 sites where they are canonical (mp._unit_sites copies only the others).
 The sweeps hold one environment per site, since a pass drops each right
-environment once it has read it, and one site set, since a pass drops
-the isometries of the pass before the previous one.  Its output is
+environment once it has read it, and one site set, since a pass starts
+by dropping the isometries of the pass before it.  Its output is
 canonical, as canonicalize's is: the center, site 0, divided by its norm,
 right isometries after it, and log_scale == ln_norm.  So the blocks of a
 Lanczos step, rescaled fit outputs, enter the next fit without copies.
@@ -190,12 +190,12 @@ def _run_sweeps(x_sites, target, weigh, opts: SweepOptions, bonds: list):
     first local solve.  A sweep is a left-to-right pass over the target,
     one over its mirror (the chain's right-to-left pass), and
     a last solve at site 0; sweep 1's first pass grows the start's bonds
-    below `bonds` (`_pass`).  The result takes site 0 from the last solve
-    and sites 1..L-1 from the last mirror pass, so each pass starts by
-    dropping the isometries the pass before the previous one wrote: the
-    sweeps hold one site set and one environment per site.  Returns
-    (objectives, converged, sweeps run, parts), parts being the products'
-    unweighted parts at that last solve.
+    below `bonds` (`_pass`).  No pass reads another's isometries, and the
+    result takes site 0 from the last solve and sites 1..L-1 from the last
+    mirror pass, so each pass starts by dropping the isometries of the pass
+    before it: the sweeps hold one site set and one environment per site.
+    Returns (objectives, converged, sweeps run, parts), parts being the
+    products' unweighted parts at that last solve.
     The objective after a site update, -|center|^2, is the squared
     distance to the target less ||target||^2, so only its changes are
     judged, at half-sweep granularity: the sweeps stop after a sweep

@@ -16,18 +16,23 @@ and quartiles (the minimum alone did not resolve gaps of 30 % on a shared
 host), the median wall time of the at-cap Lanczos steps (those whose fit
 reached dmax) and of the growing steps (those whose incoming block, the
 previous step's fit, is below dmax, 1 at step 1), the median count of
-minor page faults during the estimate, the iteration count, the stop
-reason and S, plus the machine facts and git revisions.  With --baseline
-it also records, and prints, per workload whether the two trees computed
-the same numbers: whether the saved states are equal byte for byte, the
-relative difference of S and whether the iteration counts, the stop
-reasons and every record's sweeps and fit_residual are equal.  The file
-goes to the root of this checkout.
+minor page faults during the estimate, the median peak resident set
+(ru_maxrss after the estimate, in MB, as bench/run.py reports it), the
+iteration count, the stop reason and S, plus the machine facts and git
+revisions.  A child's ru_maxrss starts from the high-water mark of the
+process that starts it, so the file also records this tool's own
+(launcher_peak_rss_mb): a peak at that value shows the floor, not the
+estimate.  With --baseline it also records, and prints, per workload
+whether the two trees computed the same numbers: whether the saved
+states are equal byte for byte, the relative difference of S and whether
+the iteration counts, the stop reasons and every record's sweeps and
+fit_residual are equal.  The file goes to the root of this checkout.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import sys
 import tempfile
@@ -57,12 +62,13 @@ t0 = time.perf_counter()
 S, run = lz.entropy_from_half_state(m, kmax=kmax, dmax=dmax)
 s = time.perf_counter() - t0
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
 walls = [r.wall_ms for r in run.records]
 # a record's bond is that of its step's fit; the run makes other fits too
 at_cap = [r.wall_ms for r in run.records if r.bond >= dmax]
 incoming = [1] + [r.bond for r in run.records[:-1]]
 growing = [r.wall_ms for r, b in zip(run.records, incoming) if b < dmax]
-print(json.dumps({"s": s, "S": S, "minor_faults": faults,
+print(json.dumps({"s": s, "S": S, "minor_faults": faults, "peak_rss_mb": rss,
                   "iterations": len(run.records), "stop_reason": run.stop_reason,
                   "at_cap_steps": len(at_cap), "step_ms": statistics.median(at_cap or walls),
                   "growing_steps": len(growing), "growing_ms": statistics.median(growing),
@@ -90,6 +96,7 @@ def main(argv=None) -> int:
                          lambda tree, name: run_child(tree, CHILD, json.dumps(states[tree][name])))
         state_bytes = {name: len({Path(states[tree][name][0]).read_bytes() for tree in states}) == 1
                        for name in WORKLOADS}
+    launcher_rss = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6, 2)
     doc = {
         "topic": "entropy estimate, in-process wall time of entropy_from_half_state",
         "method": f"{args.repeat} child processes per tree and workload, alternating trees, "
@@ -99,10 +106,13 @@ def main(argv=None) -> int:
                   f"median wall time of the steps whose fit reached dmax, growing_step_ms "
                   f"that of the steps whose incoming block (the previous step's bond, 1 at "
                   f"step 1) is below dmax; minor_faults is the median count of minor page "
-                  f"faults during the estimate (ru_minflt).  The child sets up the heap as "
-                  f"the command line does at its start (cli._keep_heap_mapped), where the "
-                  f"tree has that step",
+                  f"faults during the estimate (ru_minflt), peak_rss_mb the median of "
+                  f"ru_maxrss after it, in MB, which starts from launcher_peak_rss_mb, the "
+                  f"high-water mark of the process that starts the children.  The child "
+                  f"sets up the heap as the command line does at its start "
+                  f"(cli._keep_heap_mapped), where the tree has that step",
         "machine": machine(),
+        "launcher_peak_rss_mb": launcher_rss,
         "trees": {},
     }
     for side, tree in trees.items():
@@ -116,6 +126,7 @@ def main(argv=None) -> int:
                    "growing_step_ms": round(min(r["growing_ms"] for r in rs), 2),
                    "growing_steps": rs[0]["growing_steps"],
                    "minor_faults": round(statistics.median(r["minor_faults"] for r in rs)),
+                   "peak_rss_mb": round(statistics.median(r["peak_rss_mb"] for r in rs), 2),
                    "iterations": rs[0]["iterations"], "stop_reason": rs[0]["stop_reason"],
                    "S": rs[0]["S"]}
             for name, rs in runs[side].items()}}
